@@ -19,7 +19,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..sources.conll import read_conll_dataset, write_conll
-from ..stages.retriever import retrieve_attach
+from ..stages.tagger import kernel_rows
 from .kg import load_corpus_refs
 
 
@@ -33,7 +33,7 @@ def augment_conll_dataset(paths, corpus: str,
     line format: sentence + <EOS> + context tokens labeled B-X) and
     ``n_contexts``.
     """
-    kb_ref, _gaz_ref, _ = load_corpus_refs(corpus)
+    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
     ds = read_conll_dataset(paths, column_format)
 
     def join_text(t: pa.Table) -> pa.Table:
@@ -47,7 +47,9 @@ def augment_conll_dataset(paths, corpus: str,
         return out
 
     augmented = (ds.map_batches(join_text, batch_format="pyarrow")
-                 .map_batches(retrieve_attach, fn_kwargs={"kb_ref": kb_ref},
+                 .map_batches(kernel_rows,
+                              fn_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref,
+                                         "mode": "aug"},
                               batch_format="pyarrow", batch_size=512))
 
     def render(t: pa.Table) -> pa.Table:

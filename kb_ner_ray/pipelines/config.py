@@ -109,36 +109,30 @@ def _stage_filter_length(ds, ctx, max_tokens: int = 510, train: bool = True,
                             mode=mode)
 
 
+def _kernel_stage(ds, ctx, batch_size: int, mode: str, **kw):
+    from ..stages.tagger import kernel_rows
+
+    kb_ref, gaz_ref, _ = ctx.refs()
+    return ds.map_batches(kernel_rows,
+                          fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref,
+                                     "mode": mode, **kw},
+                          batch_format="pyarrow", batch_size=batch_size)
+
+
 @register("retrieve_attach")
 def _stage_retrieve_attach(ds, ctx, batch_size: int = 512,
                            min_rank: int = 0, max_rank: int | None = None):
-    from ..stages.retriever import retrieve_attach
-
-    kb_ref, _gaz_ref, _ = ctx.refs()
-    return ds.map_batches(retrieve_attach,
-                          fn_kwargs={"kb_ref": kb_ref,
-                                     "min_rank": min_rank,
-                                     "max_rank": max_rank},
-                          batch_format="pyarrow", batch_size=batch_size)
+    return _kernel_stage(ds, ctx, batch_size, "aug", min_rank=min_rank,
+                         max_rank=max_rank)
 
 
 @register("mentions")
 def _stage_mentions(ds, ctx, batch_size: int = 512, backend: str = "trie"):
     """Fused retrieve+tag+link mentions; ``backend``: trie | viterbi |
     iter2 (entity-boosted second retrieval pass)."""
-    from ..stages.tagger import (
-        retrieve_tag_mentions,
-        retrieve_tag_mentions_iter2,
-        retrieve_tag_mentions_viterbi,
-    )
-
-    fn = {"trie": retrieve_tag_mentions,
-          "viterbi": retrieve_tag_mentions_viterbi,
-          "iter2": retrieve_tag_mentions_iter2}[backend]
-    kb_ref, gaz_ref, _ = ctx.refs()
-    return ds.map_batches(fn,
-                          fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-                          batch_format="pyarrow", batch_size=batch_size)
+    if backend not in ("trie", "viterbi", "iter2"):
+        raise KeyError(f"unknown mentions backend {backend!r}")
+    return _kernel_stage(ds, ctx, batch_size, "mentions", backend=backend)
 
 
 @register("rerank_contexts")
@@ -153,25 +147,12 @@ def _stage_rerank_contexts(ds, ctx, batch_size: int = 512, k: int = 10,
                           batch_format="pyarrow", batch_size=batch_size)
 
 
-@register("tag_link")
-def _stage_tag_link(ds, ctx, batch_size: int = 1024):
-    from ..stages.tagger import tag_link
-
-    kb_ref, gaz_ref, _ = ctx.refs()
-    return ds.map_batches(tag_link,
-                          fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-                          batch_format="pyarrow", batch_size=batch_size)
-
-
 @register("triples")
-def _stage_triples(ds, ctx, batch_size: int = 512):
-    from ..stages.tagger import retrieve_tag_triples_shared
+def _stage_triples(ds, ctx):
+    from .kg import raw_triples
 
-    kb_ref, gaz_ref, _ = ctx.refs()
-    return ds.map_batches(
-        retrieve_tag_triples_shared,
-        fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref, "shards": None},
-        batch_format="pyarrow", batch_size=batch_size)
+    ctx.refs()  # fails early without `corpus:`
+    return raw_triples(ds, ctx.corpus)
 
 
 @register("canonicalize")

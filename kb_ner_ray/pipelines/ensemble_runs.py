@@ -73,7 +73,7 @@ def run_checkpoint_predictions(corpus: str, checkpoints: list[dict],
         if partition_done(out_dir, run_id, fp):
             skipped.append(run_id)
             continue
-        preds = sentences_dataset(corpus, with_retrieval=False).map_batches(
+        preds = sentences_dataset(corpus).map_batches(
             VariantTagger,
             fn_constructor_kwargs={"gaz_ref": gaz_ref,
                                    "model_id": ckpt["model_id"],

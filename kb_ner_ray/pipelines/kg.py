@@ -19,9 +19,10 @@ is vocabulary-sized and finishes on the driver):
 
 The KB/gazetteer are ``ray.put`` ONCE per corpus per driver session and
 resolved once per worker (broadcast join, never re-shipped per batch).
-A GPU deployment swaps the task fn for the RetrieveTagTriples actor pool
-(same dataflow, explicit pool sizing + num_gpus).  The unfused staged
-variant (retrieve_attach | tag_link) backs kg_contexts / kg_mentions.
+``raw_triples`` is the one sentences -> raw-triples stage: ``kg_triples``,
+``run_resumable`` (pipelines/run.py) and the config ``triples`` stage all
+build on it.  ``kernel_dataset`` runs the same kernel's other emitters for
+the kg_contexts / kg_mentions inspection queries.
 """
 
 from __future__ import annotations
@@ -32,13 +33,8 @@ import ray
 from ..data.synth import corpus_dir, sf_dir_to_sf
 from ..stages.canonicalize import apply_canonical, compute_canonical_map
 from ..stages.extract import extract_pages
-from ..stages.retriever import retrieve_attach
 from ..stages.sentences import explode_sentences
-from ..stages.tagger import (
-    MemoShard,
-    TagLinkTriples,
-    retrieve_tag_triples_shared,
-)
+from ..stages.tagger import kernel_rows, retrieve_tag_triples_shared
 
 
 def _read_table_dir(path: str):
@@ -65,19 +61,6 @@ def load_corpus_refs(corpus: str):
     out = (ray.put(kb_rows), ray.put(gaz_rows), ent_title)
     _REFS_CACHE[corpus] = out
     return out
-
-
-_SHARDS_CACHE: dict = {}  # corpus -> list of MemoShard actor handles
-
-
-def _memo_shards(corpus: str, k: int = 4) -> list:
-    """Cluster-wide sentence-result cache shards, one group per corpus per
-    driver session (num_cpus=0 lookup servers; see stages/tagger.py)."""
-    hit = _SHARDS_CACHE.get(corpus)
-    if hit is None:
-        hit = [MemoShard.remote() for _ in range(k)]
-        _SHARDS_CACHE[corpus] = hit
-    return hit
 
 
 def _sentences_batch_size(corpus: str) -> int:
@@ -110,138 +93,46 @@ def _sentences_batch_size(corpus: str) -> int:
     return int(max(256, min(2048, n_pages // (total * 12))))
 
 
-def _default_concurrency() -> tuple[int, int]:
-    """Size the heavy actor pool to the cluster: one num_cpus=1 actor per
-    CPU (minus a couple for the read/driver side) so adding nodes adds
-    proportional mention-detection throughput."""
-    try:
-        total = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        total = 8
-    return (2, max(4, total - 2))
-
-
-def sentences_dataset(corpus: str, parallelism: int | None = None,
-                      with_retrieval: bool = True,
-                      kb_ref=None, concurrency=None):
-    """pages -> (augmented) sentences Dataset."""
-    pages = ray.data.read_parquet(
-        corpus + "/pages", columns=["url", "warc_ts", "html", "lang"],
-        override_num_blocks=parallelism,
-    )
-    sents = (
-        pages
+def sentences_dataset(corpus: str):
+    """pages -> sentences Dataset (url, sent_id, text, lang)."""
+    return (
+        ray.data.read_parquet(corpus + "/pages",
+                              columns=["url", "warc_ts", "html", "lang"])
         .map_batches(extract_pages, batch_format="pyarrow")
         .map_batches(explode_sentences, batch_format="pyarrow")
     )
-    if with_retrieval:
-        assert kb_ref is not None
-        # batch_size bundles input pages into tasks (see
-        # _sentences_batch_size); plain tasks + worker-local cached index
-        sents = sents.map_batches(
-            retrieve_attach,
-            fn_kwargs={"kb_ref": kb_ref},
-            batch_format="pyarrow",
-            batch_size=_sentences_batch_size(corpus),
-        )
-    return sents
 
 
-def _colocate_by_text(sents, n_buckets: int | None = None):
-    """ONE hash-bucket shuffle that lands every copy of a duplicate
-    sentence on the same reducer, so the per-worker memo reaches global
-    dedup rates at ANY cluster width.
-
-    Without this, total kernel CPU grows with worker count (each worker
-    recomputes the duplicates it happens to see: measured +23% CPU going
-    4 -> 16 workers at sf2.0, the dominant scaling loss once the kernel
-    got fast).  The shuffle moves only the sentence stream (~100 B/row);
-    worth it when corpus CPU dominates the exchange — kg_triples
-    auto-selects by corpus size."""
-    import pyarrow as pa
-
-    from ..stages.partitioning import bucket_array, default_buckets
-
-    nb = n_buckets or default_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__sb", pa.array(bucket_array(t["text"], nb), pa.int32()))
-
-    def strip_bucket(t: pa.Table) -> pa.Table:
-        return t.drop_columns(["__sb"])
-
-    return (sents.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__sb")
-            .map_groups(strip_bucket, batch_format="pyarrow"))
+def _kernel_map(sents, corpus: str, fn, **kw):
+    # batch_size bundles input pages into tasks and slices the inner
+    # sentence stream (see _sentences_batch_size)
+    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
+    return sents.map_batches(
+        fn, fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref, **kw},
+        batch_format="pyarrow", batch_size=_sentences_batch_size(corpus))
 
 
-# The colocate shuffle is OFF by default: measured at sf2.0 it LOSES at
-# both 4 and 16 CPUs (52.5s vs 33.5s at 16; 135.7s vs 81.8s at 4) — the
-# sort shuffle of the sentence stream costs more than the duplicate
-# recompute it saves with this (fast) kernel.  It stays available for
-# deployments with expensive per-sentence models (transformer inference at
-# 10-100 ms/sentence flips the trade decisively).
+def raw_triples(sents, corpus: str):
+    """sentences -> RAW triples: the fused retrieve+attach+tag+link+emit
+    kernel (stages/tagger.py) as plain tasks with worker-local state, so
+    the heavy aug_text intermediate never enters the object store."""
+    return _kernel_map(sents, corpus, retrieve_tag_triples_shared)
 
 
-def kg_triples(corpus: str, parallelism: int | None = None,
-               with_retrieval: bool = True, concurrency=None,
-               checkpoint_dir: str | None = None,
-               colocate_duplicates: bool | None = None):
-    """Full pipeline; returns the final triples Dataset.
+def kernel_dataset(corpus: str, mode: str, **kw):
+    """The corpus sentences through one emitter of the same kernel
+    (contexts | entity_contexts | mentions; see stages/tagger.py)."""
+    return _kernel_map(sentences_dataset(corpus), corpus, kernel_rows,
+                       mode=mode, **kw)
 
-    Retrieval + attach + tag + link + triple-emit run FUSED in one actor
-    pool (stages/tagger.py RetrieveTagTriples) so the heavy aug_text
-    intermediate never enters the object store; the unfused staged variant
-    (sentences_dataset + TagLinkTriples) backs the kg_contexts/kg_mentions
-    inspection queries and the conformance tests."""
-    kb_ref, gaz_ref, ent_title = load_corpus_refs(corpus)
-    if with_retrieval:
-        sents = sentences_dataset(corpus, parallelism, with_retrieval=False)
-        if colocate_duplicates:
-            sents = _colocate_by_text(sents)
-        # batch_size bundles input pages into tasks and slices the inner
-        # sentence stream (see _sentences_batch_size).  Plain tasks +
-        # worker-local cached state: parallelism follows the cluster with
-        # no per-run actor-pool spin-up (see stages/tagger.py).
-        # Plain per-worker memo (shards=None): measured fastest at >=32
-        # workers — the sharded cluster-wide memo (pass
-        # shards=_memo_shards(corpus)) pays more in cache-RPC wait than it
-        # saves in deduplicated compute at realistic (~40%) duplication
-        # rates; it stays available for extreme-duplication corpora.
-        raw = sents.map_batches(
-            retrieve_tag_triples_shared,
-            fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref,
-                       "shards": None},
-            batch_format="pyarrow",
-            batch_size=_sentences_batch_size(corpus),
-        )
-    else:
-        sents = sentences_dataset(corpus, parallelism, with_retrieval=False)
-        raw = sents.map_batches(
-            TagLinkTriples,
-            fn_constructor_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-            batch_format="pyarrow",
-            batch_size=1024,
-            concurrency=concurrency or _default_concurrency(),
-            num_cpus=1,
-        )
-    # raw triples are output-sized with two consumers (counts + apply).
-    # Default: object-store materialize (bounded at bench scale, fastest).
-    # checkpoint_dir: stream raw triples to parquet and read back — the
-    # 100-TB path where even output-sized data should spill to storage,
-    # and what run_resumable does per partition (pipelines/run.py).
-    if checkpoint_dir is not None:
-        import shutil
 
-        shutil.rmtree(checkpoint_dir, ignore_errors=True)
-        import os
-
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        raw.write_parquet(checkpoint_dir)
-        raw = ray.data.read_parquet(checkpoint_dir)
-    else:
-        raw = raw.materialize()
+def kg_triples(corpus: str):
+    """Full pipeline; returns the final triples Dataset."""
+    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
+    # raw triples are output-sized with two consumers (counts + apply):
+    # object-store materialize (bounded at bench scale, fastest);
+    # run_resumable is the path that checkpoints them to Parquet
+    raw = raw_triples(sentences_dataset(corpus), corpus).materialize()
     canon = compute_canonical_map(raw, ent_title)
     canon_ref = ray.put(canon)
     return raw.map_batches(

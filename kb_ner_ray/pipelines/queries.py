@@ -1828,7 +1828,7 @@ def _corpus(sf_dir: str) -> str:
 def q_kg_sentences(sf_dir: str):
     from ..pipelines.kg import sentences_dataset
 
-    return sentences_dataset(_corpus(sf_dir), with_retrieval=False)
+    return sentences_dataset(_corpus(sf_dir))
 
 
 def q_kg_doc_context(sf_dir: str):
@@ -1842,34 +1842,21 @@ def q_kg_doc_context(sf_dir: str):
     from ..stages.doccontext import attach_document_context
 
     return attach_document_context(
-        sentences_dataset(_corpus(sf_dir), with_retrieval=False),
+        sentences_dataset(_corpus(sf_dir)),
         pre_grouped=False)
 
 
 def q_kg_contexts(sf_dir: str):
-    from ..pipelines.kg import load_corpus_refs, sentences_dataset
-    from ..stages.retriever import retrieve_contexts
+    from ..pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, _gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
-        retrieve_contexts, fn_kwargs={"kb_ref": kb_ref},
-        batch_format="pyarrow", batch_size=512)
+    return kernel_dataset(_corpus(sf_dir), "contexts")
 
 
 def q_kg_mentions(sf_dir: str):
-    """Fused retrieve+attach+tag+link emitting mentions (the staged
-    retrieve_attach|tag_link variant remains for aug_text inspection)."""
-    from ..pipelines.kg import (_sentences_batch_size, load_corpus_refs,
-                                sentences_dataset)
-    from ..stages.tagger import retrieve_tag_mentions
+    """Fused retrieve+attach+tag+link emitting mentions."""
+    from ..pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
-        retrieve_tag_mentions,
-        fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-        batch_format="pyarrow", batch_size=_sentences_batch_size(corpus))
+    return kernel_dataset(_corpus(sf_dir), "mentions")
 
 
 def q_kg_mentions_viterbi(sf_dir: str):
@@ -1877,16 +1864,9 @@ def q_kg_mentions_viterbi(sf_dir: str):
     reference flair/models/sequence_tagger_model.py:1248-1327) instead of
     the trie codec — identical (start, end, label, ent) mentions on
     gazetteer-shaped emissions, pinned by tests/test_viterbi.py."""
-    from ..pipelines.kg import (_sentences_batch_size, load_corpus_refs,
-                                sentences_dataset)
-    from ..stages.tagger import retrieve_tag_mentions_viterbi
+    from ..pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
-        retrieve_tag_mentions_viterbi,
-        fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-        batch_format="pyarrow", batch_size=_sentences_batch_size(corpus))
+    return kernel_dataset(_corpus(sf_dir), "mentions", backend="viterbi")
 
 
 def q_kg_contexts_reranked(sf_dir: str):
@@ -1899,7 +1879,7 @@ def q_kg_contexts_reranked(sf_dir: str):
 
     corpus = _corpus(sf_dir)
     kb_ref, _gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
+    return sentences_dataset(corpus).map_batches(
         rerank_contexts, fn_kwargs={"kb_ref": kb_ref},
         batch_format="pyarrow", batch_size=512)
 
@@ -1909,16 +1889,9 @@ def q_kg_mentions_iter2(sf_dir: str):
     mentions drive entity-boosted pass-2 retrieval (title boost 2.0),
     contexts re-attached, sentence re-tagged.  Semantics pinned by the
     single-process oracle-parity test (tests/test_iter2.py)."""
-    from ..pipelines.kg import (_sentences_batch_size, load_corpus_refs,
-                                sentences_dataset)
-    from ..stages.tagger import retrieve_tag_mentions_iter2
+    from ..pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
-        retrieve_tag_mentions_iter2,
-        fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref},
-        batch_format="pyarrow", batch_size=_sentences_batch_size(corpus))
+    return kernel_dataset(_corpus(sf_dir), "mentions", backend="iter2")
 
 
 def q_kg_augment_conll(sf_dir: str):
@@ -1936,7 +1909,7 @@ def q_kg_augment_conll(sf_dir: str):
     corpus = _corpus(sf_dir)
     in_path = os.path.join(corpus, "conll_in.txt")
     if not os.path.exists(in_path):
-        sents = (sentences_dataset(corpus, with_retrieval=False)
+        sents = (sentences_dataset(corpus)
                  .limit(500).to_pandas()
                  .sort_values(["url", "sent_id"]))
         lines = []
@@ -2167,27 +2140,9 @@ def q_kg_contexts_entity(sf_dir: str):
     """Iterative entity-level retrieval (reference --with_entity + second
     pass, README.md:276-278): pass-1 mention detection feeds entity-boosted
     BM25 queries (title boost 2.0)."""
-    from ..pipelines.kg import load_corpus_refs, sentences_dataset
-    from ..stages.retriever import RetrieverEntity, add_detected_entities
-    from ..state.gazetteer import Gazetteer
+    from ..pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-
-    class AddEnts:
-        def __init__(self):
-            self.gaz = Gazetteer(ray.get(gaz_ref))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return add_detected_entities(t, gaz=self.gaz)
-
-    return (sentences_dataset(corpus, with_retrieval=False)
-            .map_batches(AddEnts, batch_format="pyarrow",
-                         concurrency=(1, 4))
-            .map_batches(RetrieverEntity,
-                         fn_constructor_kwargs={"kb_ref": kb_ref},
-                         batch_format="pyarrow", batch_size=512,
-                         concurrency=(1, 8)))
+    return kernel_dataset(_corpus(sf_dir), "entity_contexts")
 
 
 def q_kg_ensemble(sf_dir: str):
@@ -2199,7 +2154,7 @@ def q_kg_ensemble(sf_dir: str):
     corpus = _corpus(sf_dir)
     _kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
     return ensemble_mentions(
-        sentences_dataset(corpus, with_retrieval=False), gaz_ref, n_models=3)
+        sentences_dataset(corpus), gaz_ref, n_models=3)
 
 
 def q_kg_ensemble_multirun(sf_dir: str):
@@ -2224,7 +2179,7 @@ def q_kg_distant_supervision(sf_dir: str):
 
     corpus = _corpus(sf_dir)
     kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus, with_retrieval=False).map_batches(
+    return sentences_dataset(corpus).map_batches(
         DistantSupervision,
         fn_constructor_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref},
         batch_format="pyarrow", batch_size=256, concurrency=(1, 8))
@@ -5466,7 +5421,7 @@ def queries_registry():
     * positions 1-11  — the flagship KG pipeline chain + its exact-oracled
       prep stages;
     * positions 12-50 — exact-SQL-oracled queries + this round's ROTATION
-      entries (the window holds 50 of 122 registered queries, so each
+      entries (the window holds 50 of 123 registered queries, so each
       round swaps a few stable, repeatedly-driver-green exact entries
       out for queries that have not yet earned a driver row — round-3
       verdict #5, continued per round-4 verdict #5.  Round 5 rotated IN

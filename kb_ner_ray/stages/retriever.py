@@ -1,24 +1,20 @@
-"""BM25 retrieval + budgeted context attach actor stages.
+"""The broadcast KB side of retrieval, and retrieval-result dedup.
 
-Fills the reference seats T4 (ES retriever, kb/generate_data.py:33-68),
-J2 (query->KB top-k broadcast-small-side join) and M12/J1 (context attach,
-kb/context_process.py:213-502).
+Fills the reference seats T4 (ES retriever, kb/generate_data.py:33-68) and
+J2 (query->KB top-k broadcast-small-side join) together with
+stages/tagger.py, whose per-worker kernel does the retrieval and the
+budgeted context attach (M12/J1, kb/context_process.py:213-502).
 
 Design: the KB is the SMALL side — it is ``ray.put`` once on the driver and
-every actor builds its in-process BM25 index from that broadcast in
-``__init__`` (no shuffle join; SURVEY.md §2.4).  Retrieval and context
-attach are FUSED in one actor (`RetrieveAttach`) so the top-k hits never
-cross a stage boundary; a separate `Retriever` actor emits the contexts
-table itself (the reference's retrieval-TSV output, S7) for
-inspection/queries.
+every worker builds its in-process BM25 index from that broadcast (no
+shuffle join; SURVEY.md §2.4).
 """
 
 from __future__ import annotations
 
-import pyarrow as pa
 import ray
 
-from ..data.oracle import TOP_K, attach_contexts_cached, clean_context
+from ..data.oracle import clean_context
 from ..functions.tokenizer import subtoken_count
 from ..state.bm25 import MultiLangKBIndex
 
@@ -32,174 +28,6 @@ class _KBActorBase:
         # filter + subtoken costs out of the per-sentence attach loop
         self.kb_clean = [clean_context(r["sentence"]) for r in kb_rows]
         self.kb_cost = [subtoken_count(c) for c in self.kb_clean]
-
-
-class Retriever(_KBActorBase):
-    """sentences(url, sent_id, text, ...) -> contexts(url, sent_id, rank,
-    kb_id, score, kb_sentence, kb_title); top-10 per query."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [None] * batch.num_rows)
-        urls, sids, ranks, kb_ids, scores, ksents, ktitles = [], [], [], [], [], [], []
-        for url, sid, text, lang in zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-            langs,
-        ):
-            for rank, (row_i, score) in enumerate(
-                    self.index.search(text, lang=lang, k=TOP_K)):
-                r = self.kb_rows[row_i]
-                urls.append(url)
-                sids.append(sid)
-                ranks.append(rank)
-                kb_ids.append(r["kb_id"])
-                scores.append(score)
-                ksents.append(r["sentence"])
-                ktitles.append(r["title"])
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-                "rank": pa.array(ranks, pa.int32()),
-                "kb_id": pa.array(kb_ids, pa.int64()),
-                "score": pa.array(scores, pa.float32()),
-                "kb_sentence": pa.array(ksents, pa.string()),
-                "kb_title": pa.array(ktitles, pa.string()),
-            }
-        )
-
-
-class RetrieveAttach(_KBActorBase):
-    """sentences -> sentences + (aug_text, n_contexts).
-
-    ``aug_text`` = sentence [+ " <EOS> " + contexts] under the 510-subtoken
-    budget with the reference's greedy skip-on-overflow loop
-    (kb/context_process.py:401-479 semantics via oracle.attach_contexts).
-    ``min_rank``/``max_rank`` expose the reference's rank-window slice
-    (kb/context_process.py:365) over the rank-ordered hits.
-    """
-
-    MEMO_CAP = 200_000
-
-    def __init__(self, kb_ref, min_rank: int = 0,
-                 max_rank: int | None = None):
-        super().__init__(kb_ref)
-        self.min_rank = min_rank
-        self.max_rank = max_rank
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            memo = self._memo = {}
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [None] * batch.num_rows)
-        augs, n_ctxs = [], []
-        for text, lang in zip(batch.column("text").to_pylist(), langs):
-            res = memo.get((text, lang))
-            if res is None:
-                hits = self.index.search(text, lang=lang, k=TOP_K)
-                res = attach_contexts_cached(
-                    text,
-                    [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits],
-                    min_rank=self.min_rank, max_rank=self.max_rank,
-                )
-                if len(memo) < self.MEMO_CAP:  # freeze-when-full
-                    memo[(text, lang)] = res
-            augs.append(res[0])
-            n_ctxs.append(res[1])
-        return batch.append_column(
-            "aug_text", pa.array(augs, pa.string())
-        ).append_column("n_contexts", pa.array(n_ctxs, pa.int32()))
-
-
-class RetrieverEntity(_KBActorBase):
-    """Entity-level ("--with_entity") retrieval — the reference's iterative
-    second pass (kb/generate_data.py:52-55 title boost 2.0; README.md:276-278):
-    mentions detected in pass 1 become entity clauses on the query.
-
-    Input rows carry ``entities`` (the ``ent1 | ent2`` list of the reference
-    header line, here a list<string> column); one query per (sentence,
-    entity), top-10 each.
-    """
-
-    def __init__(self, kb_ref, title_boost: float = 2.0):
-        super().__init__(kb_ref)
-        self.title_boost = title_boost
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [None] * batch.num_rows)
-        urls, sids, ents, ranks, kb_ids, scores = [], [], [], [], [], []
-        for url, sid, text, entities, lang in zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-            batch.column("entities").to_pylist(),
-            langs,
-        ):
-            for ent in entities or []:
-                hits = self.index.search(text, lang=lang, entity=ent,
-                                         k=TOP_K,
-                                         title_boost=self.title_boost)
-                for rank, (row_i, score) in enumerate(hits):
-                    urls.append(url)
-                    sids.append(sid)
-                    ents.append(ent)
-                    ranks.append(rank)
-                    kb_ids.append(self.kb_rows[row_i]["kb_id"])
-                    scores.append(score)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-                "entity": pa.array(ents, pa.string()),
-                "rank": pa.array(ranks, pa.int32()),
-                "kb_id": pa.array(kb_ids, pa.int64()),
-                "score": pa.array(scores, pa.float32()),
-            }
-        )
-
-
-def add_detected_entities(batch: pa.Table, gaz=None) -> pa.Table:
-    """Pass-1 output -> ``entities`` column (detected mention surfaces),
-    feeding the iterative entity-level retrieval."""
-    out = []
-    for text in batch.column("text").to_pylist():
-        tokens = text.split()
-        spans = gaz.mentions_via_codec(tokens)
-        out.append([" ".join(tokens[s:e]) for s, e, _l, _sc in spans])
-    return batch.append_column("entities", pa.array(out, pa.list_(pa.string())))
-
-
-_RA_STATE: dict = {}  # worker-local: kb_ref -> RetrieveAttach instance
-
-
-def retrieve_attach(batch: pa.Table, kb_ref=None, min_rank: int = 0,
-                    max_rank: int | None = None) -> pa.Table:
-    """Plain-task RetrieveAttach: per-worker cached index/memo, no actor
-    pool spin-up (same pattern as stages/tagger.retrieve_tag_triples)."""
-    key = (kb_ref, min_rank, max_rank)
-    st = _RA_STATE.get(key)
-    if st is None:
-        _RA_STATE.clear()
-        st = RetrieveAttach(kb_ref, min_rank=min_rank, max_rank=max_rank)
-        _RA_STATE[key] = st
-    return st(batch)
-
-
-_RET_STATE: dict = {}  # worker-local: kb_ref -> Retriever instance
-
-
-def retrieve_contexts(batch: pa.Table, kb_ref=None) -> pa.Table:
-    """Plain-task Retriever (contexts table output) with cached index."""
-    st = _RET_STATE.get(kb_ref)
-    if st is None:
-        _RET_STATE.clear()
-        st = Retriever(kb_ref)
-        _RET_STATE[kb_ref] = st
-    return st(batch)
 
 
 def dedup_contexts(contexts_ds, min_results: int = 6):

@@ -1,17 +1,27 @@
-"""Mention detection + entity linking + raw-triple emission actor stages.
+"""The per-worker sentence kernel: retrieve -> attach -> mentions -> link,
+with one emitter per output schema.
 
-Fills the reference seats T2+T3 (the fused embedder+CRF tagger,
+Fills the reference seats T4/J2 (BM25 top-k against the broadcast KB,
+kb/generate_data.py:33-68), M12/J1 (budgeted context attach,
+kb/context_process.py:213-502), T2+T3 (the fused embedder+CRF tagger,
 flair/models/sequence_tagger_model.py — here the deterministic gazetteer
 stand-in behind the same interface, SURVEY.md §7 step 5), M15/M16 (span
 decode via the pinned codec), J5 (map-side lookup against a broadcast entity
 dict) and the triple-emit seat (S11).
 
-All state (gazetteer trie, candidate map, KB definition tokens, titles) is
-built once per actor from ``ray.put`` broadcasts.
+All state (BM25 index, gazetteer trie, candidate map, KB definition tokens)
+is built once per worker process from the ``ray.put`` broadcasts and reached
+through ``worker_state``; the stages run as plain tasks, so parallelism
+follows the cluster with no actor-pool spin-up.  Web corpora are heavily
+sentence-duplicated, and every output row set is a pure function of
+(text, lang, mode), so one memo per worker serves repeats.
 """
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pyarrow as pa
 import ray
 
@@ -21,259 +31,42 @@ from ..data.oracle import (
     entity_merged_hits,
     link_mention,
 )
-from ..functions.viterbi import viterbi_decode
 from ..functions.spans import decode_bioes
+from ..functions.viterbi import viterbi_decode
 from ..functions.windows import WINDOW, tag_tokens_windowed
 from ..state.bm25 import analyze
 from ..state.gazetteer import Gazetteer
+from .retriever import _KBActorBase
+
+_URL, _SID = ("url", pa.string()), ("sent_id", pa.int32())
+
+# emitter -> output columns.  "url"/"sent_id" repeat the input row; the
+# other columns are the per-sentence rows in order.  "aug" keeps every
+# input column and appends its two.
+SCHEMAS = {
+    # the reference's retrieval-TSV output (S7), top-10 per query
+    "contexts": [_URL, _SID, ("rank", pa.int32()), ("kb_id", pa.int64()),
+                 ("score", pa.float32()), ("kb_sentence", pa.string()),
+                 ("kb_title", pa.string())],
+    # --with_entity retrieval: one title-boosted query per detected mention
+    "entity_contexts": [_URL, _SID, ("entity", pa.string()),
+                        ("rank", pa.int32()), ("kb_id", pa.int64()),
+                        ("score", pa.float32())],
+    "aug": [("aug_text", pa.string()), ("n_contexts", pa.int32())],
+    "mentions": [_URL, _SID, ("start_tok", pa.int32()),
+                 ("end_tok", pa.int32()), ("surface", pa.string()),
+                 ("label", pa.string()), ("score", pa.float32()),
+                 ("ent_id", pa.int64())],
+    # RAW triples: subj/obj are (surface, ent_id) pairs; stages/
+    # canonicalize.py maps them to canonical names
+    "triples": [("subj_surface", pa.string()), ("subj_ent", pa.int64()),
+                ("pred", pa.string()), ("obj_surface", pa.string()),
+                ("obj_ent", pa.int64()), _URL, _SID],
+}
 
 
 def _get(ref):
     return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-
-
-class _GazActorBase:
-    def __init__(self, gaz_ref, kb_ref=None):
-        self.gaz = Gazetteer(_get(gaz_ref))
-        self.ent_def_tokens: dict[int, set] = {}
-        self.ent_title: dict[int, str] = {}
-        if kb_ref is not None:
-            for r in _get(kb_ref):
-                if r["s_id"] == 0:
-                    self.ent_def_tokens[r["ent_id"]] = set(analyze(r["sentence"]))
-                self.ent_title[r["ent_id"]] = r["title"]
-
-    def _sentence_mentions(self, text: str, aug_text: str | None):
-        """Tag the augmented token sequence, keep spans inside the original
-        sentence region (context tokens are the reference's B-X/S-X masked
-        region; gen_item stops at <EOS>, ensemble_prediction.py:368).
-
-        Sequences longer than the 510-token model window go through the
-        sliding-window path (functions/windows.py, flair
-        embeddings.py:2960-2969 semantics) instead of being dropped."""
-        tokens = text.split()
-        aug_tokens = aug_text.split() if aug_text is not None else tokens
-        if len(aug_tokens) > WINDOW:
-            spans = decode_bioes(
-                tag_tokens_windowed(aug_tokens, self.gaz.tag_tokens))
-        else:
-            spans = self.gaz.mentions_via_codec(aug_tokens)
-        return tokens, [s for s in spans if s[1] <= len(tokens)]
-
-
-class TagLink(_GazActorBase):
-    """(url, sent_id, text[, aug_text]) -> mentions rows with ent_id."""
-
-    MEMO_CAP = 200_000
-
-    def _mention_rows(self, text: str, aug: str | None) -> list:
-        tokens, spans = self._sentence_mentions(text, aug)
-        out = []
-        sent_set = None
-        for start, end, label, score in spans:
-            surf = tokens[start:end]
-            if sent_set is None and len(
-                    self.gaz.candidates.get(tuple(surf), ())) > 1:
-                sent_set = set(analyze(" ".join(tokens)))
-            ent = link_mention(tuple(surf), tokens, self.gaz,
-                               self.ent_def_tokens, sent_set=sent_set)
-            out.append((start, end, " ".join(surf), label, score, ent))
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            memo = self._memo = {}
-        has_aug = "aug_text" in batch.column_names
-        urls, sids, starts, ends, surfs, labels, scores, ents = (
-            [], [], [], [], [], [], [], [])
-        for i, (url, sid, text) in enumerate(zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-        )):
-            aug = batch.column("aug_text")[i].as_py() if has_aug else None
-            rows = memo.get((text, aug))
-            if rows is None:
-                rows = self._mention_rows(text, aug)
-                # freeze-when-full: serving existing hits beats the
-                # clear-all thrash (which made run times order-dependent)
-                if len(memo) < self.MEMO_CAP:
-                    memo[(text, aug)] = rows
-            for start, end, surf, label, score, ent in rows:
-                urls.append(url)
-                sids.append(sid)
-                starts.append(start)
-                ends.append(end)
-                surfs.append(surf)
-                labels.append(label)
-                scores.append(score)
-                ents.append(ent)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-                "start_tok": pa.array(starts, pa.int32()),
-                "end_tok": pa.array(ends, pa.int32()),
-                "surface": pa.array(surfs, pa.string()),
-                "label": pa.array(labels, pa.string()),
-                "score": pa.array(scores, pa.float32()),
-                "ent_id": pa.array(ents, pa.int64()),
-            }
-        )
-
-
-class TagLinkTriples(_GazActorBase):
-    """(url, sent_id, text[, aug_text]) -> RAW triples: surfaces + ent ids.
-
-    subj/obj are still raw (surface, ent_id) pairs; the canonicalization
-    stage (stages/canonicalize.py) maps them to canonical names.
-    Triple rule (pinned in data/oracle.py): adjacent mention pairs,
-    pred = "_".join(alpha tokens strictly between) or "related_to".
-    """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        has_aug = "aug_text" in batch.column_names
-        s_surf, s_ent, preds, o_surf, o_ent, urls, sids = ([], [], [], [], [], [], [])
-        for i, (url, sid, text) in enumerate(zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-        )):
-            aug = batch.column("aug_text")[i].as_py() if has_aug else None
-            tokens, spans = self._sentence_mentions(text, aug)
-            linked = []
-            sent_set = None
-            for start, end, label, score in spans:
-                surf = tokens[start:end]
-                if sent_set is None and len(
-                        self.gaz.candidates.get(tuple(surf), ())) > 1:
-                    sent_set = set(analyze(" ".join(tokens)))
-                ent = link_mention(tuple(surf), tokens, self.gaz,
-                                   self.ent_def_tokens, sent_set=sent_set)
-                linked.append((start, end, " ".join(surf), ent))
-            linked.sort()
-            for (s1, e1, surf1, ent1), (s2, e2, surf2, ent2) in zip(
-                    linked, linked[1:]):
-                mid = [w for w in tokens[e1:s2] if w.isalpha()]
-                s_surf.append(surf1)
-                s_ent.append(ent1)
-                preds.append("_".join(mid) or "related_to")
-                o_surf.append(surf2)
-                o_ent.append(ent2)
-                urls.append(url)
-                sids.append(sid)
-        return pa.table(
-            {
-                "subj_surface": pa.array(s_surf, pa.string()),
-                "subj_ent": pa.array(s_ent, pa.int64()),
-                "pred": pa.array(preds, pa.string()),
-                "obj_surface": pa.array(o_surf, pa.string()),
-                "obj_ent": pa.array(o_ent, pa.int64()),
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-            }
-        )
-
-
-class RetrieveTagTriples(_GazActorBase):
-    """FUSED retrieve + context-attach + tag + link + triple-emit actor.
-
-    Same semantics as RetrieveAttach |> TagLinkTriples, but the augmented
-    text never crosses a stage boundary — at 100 TB the aug_text column is
-    ~8x the sentence column, so keeping it actor-local removes the largest
-    intermediate from the object store entirely.  The unfused stages remain
-    for the inspectable contexts/mentions outputs (queries kg_contexts /
-    kg_mentions).
-    """
-
-    # Distinct sentences kept per actor/worker.  GRAFT_MEMO_CAP overrides —
-    # bench.py --scaling pins a small cap so the measured regime matches
-    # 100 TB reality, where the memo covers <1% of any worker's stream and
-    # hit rates are width-independent (at sandbox sf the full cap spans the
-    # whole per-worker stream, making 4-CPU runs artificially cache-hot vs
-    # 16-CPU runs and understating true node scaling).
-    MEMO_CAP = 400_000
-
-    def __init__(self, gaz_ref, kb_ref):
-        super().__init__(gaz_ref, kb_ref=kb_ref)
-        import os
-
-        cap = os.environ.get("GRAFT_MEMO_CAP")
-        if cap:
-            self.MEMO_CAP = int(cap)
-        from ..data.oracle import clean_context
-        from ..functions.tokenizer import subtoken_count
-        from ..state.bm25 import MultiLangKBIndex
-
-        kb_rows = _get(kb_ref)
-        self.index = MultiLangKBIndex(kb_rows)  # per-language + all view
-        self.kb_clean = [clean_context(r["sentence"]) for r in kb_rows]
-        self.kb_cost = [subtoken_count(c) for c in self.kb_clean]
-        # web corpora are heavily sentence-duplicated (boilerplate, quoted
-        # text): the whole per-sentence result is a pure function of the
-        # sentence, so memoize it per actor with a hard cap
-        self._memo: dict[str, list] = {}
-
-    def _sentence_triples(self, text: str, lang: str | None = None) -> list:
-        """(subj_surface, subj_ent, pred, obj_surface, obj_ent) tuples."""
-        hits = self.index.search(text, lang=lang, k=TOP_K)
-        aug, _n = attach_contexts_cached(
-            text, [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits])
-        tokens, spans = self._sentence_mentions(text, aug)
-        linked = []
-        sent_set = None
-        for start, end, label, score in spans:
-            surf = tokens[start:end]
-            if sent_set is None and len(
-                    self.gaz.candidates.get(tuple(surf), ())) > 1:
-                sent_set = set(analyze(" ".join(tokens)))
-            ent = link_mention(tuple(surf), tokens, self.gaz,
-                               self.ent_def_tokens, sent_set=sent_set)
-            linked.append((start, end, " ".join(surf), ent))
-        linked.sort()
-        out = []
-        for (s1, e1, surf1, ent1), (s2, e2, surf2, ent2) in zip(
-                linked, linked[1:]):
-            mid = [w for w in tokens[e1:s2] if w.isalpha()]
-            out.append((surf1, ent1, "_".join(mid) or "related_to",
-                        surf2, ent2))
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [None] * batch.num_rows)
-        s_surf, s_ent, preds, o_surf, o_ent, urls, sids = ([], [], [], [], [], [], [])
-        for url, sid, text, lang in zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-            langs,
-        ):
-            res = self._memo.get((text, lang))
-            if res is None:
-                res = self._sentence_triples(text, lang)
-                if len(self._memo) < self.MEMO_CAP:  # freeze-when-full
-                    self._memo[(text, lang)] = res
-            for surf1, ent1, pred, surf2, ent2 in res:
-                s_surf.append(surf1)
-                s_ent.append(ent1)
-                preds.append(pred)
-                o_surf.append(surf2)
-                o_ent.append(ent2)
-                urls.append(url)
-                sids.append(sid)
-        return pa.table(
-            {
-                "subj_surface": pa.array(s_surf, pa.string()),
-                "subj_ent": pa.array(s_ent, pa.int64()),
-                "pred": pa.array(preds, pa.string()),
-                "obj_surface": pa.array(o_surf, pa.string()),
-                "obj_ent": pa.array(o_ent, pa.int64()),
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-            }
-        )
 
 
 class ViterbiCodec:
@@ -307,8 +100,6 @@ class ViterbiCodec:
         self.stop = self.idx[STOP_TAG]
 
     def emissions(self, tag_seq: list[str]):
-        import numpy as np  # noqa: hoisted below module import for clarity
-
         em = np.zeros((len(tag_seq), len(self.tags)), dtype=np.float64)
         em[np.arange(len(tag_seq)),
            [self.idx[t] for t in tag_seq]] = self.EMIT
@@ -325,315 +116,210 @@ class ViterbiCodec:
         return self.decode(self.emissions(tag_seq))
 
 
-class _ViterbiMentionsMixin:
-    """Swap the span source from the trie codec to emissions+CRF Viterbi
-    (full-sequence decode, the reference's ``remove_x=False`` branch; the
-    masked S-X variant lives in functions/viterbi.py)."""
+class SentenceKernel(_KBActorBase):
+    """Per-worker state and the one per-sentence pass of the flagship."""
 
-    def _viterbi_codec(self) -> ViterbiCodec:
-        vc = getattr(self, "_vc", None)
-        if vc is None:
-            labels = {label
-                      for lst in self.gaz.by_first.values()
-                      for _toks, label, _e in lst}
-            vc = self._vc = ViterbiCodec(sorted(labels))
-        return vc
+    # Distinct (sentence, mode) results kept per worker.  GRAFT_MEMO_CAP
+    # overrides — bench.py --scaling pins a small cap so the measured regime
+    # matches 100 TB reality, where the memo covers <1% of any worker's
+    # stream and hit rates are width-independent (at sandbox sf the full cap
+    # spans the whole per-worker stream, making 4-CPU runs artificially
+    # cache-hot vs 16-CPU runs and understating true node scaling).
+    MEMO_CAP = 400_000
 
-    def _sentence_mentions(self, text: str, aug_text: str | None):
+    def __init__(self, gaz_ref, kb_ref):
+        super().__init__(kb_ref)
+        cap = os.environ.get("GRAFT_MEMO_CAP")
+        if cap:
+            self.MEMO_CAP = int(cap)
+        self.gaz = Gazetteer(_get(gaz_ref))
+        self.ent_def_tokens = {r["ent_id"]: set(analyze(r["sentence"]))
+                               for r in self.kb_rows if r["s_id"] == 0}
+        self._codec: ViterbiCodec | None = None
+        self._memo: dict = {}
+
+    # ---- the steps ------------------------------------------------------
+
+    def _attach(self, text: str, hits: list, min_rank: int = 0,
+                max_rank: int | None = None) -> tuple[str, int]:
+        """``aug_text`` = sentence [+ " <EOS> " + contexts] under the
+        510-subtoken budget, with the reference's greedy skip-on-overflow
+        loop over the rank window ``[min_rank:max_rank]``."""
+        return attach_contexts_cached(
+            text, [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits],
+            min_rank=min_rank, max_rank=max_rank)
+
+    def _spans(self, text: str, aug: str, backend: str):
+        """Tag the augmented token sequence, keep spans inside the original
+        sentence region (context tokens are the reference's B-X/S-X masked
+        region; gen_item stops at <EOS>, ensemble_prediction.py:368).
+
+        ``viterbi`` decodes gazetteer-shaped emissions through the CRF
+        (full-sequence decode, the reference's ``remove_x=False`` branch);
+        otherwise the trie codec, with sequences longer than the 510-token
+        model window going through the sliding-window path
+        (functions/windows.py, flair embeddings.py:2960-2969 semantics)."""
         tokens = text.split()
-        aug_tokens = aug_text.split() if aug_text is not None else tokens
-        vc = self._viterbi_codec()
-        tags, conf = vc.decode_tags(self.gaz.tag_tokens(aug_tokens))
-        spans = decode_bioes(tags, conf)
+        aug_tokens = aug.split()
+        if backend == "viterbi":
+            if self._codec is None:
+                self._codec = ViterbiCodec(sorted(
+                    {label for lst in self.gaz.by_first.values()
+                     for _toks, label, _e in lst}))
+            spans = decode_bioes(
+                *self._codec.decode_tags(self.gaz.tag_tokens(aug_tokens)))
+        elif len(aug_tokens) > WINDOW:
+            spans = decode_bioes(
+                tag_tokens_windowed(aug_tokens, self.gaz.tag_tokens))
+        else:
+            spans = self.gaz.mentions_via_codec(aug_tokens)
         return tokens, [s for s in spans if s[1] <= len(tokens)]
 
+    def _linked(self, text: str, lang: str | None,
+                backend: str = "trie") -> tuple[list, list]:
+        """retrieve -> attach -> mentions -> link for one sentence: its
+        tokens and [(start, end, surface, label, score, ent_id)].
 
-_TASK_STATE: dict = {}  # worker-local: (kb_ref, gaz_ref) -> built stage
+        ``iter2`` closes the reference's iterative retrieval loop
+        (README.md:276-278; kb/generate_data.py:52-55): pass-1 mention
+        surfaces become entity-boosted queries, and the merged pass-2
+        contexts are re-attached and the sentence re-tagged.  A sentence
+        with no pass-1 mentions keeps its pass-1 result."""
+        hits = self.index.search(text, lang=lang, k=TOP_K)
+        tokens, spans = self._spans(text, self._attach(text, hits)[0],
+                                    backend)
+        if backend == "iter2" and spans:
+            hits = entity_merged_hits(
+                text, [" ".join(tokens[s:e]) for s, e, _l, _sc in spans],
+                self.index, lang=lang, k=TOP_K)
+            tokens, spans = self._spans(text, self._attach(text, hits)[0],
+                                        backend)
+        out = []
+        sent_set = None  # analyzed sentence, shared by its mentions
+        for start, end, label, score in spans:
+            surf = tuple(tokens[start:end])
+            if sent_set is None and len(self.gaz.candidates.get(surf, ())) > 1:
+                sent_set = set(analyze(" ".join(tokens)))
+            ent = link_mention(surf, tokens, self.gaz, self.ent_def_tokens,
+                               sent_set=sent_set)
+            out.append((start, end, " ".join(surf), label, score, ent))
+        return tokens, out
+
+    # ---- per-sentence rows of each emitter ------------------------------
+
+    def _contexts(self, text: str, lang: str | None) -> list:
+        out = []
+        for rank, (i, score) in enumerate(
+                self.index.search(text, lang=lang, k=TOP_K)):
+            r = self.kb_rows[i]
+            out.append((rank, r["kb_id"], score, r["sentence"], r["title"]))
+        return out
+
+    def _entity_contexts(self, text: str, lang: str | None,
+                         title_boost: float = 2.0) -> list:
+        tokens = text.split()
+        out = []
+        for s, e, _l, _sc in self.gaz.mentions_via_codec(tokens):
+            ent = " ".join(tokens[s:e])
+            hits = self.index.search(text, lang=lang, entity=ent, k=TOP_K,
+                                     title_boost=title_boost)
+            out.extend((ent, rank, self.kb_rows[i]["kb_id"], score)
+                       for rank, (i, score) in enumerate(hits))
+        return out
+
+    def _aug(self, text: str, lang: str | None, min_rank: int = 0,
+             max_rank: int | None = None) -> list:
+        hits = self.index.search(text, lang=lang, k=TOP_K)
+        return [self._attach(text, hits, min_rank, max_rank)]
+
+    def _mentions(self, text: str, lang: str | None,
+                  backend: str = "trie") -> list:
+        return self._linked(text, lang, backend)[1]
+
+    def _sentence_triples(self, text: str, lang: str | None = None) -> list:
+        """(subj_surface, subj_ent, pred, obj_surface, obj_ent) tuples.
+        Triple rule (pinned in data/oracle.py): adjacent mention pairs,
+        pred = "_".join(alpha tokens strictly between) or "related_to"."""
+        tokens, linked = self._linked(text, lang)
+        linked.sort()
+        return [(surf1, ent1,
+                 "_".join(w for w in tokens[e1:s2] if w.isalpha())
+                 or "related_to", surf2, ent2)
+                for (_s1, e1, surf1, _l1, _c1, ent1),
+                    (s2, _e2, surf2, _l2, _c2, ent2)
+                in zip(linked, linked[1:])]
+
+    # ---- the emitter ----------------------------------------------------
+
+    def emit(self, batch: pa.Table, mode: str = "triples", **kw) -> pa.Table:
+        """(url, sent_id, text[, lang]) rows -> the ``mode`` output rows of
+        every input row (see SCHEMAS).
+
+        Triples results are memoized under (text, lang), every other mode
+        under (text, lang, mode, *sorted kw).  The memo freezes when full:
+        serving existing hits beats a clear-all thrash, which made run
+        times order-dependent."""
+        fields = SCHEMAS[mode]
+        compute = getattr(self, "_sentence_triples" if mode == "triples"
+                          else "_" + mode)
+        n = batch.num_rows
+        langs = (batch.column("lang").to_pylist()
+                 if "lang" in batch.column_names else [None] * n)
+        tag = () if mode == "triples" else (mode, *sorted(kw.items()))
+        memo, cap = self._memo, self.MEMO_CAP
+        rows, counts = [], []
+        for text, lang in zip(batch.column("text").to_pylist(), langs):
+            key = (text, lang) + tag
+            res = memo.get(key)
+            if res is None:
+                res = compute(text, lang, **kw)
+                if len(memo) < cap:
+                    memo[key] = res
+            rows.extend(res)
+            counts.append(len(res))
+        new = [f for f in fields if f[0] not in ("url", "sent_id")]
+        cols = {name: pa.array(values, typ) for (name, typ), values in zip(
+            new, list(zip(*rows)) or [()] * len(new))}
+        if mode == "aug":  # one row per input row, every input column kept
+            for name, col in cols.items():
+                batch = batch.append_column(name, col)
+            return batch
+        idx = pa.array(np.repeat(np.arange(n), counts), pa.int64())
+        cols["url"] = batch["url"].take(idx).cast(pa.string())
+        cols["sent_id"] = batch["sent_id"].take(idx).cast(pa.int32())
+        return pa.table({name: cols[name] for name, _t in fields})
 
 
-def retrieve_tag_triples(batch: pa.Table, kb_ref=None, gaz_ref=None) -> pa.Table:
-    """Plain-task variant of RetrieveTagTriples: state (BM25 index,
-    gazetteer, memo) is built once per WORKER PROCESS from the broadcast
-    refs and cached, so the timed path has zero actor-pool spin-up and task
-    parallelism scales elastically with the cluster.  A GPU deployment
-    swaps back to the actor-pool class (model weights want explicit pool
-    sizing + num_gpus); the dataflow is identical."""
-    key = (kb_ref, gaz_ref)
+# The traced benchmark (perfbench/layers.py) patches the kernel under this
+# name: its state build and its per-miss ``_sentence_triples``.
+RetrieveTagTriples = SentenceKernel
+
+_TASK_STATE: dict = {}  # worker-local: key -> state built by its factory
+
+
+def worker_state(key, factory):
+    """The worker process's state for ``key``, built by ``factory()`` on
+    first use.  At most one live state per worker: a new key (a new corpus
+    broadcast) drops the old one."""
     st = _TASK_STATE.get(key)
     if st is None:
-        _TASK_STATE.clear()  # at most one live corpus per worker
-        st = RetrieveTagTriples(gaz_ref, kb_ref)
-        _TASK_STATE[key] = st
-    return st(batch)
+        _TASK_STATE.clear()
+        st = _TASK_STATE[key] = factory()
+    return st
 
 
-@ray.remote(num_cpus=0)
-class MemoShard:
-    """One shard of the cluster-wide sentence-result cache.
-
-    Web corpora are duplicate-heavy; a per-worker memo recomputes each
-    distinct sentence once PER WORKER, so total work grows with cluster
-    width (anti-scaling).  Sharded num_cpus=0 cache actors make the memo
-    cluster-global: each distinct sentence is computed once per CLUSTER and
-    the shuffle-free stream stays intact.  On a multi-node cluster these
-    shards are spread across nodes (Ray places num_cpus=0 actors anywhere);
-    a stricter deployment pins one shard group per node via
-    NodeAffinitySchedulingStrategy.
-    """
-
-    def __init__(self, cap: int = 500_000):
-        self.d: dict = {}
-        self.cap = cap
-
-    def get_many(self, keys: list) -> dict:
-        d = self.d
-        return {k: d[k] for k in keys if k in d}
-
-    def put_many(self, items: dict) -> None:
-        if len(self.d) + len(items) > self.cap:
-            self.d.clear()
-        self.d.update(items)
+def kernel_rows(batch: pa.Table, kb_ref=None, gaz_ref=None,
+                mode: str = "triples", **kw) -> pa.Table:
+    """Plain-task emitter of the worker's kernel for (kb_ref, gaz_ref)."""
+    kernel = worker_state((kb_ref, gaz_ref),
+                          lambda: SentenceKernel(gaz_ref, kb_ref))
+    return kernel.emit(batch, mode, **kw)
 
 
 def retrieve_tag_triples_shared(batch: pa.Table, kb_ref=None, gaz_ref=None,
                                 shards: list | None = None) -> pa.Table:
-    """retrieve_tag_triples with the cluster-wide memo: check the local
-    memo, then the hash-sharded cache actors, compute only what no worker
-    has seen, and publish new results (fire-and-forget)."""
-    key = (kb_ref, gaz_ref)
-    st = _TASK_STATE.get(key)
-    if st is None:
-        _TASK_STATE.clear()
-        st = RetrieveTagTriples(gaz_ref, kb_ref)
-        _TASK_STATE[key] = st
-    memo = st._memo
-    texts = batch.column("text").to_pylist()
-    langs = (batch.column("lang").to_pylist()
-             if "lang" in batch.column_names else [None] * batch.num_rows)
-    if shards:
-        import zlib
-
-        k = len(shards)
-        missing = {(t, g) for t, g in zip(texts, langs) if (t, g) not in memo}
-        if missing:
-            by_shard: list[list] = [[] for _ in range(k)]
-            shard_of = {
-                key: zlib.crc32(f"{key[1]}\x00{key[0]}".encode()) % k
-                for key in missing
-            }
-            for key in missing:
-                by_shard[shard_of[key]].append(key)
-            futures = [shards[i].get_many.remote(by_shard[i])
-                       for i in range(k) if by_shard[i]]
-            for res in ray.get(futures):
-                memo.update(res)
-            new_by_shard: list[dict] = [{} for _ in range(k)]
-            for key in missing:
-                if key not in memo:
-                    res = st._sentence_triples(key[0], key[1])
-                    memo[key] = res
-                    new_by_shard[shard_of[key]][key] = res
-            for i in range(k):
-                if new_by_shard[i]:
-                    shards[i].put_many.remote(new_by_shard[i])
-    # all texts now resolvable via the local memo
-    s_surf, s_ent, preds, o_surf, o_ent, urls, sids = ([], [], [], [], [], [], [])
-    for url, sid, text, lang in zip(
-        batch.column("url").to_pylist(),
-        batch.column("sent_id").to_pylist(),
-        texts,
-        langs,
-    ):
-        res = memo.get((text, lang))
-        if res is None:
-            res = st._sentence_triples(text, lang)
-            if len(memo) < st.MEMO_CAP:  # freeze-when-full
-                memo[(text, lang)] = res
-        for surf1, ent1, pred, surf2, ent2 in res:
-            s_surf.append(surf1)
-            s_ent.append(ent1)
-            preds.append(pred)
-            o_surf.append(surf2)
-            o_ent.append(ent2)
-            urls.append(url)
-            sids.append(sid)
-    return pa.table(
-        {
-            "subj_surface": pa.array(s_surf, pa.string()),
-            "subj_ent": pa.array(s_ent, pa.int64()),
-            "pred": pa.array(preds, pa.string()),
-            "obj_surface": pa.array(o_surf, pa.string()),
-            "obj_ent": pa.array(o_ent, pa.int64()),
-            "url": pa.array(urls, pa.string()),
-            "sent_id": pa.array(sids, pa.int32()),
-        }
-    )
-
-
-_TL_STATE: dict = {}  # worker-local: (gaz_ref, kb_ref) -> TagLink instance
-
-
-def tag_link(batch: pa.Table, gaz_ref=None, kb_ref=None) -> pa.Table:
-    """Plain-task TagLink with worker-local cached state."""
-    key = (gaz_ref, kb_ref)
-    st = _TL_STATE.get(key)
-    if st is None:
-        _TL_STATE.clear()
-        st = TagLink(gaz_ref, kb_ref=kb_ref)
-        _TL_STATE[key] = st
-    return st(batch)
-
-
-class RetrieveTagMentions(RetrieveTagTriples):
-    """FUSED retrieve + attach + tag + link emitting the MENTIONS schema
-    (the kg_mentions inspection output) — same state and memo as the
-    triples variant, different emission."""
-
-    def _sentence_mentions_rows(self, text: str, lang: str | None) -> list:
-        hits = self.index.search(text, lang=lang, k=TOP_K)
-        aug, _n = attach_contexts_cached(
-            text, [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits])
-        tokens, spans = self._sentence_mentions(text, aug)
-        out = []
-        sent_set = None
-        for start, end, label, score in spans:
-            surf = tokens[start:end]
-            if sent_set is None and len(
-                    self.gaz.candidates.get(tuple(surf), ())) > 1:
-                sent_set = set(analyze(" ".join(tokens)))
-            ent = link_mention(tuple(surf), tokens, self.gaz,
-                               self.ent_def_tokens, sent_set=sent_set)
-            out.append((start, end, " ".join(surf), label, score, ent))
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = (batch.column("lang").to_pylist()
-                 if "lang" in batch.column_names else [None] * batch.num_rows)
-        urls, sids, starts, ends, surfs, labels, scores, ents = (
-            [], [], [], [], [], [], [], [])
-        for url, sid, text, lang in zip(
-            batch.column("url").to_pylist(),
-            batch.column("sent_id").to_pylist(),
-            batch.column("text").to_pylist(),
-            langs,
-        ):
-            key = ("m", text, lang)
-            res = self._memo.get(key)
-            if res is None:
-                res = self._sentence_mentions_rows(text, lang)
-                if len(self._memo) < self.MEMO_CAP:  # freeze-when-full
-                    self._memo[key] = res
-            for start, end, surf, label, score, ent in res:
-                urls.append(url)
-                sids.append(sid)
-                starts.append(start)
-                ends.append(end)
-                surfs.append(surf)
-                labels.append(label)
-                scores.append(score)
-                ents.append(ent)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "sent_id": pa.array(sids, pa.int32()),
-                "start_tok": pa.array(starts, pa.int32()),
-                "end_tok": pa.array(ends, pa.int32()),
-                "surface": pa.array(surfs, pa.string()),
-                "label": pa.array(labels, pa.string()),
-                "score": pa.array(scores, pa.float32()),
-                "ent_id": pa.array(ents, pa.int64()),
-            }
-        )
-
-
-_TM_STATE: dict = {}
-
-
-def retrieve_tag_mentions(batch: pa.Table, kb_ref=None, gaz_ref=None) -> pa.Table:
-    """Plain-task fused mentions stage with worker-local cached state."""
-    key = (kb_ref, gaz_ref)
-    st = _TM_STATE.get(key)
-    if st is None:
-        _TM_STATE.clear()
-        st = RetrieveTagMentions(gaz_ref, kb_ref)
-        _TM_STATE[key] = st
-    return st(batch)
-
-
-class RetrieveTagMentionsIter2(RetrieveTagMentions):
-    """The reference's ITERATIVE retrieval loop closed (README.md:276-278;
-    kb/generate_data.py:52-55): pass 1 retrieves + tags; detected mention
-    surfaces become entity-boosted queries (title boost 2.0); the merged
-    pass-2 contexts are re-attached and the sentence re-tagged.  Sentences
-    with no pass-1 mentions keep their pass-1 result (the reference falls
-    back to plain retrieval there).  Per-sentence semantics pinned by
-    ``data/oracle.py entity_merged_hits`` + the oracle-parity test."""
-
-    def _sentence_mentions_rows(self, text: str, lang: str | None) -> list:
-        # ---- pass 1: plain retrieval + tag
-        hits1 = self.index.search(text, lang=lang, k=TOP_K)
-        aug1, _n = attach_contexts_cached(
-            text, [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits1])
-        tokens, spans1 = self._sentence_mentions(text, aug1)
-        entities = [" ".join(tokens[s:e]) for s, e, _l, _sc in spans1]
-        if entities:
-            # ---- pass 2: entity-boosted retrieval, re-attach, re-tag
-            hits2 = entity_merged_hits(text, entities, self.index,
-                                       lang=lang, k=TOP_K)
-            aug2, _n2 = attach_contexts_cached(
-                text,
-                [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits2])
-            tokens, spans = self._sentence_mentions(text, aug2)
-        else:
-            spans = spans1
-        out = []
-        sent_set = None
-        for start, end, label, score in spans:
-            surf = tokens[start:end]
-            if sent_set is None and len(
-                    self.gaz.candidates.get(tuple(surf), ())) > 1:
-                sent_set = set(analyze(" ".join(tokens)))
-            ent = link_mention(tuple(surf), tokens, self.gaz,
-                               self.ent_def_tokens, sent_set=sent_set)
-            out.append((start, end, " ".join(surf), label, score, ent))
-        return out
-
-
-_TI2_STATE: dict = {}
-
-
-def retrieve_tag_mentions_iter2(batch: pa.Table, kb_ref=None,
-                                gaz_ref=None) -> pa.Table:
-    """Plain-task fused iterative-pass-2 mentions stage."""
-    key = (kb_ref, gaz_ref)
-    st = _TI2_STATE.get(key)
-    if st is None:
-        _TI2_STATE.clear()
-        st = RetrieveTagMentionsIter2(gaz_ref, kb_ref)
-        _TI2_STATE[key] = st
-    return st(batch)
-
-
-class RetrieveTagMentionsViterbi(_ViterbiMentionsMixin, RetrieveTagMentions):
-    """kg_mentions through the CRF Viterbi decode path instead of the trie
-    codec — identical mentions on gazetteer-shaped emissions (pinned by
-    tests); the seam a real model's logits plug into."""
-
-
-class TagLinkViterbi(_ViterbiMentionsMixin, TagLink):
-    """Unfused TagLink through the Viterbi decode path."""
-
-
-_TMV_STATE: dict = {}
-
-
-def retrieve_tag_mentions_viterbi(batch: pa.Table, kb_ref=None,
-                                  gaz_ref=None) -> pa.Table:
-    """Plain-task fused Viterbi mentions stage, worker-local cached state."""
-    key = (kb_ref, gaz_ref)
-    st = _TMV_STATE.get(key)
-    if st is None:
-        _TMV_STATE.clear()
-        st = RetrieveTagMentionsViterbi(gaz_ref, kb_ref)
-        _TMV_STATE[key] = st
-    return st(batch)
+    """The flagship's heavy stage: sentences -> raw triples.  ``shards``
+    (the retired cluster-wide memo) must be None."""
+    if shards is not None:
+        raise ValueError("the sharded sentence memo was removed")
+    return kernel_rows(batch, kb_ref=kb_ref, gaz_ref=gaz_ref)

@@ -12,7 +12,8 @@ Layout:
 
 Resume = re-list input partitions, skip those whose manifest exists AND
 matches the input fingerprint (anti-join of manifests vs inputs). Writes are
-atomic: data + manifest land in ``part=NNNN.tmp`` then ``os.replace``.
+atomic: data + manifest land in a per-process ``part=NNNN.tmp.<pid>`` dir,
+then ``os.replace``.
 Fingerprints are content-derived (no wall clock) so reruns are
 deterministic.
 """
@@ -72,57 +73,23 @@ def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
             and m.get("schema_version") == SCHEMA_VERSION)
 
 
-def write_partition(out_dir: str, part_id: int, table, fingerprint: str,
-                    counters: dict | None = None) -> None:
-    """Atomic write: tmp dir -> parquet + manifest -> rename."""
-    final = os.path.join(out_dir, f"part={part_id:04d}")
-    tmp = final + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
-    pq.write_table(table, os.path.join(tmp, "data.parquet"))
-    manifest = {
-        "partition": part_id,
-        "input_fingerprint": fingerprint,
-        "n_rows": table.num_rows,
-        "counters": counters or {},
-        "schema_version": SCHEMA_VERSION,
-    }
-    with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    if os.path.exists(final):
-        import shutil
-
-        shutil.rmtree(final)
-    os.replace(tmp, final)
-
-
-def write_partition_streamed(out_dir: str, part_id: int, ds,
-                             fingerprint: str) -> dict:
-    """Atomic STREAMING write: ``ds.write_parquet`` lands the partition's
-    blocks directly in the tmp dir (no driver-side concat — the round-1
-    verdict flagged pulling a partition's output through the driver),
-    counters are recovered from the written files (row counts from parquet
-    metadata; linked-side counts from a column-pruned vectorized read),
-    then manifest + rename.  Returns the counters."""
+def _land(out_dir: str, part_id: int, fingerprint: str, write,
+          counters_of) -> dict:
+    """Atomic partition write: ``write(tmp)`` lands the data files in a
+    per-process tmp dir, ``counters_of(files, n_rows)`` derives the
+    counters from what was written (n_rows from the parquet footers), then
+    the manifest lands beside them and one ``os.replace`` publishes the
+    partition.  Returns the counters."""
     import glob as _glob
-
-    import pyarrow.compute as pc
+    import shutil
 
     final = os.path.join(out_dir, f"part={part_id:04d}")
     tmp = _tmp_dir(final)
-    import shutil
-
     os.makedirs(tmp, exist_ok=True)
-    ds.write_parquet(tmp)
+    write(tmp)
     files = sorted(_glob.glob(os.path.join(tmp, "*.parquet")))
     n_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    n_linked = 0
-    for f in files:
-        t = pq.read_table(f, columns=["subj_ent", "obj_ent"])
-        n_linked += int(pc.sum(pc.cast(pc.greater_equal(
-            t["subj_ent"], 0), "int64")).as_py() or 0)
-        n_linked += int(pc.sum(pc.cast(pc.greater_equal(
-            t["obj_ent"], 0), "int64")).as_py() or 0)
-    counters = {"n_raw_triples": n_rows, "n_linked_sides": n_linked}
+    counters = counters_of(files, n_rows)
     manifest = {
         "partition": part_id,
         "input_fingerprint": fingerprint,
@@ -136,38 +103,39 @@ def write_partition_streamed(out_dir: str, part_id: int, ds,
         shutil.rmtree(final)
     os.replace(tmp, final)
     return counters
+
+
+def write_partition_streamed(out_dir: str, part_id: int, ds,
+                             fingerprint: str) -> dict:
+    """Atomic STREAMING write of a raw-triples partition:
+    ``ds.write_parquet`` lands the partition's blocks directly in the tmp
+    dir (no driver-side concat — the round-1 verdict flagged pulling a
+    partition's output through the driver), and the counters are
+    recovered from the written files (linked-side counts from a
+    column-pruned vectorized read).  Returns the counters."""
+    import pyarrow.compute as pc
+
+    def counters_of(files, n_rows):
+        n_linked = 0
+        for f in files:
+            t = pq.read_table(f, columns=["subj_ent", "obj_ent"])
+            for col in ("subj_ent", "obj_ent"):
+                n_linked += int(pc.sum(pc.cast(pc.greater_equal(
+                    t[col], 0), "int64")).as_py() or 0)
+        return {"n_raw_triples": n_rows, "n_linked_sides": n_linked}
+
+    return _land(out_dir, part_id, fingerprint, ds.write_parquet,
+                 counters_of)
 
 
 def write_partition_ds(out_dir: str, part_id: int, ds,
                        fingerprint: str,
                        counters: dict | None = None) -> dict:
     """Generic atomic STREAMING partition write (schema-agnostic sibling of
-    ``write_partition_streamed``, which recovers triple-specific counters):
-    blocks land in the tmp dir via ``ds.write_parquet`` (never through the
-    driver), n_rows comes from parquet footers, then manifest + rename."""
-    import glob as _glob
-    import shutil
-
-    final = os.path.join(out_dir, f"part={part_id:04d}")
-    tmp = _tmp_dir(final)
-    os.makedirs(tmp, exist_ok=True)
-    ds.write_parquet(tmp)
-    files = sorted(_glob.glob(os.path.join(tmp, "*.parquet")))
-    n_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    counters = dict(counters or {}, n_rows=n_rows)
-    manifest = {
-        "partition": part_id,
-        "input_fingerprint": fingerprint,
-        "n_rows": n_rows,
-        "counters": counters,
-        "schema_version": SCHEMA_VERSION,
-    }
-    with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
-    return counters
+    ``write_partition_streamed``): blocks land in the tmp dir via
+    ``ds.write_parquet``, never through the driver."""
+    return _land(out_dir, part_id, fingerprint, ds.write_parquet,
+                 lambda _files, n: dict(counters or {}, n_rows=n))
 
 
 def write_partition_table(out_dir: str, part_id: int, table,
@@ -177,28 +145,11 @@ def write_partition_table(out_dir: str, part_id: int, table,
     WORKER-SIDE sibling of ``write_partition_ds`` for reducers that
     materialize their partition anyway (e.g. a shard group inside
     ``groupby().map_groups``): no Dataset job per partition, the
-    reducer writes its own rows where it holds them.  Same tmp-dir +
-    manifest + rename contract."""
-    import shutil
-
-    final = os.path.join(out_dir, f"part={part_id:04d}")
-    tmp = _tmp_dir(final)
-    os.makedirs(tmp, exist_ok=True)
-    pq.write_table(table, os.path.join(tmp, "data.parquet"))
-    counters = dict(counters or {}, n_rows=table.num_rows)
-    manifest = {
-        "partition": part_id,
-        "input_fingerprint": fingerprint,
-        "n_rows": table.num_rows,
-        "counters": counters,
-        "schema_version": SCHEMA_VERSION,
-    }
-    with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
-    return counters
+    reducer writes its own rows where it holds them."""
+    return _land(
+        out_dir, part_id, fingerprint,
+        lambda tmp: pq.write_table(table, os.path.join(tmp, "data.parquet")),
+        lambda _files, n: dict(counters or {}, n_rows=n))
 
 
 def read_manifests(out_dir: str) -> list[dict]:

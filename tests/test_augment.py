@@ -19,7 +19,7 @@ def conll_roundtrip(ray_session, tmp_path_factory):
     d = tmp_path_factory.mktemp("aug")
     in_path = str(d / "in.txt")
     out_path = str(d / "out.txt")
-    sents = (sentences_dataset(corpus, with_retrieval=False)
+    sents = (sentences_dataset(corpus)
              .limit(40).to_pandas())
     lines = []
     for _i, row in sents.iterrows():

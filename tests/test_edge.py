@@ -7,7 +7,7 @@ from kb_ner_ray.functions.text import extract_text, split_sentences
 from kb_ner_ray.functions.tokenizer import pack_by_length, subtoken_count
 from kb_ner_ray.stages.extract import extract_pages
 from kb_ner_ray.stages.sentences import explode_sentences
-from kb_ner_ray.stages.tagger import RetrieveTagTriples, TagLink
+from kb_ner_ray.stages.tagger import SCHEMAS, SentenceKernel
 
 
 def _empty_pages() -> pa.Table:
@@ -26,40 +26,61 @@ def test_empty_pages_through_extract_explode():
 
 
 def test_empty_batch_through_fused_tagger(tiny_corpus):
-    stage = RetrieveTagTriples(tiny_corpus["gazetteer"].to_pylist(),
-                               tiny_corpus["kb"].to_pylist())
+    kernel = SentenceKernel(tiny_corpus["gazetteer"].to_pylist(),
+                            tiny_corpus["kb"].to_pylist())
     empty = pa.table({
         "url": pa.array([], pa.string()),
         "sent_id": pa.array([], pa.int32()),
         "text": pa.array([], pa.string()),
         "lang": pa.array([], pa.string()),
     })
-    out = stage(empty)
-    assert out.num_rows == 0
-    assert "subj_surface" in out.column_names
+    for mode in ("triples", "mentions", "contexts", "entity_contexts"):
+        out = kernel.emit(empty, mode)
+        assert out.num_rows == 0
+        assert out.schema == pa.schema(SCHEMAS[mode])
 
 
 def test_sentence_without_mentions(tiny_corpus):
-    stage = TagLink(tiny_corpus["gazetteer"].to_pylist(),
-                    kb_ref=tiny_corpus["kb"].to_pylist())
+    kernel = SentenceKernel(tiny_corpus["gazetteer"].to_pylist(),
+                            tiny_corpus["kb"].to_pylist())
     batch = pa.table({
         "url": pa.array(["u"], pa.string()),
         "sent_id": pa.array([0], pa.int32()),
         "text": ["nothing matches the vocabulary here at all ."],
     })
-    assert stage(batch).num_rows == 0
+    assert kernel.emit(batch, "mentions").num_rows == 0
+    assert kernel.emit(batch, "triples").num_rows == 0
 
 
 def test_empty_kb_tagger_runs(tiny_corpus):
-    stage = RetrieveTagTriples(tiny_corpus["gazetteer"].to_pylist(), [])
+    kernel = SentenceKernel(tiny_corpus["gazetteer"].to_pylist(), [])
     batch = pa.table({
         "url": pa.array(["u"], pa.string()),
         "sent_id": pa.array([0], pa.int32()),
         "text": [tiny_corpus["sentences"].column("text")[0].as_py()],
         "lang": pa.array(["en"], pa.string()),
     })
-    out = stage(batch)  # no KB -> no contexts; mentions may still link NIL
+    out = kernel.emit(batch)  # no KB -> no contexts; mentions may link NIL
     assert "pred" in out.column_names
+
+
+def test_aug_rank_windows_are_memoized_apart(tiny_corpus):
+    """The aug emitter attaches the [min_rank:max_rank] window of the hits;
+    two windows over the same sentence never share a memo entry."""
+    from kb_ner_ray.data.oracle import TOP_K, attach_contexts_cached
+
+    kernel = SentenceKernel(tiny_corpus["gazetteer"].to_pylist(),
+                            tiny_corpus["kb"].to_pylist())
+    text = tiny_corpus["sentences"].column("text")[0].as_py()
+    batch = pa.table({"text": [text], "lang": ["en"]})
+    pre = [(kernel.kb_clean[i], kernel.kb_cost[i])
+           for i, _s in kernel.index.search(text, lang="en", k=TOP_K)]
+    assert len(pre) >= 2
+    for window in ({}, {"min_rank": 1}, {"max_rank": 1}):
+        out = kernel.emit(batch, "aug", **window)
+        assert out.column_names == ["text", "lang", "aug_text", "n_contexts"]
+        assert (out["aug_text"][0].as_py(), out["n_contexts"][0].as_py()) \
+            == attach_contexts_cached(text, pre, **window)
 
 
 def test_extract_handles_entities_and_unicode():

@@ -30,7 +30,7 @@ def test_multirun_equals_fused_and_resumes(ray_session, tmp_path):
     out = str(tmp_path / "runs")
 
     fused = ensemble_mentions(
-        sentences_dataset(corpus, with_retrieval=False),
+        sentences_dataset(corpus),
         load_corpus_refs(corpus)[1], n_models=3).to_pandas()
     orchestrated = run_ensemble(corpus, out, n_models=3).to_pandas()
     pd.testing.assert_frame_equal(_norm(fused), _norm(orchestrated))

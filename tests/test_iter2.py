@@ -14,7 +14,7 @@ from kb_ner_ray.data.oracle import (
 )
 from kb_ner_ray.stages.extract import extract_pages
 from kb_ner_ray.stages.sentences import explode_sentences
-from kb_ner_ray.stages.tagger import retrieve_tag_mentions_iter2
+from kb_ner_ray.stages.tagger import kernel_rows
 from kb_ner_ray.state.bm25 import MultiLangKBIndex, analyze
 from kb_ner_ray.state.gazetteer import Gazetteer
 
@@ -71,8 +71,8 @@ def iter2_sets(ray_session, tiny_corpus):
         ray.data.from_arrow(tiny_corpus["pages"])
         .map_batches(extract_pages, batch_format="pyarrow")
         .map_batches(explode_sentences, batch_format="pyarrow")
-        .map_batches(retrieve_tag_mentions_iter2, fn_kwargs=refs,
-                     batch_format="pyarrow")
+        .map_batches(kernel_rows, batch_format="pyarrow",
+                     fn_kwargs=dict(refs, mode="mentions", backend="iter2"))
         .to_pandas()
     )
     got = [tuple(r) for r in got_df[COLS].itertuples(index=False)]

@@ -102,23 +102,32 @@ def test_entity_boost_promotes_title_match(tiny_corpus, ray_session):
             assert score > plain_scores[row_i]
 
 
-def test_retriever_entity_stage(tiny_corpus, ray_session):
-    import ray as _ray
-
-    from kb_ner_ray.stages.retriever import RetrieverEntity
+def test_retriever_entity_stage(tiny_corpus):
+    from kb_ner_ray.stages.tagger import SentenceKernel
 
     kb = tiny_corpus["kb"].to_pylist()
+    kernel = SentenceKernel(tiny_corpus["gazetteer"].to_pylist(), kb)
+    text = next(s for s in tiny_corpus["sentences"].column("text").to_pylist()
+                if kernel.gaz.mentions_via_codec(s.split()))
     batch = pa.table({
         "url": pa.array(["u"], pa.string()),
         "sent_id": pa.array([0], pa.int32()),
-        "text": [kb[0]["sentence"]],
-        "entities": pa.array([[kb[0]["title"]]], pa.list_(pa.string())),
+        "text": [text],
     })
-    out = RetrieverEntity(kb_ref=kb)(batch)
+    out = kernel.emit(batch, "entity_contexts")
     assert out.num_rows > 0
-    assert out.column("entity").to_pylist()[0] == kb[0]["title"]
-    ranks = [r for r in out.column("rank").to_pylist()]
-    assert ranks == sorted(ranks)
+    tokens = text.split()
+    detected = [" ".join(tokens[s:e])
+                for s, e, _l, _sc in kernel.gaz.mentions_via_codec(tokens)]
+    ents = out.column("entity").to_pylist()
+    assert set(ents) <= set(detected)
+    ranks = out.column("rank").to_pylist()
+    kb_ids = out.column("kb_id").to_pylist()
+    for ent in set(ents):
+        # one title-boosted BM25 top-k per detected entity, rank-ordered
+        want = kernel.index.search(text, entity=ent, k=10, title_boost=2.0)
+        mine = [(r, k) for e, r, k in zip(ents, ranks, kb_ids) if e == ent]
+        assert mine == [(r, kb[i]["kb_id"]) for r, (i, _s) in enumerate(want)]
 
 
 def test_span_prf_distributed_matches_pure(tiny_corpus, ray_session):

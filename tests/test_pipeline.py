@@ -13,9 +13,8 @@ from kb_ner_ray.data.synth import generate_corpus
 from kb_ner_ray.functions.spans import span_prf
 from kb_ner_ray.stages.canonicalize import ApplyCanonical, compute_canonical_map
 from kb_ner_ray.stages.extract import extract_pages
-from kb_ner_ray.stages.retriever import RetrieveAttach, Retriever
 from kb_ner_ray.stages.sentences import explode_sentences
-from kb_ner_ray.stages.tagger import TagLink, TagLinkTriples
+from kb_ner_ray.stages.tagger import kernel_rows
 
 KEY_COLS = ["subj", "pred", "obj", "url", "sent_id"]
 
@@ -44,6 +43,13 @@ def _sentences_ds(tiny_corpus):
     )
 
 
+def _kernel_ds(tiny_corpus, refs, mode):
+    return _sentences_ds(tiny_corpus).map_batches(
+        kernel_rows, fn_kwargs={"kb_ref": refs["kb_ref"],
+                                "gaz_ref": refs["gaz_ref"], "mode": mode},
+        batch_format="pyarrow")
+
+
 def _rows(tbl, cols):
     if isinstance(tbl, pa.Table):
         return [tuple(r[c] for c in cols) for r in tbl.to_pylist()]
@@ -60,9 +66,7 @@ def test_extract_and_explode_match_oracle(tiny_corpus, oracle_out):
 
 
 def test_retriever_contexts_match_oracle(tiny_corpus, oracle_out, refs):
-    ds = _sentences_ds(tiny_corpus).map_batches(
-        Retriever, fn_constructor_kwargs={"kb_ref": refs["kb_ref"]},
-        batch_format="pyarrow", concurrency=2)
+    ds = _kernel_ds(tiny_corpus, refs, "contexts")
     cols = ["url", "sent_id", "rank", "kb_id"]
     got = sorted(_rows(ds.to_pandas(), cols))
     want = sorted(_rows(oracle_out["contexts"], cols))
@@ -70,13 +74,7 @@ def test_retriever_contexts_match_oracle(tiny_corpus, oracle_out, refs):
 
 
 def test_mentions_match_oracle(tiny_corpus, oracle_out, refs):
-    ds = _sentences_ds(tiny_corpus).map_batches(
-        RetrieveAttach, fn_constructor_kwargs={"kb_ref": refs["kb_ref"]},
-        batch_format="pyarrow", concurrency=2,
-    ).map_batches(
-        TagLink, fn_constructor_kwargs={"gaz_ref": refs["gaz_ref"],
-                                        "kb_ref": refs["kb_ref"]},
-        batch_format="pyarrow", concurrency=2)
+    ds = _kernel_ds(tiny_corpus, refs, "mentions")
     cols = ["url", "sent_id", "start_tok", "end_tok", "label", "ent_id"]
     got = sorted(_rows(ds.to_pandas(), cols))
     want = sorted(_rows(oracle_out["mentions"], cols))
@@ -84,14 +82,7 @@ def test_mentions_match_oracle(tiny_corpus, oracle_out, refs):
 
 
 def test_triples_conformance_ge_095(tiny_corpus, oracle_out, refs):
-    raw = _sentences_ds(tiny_corpus).map_batches(
-        RetrieveAttach, fn_constructor_kwargs={"kb_ref": refs["kb_ref"]},
-        batch_format="pyarrow", concurrency=2,
-    ).map_batches(
-        TagLinkTriples, fn_constructor_kwargs={"gaz_ref": refs["gaz_ref"],
-                                               "kb_ref": refs["kb_ref"]},
-        batch_format="pyarrow", concurrency=2,
-    ).materialize()
+    raw = _kernel_ds(tiny_corpus, refs, "triples").materialize()
     canon = compute_canonical_map(raw, refs["ent_title"])
     final = raw.map_batches(
         ApplyCanonical, fn_constructor_kwargs={"canon_ref": ray.put(canon)},
@@ -102,6 +93,34 @@ def test_triples_conformance_ge_095(tiny_corpus, oracle_out, refs):
     assert p >= 0.95 and r >= 0.95, (p, r)
     # in fact the engine matches the oracle exactly
     assert sorted(got) == sorted(want)
+
+
+def test_worker_builds_kernel_state_once(tiny_corpus, refs, monkeypatch):
+    """A worker serving kg_mentions batches, then kg_triples batches over
+    the same refs, builds its KB/gazetteer state once and memoizes both."""
+    from kb_ner_ray.stages import tagger
+
+    builds = []
+    init = tagger.SentenceKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tagger.SentenceKernel, "__init__", counting_init)
+    monkeypatch.setattr(tagger, "_TASK_STATE", {})
+    kw = {"kb_ref": refs["kb_ref"], "gaz_ref": refs["gaz_ref"]}
+    sents = explode_sentences(extract_pages(tiny_corpus["pages"]))
+    half = sents.num_rows // 2
+    for batch in (sents.slice(0, half), sents.slice(half)):
+        assert kernel_rows(batch, mode="mentions", **kw).num_rows > 0
+    for batch in (sents.slice(0, half), sents.slice(half)):
+        assert kernel_rows(batch, **kw).num_rows > 0
+    assert len(builds) == 1
+    kernel = tagger._TASK_STATE[(refs["kb_ref"], refs["gaz_ref"])]
+    distinct = len(set(zip(sents["text"].to_pylist(),
+                           sents["lang"].to_pylist())))
+    assert len(kernel._memo) == 2 * distinct
 
 
 def test_oracle_vs_generator_gold_ge_095(tiny_corpus, oracle_out):

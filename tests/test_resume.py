@@ -10,26 +10,26 @@ from kb_ner_ray.state.manifest import (
     input_fingerprint,
     partition_done,
     read_manifests,
-    write_partition,
+    write_partition_table,
 )
 
 
 def test_manifest_roundtrip(tmp_path):
     out = str(tmp_path / "out")
     t = pa.table({"a": [1, 2, 3]})
-    write_partition(out, 0, t, "fp0", {"rows_in": 3})
+    write_partition_table(out, 0, t, "fp0", {"rows_in": 3})
     assert partition_done(out, 0, "fp0")
     assert not partition_done(out, 0, "fp-changed")
     assert not partition_done(out, 1, "fp0")
     ms = read_manifests(out)
     assert len(ms) == 1 and ms[0]["n_rows"] == 3
-    assert ms[0]["counters"] == {"rows_in": 3}
+    assert ms[0]["counters"] == {"rows_in": 3, "n_rows": 3}
 
 
 def test_manifest_atomic_overwrite(tmp_path):
     out = str(tmp_path / "out")
-    write_partition(out, 0, pa.table({"a": [1]}), "fp0")
-    write_partition(out, 0, pa.table({"a": [1, 2]}), "fp1")
+    write_partition_table(out, 0, pa.table({"a": [1]}), "fp0")
+    write_partition_table(out, 0, pa.table({"a": [1, 2]}), "fp1")
     assert partition_done(out, 0, "fp1") and not partition_done(out, 0, "fp0")
     assert read_manifests(out)[0]["n_rows"] == 2
 
@@ -44,7 +44,7 @@ def test_fingerprint_tracks_content(tmp_path):
 
 def test_corrupt_manifest_is_not_done(tmp_path):
     out = str(tmp_path / "out")
-    write_partition(out, 0, pa.table({"a": [1]}), "fp0")
+    write_partition_table(out, 0, pa.table({"a": [1]}), "fp0")
     mpath = os.path.join(out, "part=0000", "_MANIFEST.json")
     with open(mpath, "w") as f:
         f.write("{not json")
@@ -57,12 +57,12 @@ def test_resumable_run_skips_done_partitions(tmp_path):
 
     corpus = corpus_dir(0.001)
     out = str(tmp_path / "run")
-    r1 = run_resumable(corpus, out, n_partitions=2, concurrency=(1, 2))
+    r1 = run_resumable(corpus, out, n_partitions=2)
     assert r1["skipped"] == [] and len(r1["computed"]) >= 1
     full = load_final_triples(out)
 
     # second run: everything skipped, same output
-    r2 = run_resumable(corpus, out, n_partitions=2, concurrency=(1, 2))
+    r2 = run_resumable(corpus, out, n_partitions=2)
     assert r2["computed"] == [] and r2["skipped"] == r1["computed"]
     assert r2["n_triples"] == r1["n_triples"]
 
@@ -73,7 +73,7 @@ def test_resumable_run_skips_done_partitions(tmp_path):
     m["input_fingerprint"] = "stale"
     with open(mpath, "w") as f:
         json.dump(m, f)
-    r3 = run_resumable(corpus, out, n_partitions=2, concurrency=(1, 2))
+    r3 = run_resumable(corpus, out, n_partitions=2)
     assert r3["computed"] == [0]
     assert sorted(r3["skipped"]) == sorted(p for p in r1["computed"] if p != 0)
     again = load_final_triples(out)
@@ -94,7 +94,7 @@ def test_resumable_run_recovers_from_crashed_write(tmp_path):
 
     corpus = corpus_dir(0.001)
     out = str(tmp_path / "run")
-    r1 = run_resumable(corpus, out, n_partitions=2, concurrency=(1, 2))
+    r1 = run_resumable(corpus, out, n_partitions=2)
     full = load_final_triples(out)
 
     # simulate a crash: destroy partition 1's landed dir, leave a torn tmp
@@ -107,7 +107,7 @@ def test_resumable_run_recovers_from_crashed_write(tmp_path):
     with open(os.path.join(tmp_dir, "garbage.parquet"), "w") as f:
         f.write("not parquet")
 
-    r2 = run_resumable(corpus, out, n_partitions=2, concurrency=(1, 2))
+    r2 = run_resumable(corpus, out, n_partitions=2)
     assert 1 in r2["computed"] and 0 in r2["skipped"]
     assert r2["n_triples"] == r1["n_triples"]
     # torn tmp replaced, no stray garbage in the raw glob
@@ -119,19 +119,34 @@ def test_resumable_run_recovers_from_crashed_write(tmp_path):
     assert got == want
 
 
-def test_colocate_duplicates_identical_triples(tmp_path):
-    """kg_triples with the duplicate-colocating shuffle == default plan
-    (same triples, any order)."""
-    from kb_ner_ray.data.synth import corpus_dir
-    from kb_ner_ray.pipelines.kg import kg_triples
+def test_resumable_run_at_one_cpu(tmp_path):
+    """At 1 logical CPU run_resumable finishes (its heavy stage is plain
+    tasks, so no idle actor holds the only CPU slot), writes as many
+    triples as kg_triples, and a rerun skips every partition."""
+    import subprocess
+    import sys
 
-    corpus = corpus_dir(0.001)
-    key = ["subj", "pred", "obj", "url", "sent_id"]
-
-    def rows(colo):
-        t = kg_triples(corpus, colocate_duplicates=colo).to_pandas()
-        return sorted(map(tuple, t[key].itertuples(index=False)))
-
-    base = rows(False)
-    assert len(base) > 0
-    assert rows(True) == base
+    out = str(tmp_path / "run")
+    script = f"""
+import json, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from kb_ner_ray.data.synth import corpus_dir
+from kb_ner_ray.pipelines.kg import kg_triples
+from kb_ner_ray.pipelines.run import run_resumable
+corpus = corpus_dir(0.001)
+n_kg = kg_triples(corpus).count()
+r1 = run_resumable(corpus, {out!r})
+r2 = run_resumable(corpus, {out!r})
+print(json.dumps({{"n_kg": n_kg, "r1": r1, "r2": r2}}))
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    r1, r2 = res["r1"], res["r2"]
+    assert r1["n_triples"] == res["n_kg"] > 0
+    assert r1["skipped"] == [] and len(r1["computed"]) >= 1
+    assert r2["computed"] == [] and r2["skipped"] == r1["computed"]

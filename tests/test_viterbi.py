@@ -154,20 +154,11 @@ def test_viterbi_tagger_parity_with_gazetteer(tiny_corpus):
     """Drop-in parity: the Viterbi mentions pipeline emits identical
     (url, sent_id, start, end, label, ent_id) rows to the trie-codec
     pipeline over the synthetic corpus."""
-    from kb_ner_ray.pipelines.kg import load_corpus_refs, sentences_dataset
-    from kb_ner_ray.stages.tagger import (
-        retrieve_tag_mentions,
-        retrieve_tag_mentions_viterbi,
-    )
+    from kb_ner_ray.pipelines.kg import kernel_dataset
 
-    kb_ref, gaz_ref, _ = load_corpus_refs(tiny_corpus)
-    kw = {"gaz_ref": gaz_ref, "kb_ref": kb_ref}
-    base = (sentences_dataset(tiny_corpus, with_retrieval=False)
-            .map_batches(retrieve_tag_mentions, fn_kwargs=kw,
-                         batch_format="pyarrow").to_pandas())
-    vit = (sentences_dataset(tiny_corpus, with_retrieval=False)
-           .map_batches(retrieve_tag_mentions_viterbi, fn_kwargs=kw,
-                        batch_format="pyarrow").to_pandas())
+    base = kernel_dataset(tiny_corpus, "mentions").to_pandas()
+    vit = kernel_dataset(tiny_corpus, "mentions",
+                         backend="viterbi").to_pandas()
     key = ["url", "sent_id", "start_tok", "end_tok", "label", "ent_id"]
     a = base[key].sort_values(key).reset_index(drop=True)
     b = vit[key].sort_values(key).reset_index(drop=True)
