@@ -20,6 +20,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..stages.partitioning import bucket_exchange
+
 # ---------- helpers ----------------------------------------------------------
 
 
@@ -27,15 +29,6 @@ def _cents(arr, scale: int = 100):
     """floor(x*scale + 0.5) as int64 — ulp-stable money/ratio rounding."""
     a = np.asarray(arr, dtype=np.float64)
     return np.floor(a * scale + 0.5).astype(np.int64)
-
-
-def _pow2_buckets() -> int:
-    """Cluster-derived bucket count rounded UP to a power of two, so the
-    bucket id is a single vectorized bit_wise_and."""
-    from ..stages.partitioning import default_buckets
-
-    n = default_buckets()
-    return 1 << (n - 1).bit_length()
 
 
 def _probe_sorted(keys_sorted: np.ndarray, probe: np.ndarray):
@@ -83,37 +76,11 @@ def _tree_agg(ds, keys: list[str], partial_fn, final_spec: dict):
     key space is FIXED-cardinality (return flags, priorities, nation keys,
     event types); keys that grow with the data — ids, AND time-derived
     columns like hour/window_start whose cardinality grows with the
-    stream's span — go through ``_bucketed_agg`` (combiner + bucketed
-    final; driver sees only final rows) or the Ray groupby path (see
-    q_top_orders)."""
+    stream's span — go through ``bucket_exchange`` with the combiner as
+    its ``prep`` (the bucketed final keeps the driver to final rows) or
+    the Ray groupby path (see q_top_orders)."""
     pdf = ds.map_batches(partial_fn, batch_format="pyarrow").to_pandas()
     return pdf.groupby(keys, as_index=False).agg(final_spec)
-
-
-def _bucketed_agg(ds, keys: list[str], partial_fn, final_fn,
-                  n_buckets: int | None = None):
-    """Combiner + bucketed final for group keys of UNBOUNDED cardinality
-    (round-3 verdict: time-derived keys grow with the stream's span, so
-    the `_tree_agg` driver combine is a driver-side materialization at
-    100 TB x multi-year).  Per-batch ``partial_fn`` pre-aggregates inside
-    map_batches (same combiner as `_tree_agg`), then ONE hash(keys)
-    bucket shuffle moves PARTIAL rows only, and ``final_fn`` (pandas
-    bucket group -> pa.Table) combines to FINAL rows inside reducers —
-    the driver never holds the n_blocks x n_groups partial stream.
-    Returns the final-row Dataset (consume by streaming/writing; the
-    correctness harness collects it because results are small)."""
-    from ..stages.partitioning import bucket_multi, default_buckets
-
-    nb = n_buckets or default_buckets()
-
-    def partial_with_bucket(t: pa.Table) -> pa.Table:
-        out = partial_fn(t)
-        b = bucket_multi([out[k] for k in keys], nb)
-        return out.append_column("__b", pa.array(b, pa.int32()))
-
-    return (ds.map_batches(partial_with_bucket, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(final_fn, batch_format="pandas"))
 
 
 # ---------- relational core ---------------------------------------------------
@@ -545,8 +512,8 @@ def q_events_hourly(sf_dir: str):
             ["event_type", "hour"]).aggregate(
             [("value", "sum"), ("value", "count")])
 
-    return _bucketed_agg(ds, ["event_type", "hour"], partial,
-                         _window_final("hour"))
+    return bucket_exchange(ds, ["event_type", "hour"],
+                           _window_final("hour"), prep=partial)
 
 
 SQL_EVENTS_HOURLY = """
@@ -578,8 +545,8 @@ def q_events_hopping(sf_dir: str):
             ["event_type", "window_start"]).aggregate(
             [("value", "sum"), ("value", "count")])
 
-    return _bucketed_agg(ds, ["event_type", "window_start"], partial,
-                         _window_final("window_start"))
+    return bucket_exchange(ds, ["event_type", "window_start"],
+                           _window_final("window_start"), prep=partial)
 
 
 SQL_EVENTS_HOPPING = """
@@ -602,11 +569,6 @@ def q_events_lead_lag(sf_dir: str):
     sessionize; fully vectorized per bucket (sort + shift)."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    mask = _pow2_buckets() - 1  # fan-out follows the cluster
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def lead_lag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -626,9 +588,7 @@ def q_events_lead_lag(sf_dir: str):
         out["us_to_next"] = np.where(same_next, next_gap, -1)
         return out
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(lead_lag, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], lead_lag)
 
 
 SQL_LEAD_LAG = """
@@ -747,11 +707,6 @@ def q_events_running_value(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts",
                                           "value"])
 
-    mask = _pow2_buckets() - 1
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -762,9 +717,7 @@ def q_events_running_value(sf_dir: str):
         out["running_cents"] = run
         return out
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(running, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], running)
 
 
 SQL_RUNNING_VALUE = """
@@ -788,8 +741,6 @@ def q_events_pivot(sf_dir: str):
     2. per-batch (user, type) count partials, one shuffle on
        ``hash(user_id)`` buckets, reshape to the FIXED column set inside
        ``map_groups`` — the driver never holds per-user rows."""
-    from ..stages.partitioning import bucket_array, default_buckets
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
     def type_partial(t: pa.Table) -> pa.Table:
@@ -800,15 +751,11 @@ def q_events_pivot(sf_dir: str):
     types = sorted(_tree_agg(ds, ["event_type"], type_partial,
                              {"event_type_count": "sum"})["event_type"])
 
-    nb = default_buckets()
-
     def partial(t: pa.Table) -> pa.Table:
-        g = (pa.table({"user_id": t["user_id"],
-                       "event_type": t["event_type"]})
-             .group_by(["user_id", "event_type"])
-             .aggregate([("event_type", "count")]))
-        return g.append_column(
-            "__b", pa.array(bucket_array(g["user_id"], nb), pa.int32()))
+        return (pa.table({"user_id": t["user_id"],
+                          "event_type": t["event_type"]})
+                .group_by(["user_id", "event_type"])
+                .aggregate([("event_type", "count")]))
 
     def reshape(df: pd.DataFrame) -> pd.DataFrame:
         wide = df.pivot_table(index="user_id", columns="event_type",
@@ -821,9 +768,7 @@ def q_events_pivot(sf_dir: str):
                              if c in wide.columns else zeros)
         return out
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(reshape, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], reshape, prep=partial)
 
 
 SQL_EVENTS_PIVOT = """
@@ -934,11 +879,6 @@ def q_events_sessionize(sf_dir: str):
     so per-group dispatch stays O(buckets), not O(users)."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
 
-    mask = _pow2_buckets() - 1  # fan-out follows the cluster
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def sessionize_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -955,9 +895,7 @@ def q_events_sessionize(sf_dir: str):
         return out[["user_id", "session_id", "n_events",
                     "start_ts", "end_ts"]]
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(sessionize_bucket, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], sessionize_bucket)
 
 
 SQL_SESSIONIZE = f"""
@@ -990,11 +928,6 @@ def q_events_rolling_count(sf_dir: str):
     vectorized with searchsorted inside the bucket."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
-    mask = _pow2_buckets() - 1  # fan-out follows the cluster
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def rolling(g: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -1010,9 +943,7 @@ def q_events_rolling_count(sf_dir: str):
         return pd.concat(out) if out else pd.DataFrame(
             {"event_id": [], "user_id": [], "n_window": []})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(rolling, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], rolling)
 
 
 SQL_ROLLING = f"""
@@ -2791,7 +2722,7 @@ def q_activity_reconcile_outer(sf_dir: str):
             "n_events": pa.array(out["n_events"].to_numpy(np.int64)),
         })
 
-    left = _bucketed_agg(ev, ["user_id"], ev_partial, ev_final)
+    left = bucket_exchange(ev, ["user_id"], ev_final, prep=ev_partial)
 
     od = _read(sf_dir, "orders", columns=["o_custkey"]).filter(
         expr="o_custkey >= 145 and o_custkey <= 155")
@@ -2807,7 +2738,7 @@ def q_activity_reconcile_outer(sf_dir: str):
             "n_orders": pa.array(out["n_orders"].to_numpy(np.int64)),
         })
 
-    right = _bucketed_agg(od, ["o_custkey"], od_partial, od_final)
+    right = bucket_exchange(od, ["o_custkey"], od_final, prep=od_partial)
     return hash_join(left, right, on="uid", how="outer")
 
 
@@ -2829,7 +2760,7 @@ def q_pricing_rollup(sf_dir: str):
     (_tree_agg contract); every coarser level re-aggregates the FINAL
     bounded rows — the rollup costs one corpus pass regardless of how
     many levels it emits.  (Unbounded-dim rollups would instead derive
-    levels through _bucketed_agg chains.)"""
+    levels through bucket_exchange chains.)"""
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_extendedprice"])
 
@@ -2982,7 +2913,7 @@ def q_customer_activity_left(sf_dir: str):
     """LEFT OUTER equi-join — the join-matrix completion (inner / semi /
     anti / as-of / range already covered): customers joined to per-user
     event activity, unmatched customers kept with NULL stats.  Right side
-    pre-aggregates through ONE bucketed combiner shuffle (_bucketed_agg,
+    pre-aggregates through ONE bucketed combiner shuffle (bucket_exchange,
     user ids are unbounded), then the bucketed hash_join(how='left')
     co-partitions both sides — no broadcast, fixed-width rows only."""
     from ..stages.joins import hash_join
@@ -3006,7 +2937,7 @@ def q_customer_activity_left(sf_dir: str):
             "ev_cents": pa.array(out["ev_cents"].to_numpy(np.int64)),
         })
 
-    stats = _bucketed_agg(ev, ["user_id"], partial, final)
+    stats = bucket_exchange(ev, ["user_id"], final, prep=partial)
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     return hash_join(cust, stats, on="c_custkey", how="left")
 
@@ -3225,8 +3156,8 @@ def q_source_reputation_filter(sf_dir: str):
         return pa.table({"source": pa.array(good["source"].to_numpy(object),
                                             pa.string())})
 
-    good_ds = _bucketed_agg(ds, ["source"], rep_partial,
-                            rep_final).materialize()
+    good_ds = bucket_exchange(ds, ["source"], rep_final,
+                              prep=rep_partial).materialize()
     gbytes = good_ds.size_bytes() or 0
     if gbytes > (1 << 30):
         raise ValueError(
@@ -3964,11 +3895,6 @@ def q_events_burst_dedup(sf_dir: str):
     O(buckets) like events_sessionize."""
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "event_type", "ts"])
-    mask = _pow2_buckets() - 1
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     gap_us = BURST_GAP_MIN * 60 * 1_000_000
 
@@ -3982,9 +3908,7 @@ def q_events_burst_dedup(sf_dir: str):
         out = g.loc[keep, ["event_id", "user_id", "event_type"]]
         return out.astype({"event_id": np.int64, "user_id": np.int64})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(dedup_bucket, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], dedup_bucket)
 
 
 SQL_EVENTS_BURST_DEDUP = f"""
@@ -4210,13 +4134,10 @@ def q_events_funnel(sf_dir: str):
     combine is stage-bounded.  Durations sum as INTEGER microseconds —
     no float crosses the hash."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-    mask = _pow2_buckets() - 1
 
     def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"],
-                              value_set=pa.array(FUNNEL_STAGES)))
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
+        return t.filter(pc.is_in(t["event_type"],
+                                 value_set=pa.array(FUNNEL_STAGES)))
 
     def funnel_bucket(g: pd.DataFrame) -> pd.DataFrame:
         usec = g["ts"].to_numpy("datetime64[us]").astype(np.int64)
@@ -4241,10 +4162,8 @@ def q_events_funnel(sf_dir: str):
         return pd.DataFrame(rows,
                             columns=["stage", "n_users", "sum_usecs"])
 
-    pdf = (ds.map_batches(prep, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(funnel_bucket, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(ds, ["user_id"], funnel_bucket,
+                          prep=prep).to_pandas()
     out = pdf.groupby("stage", as_index=False)[["n_users", "sum_usecs"]] \
         .sum()
     return out.astype({"stage": np.int64, "n_users": np.int64,
@@ -4386,11 +4305,6 @@ def q_events_transitions(sf_dir: str):
     hash."""
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type"])
-    mask = _pow2_buckets() - 1
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -4401,10 +4315,7 @@ def q_events_transitions(sf_dir: str):
         return (out.groupby(["from_type", "to_type"], sort=False)
                 .size().reset_index(name="n_pairs"))
 
-    pdf = (ds.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(pairs_bucket, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(ds, ["user_id"], pairs_bucket).to_pandas()
     if pdf.empty:
         return pd.DataFrame({"from_type": pd.Series([], dtype=object),
                              "to_type": pd.Series([], dtype=object),
@@ -4448,18 +4359,12 @@ def q_events_retention(sf_dir: str):
     exactly one bucket), combined in a second hash(cohort, offset)
     exchange of COUNT rows only (time-span^2-bounded, never
     user-bounded)."""
-    from ..stages.partitioning import bucket_multi, default_buckets
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    mask = _pow2_buckets() - 1
-    nb = default_buckets()
 
     def prep(t: pa.Table) -> pa.Table:
         day = pc.floor_temporal(t["ts"], unit="day")
-        out = (pa.table({"user_id": t["user_id"], "day": day})
-               .group_by(["user_id", "day"]).aggregate([]))
-        b = pc.cast(pc.bit_wise_and(out["user_id"], mask), pa.int32())
-        return out.append_column("bucket", b)
+        return (pa.table({"user_id": t["user_id"], "day": day})
+                .group_by(["user_id", "day"]).aggregate([]))
 
     def cohort_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "day"])
@@ -4467,14 +4372,10 @@ def q_events_retention(sf_dir: str):
         off = ((g["day"].to_numpy("datetime64[us]").astype(np.int64)
                 - first.to_numpy("datetime64[us]").astype(np.int64))
                // 86_400_000_000)
-        part = (pd.DataFrame({"cohort_day": first.to_numpy(
+        return (pd.DataFrame({"cohort_day": first.to_numpy(
             "datetime64[us]"), "day_offset": off.astype(np.int64)})
             .groupby(["cohort_day", "day_offset"], sort=False)
             .size().reset_index(name="n_users"))
-        part["__b2"] = bucket_multi(
-            [pa.array(part["cohort_day"]),
-             pa.array(part["day_offset"].to_numpy(np.int64))], nb)
-        return part
 
     def final(g: pd.DataFrame) -> pa.Table:
         out = (g.groupby(["cohort_day", "day_offset"], as_index=False)
@@ -4486,10 +4387,8 @@ def q_events_retention(sf_dir: str):
             "n_users": pa.array(out["n_users"].to_numpy(np.int64)),
         })
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("bucket").map_groups(cohort_bucket,
-                                          batch_format="pandas")
-            .groupby("__b2").map_groups(final, batch_format="pandas"))
+    cohorts = bucket_exchange(ds, ["user_id"], cohort_bucket, prep=prep)
+    return bucket_exchange(cohorts, ["cohort_day", "day_offset"], final)
 
 
 SQL_EVENTS_RETENTION = """
@@ -4508,7 +4407,8 @@ def _max_ts_us(path: str) -> int:
     """Max event timestamp (integer microseconds) from parquet row-group
     STATISTICS — metadata-only, no scan (the decay anchor must not cost
     a corpus pass); falls back to a single-column scan when stats are
-    absent."""
+    absent.  Both paths TRUNCATE sub-microsecond parts of a ns-unit
+    column, like the unsafe cast in q_events_decay_score's data path."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(path)
@@ -4518,7 +4418,7 @@ def _max_ts_us(path: str) -> int:
         st = pf.metadata.row_group(rg).column(idx).statistics
         if st is None or st.max is None:
             t = pq.read_table(path, columns=["ts"])
-            return int(pc.max(t["ts"].cast(pa.timestamp("us"))
+            return int(pc.max(t["ts"].cast(pa.timestamp("us"), safe=False)
                               .cast(pa.int64())).as_py())
         cur = np.datetime64(st.max, "us").astype(np.int64)
         mx = cur if mx is None else max(mx, cur)
@@ -4543,12 +4443,12 @@ def q_events_decay_score(sf_dir: str):
     path = f"{sf_dir}/events.parquet"
     tmax = _max_ts_us(path)
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    mask = _pow2_buckets() - 1
 
     def partial(t: pa.Table) -> pa.Table:
         # normalize to MICROseconds before the int view — a ns-unit
-        # source (pandas default) would otherwise skew dt by 1000x
-        us = (t["ts"].cast(pa.timestamp("us")).cast(pa.int64())
+        # source (pandas default) would otherwise skew dt by 1000x;
+        # unsafe, so sub-us parts truncate exactly like _max_ts_us
+        us = (t["ts"].cast(pa.timestamp("us"), safe=False).cast(pa.int64())
               .to_numpy(zero_copy_only=False))
         w = (t["value"].to_numpy(zero_copy_only=False)
              * np.exp2(-(tmax - us) / DECAY_HALF_LIFE_US))
@@ -4561,8 +4461,6 @@ def q_events_decay_score(sf_dir: str):
         return pa.table({
             "user_id": pa.array(out["user_id"].to_numpy(np.int64)),
             "s": pa.array(out["s"].to_numpy(np.float64)),
-            "bucket": pa.array((out["user_id"].to_numpy(np.int64)
-                                & mask).astype(np.int32)),
         })
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -4572,8 +4470,7 @@ def q_events_decay_score(sf_dir: str):
             "score_bp": _cents(out["s"], 10_000),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(final, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], final, prep=partial)
 
 
 SQL_EVENTS_DECAY = f"""
@@ -4596,15 +4493,12 @@ def q_events_user_mode(sf_dir: str):
     the argmax vectorized (sort + drop_duplicates, no per-user loop).
     Counts are exact integers end-to-end."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    mask = _pow2_buckets() - 1
 
     def partial(t: pa.Table) -> pa.Table:
-        out = (pa.table({"user_id": t["user_id"],
-                         "event_type": t["event_type"]})
-               .group_by(["user_id", "event_type"])
-               .aggregate([("event_type", "count")]))
-        b = pc.cast(pc.bit_wise_and(out["user_id"], mask), pa.int32())
-        return out.append_column("bucket", b)
+        return (pa.table({"user_id": t["user_id"],
+                          "event_type": t["event_type"]})
+                .group_by(["user_id", "event_type"])
+                .aggregate([("event_type", "count")]))
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (g.groupby(["user_id", "event_type"], as_index=False)
@@ -4618,8 +4512,7 @@ def q_events_user_mode(sf_dir: str):
             "mode_type": top["event_type"].to_numpy(object),
             "n_events": top["event_type_count"].to_numpy(np.int64)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bucket").map_groups(final, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], final, prep=partial)
 
 
 SQL_EVENTS_USER_MODE = """
@@ -4649,16 +4542,13 @@ def q_dup_graph_degrees(sf_dir: str):
     pairs = ngram_jaccard_pairs(
         _read(sf_dir, "documents", columns=["doc_id", "text"]),
         threshold=JACCARD_THRESHOLD)
-    mask = _pow2_buckets() - 1
 
     def endpoints(t: pa.Table) -> pa.Table:
         nodes = pa.concat_arrays(
             [t["doc_a"].combine_chunks().cast(pa.int64()),
              t["doc_b"].combine_chunks().cast(pa.int64())])
-        out = (pa.table({"node": nodes}).group_by("node")
-               .aggregate([("node", "count")]))
-        b = pc.cast(pc.bit_wise_and(out["node"], mask), pa.int32())
-        return out.append_column("bucket", b)
+        return (pa.table({"node": nodes}).group_by("node")
+                .aggregate([("node", "count")]))
 
     def degrees(g: pd.DataFrame) -> pd.DataFrame:
         deg = g.groupby("node")["node_count"].sum()
@@ -4666,9 +4556,8 @@ def q_dup_graph_degrees(sf_dir: str):
         out.columns = ["degree", "n_nodes"]
         return out.astype({"degree": np.int64, "n_nodes": np.int64})
 
-    pdf = (pairs.map_batches(endpoints, batch_format="pyarrow")
-           .groupby("bucket").map_groups(degrees, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(pairs, ["node"], degrees,
+                          prep=endpoints).to_pandas()
     if pdf.empty:
         return pd.DataFrame({"degree": pd.Series([], dtype=np.int64),
                              "n_nodes": pd.Series([], dtype=np.int64)})
@@ -4704,12 +4593,7 @@ def q_events_session_stats(sf_dir: str):
     span buckets), so the output is one final row per user.  Dwell sums
     as INTEGER microseconds — no float crosses the hash."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    mask = _pow2_buckets() - 1
     gap_us = SESSION_GAP_MIN * 60_000_000
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def stats_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -4734,9 +4618,7 @@ def q_events_session_stats(sf_dir: str):
                .rename(columns={"u": "user_id"}))
         return out.astype(np.int64)
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(stats_bucket, batch_format="pandas"))
+    return bucket_exchange(ds, ["user_id"], stats_bucket)
 
 
 SQL_EVENTS_SESSION_STATS = f"""
@@ -4777,11 +4659,6 @@ def q_events_attribution(sf_dir: str):
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "event_type",
                         "value"])
-    mask = _pow2_buckets() - 1
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = pc.cast(pc.bit_wise_and(t["user_id"], mask), pa.int32())
-        return t.append_column("bucket", b)
 
     def attr_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -4801,10 +4678,7 @@ def q_events_attribution(sf_dir: str):
         return (out.groupby("source_type", as_index=False)
                 .agg(n_purchases=("value", "size"), v=("value", "sum")))
 
-    pdf = (ds.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("bucket")
-           .map_groups(attr_bucket, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(ds, ["user_id"], attr_bucket).to_pandas()
     if pdf.empty:
         return pd.DataFrame({
             "source_type": pd.Series([], dtype=object),
@@ -4920,14 +4794,11 @@ def q_dup_graph_cluster_sizes(sf_dir: str):
         _read(sf_dir, "documents", columns=["doc_id", "text"]),
         threshold=JACCARD_THRESHOLD)
     comp = components_from_pairs(pairs)
-    mask = _pow2_buckets() - 1
 
     def pre(t: pa.Table) -> pa.Table:
-        out = (pa.table({"component": t["component"].combine_chunks()
-                         .cast(pa.int64())})
-               .group_by("component").aggregate([("component", "count")]))
-        b = pc.cast(pc.bit_wise_and(out["component"], mask), pa.int32())
-        return out.append_column("bucket", b)
+        return (pa.table({"component": t["component"].combine_chunks()
+                          .cast(pa.int64())})
+                .group_by("component").aggregate([("component", "count")]))
 
     def sizes(g: pd.DataFrame) -> pd.DataFrame:
         sz = g.groupby("component")["component_count"].sum()
@@ -4935,9 +4806,8 @@ def q_dup_graph_cluster_sizes(sf_dir: str):
         out.columns = ["size", "n_components"]
         return out.astype({"size": np.int64, "n_components": np.int64})
 
-    pdf = (comp.map_batches(pre, batch_format="pyarrow")
-           .groupby("bucket").map_groups(sizes, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(comp, ["component"], sizes,
+                          prep=pre).to_pandas()
     if pdf.empty:
         return pd.DataFrame({
             "size": pd.Series([], dtype=np.int64),
@@ -4967,19 +4837,15 @@ def q_doc_source_overlap(sf_dir: str):
     can skew a reducer) and the per-bucket partial is sources^2-bounded
     — the `_tree_agg` driver-combine contract.  All-integer math."""
     from ..stages.dedup import add_content_hash
-    from ..stages.partitioning import bucket_array
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
-    nb = _pow2_buckets()
 
     def pre(t: pa.Table) -> pa.Table:
         t = add_content_hash(t)
-        out = (pa.table({"content_hash": t["content_hash"],
-                         "source": t["source"]})
-               .group_by(["content_hash", "source"])
-               .aggregate([("source", "count")]))
-        b = bucket_array(out["content_hash"], nb).astype(np.int32)
-        return out.append_column("bucket", pa.array(b, pa.int32()))
+        return (pa.table({"content_hash": t["content_hash"],
+                          "source": t["source"]})
+                .group_by(["content_hash", "source"])
+                .aggregate([("source", "count")]))
 
     def cross(g: pd.DataFrame) -> pd.DataFrame:
         c = (g.groupby(["content_hash", "source"], as_index=False)
@@ -5000,12 +4866,17 @@ def q_doc_source_overlap(sf_dir: str):
             "np": n * (n - 1) // 2,
         })
         both = pd.concat([across, within], ignore_index=True)
+        if not len(both):
+            # typed empty Arrow block (as in joins.semi_join): an empty
+            # object-dtype frame trips Ray's block-size estimator
+            return pa.table({"source_a": pa.array([], pa.string()),
+                             "source_b": pa.array([], pa.string()),
+                             "np": pa.array([], pa.int64())})
         return (both.groupby(["source_a", "source_b"], as_index=False)
                 ["np"].sum())
 
-    pdf = (ds.map_batches(pre, batch_format="pyarrow")
-           .groupby("bucket").map_groups(cross, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(ds, ["content_hash"], cross,
+                          prep=pre).to_pandas()
     if pdf.empty:
         return pd.DataFrame({"source_a": pd.Series([], dtype=object),
                              "source_b": pd.Series([], dtype=object),
@@ -5036,7 +4907,7 @@ def q_doc_length_hist(sf_dir: str):
     profile read before choosing packing budgets and Gopher length
     gates.  Stateless vectorized Arrow tokenize + bincount partials;
     (lang, bin) key cardinality grows with the longest document, so
-    partials combine through `_bucketed_agg` (one bounded row per key to
+    partials combine through `bucket_exchange` (one bounded row per key to
     the consumer, never n_blocks x keys on the driver).  Empty texts
     count one token — the regexp_split_to_array('') = [''] oracle
     contract shared with doc_token_stats."""
@@ -5065,7 +4936,7 @@ def q_doc_length_hist(sf_dir: str):
             "n_docs": pa.array(out["n_docs"].to_numpy(np.int64)),
         })
 
-    return _bucketed_agg(ds, ["lang", "bin"], partial, final)
+    return bucket_exchange(ds, ["lang", "bin"], final, prep=partial)
 
 
 SQL_DOC_LENGTH_HIST = f"""
@@ -5092,11 +4963,9 @@ def q_doc_top_bigrams(sf_dir: str):
     key space, so the global top-K of the n_buckets x K candidates is
     exact.  Deterministic (count desc, a asc, b asc) order on both
     engines."""
-    from ..stages.partitioning import bucket_multi, default_buckets
     from ..stages.sparse import _tokenize_batch
 
     ds = _read(sf_dir, "documents", columns=["text"])
-    nb = default_buckets()
     k = TOP_BIGRAMS_K
 
     def partial(t: pa.Table) -> pa.Table:
@@ -5106,22 +4975,19 @@ def q_doc_top_bigrams(sf_dir: str):
         out = (pd.DataFrame({"a": toks[:-1][same], "b": toks[1:][same]})
                .groupby(["a", "b"], sort=False)
                .size().reset_index(name="c"))
-        tbl = pa.table({
+        return pa.table({
             "a": pa.array(out["a"].to_numpy(object), pa.string()),
             "b": pa.array(out["b"].to_numpy(object), pa.string()),
             "c": pa.array(out["c"].to_numpy(np.int64)),
         })
-        bkt = bucket_multi([tbl["a"], tbl["b"]], nb)
-        return tbl.append_column("__b", pa.array(bkt, pa.int32()))
 
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["a", "b"], as_index=False)["c"].sum()
         return out.sort_values(["c", "a", "b"],
                                ascending=[False, True, True]).head(k)
 
-    pdf = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("__b").map_groups(topk_bucket, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(ds, ["a", "b"], topk_bucket,
+                          prep=partial).to_pandas()
     if pdf.empty:
         return pd.DataFrame({"a": pd.Series([], dtype=object),
                              "b": pd.Series([], dtype=object),
@@ -5371,25 +5237,18 @@ def q_events_hourly_uniques(sf_dir: str):
     are ADDITIVE across buckets — no global distinct, no count-distinct
     shuffle) -> second exchange moves hour-keyed COUNT rows only
     (time-span-bounded), same two-exchange shape as events_retention."""
-    from ..stages.partitioning import bucket_multi, default_buckets
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    mask = _pow2_buckets() - 1
-    nb = default_buckets()
 
     def prep(t: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(t["ts"], unit="hour")
-        out = (pa.table({"user_id": t["user_id"], "hour": hour})
-               .group_by(["user_id", "hour"]).aggregate([]))
-        b = pc.cast(pc.bit_wise_and(out["user_id"], mask), pa.int32())
-        return out.append_column("bucket", b)
+        return (pa.table({"user_id": t["user_id"], "hour": hour})
+                .group_by(["user_id", "hour"]).aggregate([]))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "hour"])
         part = (g.groupby("hour", sort=False)
                 .size().reset_index(name="n_users"))
         part["hour"] = part["hour"].to_numpy("datetime64[us]")
-        part["__b2"] = bucket_multi([pa.array(part["hour"])], nb)
         return part
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -5400,10 +5259,8 @@ def q_events_hourly_uniques(sf_dir: str):
             "n_users": pa.array(out["n_users"].to_numpy(np.int64)),
         })
 
-    return (ds.map_batches(prep, batch_format="pyarrow")
-            .groupby("bucket").map_groups(per_bucket,
-                                          batch_format="pandas")
-            .groupby("__b2").map_groups(final, batch_format="pandas"))
+    hourly = bucket_exchange(ds, ["user_id"], per_bucket, prep=prep)
+    return bucket_exchange(hourly, ["hour"], final)
 
 
 SQL_EVENTS_HOURLY_UNIQUES = """

@@ -79,21 +79,31 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
     final = raw_ds.map_batches(
         apply_canonical, fn_kwargs={"canon_ref": ray.put(canon)},
         batch_format="pyarrow")
-    # final write is atomic-ish: build fresh, then swap (a rerun must not
-    # append to last run's files)
+    # final write: build fresh (a rerun must not append to last run's
+    # files), move the previous output aside, swap the new one in, then
+    # drop the old one.  A crash at any point leaves one complete output:
+    # triples/, or triples.old/ between the two renames
     final_dir = os.path.join(out_dir, "triples")
-    tmp_dir = final_dir + ".tmp"
+    tmp_dir, old_dir = final_dir + ".tmp", final_dir + ".old"
     import shutil
 
     shutil.rmtree(tmp_dir, ignore_errors=True)
     os.makedirs(tmp_dir, exist_ok=True)
     final.write_parquet(tmp_dir)
-    shutil.rmtree(final_dir, ignore_errors=True)
+    if os.path.isdir(final_dir):
+        shutil.rmtree(old_dir, ignore_errors=True)
+        os.rename(final_dir, old_dir)
     os.replace(tmp_dir, final_dir)
+    shutil.rmtree(old_dir, ignore_errors=True)
     n = sum(m["n_rows"] for m in read_manifests(raw_dir))
     return {"computed": computed, "skipped": skipped, "n_triples": n}
 
 
 def load_final_triples(out_dir: str) -> pa.Table:
-    files = sorted(glob.glob(os.path.join(out_dir, "triples", "*.parquet")))
+    """The last complete final output: triples/, or triples.old/ when a
+    run crashed between moving it aside and swapping the new one in."""
+    final_dir = os.path.join(out_dir, "triples")
+    if not os.path.isdir(final_dir):
+        final_dir += ".old"
+    files = sorted(glob.glob(os.path.join(final_dir, "*.parquet")))
     return pa.concat_tables([pq.read_table(f) for f in files])

@@ -105,13 +105,3 @@ def apply_canonical(batch: pa.Table, canon_ref=None) -> pa.Table:
         }
     )
 
-
-class ApplyCanonical:
-    """Actor-pool wrapper kept for API parity; prefer ``apply_canonical``."""
-
-    def __init__(self, canon_ref):
-        self.canon = ray.get(canon_ref) if isinstance(canon_ref, ray.ObjectRef) \
-            else canon_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return apply_canonical(batch, canon_ref=self.canon)

@@ -49,7 +49,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .partitioning import bucket_array, default_buckets
+from .partitioning import bucket_exchange, default_buckets
 from .sparse import _tokenize_batch
 
 PMI_SCALE = 10_000
@@ -182,11 +182,9 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
         mask = pc.is_in(flat, value_set=va).to_numpy(zero_copy_only=False)
         hit = pd.Series(flat.to_numpy(zero_copy_only=False)[mask])
         cnt = hit.value_counts()
-        toks = np.asarray(cnt.index, object)
         return pa.table({
-            "tok": pa.array(toks, pa.string()),
+            "tok": pa.array(np.asarray(cnt.index, object), pa.string()),
             "n": pa.array(cnt.to_numpy(np.int64), pa.int64()),
-            "__b": pa.array(bucket_array(toks, nb), pa.int32()),
         })
 
     def count_final(g: pd.DataFrame) -> pd.DataFrame:
@@ -196,10 +194,8 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
         return g.groupby("tok", as_index=False)["n"].sum().astype(
             {"n": np.int64})
 
-    counts = (docs_ds.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("__b")
-              .map_groups(count_final, batch_format="pandas")
-              .to_pandas())
+    counts = bucket_exchange(docs_ds, ["tok"], count_final,
+                             prep=count_partial).to_pandas()
     counts = dict(zip(counts["tok"], counts["n"]))
     missing = vocab - counts.keys()
     if missing:

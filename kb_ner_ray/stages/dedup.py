@@ -259,16 +259,12 @@ def banding_candidate_stats(rows_ds, key_col: str):
     is a small fixed space, so per-bucket partial rows combine
     driver-side.  Returns pandas (band_id, n_rows, n_buckets,
     cand_pairs) sorted by band_id."""
-    from .partitioning import bucket_multi, default_buckets
-
-    nb = default_buckets()
+    from .partitioning import bucket_exchange
 
     def partial(t: pa.Table) -> pa.Table:
-        out = (t.select(["band_id", key_col])
-               .group_by(["band_id", key_col])
-               .aggregate([("band_id", "count")]))
-        b = bucket_multi([out["band_id"], out[key_col]], nb)
-        return out.append_column("__b", pa.array(b, pa.int32()))
+        return (t.select(["band_id", key_col])
+                .group_by(["band_id", key_col])
+                .aggregate([("band_id", "count")]))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (g.groupby(["band_id", key_col], as_index=False)
@@ -282,9 +278,8 @@ def banding_candidate_stats(rows_ds, key_col: str):
         })
         return out.groupby("band_id", as_index=False).sum()
 
-    pdf = (rows_ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("__b").map_groups(per_bucket, batch_format="pandas")
-           .to_pandas())
+    pdf = bucket_exchange(rows_ds, ["band_id", key_col], per_bucket,
+                          prep=partial).to_pandas()
     if not len(pdf):
         return pdf
     return (pdf.groupby("band_id", as_index=False).sum()

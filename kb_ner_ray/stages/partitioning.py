@@ -6,6 +6,7 @@ session buckets, 64 key buckets): fine at 32 CPUs, but they cap reducer
 parallelism on a bigger cluster.  Every bucketed operator now derives its
 fan-out from ``ray.cluster_resources()`` at pipeline-build time, so a
 256-node cluster gets proportionally more reducers with no code change.
+Every single-input bucketed operator shuffles through ``bucket_exchange``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,39 @@ def bucket_multi(arrays, n_buckets: int) -> np.ndarray:
         hc = pd.util.hash_array(arr, categorize=False)
         h = hc if h is None else h * np.uint64(1000003) + hc
     return (h % np.uint64(n_buckets)).astype(np.int32)
+
+
+def bucket_exchange(ds, keys, per_bucket, *, prep=None,
+                    n_buckets: int | None = None):
+    """THE single-input hash-bucket exchange: every row (after the
+    optional per-batch pyarrow ``prep``, typically a combiner that
+    pre-aggregates to partial rows) gets ``__b = bucket_multi(keys, nb)``,
+    ONE shuffle co-locates each key's rows, and ``per_bucket`` (pandas
+    bucket group, ``__b`` included -> frame/table) finishes the bucket.
+    Dispatch is O(buckets), not O(keys); a key's rows never span two
+    ``per_bucket`` calls, so any per-key computation completes
+    bucket-locally.  ``nb`` = ``n_buckets`` or the cluster-derived
+    ``default_buckets()``; for a single key ``__b`` equals
+    ``bucket_array(key, nb)``, which co-partitioned join plans rely on.
+
+    The pandas schema metadata a pandas-block input (e.g. a previous
+    exchange's output) picks up on conversion is dropped: it makes the
+    block schema unhashable and the reducers log "Failed to hash the
+    schemas" per block."""
+    import pyarrow as pa
+
+    nb = n_buckets or default_buckets()
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        if prep is not None:
+            t = prep(t)
+        b = bucket_multi([t[k] for k in keys], nb)
+        return (t.replace_schema_metadata()
+                .append_column("__b", pa.array(b, pa.int32())))
+
+    return (ds.map_batches(add_bucket, batch_format="pyarrow")
+            .groupby("__b")
+            .map_groups(per_bucket, batch_format="pandas"))
 
 
 def bucket_array(values, n_buckets: int) -> np.ndarray:

@@ -611,10 +611,9 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
     k-means); the driver-table query seeds on vec_id order so the DuckDB
     oracle can reproduce the assignment exactly.  The pairwise verify is
     cluster-bounded — SemDeDup's core trick: O(sum_c n_c^2), not O(n^2)."""
-    from .partitioning import bucket_multi, default_buckets
+    from .partitioning import bucket_exchange, default_buckets
 
     S = S or max(2, int(np.ceil(np.sqrt(2 * default_buckets()))))
-    nb = n_buckets or default_buckets()
     seeds_ref = ray.put(seeds)
 
     def assign_rows(t: pa.Table) -> pa.Table:
@@ -654,10 +653,6 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
     markers = emb_ds.map_batches(assign_rows, batch_format="pyarrow") \
         .union(dups)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = bucket_multi([t["vec_id"]], nb)
-        return t.append_column("__b", pa.array(b, pa.int32()))
-
     def resolve(g: pd.DataFrame) -> pa.Table:
         agg = g.groupby("vec_id", as_index=False).agg(
             cluster=("cluster", "max"), ndup=("dup", "sum"))
@@ -668,8 +663,8 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
                              .astype(np.int64)),
         })
 
-    return (markers.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__b").map_groups(resolve, batch_format="pandas"))
+    return bucket_exchange(markers, ["vec_id"], resolve,
+                           n_buckets=n_buckets)
 
 
 # ---- distributed Lloyd's k-means over the FULL embedding corpus ------------

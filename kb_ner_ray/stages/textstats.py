@@ -250,7 +250,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import pandas as pd
     import ray
 
-    from .partitioning import bucket_array, default_buckets
+    from .partitioning import bucket_array, bucket_exchange, default_buckets
 
     nb = n_buckets or default_buckets()
     mc = int(min_count)
@@ -262,10 +262,8 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
 
     def count_partial(t: pa.Table) -> pa.Table:
         flat, _di, _len = _tokenize_batch(t, "text")
-        out = (pa.table({"tok": flat})
-               .group_by("tok").aggregate([("tok", "count")]))
-        return out.append_column(
-            "__b", pa.array(bucket_array(out["tok"], nb), pa.int32()))
+        return (pa.table({"tok": flat})
+                .group_by("tok").aggregate([("tok", "count")]))
 
     def count_final(g: pd.DataFrame) -> pa.Table:
         # Combine partials, then prune: rare-token mass collapses into ONE
@@ -288,10 +286,9 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
             "__b": pa.array([b] * len(toks), pa.int32()),
         })
 
-    counts_ds = (docs_ds.map_batches(count_partial, batch_format="pyarrow")
-                 .groupby("__b")
-                 .map_groups(count_final, batch_format="pandas")
-                 .materialize())
+    counts_ds = bucket_exchange(docs_ds, ["tok"], count_final,
+                                prep=count_partial,
+                                n_buckets=nb).materialize()
 
     # Tiny scalar pass: corpus token total + pruned (OOV) mass.  One row
     # per block reaches the driver regardless of vocabulary size.
@@ -481,7 +478,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import numpy as np
     import ray
 
-    from .partitioning import bucket_array, default_buckets
+    from .partitioning import bucket_array, bucket_exchange, default_buckets
     from .sparse import _tokenize_batch
 
     nb = n_buckets or default_buckets()
@@ -498,8 +495,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     def pair_partial(t: pa.Table) -> pa.Table:
         empty = pa.table({"a": pa.array([], pa.string()),
                           "b": pa.array([], pa.string()),
-                          "c": pa.array([], pa.int64()),
-                          "__b": pa.array([], pa.int32())})
+                          "c": pa.array([], pa.int64())})
         got = _pairs(t)
         if got is None:
             return empty
@@ -510,11 +506,10 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
 
         cnt = (pd.DataFrame({"a": a, "b": b})
                .groupby(["a", "b"], sort=False).size().reset_index(name="c"))
-        out = pa.table({"a": pa.array(cnt["a"].to_numpy(object), pa.string()),
-                        "b": pa.array(cnt["b"].to_numpy(object), pa.string()),
-                        "c": pa.array(cnt["c"].to_numpy(np.int64))})
-        return out.append_column(
-            "__b", pa.array(bucket_array(out["a"], nb), pa.int32()))
+        return pa.table({
+            "a": pa.array(cnt["a"].to_numpy(object), pa.string()),
+            "b": pa.array(cnt["b"].to_numpy(object), pa.string()),
+            "c": pa.array(cnt["c"].to_numpy(np.int64))})
 
     def reduce_context(g) -> pa.Table:
         import pandas as pd
@@ -542,10 +537,8 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
                              pa.float64()),
         })
 
-    model = (docs_ds.map_batches(pair_partial, batch_format="pyarrow")
-             .groupby("__b")
-             .map_groups(reduce_context, batch_format="pandas")
-             .materialize())
+    model = bucket_exchange(docs_ds, ["a"], reduce_context,
+                            prep=pair_partial, n_buckets=nb).materialize()
     mbytes = model.size_bytes() or 0
     if plan == "auto":
         plan = "broadcast" if mbytes <= max_model_bytes else "join"

@@ -96,6 +96,25 @@ def test_differential_event_ops(ray_session, seed):
             _run_pair(q, sf, {"events": events})
 
 
+def test_differential_decay_ns_timestamps(ray_session):
+    """events_decay_score over a ns-unit ts column with sub-microsecond
+    parts: the decay anchor (row-group statistics) and the per-row data
+    path both truncate to whole microseconds, as DuckDB's epoch_us does."""
+    rng = np.random.default_rng(300)
+    n = 300
+    ns = np.sort(rng.integers(0, 3_000_000 * 10**9, size=n))
+    ts = pd.Timestamp("2026-01-01") + pd.to_timedelta(ns, unit="ns")
+    assert ts.asi8[-1] % 1000  # the max itself has a sub-us part
+    events = pd.DataFrame({
+        "ts": ts,
+        "user_id": rng.integers(0, 25, size=n).astype(np.int64),
+        "value": rng.random(size=n) * 100,
+    })
+    with tempfile.TemporaryDirectory(prefix="diff_ns_") as sf:
+        events.to_parquet(f"{sf}/events.parquet", index=False)
+        _run_pair("events_decay_score", sf, {"events": events})
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_differential_embedding_ops(ray_session, seed):
     rng = np.random.default_rng(200 + seed)

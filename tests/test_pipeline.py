@@ -11,7 +11,7 @@ import ray
 from kb_ner_ray.data.oracle import run_oracle
 from kb_ner_ray.data.synth import generate_corpus
 from kb_ner_ray.functions.spans import span_prf
-from kb_ner_ray.stages.canonicalize import ApplyCanonical, compute_canonical_map
+from kb_ner_ray.stages.canonicalize import apply_canonical, compute_canonical_map
 from kb_ner_ray.stages.extract import extract_pages
 from kb_ner_ray.stages.sentences import explode_sentences
 from kb_ner_ray.stages.tagger import kernel_rows
@@ -85,8 +85,8 @@ def test_triples_conformance_ge_095(tiny_corpus, oracle_out, refs):
     raw = _kernel_ds(tiny_corpus, refs, "triples").materialize()
     canon = compute_canonical_map(raw, refs["ent_title"])
     final = raw.map_batches(
-        ApplyCanonical, fn_constructor_kwargs={"canon_ref": ray.put(canon)},
-        batch_format="pyarrow", concurrency=2)
+        apply_canonical, fn_kwargs={"canon_ref": ray.put(canon)},
+        batch_format="pyarrow")
     got = _rows(final.to_pandas(), KEY_COLS)
     want = _rows(oracle_out["triples"], KEY_COLS)
     p, r, f1, *_ = span_prf(want, got)

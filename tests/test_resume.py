@@ -5,6 +5,7 @@ import json
 import os
 
 import pyarrow as pa
+import pytest
 
 from kb_ner_ray.state.manifest import (
     input_fingerprint,
@@ -116,6 +117,42 @@ def test_resumable_run_recovers_from_crashed_write(tmp_path):
     key = ["subj", "pred", "obj", "url", "sent_id"]
     want = sorted(tuple(r.values()) for r in full.select(key).to_pylist())
     got = sorted(tuple(r.values()) for r in again.select(key).to_pylist())
+    assert got == want
+
+
+def test_resumable_run_survives_crashed_final_swap(tmp_path, monkeypatch):
+    """A crash during the final triples/ swap never loses the last
+    complete output, and the next run finishes the swap."""
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.run import load_final_triples, run_resumable
+
+    corpus = corpus_dir(0.001)
+    out = str(tmp_path / "run")
+    run_resumable(corpus, out, n_partitions=2)
+    key = ["subj", "pred", "obj", "url", "sent_id"]
+    want = sorted(tuple(r.values())
+                  for r in load_final_triples(out).select(key).to_pylist())
+
+    # every partition is skipped on the rerun, so only the swap calls it
+    def crash(src, dst):
+        raise OSError("injected crash in the final swap")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="injected crash"):
+            run_resumable(corpus, out, n_partitions=2)
+    # the crash hit between moving triples/ aside and swapping the new in
+    assert not os.path.exists(os.path.join(out, "triples"))
+    got = sorted(tuple(r.values())
+                 for r in load_final_triples(out).select(key).to_pylist())
+    assert got == want
+
+    r = run_resumable(corpus, out, n_partitions=2)
+    assert r["computed"] == []
+    assert os.path.isdir(os.path.join(out, "triples"))
+    assert not os.path.exists(os.path.join(out, "triples.old"))
+    got = sorted(tuple(r.values())
+                 for r in load_final_triples(out).select(key).to_pylist())
     assert got == want
 
 
