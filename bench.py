@@ -1,4 +1,7 @@
-"""Benchmark harness. Prints ONE JSON line.
+"""Benchmark harness.  Prints ONE compact JSON headline line (every
+scalar of the record, well under 2,000 characters) and writes the full
+record — per-query timings, row counts, band stats — to
+``bench_record.json`` beside this file.
 
     python bench.py              # headline run at $RAY_GRAFT_CPUS (def. 32)
     python bench.py --scaling    # same job at 8 and 32 CPUs in fresh
@@ -21,6 +24,8 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+RECORD_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "bench_record.json")
 
 # benched queries beyond the headline (name -> callable via queries registry)
 SIDE_QUERIES = [
@@ -74,6 +79,15 @@ SIDE_QUERIES = [
 ]
 
 
+def headline(result: dict) -> str:
+    """The stdout line: the record's scalars (and short scalar lists),
+    never its per-query dicts, so it stays far below 2,000 characters
+    however many queries are benched and survives a truncated log tail."""
+    head = {k: v for k, v in result.items() if not isinstance(v, dict)}
+    head["record"] = os.path.basename(RECORD_PATH)
+    return json.dumps(head, separators=(",", ":"))
+
+
 def _consume(res) -> int:
     """Fully execute a result and return its row count."""
     import ray
@@ -99,10 +113,11 @@ def run_bench() -> dict:
     if first["box_control_sec"] <= BOX_CONTROL_DEGRADED_SEC:
         return first
     time.sleep(90)  # let the episode pass (they are multi-minute)
-    out = subprocess.run(
+    subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--once"],
         env=dict(os.environ), capture_output=True, text=True, check=True)
-    second = json.loads(out.stdout.strip().splitlines()[-1])
+    with open(RECORD_PATH) as f:
+        second = json.load(f)
     best = min((first, second), key=lambda r: r["box_control_sec"])
     best["degraded_draw_retried"] = True
     best["box_control_both"] = [first["box_control_sec"],
@@ -343,4 +358,6 @@ if __name__ == "__main__":
         result = run_oracle()
     else:
         result = run_bench()
-    print(json.dumps(result))
+    with open(RECORD_PATH, "w") as f:
+        json.dump(result, f, indent=1)
+    print(headline(result))

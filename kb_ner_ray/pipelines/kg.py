@@ -93,10 +93,13 @@ def _sentences_batch_size(corpus: str) -> int:
     return int(max(256, min(2048, n_pages // (total * 12))))
 
 
-def sentences_dataset(corpus: str):
-    """pages -> sentences Dataset (url, sent_id, text, lang)."""
+def sentences_dataset(pages):
+    """pages -> sentences Dataset (url, sent_id, text, lang).  ``pages``
+    is a corpus directory (all of its pages/) or a list of page Parquet
+    files (one ``run_resumable`` partition)."""
+    paths = pages + "/pages" if isinstance(pages, str) else pages
     return (
-        ray.data.read_parquet(corpus + "/pages",
+        ray.data.read_parquet(paths,
                               columns=["url", "warc_ts", "html", "lang"])
         .map_batches(extract_pages, batch_format="pyarrow")
         .map_batches(explode_sentences, batch_format="pyarrow")

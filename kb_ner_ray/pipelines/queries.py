@@ -789,52 +789,25 @@ def q_orders_events_range_join(sf_dir: str):
     """RANGE (interval) join — a seat Ray Data lacks natively: per order,
     how many of the customer's events fall in [o_orderdate, o_orderdate +
     7 days).  Both sides co-partitioned on the customer key (one
-    all-to-all each), per-bucket vectorized searchsorted over the sorted
-    event timestamps — the standard interval-join decomposition; the
-    partitioning assumption (by-key co-location) is the documented
-    requirement."""
-    from ..stages.partitioning import bucket_array, default_buckets
+    ``co_partition`` all-to-all), per-bucket vectorized searchsorted over
+    the sorted event timestamps — the standard interval-join
+    decomposition; the partitioning assumption (by-key co-location) is
+    the documented requirement."""
+    from ..stages.partitioning import co_partition
 
-    nb = default_buckets()
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_custkey", "o_orderdate"])
     events = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def widen_orders(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["o_custkey"],
-            "o_orderkey": t["o_orderkey"],
-            "o_orderdate": t["o_orderdate"].cast(pa.timestamp("us")),
-            "ts": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "__side": pa.array(["L"] * t.num_rows, pa.string()),
-            "__b": pa.array(bucket_array(t["o_custkey"], nb), pa.int32()),
-        })
-
-    def widen_events(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t["user_id"],
-            "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
-            "o_orderdate": pa.nulls(t.num_rows, pa.timestamp("us")),
-            "ts": t["ts"].cast(pa.timestamp("us")),
-            "__side": pa.array(["R"] * t.num_rows, pa.string()),
-            "__b": pa.array(bucket_array(t["user_id"], nb), pa.int32()),
-        })
-
-    tagged = (orders.map_batches(widen_orders, batch_format="pyarrow")
-              .union(events.map_batches(widen_events,
-                                        batch_format="pyarrow")))
-
     horizon = np.timedelta64(RANGE_JOIN_DAYS, "D")
 
-    def count_in_range(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "L"]
-        rg = g[g["__side"] == "R"]
+    def count_in_range(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        lg, rg = lt.to_pandas(), rt.to_pandas()
         out_rows = []
         ev_by_user: dict = {}
-        for uid, sub in rg.groupby("key", sort=False):
+        for uid, sub in rg.groupby("user_id", sort=False):
             ev_by_user[uid] = np.sort(
                 sub["ts"].to_numpy().astype("datetime64[us]"))
-        for uid, sub in lg.groupby("key", sort=False):
+        for uid, sub in lg.groupby("o_custkey", sort=False):
             ts = ev_by_user.get(uid)
             starts = sub["o_orderdate"].to_numpy().astype("datetime64[us]")
             if ts is None or not len(ts):
@@ -844,7 +817,7 @@ def q_orders_events_range_join(sf_dir: str):
                 hi = np.searchsorted(ts, starts + horizon, side="left")
                 counts = (hi - lo).astype(np.int64)
             out_rows.append(pd.DataFrame({
-                "o_orderkey": sub["o_orderkey"].astype("int64"),
+                "o_orderkey": sub["o_orderkey"],
                 "n_events_7d": counts,
             }))
         if not out_rows:
@@ -853,8 +826,8 @@ def q_orders_events_range_join(sf_dir: str):
                 "n_events_7d": pd.Series([], dtype=np.int64)})
         return pd.concat(out_rows, ignore_index=True)
 
-    return (tagged.groupby("__b")
-            .map_groups(count_in_range, batch_format="pandas"))
+    return co_partition(orders, events, (["o_custkey"], ["user_id"]),
+                        count_in_range)
 
 
 SQL_RANGE_JOIN = f"""
@@ -2425,13 +2398,13 @@ def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
         })
 
     def phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "corpus_lang_stats.phase1")
+        check_group_cap(len(g), row_cap, "corpus_lang_stats.phase1")
         cnt = g.groupby(["lang", "tok"], as_index=False)["c"].sum()
         cnt["__b"] = g["__bs"].iloc[0] // ns
         return cnt.astype({"c": np.int64})
 
     def phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "corpus_lang_stats.phase2")
+        check_group_cap(len(g), row_cap, "corpus_lang_stats.phase2")
         cnt = g.groupby(["lang", "tok"], as_index=False)["c"].sum()
         agg = cnt.groupby("lang").agg(
             vocab=("tok", "size"),
@@ -2649,7 +2622,7 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
             "__bs", pa.array(b * ns + s, pa.int64()))
 
     def phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "token_postings.phase1")
+        check_group_cap(len(g), row_cap, "token_postings.phase1")
         g = (g.drop_duplicates(["tok", "doc_id"])
              .sort_values(["tok", "doc_id"], kind="mergesort"))
         grp = g.groupby("tok", sort=False)
@@ -2667,7 +2640,7 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
         return out
 
     def phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "token_postings.phase2")
+        check_group_cap(len(g), row_cap, "token_postings.phase2")
         df = g.groupby("tok", as_index=False)["df"].sum()
 
         def merge10(parts) -> str:

@@ -23,9 +23,10 @@ import pyarrow.parquet as pq
 import ray
 
 from ..stages.canonicalize import apply_canonical, compute_canonical_map
-from ..stages.extract import extract_pages
-from ..stages.sentences import explode_sentences
-# unused here; perfbench/layers.py patch_driver reads and patches this name
+# unused here; perfbench/layers.py patch_driver reads and patches these
+# names (the pages are read through kg.sentences_dataset)
+from ..stages.extract import extract_pages  # noqa: F401
+from ..stages.sentences import explode_sentences  # noqa: F401
 from ..stages.tagger import RetrieveTagTriples  # noqa: F401
 from ..state.manifest import (
     input_fingerprint,
@@ -33,7 +34,7 @@ from ..state.manifest import (
     read_manifests,
     write_partition_streamed,
 )
-from .kg import load_corpus_refs, raw_triples
+from .kg import load_corpus_refs, raw_triples, sentences_dataset
 
 
 def _partition_files(corpus: str, n_partitions: int) -> list[list[str]]:
@@ -43,17 +44,6 @@ def _partition_files(corpus: str, n_partitions: int) -> list[list[str]]:
     for i, f in enumerate(files):
         groups[i % n_partitions].append(f)
     return groups
-
-
-def _raw_triples_ds(files: list[str], corpus: str):
-    """Lazy partition pipeline — consumed ONLY by the streaming partition
-    writer; a partition's triples never ride through the driver."""
-    sents = (
-        ray.data.read_parquet(files, columns=["url", "warc_ts", "html", "lang"])
-        .map_batches(extract_pages, batch_format="pyarrow")
-        .map_batches(explode_sentences, batch_format="pyarrow")
-    )
-    return raw_triples(sents, corpus)
 
 
 def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
@@ -68,7 +58,9 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
         if partition_done(raw_dir, part_id, fp):
             skipped.append(part_id)
             continue
-        ds = _raw_triples_ds(files, corpus)
+        # lazy: a partition's triples stream into the writer and never
+        # ride through the driver
+        ds = raw_triples(sentences_dataset(files), corpus)
         write_partition_streamed(raw_dir, part_id, ds, fp)
         computed.append(part_id)
 

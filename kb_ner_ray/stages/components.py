@@ -254,59 +254,20 @@ def near_dup_keep(docs_ds, pairs_ds, id_col: str = "doc_id",
     through untouched.  One bucketed anti-join of the docs against the
     drop-set (component members with node != component) — exact: a Bloom
     prefilter is unsound for ANTI semantics (joins.py)."""
-    from .partitioning import ensure_arrow
+    from .joins import semi_join
 
     nb = n_buckets or default_buckets()
     comps = components_from_pairs(pairs_ds, a_col=a_col, b_col=b_col,
                                   n_buckets=nb)
 
-    docs_ds, schema = ensure_arrow(docs_ds)
-    doc_cols = list(schema.names)
-    doc_types = dict(zip(schema.names, schema.types))
-
     def drops(t: pa.Table) -> pa.Table:
-        node = np.asarray(t["node"].to_numpy(zero_copy_only=False), np.int64)
-        comp = np.asarray(t["component"].to_numpy(zero_copy_only=False),
-                          np.int64)
-        d = node[node != comp]
-        n = len(d)
-        arrays, names = [], []
-        for c in doc_cols:
-            names.append(c)
-            arrays.append(pa.array(d, pa.int64()) if c == id_col
-                          else pa.nulls(n, doc_types[c]))
-        names += ["__side", "__b"]
-        arrays += [pa.array(["R"] * n, pa.string()),
-                   pa.array(bucket_array(d, nb), pa.int32())]
-        return pa.Table.from_arrays(arrays, names=names)
-
-    def widen_docs(t: pa.Table) -> pa.Table:
-        arrays = [t[c] for c in doc_cols]
-        names = list(doc_cols) + ["__side", "__b"]
-        arrays += [pa.array(["L"] * t.num_rows, pa.string()),
-                   pa.array(bucket_array(t[id_col], nb), pa.int32())]
-        return pa.Table.from_arrays(arrays, names=names)
-
-    tagged = (docs_ds.map_batches(widen_docs, batch_format="pyarrow")
-              .union(comps.map_batches(drops, batch_format="pyarrow")))
-
-    # the per-bucket anti-filter runs ARROW-NATIVE: a pandas conversion
-    # would widen every nullable int column to float64 (the R drop-set
-    # rows carry nulls), silently ROUNDING int64 values above 2^53 —
-    # a cast back to int64 after the fact cannot restore them (round-3
-    # advice, re-confirmed by repro this round).  Arrow int64 + nulls
-    # stays int64, so values pass through bit-exact.
-    def filter_bucket(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        lg = g.filter(pc.equal(g["__side"], "L"))
-        dropped = g.filter(pc.equal(g["__side"], "R"))[id_col]
-        dropped = dropped.combine_chunks().unique()
-        keep = pc.invert(pc.is_in(lg[id_col], value_set=dropped))
-        return lg.filter(keep).select(doc_cols)
+        return t.filter(pc.not_equal(t["node"], t["component"]))
 
-    return tagged.groupby("__b").map_groups(filter_bucket,
-                                            batch_format="pyarrow")
+    dropped = comps.map_batches(drops, batch_format="pyarrow")
+    return semi_join(docs_ds, dropped, on=id_col, right_on="node",
+                     n_buckets=nb, anti=True)
 
 
 def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
@@ -568,7 +529,7 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     import pandas as pd
     import ray.data as rd
 
-    from .partitioning import bucket_multi, default_buckets
+    from .partitioning import bucket_multi, co_partition, default_buckets
 
     nb = n_buckets or default_buckets()
     edges = pairs_ds.select_columns([a_col, b_col]).materialize()
@@ -599,46 +560,25 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         return out.rename(columns={"c": "deg"})
 
     deg = (edges.map_batches(deg_partial, batch_format="pyarrow")
-           .groupby("__b").map_groups(deg_final, batch_format="pandas"))
+           .groupby("__b").map_groups(deg_final, batch_format="pandas")
+           .materialize())
 
-    # rank join: edge rows + degree rows co-bucketed on the endpoint.
-    # Both union sides carry the SAME null-widened int64 column set
-    # (edge_cols + __deg), and the in-bucket merge restores int64.
-    def _rank_join(edge_ds, edge_cols: list, key: str, out_name: str):
-        def tag_edge(t: pa.Table) -> pa.Table:
-            arrays = [t[c] for c in edge_cols]
-            arrays.append(pa.nulls(t.num_rows, pa.int64()))
-            out = pa.Table.from_arrays(arrays, names=edge_cols + ["__deg"])
-            return out.append_column(
-                "__b", pa.array(bucket_multi([t[key]], nb), pa.int32()))
+    # rank join: edge rows meet their endpoint's degree row in one
+    # co-partitioned bucket.  deg and each join's output are materialized:
+    # co_partition reads both sides' schemas up front, which on a lazy
+    # shuffle output would run that shuffle twice.
+    def _rank_join(edge_ds, key: str, out_name: str):
+        def join(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+            dsub = (rt.to_pandas().drop_duplicates("node")
+                    .rename(columns={"node": key, "deg": out_name}))
+            out = lt.to_pandas().merge(dsub, on=key, how="left")
+            return out.astype({c: np.int64 for c in out.columns})
 
-        def tag_deg(t: pa.Table) -> pa.Table:
-            arrays = [t["node"] if c == key else pa.nulls(t.num_rows,
-                                                          pa.int64())
-                      for c in edge_cols]
-            arrays.append(t["deg"])
-            out = pa.Table.from_arrays(arrays, names=edge_cols + ["__deg"])
-            return out.append_column(
-                "__b", pa.array(bucket_multi([t["node"]], nb), pa.int32()))
+        return co_partition(edge_ds, deg, ([key], ["node"]), join,
+                            n_buckets=nb).materialize()
 
-        def join(g: pd.DataFrame) -> pd.DataFrame:
-            dsub = (g[g["__deg"].notna()][[key, "__deg"]]
-                    .drop_duplicates(key))
-            esub = g[g["__deg"].isna()][edge_cols]
-            out = esub.merge(dsub, on=key, how="left")
-            out = out.rename(columns={"__deg": out_name})
-            for c in edge_cols + [out_name]:
-                out[c] = out[c].astype(np.int64)
-            return out
-
-        tagged = (edge_ds.map_batches(tag_edge, batch_format="pyarrow")
-                  .union(deg.map_batches(tag_deg, batch_format="pyarrow")))
-        return tagged.groupby("__b").map_groups(join,
-                                                batch_format="pandas")
-
-    with_da = _rank_join(edges, [a_col, b_col], a_col, "deg_a")
-    oriented_in = _rank_join(with_da, [a_col, b_col, "deg_a"], b_col,
-                             "deg_b")
+    with_da = _rank_join(edges, a_col, "deg_a")
+    oriented_in = _rank_join(with_da, b_col, "deg_b")
 
     def orient(t: pa.Table) -> pa.Table:
         a = t[a_col].to_numpy().astype(np.int64)

@@ -1203,6 +1203,7 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
     from .partitioning import (
         bucket_array,
         check_group_cap,
+        co_partition,
         default_buckets,
         default_salts,
     )
@@ -1233,7 +1234,6 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
             "idx": pa.array(idx[keepm]),
             "line": pa.array(line, pa.string()),
             "__k": pa.array(lb * ns + st),
-            "__side": pa.array(np.zeros(len(line), np.int8)),
         })
 
     def sentinel(t: pa.Table) -> pa.Table:
@@ -1241,13 +1241,8 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
         _ls, _flat, par, keepm = _split(t)
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         n_nz = np.bincount(par[keepm], minlength=len(t)).astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids.astype(np.int64)),
-            "idx": pa.array(n_nz),
-            "line": pa.nulls(len(t), pa.string()),
-            "__k": pa.array(bucket_array(ids, nb).astype(np.int64)),
-            "__side": pa.array(np.ones(len(t), np.int8)),
-        })
+        return pa.table({"doc_id": pa.array(ids.astype(np.int64)),
+                         "n_lines": pa.array(n_nz)})
 
     src = docs_ds.select_columns(["doc_id", "text"])
     lines = src.map_batches(explode, batch_format="pyarrow")
@@ -1257,7 +1252,7 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
         # one (line-bucket, salt) group: keep the salt-local min
         # (doc_id, idx) per line — everything else is a duplicate
         # regardless of the global winner
-        check_group_cap(g, row_cap, "line_dedup.salt_min")
+        check_group_cap(len(g), row_cap, "line_dedup.salt_min")
         out = (g.sort_values(["line", "doc_id", "idx"], kind="mergesort")
                .drop_duplicates("line"))
         out = out.copy()
@@ -1267,34 +1262,32 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
 
     def global_min(g: pd.DataFrame) -> pa.Table:
         # <= n_salts candidate rows per line: elect the global winner
-        # (arrow output so the union with the arrow sentinel blocks is
-        # block-type-homogeneous)
-        check_group_cap(g, row_cap, "line_dedup.global_min")
+        check_group_cap(len(g), row_cap, "line_dedup.global_min")
         out = (g.sort_values(["line", "doc_id", "idx"], kind="mergesort")
                .drop_duplicates("line"))
         return pa.table({
             "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
             "idx": pa.array(out["idx"].to_numpy(np.int64)),
             "line": pa.array(out["line"].to_numpy(object), pa.string()),
-            "__k": pa.array(bucket_array(out["doc_id"].to_numpy(np.int64),
-                                         nb).astype(np.int64)),
-            "__side": pa.array(np.zeros(len(out), np.int8)),
         })
 
+    # materialized: co_partition reads its schema up front, which on the
+    # lazy two-shuffle chain would run both shuffles twice
     winners = (lines
                .groupby("__k").map_groups(salt_min, batch_format="pandas")
                .groupby("__k").map_groups(global_min,
-                                          batch_format="pandas"))
+                                          batch_format="pandas")
+               .materialize())
 
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        sent = g[g["__side"] == 1]
-        kept = g[g["__side"] == 0].sort_values(["doc_id", "idx"])
+    def rebuild(wt: pa.Table, st: pa.Table) -> pd.DataFrame:
+        sent = st.to_pandas()
+        kept = wt.to_pandas().sort_values(["doc_id", "idx"])
         texts = {k: "\n".join(v["line"])
                  for k, v in kept.groupby("doc_id", sort=False)}
         n_kept = (kept.groupby("doc_id", sort=False).size()
                   if len(kept) else pd.Series(dtype=np.int64))
         ids = sent["doc_id"].to_numpy(np.int64)
-        n_lines = sent["idx"].to_numpy(np.int64)
+        n_lines = sent["n_lines"].to_numpy(np.int64)
         nk = np.asarray([int(n_kept.get(i, 0)) for i in ids], np.int64)
         out = pd.DataFrame({
             "doc_id": ids,
@@ -1304,8 +1297,8 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
         out.insert(1, "text", [texts.get(int(i), "") for i in ids])
         return out
 
-    return (winners.union(sentinels)
-            .groupby("__k").map_groups(rebuild, batch_format="pandas"))
+    return co_partition(winners, sentinels, (["doc_id"], ["doc_id"]),
+                        rebuild, n_buckets=nb)
 
 
 def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,

@@ -1,14 +1,19 @@
-"""Generic bucketed hash join — the scale path behind every
+"""Generic bucketed joins — the scale path behind every
 "broadcast-small-side" join in this repo (SURVEY.md §2.4).
 
-When neither side fits in a broadcast, co-partition BOTH sides on
-``hash(key) % n_buckets`` (a fixed-width shuffle key, like the dedup
-operators), union them with a side tag, and merge each bucket with pandas.
-ONE all-to-all on the coarse bucket key; within-bucket merge is vectorized.
+When neither side fits in a broadcast, both sides co-partition on
+``hash(key) % n_buckets`` through ``partitioning.co_partition`` (the one
+two-input exchange: ONE all-to-all on the coarse bucket key) and each
+bucket finishes locally — a vectorized pandas merge / ``merge_asof`` or
+an Arrow ``is_in`` filter.  Every side arrives with its own exact Arrow
+schema; pandas views keep integer columns nullable (``_frame``), so an
+unmatched row never floats an int64 column.
 
 The broadcast joins stay the right choice when one side is
-vocabulary-sized; this operator is the documented fallback and is
-exact-oracled via the orders_lineitem_bucketed query.
+vocabulary-sized; these operators are the documented fallback, exact-
+oracled through the registered queries that reach them
+(revenue_by_nation, customer_activity_left, activity_reconcile_outer,
+customers_with_orders, near_dup_keep, ...).
 """
 
 from __future__ import annotations
@@ -16,11 +21,29 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from .partitioning import bucket_array, default_buckets
+from .partitioning import co_partition
 
 # Probe-side chunk size for the in-bucket merge (see merge_bucket): bounds
 # the pandas hash-merge intermediate when a bucket is oversized.
 MERGE_CHUNK_ROWS = 1 << 18
+
+_NULLABLE_INT = {pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+                 pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype()}
+
+
+def _frame(t: pa.Table) -> pd.DataFrame:
+    """pandas view of one co-partition side, integer columns as nullable
+    extension dtypes: a merge's unmatched rows then hold <NA>, never a
+    NaN that floats (and above 2^53 rounds) the whole column."""
+    return t.to_pandas(types_mapper=_NULLABLE_INT.get)
+
+
+def _table(df: pd.DataFrame, fields) -> pa.Table:
+    """Arrow table of ``df`` with exactly ``fields``, minus the pandas
+    metadata (it would turn the nullable dtypes back on downstream)."""
+    schema = pa.schema(fields)
+    return pa.Table.from_pandas(df[schema.names], schema=schema,
+                                preserve_index=False).replace_schema_metadata()
 
 
 def hash_join(left_ds, right_ds, on: str, n_buckets: int | None = None,
@@ -28,52 +51,20 @@ def hash_join(left_ds, right_ds, on: str, n_buckets: int | None = None,
     """Dataset x Dataset equi-join on ``on``.
 
     Non-key column names must be disjoint between the sides (no suffixing —
-    keep the dataflow explicit).  Returns a Dataset with L ∪ R columns.
+    keep the dataflow explicit).  Returns a Dataset with L ∪ R columns,
+    each with its input Arrow type (nullable where ``how`` leaves a side
+    unmatched).
     """
-    from .partitioning import ensure_arrow
-
-    if n_buckets is None:
-        n_buckets = default_buckets()
-    left_ds, left_schema = ensure_arrow(left_ds)
-    right_ds, right_schema = ensure_arrow(right_ds)
-    l_cols = list(left_schema.names)
-    r_cols = list(right_schema.names)
-    overlap = (set(l_cols) & set(r_cols)) - {on}
+    if how not in ("inner", "left", "outer"):
+        raise ValueError(f"unsupported how={how!r} (inner/left/outer only)")
+    overlap = (set(left_ds.schema().names)
+               & set(right_ds.schema().names)) - {on}
     if overlap:
         raise ValueError(f"non-key column collision: {sorted(overlap)}")
-    l_types = dict(zip(left_schema.names, left_schema.types))
-    r_types = dict(zip(right_schema.names, right_schema.types))
-    all_cols = l_cols + [c for c in r_cols if c != on]
-    types = {**r_types, **l_types}
+    lhow = "left" if how == "outer" else how
 
-    def widen(side: str):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            arrays, names = [], []
-            for c in all_cols:
-                names.append(c)
-                if c in t.column_names:
-                    arrays.append(t[c])
-                else:
-                    arrays.append(pa.nulls(n, types[c]))
-            names.append("__side")
-            arrays.append(pa.array([side] * n, pa.string()))
-            names.append("__bucket")
-            arrays.append(pa.array(bucket_array(t[on], n_buckets),
-                                   pa.int32()))
-            return pa.Table.from_arrays(arrays, names=names)
-        return f
-
-    tagged = (left_ds.map_batches(widen("L"), batch_format="pyarrow")
-              .union(right_ds.map_batches(widen("R"), batch_format="pyarrow")))
-
-    l_out = l_cols
-    r_out = [c for c in r_cols if c != on]
-    int_cols = [c for c, t in types.items() if pa.types.is_integer(t)]
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "L"][l_out]
-        rg = g[g["__side"] == "R"][[on] + r_out]
+    def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lg, rg = _frame(lt), _frame(rt)
         # Sub-batch the probe side: a bucket is ~corpus/fan-out rows, and
         # pandas' hash merge spikes to build-table + full-output at once.
         # Chunking the left (probe) frame bounds the per-merge working set
@@ -83,44 +74,22 @@ def hash_join(left_ds, right_ds, on: str, n_buckets: int | None = None,
         # right rows whose key appears in NO left row (computed once per
         # bucket with a vectorized isin — co-partitioning guarantees a
         # key's rows are all in this bucket).
-        if how not in ("inner", "left", "outer"):
-            raise ValueError(
-                f"unsupported how={how!r} (inner/left/outer only)")
-        lhow = "left" if how == "outer" else how
         if len(lg) <= MERGE_CHUNK_ROWS:
             joined = lg.merge(rg, on=on, how=lhow)
         else:
-            import numpy as np
-
             joined = pd.concat(
-                [c.merge(rg, on=on, how=lhow) for c in np.array_split(
-                    lg, -(-len(lg) // MERGE_CHUNK_ROWS))],
+                [lg.iloc[i:i + MERGE_CHUNK_ROWS].merge(rg, on=on, how=lhow)
+                 for i in range(0, len(lg), MERGE_CHUNK_ROWS)],
                 ignore_index=True)
         if how == "outer":
             r_only = rg[~rg[on].isin(lg[on])]
             if len(r_only):
                 joined = pd.concat([joined, r_only], ignore_index=True)
-        # the null-widened union floats integer columns; restore dtypes
-        for c in int_cols:
-            if c in joined.columns and joined[c].notna().all():
-                joined[c] = joined[c].astype("int64")
-        return joined[all_cols]
+        return _table(joined, list(lt.schema)
+                      + [f for f in rt.schema if f.name != on])
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
-
-
-def _tag_and_bucket(ds, key: str, side: str, cols: list[str],
-                    n_buckets: int):
-    """Project to ``cols``, add __side/__bucket (bucket on ``key``)."""
-    def f(t: pa.Table) -> pa.Table:
-        arrays = [t[c] for c in cols]
-        names = list(cols)
-        names += ["__side", "__bucket"]
-        arrays += [pa.array([side] * t.num_rows, pa.string()),
-                   pa.array(bucket_array(t[key], n_buckets), pa.int32())]
-        return pa.Table.from_arrays(arrays, names=names)
-    return ds.map_batches(f, batch_format="pyarrow")
+    return co_partition(left_ds, right_ds, ([on], [on]), merge_bucket,
+                        n_buckets=n_buckets)
 
 
 def asof_join(left_ds, right_ds, left_ts: str, right_ts: str,
@@ -131,67 +100,35 @@ def asof_join(left_ds, right_ds, left_ts: str, right_ts: str,
 
     Both sides are co-partitioned on ``hash(by_key) % n_buckets`` (every
     left row and all its candidate right rows land in the same bucket, so
-    the per-bucket ``merge_asof`` is exact), unioned with a side tag, and
-    each bucket runs ONE vectorized ``pd.merge_asof`` after an in-bucket
-    sort.  One all-to-all on the coarse bucket key; no side is broadcast —
-    this replaces the full-right-frame broadcast that round 1 flagged as
-    un-broadcastable at 100 TB.
+    the per-bucket ``merge_asof`` is exact), and each bucket runs ONE
+    vectorized ``pd.merge_asof`` after an in-bucket sort.  One all-to-all
+    on the coarse bucket key; no side is broadcast — this replaces the
+    full-right-frame broadcast that round 1 flagged as un-broadcastable
+    at 100 TB.
 
-    Output: left columns + right's non-by columns (``right_ts`` included).
-    Non-key column names must be disjoint.
+    Output: left columns + right's non-by columns (``right_ts`` included,
+    typed like ``left_ts``).  Non-key column names must be disjoint.
     """
-    from .partitioning import ensure_arrow
-
-    if n_buckets is None:
-        n_buckets = default_buckets()
-    left_ds, l_schema = ensure_arrow(left_ds)
-    right_ds, r_schema = ensure_arrow(right_ds)
-    l_cols, r_cols = list(l_schema.names), list(r_schema.names)
-    overlap = set(l_cols) & set(r_cols)
+    overlap = set(left_ds.schema().names) & set(right_ds.schema().names)
     if overlap:
         raise ValueError(f"column collision: {sorted(overlap)}")
-    types = {**dict(zip(r_schema.names, r_schema.types)),
-             **dict(zip(l_schema.names, l_schema.types))}
-    by_type = dict(zip(l_schema.names, l_schema.types))[left_by]
-    all_cols = l_cols + [c for c in r_cols if c != right_by]
 
-    def widen(side: str, key: str):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            arrays, names = [], []
-            for c in all_cols:
-                names.append(c)
-                arrays.append(t[c] if c in t.column_names
-                              else pa.nulls(n, types[c]))
-            names += ["__by", "__side", "__bucket"]
-            arrays += [t[key].cast(by_type),
-                       pa.array([side] * n, pa.string()),
-                       pa.array(bucket_array(t[key], n_buckets), pa.int32())]
-            return pa.Table.from_arrays(arrays, names=names)
-        return f
-
-    tagged = (left_ds.map_batches(widen("L", left_by), batch_format="pyarrow")
-              .union(right_ds.map_batches(widen("R", right_by),
-                                          batch_format="pyarrow")))
-    r_out = [c for c in r_cols if c != right_by]
-    int_cols = [c for c, tp in types.items() if pa.types.is_integer(tp)]
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "L"][l_cols + ["__by"]].sort_values(left_ts)
-        rg = g[g["__side"] == "R"][r_out + ["__by"]].copy()
-        # the null-widened union floats the right ts; restore for merge_asof
+    def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lg = _frame(lt).sort_values(left_ts)
+        rg = _frame(rt)
         rg[right_ts] = rg[right_ts].astype(lg[left_ts].dtype)
-        rg = rg.sort_values(right_ts)
-        merged = pd.merge_asof(lg, rg, left_on=left_ts, right_on=right_ts,
-                               by="__by", direction=direction)
-        merged = merged[all_cols]
-        for c in int_cols:  # un-float null-widened integer columns
-            if c in merged.columns and merged[c].notna().all():
-                merged[c] = merged[c].astype("int64")
-        return merged
+        rg[right_by] = rg[right_by].astype(lg[left_by].dtype)
+        merged = pd.merge_asof(lg, rg.sort_values(right_ts),
+                               left_on=left_ts, right_on=right_ts,
+                               left_by=left_by, right_by=right_by,
+                               direction=direction)
+        ts_type = lt.schema.field(left_ts).type
+        return _table(merged, list(lt.schema) + [
+            pa.field(f.name, ts_type) if f.name == right_ts else f
+            for f in rt.schema if f.name != right_by])
 
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+    return co_partition(left_ds, right_ds, ([left_by], [right_by]),
+                        merge_bucket, n_buckets=n_buckets)
 
 
 def _build_bloom(keys_ds, col: str, n_bits: int):
@@ -235,11 +172,9 @@ def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
     """Bucketed SEMI (or ANTI) join: keep left rows whose key does (not)
     appear on the right.  Right side is projected to its key column, both
     sides co-partitioned on ``hash(key) % n_buckets``, per-bucket filter is
-    a vectorized ``isin``.  The scale path for the broadcast key-set semi
+    one Arrow ``is_in``.  The scale path for the broadcast key-set semi
     joins (key sets stop being broadcastable when the right side is a fact
     table)."""
-    if n_buckets is None:
-        n_buckets = default_buckets()
     right_on = right_on or on
     if bloom_prefilter:
         # Bloom has no false NEGATIVES, so dropping definitely-absent left
@@ -262,42 +197,14 @@ def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
             return t.filter(pa.array(bf.contains_many(t[on])))
 
         left_ds = left_ds.map_batches(prefilter, batch_format="pyarrow")
-    from .partitioning import ensure_arrow
 
-    left_ds, l_schema = ensure_arrow(left_ds)
-    l_cols = list(l_schema.names)
-    l_types = dict(zip(l_schema.names, l_schema.types))
+    def filter_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-    def widen_right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        arrays = [t[right_on].cast(l_types[on]) if c == on
-                  else pa.nulls(n, l_types[c]) for c in l_cols]
-        names = list(l_cols) + ["__side", "__bucket"]
-        arrays += [pa.array(["R"] * n, pa.string()),
-                   pa.array(bucket_array(t[right_on], n_buckets), pa.int32())]
-        return pa.Table.from_arrays(arrays, names=names)
+        keys = rt[right_on].cast(lt.schema.field(on).type)
+        keep = pc.is_in(lt[on], value_set=keys.combine_chunks().unique())
+        return lt.filter(pc.invert(keep) if anti else keep)
 
-    tagged = (_tag_and_bucket(left_ds, on, "L", l_cols, n_buckets)
-              .union(right_ds.select_columns([right_on])
-                     .map_batches(widen_right, batch_format="pyarrow")))
-
-    int_cols = [c for c, tp in l_types.items() if pa.types.is_integer(tp)]
-
-    def filter_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "L"]
-        keys = g.loc[g["__side"] == "R", on].unique()
-        keep = lg[on].isin(keys)
-        out = lg.loc[~keep if anti else keep, l_cols].copy()
-        if not len(out):
-            # typed empty Arrow block: an empty object-dtype pandas frame
-            # trips Ray's block-size estimator ("cannot call `vectorize`
-            # on size 0 inputs") on every string column
-            return pa.Table.from_arrays(
-                [pa.array([], l_types[c]) for c in l_cols], names=l_cols)
-        for c in int_cols:  # un-float null-widened integer columns
-            if out[c].notna().all():
-                out[c] = out[c].astype("int64")
-        return out
-
-    return tagged.groupby("__bucket").map_groups(filter_bucket,
-                                                 batch_format="pandas")
+    return co_partition(left_ds, right_ds.select_columns([right_on]),
+                        ([on], [right_on]), filter_bucket,
+                        n_buckets=n_buckets)

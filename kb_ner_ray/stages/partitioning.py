@@ -1,12 +1,16 @@
-"""Shared partitioning helpers: cluster-derived bucket fan-outs and
-vectorized deterministic key->bucket hashing.
+"""Shared partitioning helpers: cluster-derived bucket fan-outs,
+vectorized deterministic key->bucket hashing, and the two exchanges
+every bucketed operator shuffles through.
 
 Round-1 verdict flagged the fixed fan-out constants (32 salt buckets, 32
 session buckets, 64 key buckets): fine at 32 CPUs, but they cap reducer
 parallelism on a bigger cluster.  Every bucketed operator now derives its
 fan-out from ``ray.cluster_resources()`` at pipeline-build time, so a
 256-node cluster gets proportionally more reducers with no code change.
-Every single-input bucketed operator shuffles through ``bucket_exchange``.
+Every single-input bucketed operator shuffles through ``bucket_exchange``;
+every two-input co-partition (joins, build/probe plans, rebuilds) goes
+through ``co_partition``, which hands each bucket both sides as Arrow
+tables with their own exact schemas.
 """
 
 from __future__ import annotations
@@ -134,6 +138,70 @@ def bucket_exchange(ds, keys, per_bucket, *, prep=None,
             .map_groups(per_bucket, batch_format="pandas"))
 
 
+def co_partition(left, right, keys, per_bucket, *,
+                 n_buckets: int | None = None, salt=None):
+    """THE two-input hash-bucket exchange: each side's rows bucket on
+    ``bucket_multi`` of that side's own key columns (``keys`` is the
+    pair ``(left_keys, right_keys)``; the names may differ), ONE union +
+    ONE shuffle co-locates a key's rows from both sides, and
+    ``per_bucket(lt, rt)`` finishes the bucket.  ``lt``/``rt`` are
+    pyarrow tables holding exactly their side's columns with their
+    side's types — either may have zero rows, never a wrong schema.
+
+    The exchange carries each side under its own prefixed column names
+    (the other side's slots are typed nulls), and the split back happens
+    in Arrow, so nothing is ever null-widened through pandas: int64
+    values above 2^53 arrive bit-exact, and the sides may share
+    non-key column names.
+
+    ``salt=(col, ns)`` is the replicated-build plan for a Zipf-hot key:
+    left (probe) rows add ``bucket_array(left[col], ns)`` to their group
+    id ``bucket * ns + salt``, and every right (build) row is replicated
+    once per salt, so a hot key's probe mass splits ~ns ways while every
+    probe row still meets its build rows.  Without a salt the group id
+    is the bucket, which for a single key equals ``bucket_array(key,
+    nb)``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    nb = n_buckets or default_buckets()
+    ns = salt[1] if salt else 1
+    (lds, lschema), (rds, rschema) = (ensure_arrow(ds)
+                                      for ds in (left, right))
+    schemas = (lschema, rschema)  # workers get these, not the datasets
+    names = [f"{i}.{c}" for i, schema in enumerate(schemas)
+             for c in schema.names] + ["__side", "__b"]
+
+    def tag(i: int):
+        def tag_rows(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            g = bucket_multi([t[k] for k in keys[i]], nb).astype(np.int64)
+            g *= ns
+            if salt and i == 0:
+                g += bucket_array(t[salt[0]], ns)
+            elif salt:
+                t = t.take(np.repeat(np.arange(n), ns))
+                g = np.repeat(g, ns) + np.tile(np.arange(ns), n)
+                n *= ns
+            cols = [t[f.name] if j == i else pa.nulls(n, f.type)
+                    for j, schema in enumerate(schemas) for f in schema]
+            cols += [pa.array(np.full(n, i, np.int8)), pa.array(g)]
+            return pa.Table.from_arrays(cols, names=names)
+        return tag_rows
+
+    def split(g: pa.Table):
+        lt, rt = (g.filter(pc.equal(g["__side"], i))
+                  .select([f"{i}.{c}" for c in schema.names])
+                  .rename_columns(schema.names).cast(schema)
+                  for i, schema in enumerate(schemas))
+        return per_bucket(lt, rt)
+
+    return (lds.map_batches(tag(0), batch_format="pyarrow")
+            .union(rds.map_batches(tag(1), batch_format="pyarrow"))
+            .groupby("__b")
+            .map_groups(split, batch_format="pyarrow"))
+
+
 def bucket_array(values, n_buckets: int) -> np.ndarray:
     """Deterministic vectorized bucket ids for an Arrow array / ChunkedArray
     / numpy array of ints or strings (pandas' SipHash; stable across
@@ -161,32 +229,32 @@ def default_salts(cap: int = 64) -> int:
     return min(cap, default_buckets())
 
 
-def check_group_cap(g, row_cap: int | None, site: str) -> None:
+def check_group_cap(n_rows: int, row_cap: int | None, site: str) -> None:
     """Optional reducer-group row-cap assertion (the planted-hot-token
     tests pass a cap; production leaves it None).  Raising here means a
     salted two-phase reduce failed to bound its phase-1 group — a bug,
     not a data problem."""
-    if row_cap is not None and len(g) > row_cap:
+    if row_cap is not None and n_rows > row_cap:
         raise AssertionError(
-            f"{site}: reducer group holds {len(g)} rows "
+            f"{site}: reducer group holds {n_rows} rows "
             f"(> cap {row_cap}) — salting failed to spread a hot key")
 
 
 def ensure_arrow(ds):
-    """(ds, schema) with a guaranteed pyarrow schema.
+    """(ds, pyarrow schema) — ``co_partition`` types the other side's
+    null slots from it.
 
     Datasets whose upstream stage returned pandas blocks report a
-    PandasBlockSchema (numpy/python types); operators that null-widen
-    with ``pa.nulls(n, type)`` need real Arrow types, so such inputs are
-    rewrapped through an identity Arrow map_batches first (zero-copy for
-    columns Arrow can represent)."""
+    PandasBlockSchema (numpy/python types), so such inputs are rewrapped
+    through an identity Arrow map_batches first (zero-copy for columns
+    Arrow can represent)."""
     import pyarrow as pa
 
     schema = ds.schema()
-    if all(isinstance(t, pa.DataType) for t in schema.types):
-        return ds, schema
-    ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
-    return ds, ds.schema()
+    if not all(isinstance(t, pa.DataType) for t in schema.types):
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        schema = ds.schema()
+    return ds, pa.schema(list(zip(schema.names, schema.types)))
 
 
 def deterministic_shuffle(ds, id_col: str = "doc_id",

@@ -226,7 +226,7 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     key space is UNBOUNDED (token vocab) — contrast bm25_search, where
     only the small query vocabulary matters and df partials fit the
     bounded-combiner contract."""
-    from .partitioning import (bucket_array, check_group_cap,
+    from .partitioning import (bucket_array, check_group_cap, co_partition,
                                default_buckets, default_salts)
 
     nb = default_buckets()
@@ -261,13 +261,13 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
             pa.array(b * ns + pdf["__s"].to_numpy(np.int64), pa.int64()))
 
     def df_phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "tfidf.df_phase1")
+        check_group_cap(len(g), row_cap, "tfidf.df_phase1")
         out = g.groupby("tok", as_index=False)["dfp"].sum()
         out["__b"] = g["__bs"].iloc[0] // ns
         return out.astype({"dfp": np.int64})
 
     def df_phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "tfidf.df_phase2")
+        check_group_cap(len(g), row_cap, "tfidf.df_phase2")
         out = g.groupby("tok", as_index=False)["dfp"].sum()
         return out.rename(columns={"dfp": "df"}).astype({"df": np.int64})
 
@@ -325,37 +325,10 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
                 .groupby("__d").map_groups(topk_bucket,
                                            batch_format="pandas"))
 
-    # join plan: probe rows salt on hash(doc) % ns, build rows replicate
-    def probe_rows(t: pa.Table) -> pd.DataFrame:
-        tf = tf_rows(t)
-        b = bucket_array(tf["tok"].to_numpy(object), nb).astype(np.int64)
-        from .partitioning import bucket_array as _ba
-
-        s = _ba(tf["doc_id"].to_numpy(np.int64), ns).astype(np.int64)
-        tf["__j"] = b * ns + s
-        tf["df"] = np.int64(0)  # schema-align with the build side
-        tf["__side"] = np.int8(0)
-        return tf
-
-    def build_rows(t: pa.Table) -> pd.DataFrame:
-        base = t.to_pandas()
-        b = bucket_array(base["tok"].to_numpy(object), nb).astype(np.int64)
-        rep = base.loc[base.index.repeat(ns)].reset_index(drop=True)
-        keys = (np.repeat(b, ns) * ns
-                + np.tile(np.arange(ns, dtype=np.int64), len(base)))
-        rep["__j"] = keys
-        rep["doc_id"] = np.int64(-1)
-        rep["tf"] = np.int64(0)
-        rep["__side"] = np.int8(1)
-        return rep[["doc_id", "tok", "tf", "__j", "df", "__side"]]
-
-    probe = docs_ds.map_batches(probe_rows, batch_format="pyarrow")
-    build = df_ds.map_batches(build_rows, batch_format="pyarrow")
-
-    def score_join(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(g, row_cap, "tfidf.score_join")
-        bld = g[g["__side"] == 1]
-        prb = g[g["__side"] == 0]
+    # join plan: probe rows salt on hash(doc) % ns, df rows replicate x ns
+    def score_join(prb: pa.Table, bld: pa.Table) -> pd.DataFrame:
+        check_group_cap(len(prb) + len(bld), row_cap, "tfidf.score_join")
+        prb, bld = prb.to_pandas(), bld.to_pandas()
         idf = pd.Series(np.log(n_docs / bld["df"].to_numpy(np.float64)),
                         index=bld["tok"])
         s = prb["tf"].to_numpy(np.float64) * prb["tok"].map(idf).to_numpy(
@@ -368,6 +341,7 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
         out["__d"] = bucket_array(out["doc_id"].to_numpy(np.int64), nb)
         return out
 
-    return (probe.union(build)
-            .groupby("__j").map_groups(score_join, batch_format="pandas")
+    probe = docs_ds.map_batches(tf_rows, batch_format="pyarrow")
+    return (co_partition(probe, df_ds, (["tok"], ["tok"]), score_join,
+                         n_buckets=nb, salt=("doc_id", ns))
             .groupby("__d").map_groups(topk_bucket, batch_format="pandas"))

@@ -250,7 +250,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import pandas as pd
     import ray
 
-    from .partitioning import bucket_array, bucket_exchange, default_buckets
+    from .partitioning import bucket_exchange, default_buckets
 
     nb = n_buckets or default_buckets()
     mc = int(min_count)
@@ -323,58 +323,27 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
             "it on the driver and every worker - raise min_count, raise "
             "max_vocab_bytes, or use plan='join'")
 
-    from .partitioning import check_group_cap, default_salts
+    from .partitioning import check_group_cap, co_partition, default_salts
 
     ns = n_salts or default_salts()
 
     def doc_tok_partial(t: pa.Table) -> pa.Table:
         # (doc_id, tok) occurrence counts per batch — the probe side of
         # the salted bucketed join, pre-aggregated so duplicate tokens
-        # within a doc travel as one row.  Join key spreads a hot
-        # token's probe rows across n_salts reducer groups by doc hash.
+        # within a doc travel as one row.
         flat, di, _len = _tokenize_batch(t, "text")
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         out = (pa.table({"doc_id": pa.array(ids[di], pa.int64()),
                          "tok": flat})
                .group_by(["doc_id", "tok"]).aggregate([("tok", "count")]))
-        b = bucket_array(out["tok"], nb).astype(np.int64)
-        s = bucket_array(out["doc_id"].to_numpy(zero_copy_only=False),
-                         ns).astype(np.int64)
-        return pa.table({
-            "doc_id": out["doc_id"],
-            "tok": out["tok"],
-            "c": out.column("tok_count").cast(pa.int64()),
-            "__j": pa.array(b * ns + s, pa.int64()),
-            "__side": pa.array(np.zeros(len(out), np.int8), pa.int8()),
-        })
+        return pa.table({"doc_id": out["doc_id"], "tok": out["tok"],
+                         "c": out["tok_count"].cast(pa.int64())})
 
     if plan == "join":
-        def tag_build(t: pa.Table) -> pa.Table:
-            # Each fixed-width count row replicates x n_salts so every
-            # salted probe group finds its build row locally.
-            mask = pc.is_valid(t["tok"])  # OOV rows score via the floor
-            t = t.filter(mask)
-            n = len(t)
-            b = bucket_array(t["tok"], nb).astype(np.int64)
-            keys = (np.repeat(b, ns) * ns
-                    + np.tile(np.arange(ns, dtype=np.int64), n))
-            idx = np.repeat(np.arange(n, dtype=np.int64), ns)
-            rep = t.take(pa.array(idx, pa.int64()))
-            return pa.table({
-                "doc_id": pa.array(np.full(n * ns, -1, np.int64), pa.int64()),
-                "tok": rep["tok"],
-                "c": rep["c"],
-                "__j": pa.array(keys, pa.int64()),
-                "__side": pa.array(np.ones(n * ns, np.int8), pa.int8()),
-            })
-
-        build = counts_ds.map_batches(tag_build, batch_format="pyarrow")
-        probe = docs_ds.map_batches(doc_tok_partial, batch_format="pyarrow")
-
-        def merge(g: pd.DataFrame) -> pa.Table:
-            check_group_cap(g, row_cap, "unigram_ppl.merge")
-            bld = g[g["__side"] == 1]
-            prb = g[g["__side"] == 0]
+        def merge(prb: pa.Table, bld: pa.Table) -> pa.Table:
+            check_group_cap(len(prb) + len(bld), row_cap,
+                            "unigram_ppl.merge")
+            prb, bld = prb.to_pandas(), bld.to_pandas()
             lp = pd.Series(
                 -np.log(bld["c"].to_numpy(np.float64) / total),
                 index=bld["tok"])
@@ -403,8 +372,15 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
                     np.floor(avg * 10_000 + 0.5).astype(np.int64)),
             })
 
-        return (probe.union(build)
-                .groupby("__j").map_groups(merge, batch_format="pandas")
+        # probe rows salt on hash(doc) % ns; each count row replicates
+        # x ns so every salted probe group finds it locally.  OOV rows
+        # (null tok) score via the floor and stay home.
+        probe = docs_ds.map_batches(doc_tok_partial, batch_format="pyarrow")
+        build = counts_ds.map_batches(
+            lambda t: t.filter(pc.is_valid(t["tok"])).select(["tok", "c"]),
+            batch_format="pyarrow")
+        return (co_partition(probe, build, (["tok"], ["tok"]), merge,
+                             n_buckets=nb, salt=("doc_id", ns))
                 .groupby("doc_id").map_groups(per_doc, batch_format="pandas"))
 
     # broadcast plan — the vocab fit under the measured-bytes gate
@@ -478,7 +454,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import numpy as np
     import ray
 
-    from .partitioning import bucket_array, bucket_exchange, default_buckets
+    from .partitioning import bucket_exchange, default_buckets
     from .sparse import _tokenize_batch
 
     nb = n_buckets or default_buckets()
@@ -487,8 +463,6 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     def _pairs(t: pa.Table):
         flat, di, _len = _tokenize_batch(t, "text")
         toks = flat.to_numpy(zero_copy_only=False)
-        if len(toks) < 2:
-            return None
         same = di[:-1] == di[1:]
         return toks[:-1][same], toks[1:][same], di[:-1][same]
 
@@ -496,10 +470,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
         empty = pa.table({"a": pa.array([], pa.string()),
                           "b": pa.array([], pa.string()),
                           "c": pa.array([], pa.int64())})
-        got = _pairs(t)
-        if got is None:
-            return empty
-        a, b, _d = got
+        a, b, _d = _pairs(t)
         if not len(a):
             return empty
         import pandas as pd
@@ -552,74 +523,33 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import pandas as pd
 
     if plan == "join":
-        from .partitioning import check_group_cap, default_salts
+        from .partitioning import check_group_cap, co_partition, default_salts
 
         ns = n_salts or default_salts()
 
         def probe_partial(t: pa.Table) -> pa.Table:
             # (doc_id, a, b) occurrence counts per batch — pre-aggregated
-            # so a repeated bigram within a doc travels as one row.  Key
-            # spreads a hot context's probe rows across n_salts groups.
-            empty = pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "a": pa.array([], pa.string()),
-                "b": pa.array([], pa.string()),
-                "c": pa.array([], pa.int64()),
-                "logp": pa.array([], pa.float64()),
-                "__j": pa.array([], pa.int64()),
-                "__side": pa.array([], pa.int8()),
-            })
-            got = _pairs(t)
-            if got is None or not len(got[0]):
-                return empty
-            a, b, d = got
+            # so a repeated bigram within a doc travels as one row.
+            a, b, d = _pairs(t)
             ids = t["doc_id"].to_numpy(zero_copy_only=False)[d]
             cnt = (pd.DataFrame({"doc_id": ids, "a": a, "b": b})
                    .groupby(["doc_id", "a", "b"], sort=False)
                    .size().reset_index(name="c"))
-            bk = bucket_array(cnt["a"].to_numpy(object), nb).astype(np.int64)
-            st = bucket_array(cnt["doc_id"].to_numpy(np.int64),
-                              ns).astype(np.int64)
-            n = len(cnt)
             return pa.table({
                 "doc_id": pa.array(cnt["doc_id"].to_numpy(np.int64)),
                 "a": pa.array(cnt["a"].to_numpy(object), pa.string()),
                 "b": pa.array(cnt["b"].to_numpy(object), pa.string()),
                 "c": pa.array(cnt["c"].to_numpy(np.int64)),
-                "logp": pa.array(np.zeros(n, np.float64)),
-                "__j": pa.array(bk * ns + st, pa.int64()),
-                "__side": pa.array(np.zeros(n, np.int8), pa.int8()),
             })
 
-        def tag_build(t: pa.Table) -> pa.Table:
-            # bigram rows AND per-context floor rows (b null) key on the
-            # context hash, replicated x n_salts so every salted probe
-            # group finds them locally.  Fixed-width: model rows only.
-            n = len(t)
-            bk = bucket_array(t["a"], nb).astype(np.int64)
-            keys = (np.repeat(bk, ns) * ns
-                    + np.tile(np.arange(ns, dtype=np.int64), n))
-            rep = t.take(pa.array(np.repeat(np.arange(n, dtype=np.int64),
-                                            ns), pa.int64()))
-            return pa.table({
-                "doc_id": pa.array(np.full(n * ns, -1, np.int64)),
-                "a": rep["a"],
-                "b": rep["b"],
-                "c": pa.array(np.zeros(n * ns, np.int64)),
-                "logp": rep["logp"],
-                "__j": pa.array(keys, pa.int64()),
-                "__side": pa.array(np.ones(n * ns, np.int8), pa.int8()),
-            })
-
-        def merge(g: pd.DataFrame) -> pa.Table:
-            check_group_cap(g, row_cap, "bigram_ppl.merge")
-            bld = g[g["__side"] == 1]
-            prb = g[g["__side"] == 0]
+        def merge(prb: pa.Table, bld: pa.Table) -> pa.Table:
+            check_group_cap(len(prb) + len(bld), row_cap,
+                            "bigram_ppl.merge")
+            prb, bld = prb.to_pandas(), bld.to_pandas()
             bg = bld[bld["b"].notna()][["a", "b", "logp"]]
             fl = (bld[bld["b"].isna()][["a", "logp"]]
                   .rename(columns={"logp": "floor"}))
-            df = prb[["doc_id", "a", "b", "c"]].merge(
-                bg, on=["a", "b"], how="left")
+            df = prb.merge(bg, on=["a", "b"], how="left")
             miss = df["logp"].isna()
             if miss.any():
                 sub = df.loc[miss, ["a"]].merge(fl, on="a", how="left")
@@ -658,12 +588,14 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
                     np.floor(avg * 10_000 + 0.5).astype(np.int64)),
             })
 
+        # probe rows salt on hash(doc) % ns; model rows — bigram AND
+        # floor (b null) — replicate x ns so every salted probe group
+        # resolves locally
         probe = docs_ds.map_batches(probe_partial, batch_format="pyarrow")
-        build = model.map_batches(tag_build, batch_format="pyarrow")
         zeros = (docs_ds.select_columns(["doc_id"])
                  .map_batches(zero_rows, batch_format="pyarrow"))
-        return (probe.union(build)
-                .groupby("__j").map_groups(merge, batch_format="pandas")
+        return (co_partition(probe, model, (["a"], ["a"]), merge,
+                             n_buckets=nb, salt=("doc_id", ns))
                 .union(zeros)
                 .groupby("doc_id").map_groups(per_doc,
                                               batch_format="pandas"))
@@ -679,13 +611,12 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     def score(t: pa.Table) -> pa.Table:
         bg, fl = ray.get(ref)
         n_docs = len(t)
-        got = _pairs(t)
-        if got is None or not len(got[0]):
+        a, b, d = _pairs(t)
+        if not len(a):
             z = np.zeros(n_docs, np.int64)
             return pa.table({"doc_id": t["doc_id"],
                              "n_bigrams": pa.array(z),
                              "nll_bp": pa.array(z)})
-        a, b, d = got
         df = pd.DataFrame({"a": a, "b": b, "d": d})
         df = df.merge(bg, on=["a", "b"], how="left")
         miss = df["logp"].isna()

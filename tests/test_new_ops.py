@@ -188,12 +188,15 @@ def test_hash_join_matches_pandas(ray_session):
 
     left = pa.table({"k": pa.array([1, 2, 2, 3, 5], pa.int64()),
                      "lv": ["a", "b", "c", "d", "e"]})
+    # int64 above 2^53: exact only if no side is floated on the way
     right = pa.table({"k": pa.array([2, 3, 3, 4], pa.int64()),
-                      "rv": pa.array([20, 30, 31, 40], pa.int64())})
+                      "rv": pa.array([20, 30, 31, 40], pa.int64()),
+                      "big": pa.array([2**53 + 1, 2**53 + 3, 2**53 + 1, 7],
+                                      pa.int64())})
     got = hash_join(_ray.data.from_arrow(left), _ray.data.from_arrow(right),
                     on="k", n_buckets=4).to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="inner")
-    key = ["k", "lv", "rv"]
+    key = ["k", "lv", "rv", "big"]
     got = got[key].sort_values(key).reset_index(drop=True)
     want = want[key].sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
@@ -356,12 +359,22 @@ def test_asof_join_matches_merge_asof(ray_session):
         "odate": pd.to_datetime("2024-01-01")
         + pd.to_timedelta(rng.randint(0, 10_000, 80), unit="m"),
     })
-    got = asof_join(
+    # int64 above 2^53 on both sides, a function of the row's key so the
+    # expected value is known whichever duplicate-ts right row wins
+    left["lbig"] = 2**53 + 1 + 2 * (left["eid"] % 2)
+    right["rbig"] = 2**53 + 1 + 2 * (right["ouid"] % 2)
+    out = asof_join(
         _ray.data.from_arrow(pa.Table.from_pandas(left)),
         _ray.data.from_arrow(pa.Table.from_pandas(right)),
         left_ts="ts", right_ts="odate", left_by="uid", right_by="ouid",
         n_buckets=4,
-    ).to_pandas().sort_values("eid").reset_index(drop=True)
+    ).materialize()
+    rows = out.take_all()  # Arrow values: rbig holds nulls
+    assert all(r["lbig"] == 2**53 + 1 + 2 * (r["eid"] % 2) for r in rows)
+    matched = [r for r in rows if r["odate"] is not None]
+    assert matched and all(r["rbig"] == 2**53 + 1 + 2 * (r["uid"] % 2)
+                           for r in matched)
+    got = out.to_pandas().sort_values("eid").reset_index(drop=True)
     want = pd.merge_asof(
         left.sort_values("ts"), right.sort_values("odate"),
         left_on="ts", right_on="odate", left_by="uid", right_by="ouid",
@@ -379,7 +392,9 @@ def test_semi_and_anti_join(ray_session):
 
     from kb_ner_ray.stages.joins import semi_join
 
-    left = pa.table({"k": [1, 2, 3, 4, 5], "v": list("abcde")})
+    big = [2**53 + 1, 2**53 + 3, 2**53 + 1, 2**53 + 3, 5]
+    left = pa.table({"k": [1, 2, 3, 4, 5], "v": list("abcde"),
+                     "big": pa.array(big, pa.int64())})
     right = pa.table({"rk": [2, 4, 4, 9]})
     l_ds = _ray.data.from_arrow(left)
     r_ds = _ray.data.from_arrow(right)
@@ -387,9 +402,11 @@ def test_semi_and_anti_join(ray_session):
             .to_pandas().sort_values("k"))
     assert semi["k"].tolist() == [2, 4]
     assert semi["v"].tolist() == ["b", "d"]
+    assert semi["big"].tolist() == [big[1], big[3]]
     anti = (semi_join(l_ds, r_ds, on="k", right_on="rk", n_buckets=3,
                       anti=True).to_pandas().sort_values("k"))
     assert anti["k"].tolist() == [1, 3, 5]
+    assert anti["big"].tolist() == [big[0], big[2], big[4]]
 
 
 def test_bucket_array_deterministic_and_balanced():
@@ -785,12 +802,21 @@ def test_hash_join_outer_matches_pandas(ray_session):
     from kb_ner_ray.stages.joins import hash_join
 
     left = pa.table({"k": pa.array([1, 2, 2, 3], pa.int64()),
-                     "lv": ["a", "b", "c", "d"]})
+                     "lv": ["a", "b", "c", "d"],
+                     "big": pa.array([2**53 + 1, 2**53 + 3, 2**53 + 1,
+                                      2**53 + 3], pa.int64())})
     right = pa.table({"k": pa.array([2, 4, 4, 5], pa.int64()),
                       "rv": pa.array([20, 40, 41, 50], pa.int64())})
-    got = hash_join(_ray.data.from_arrow(left), _ray.data.from_arrow(right),
-                    on="k", n_buckets=3, how="outer").to_pandas()
+    out = hash_join(_ray.data.from_arrow(left), _ray.data.from_arrow(right),
+                    on="k", n_buckets=3, how="outer").materialize()
+    got = out.to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="outer")
+    # rows whose left side matched keep their int64 above 2^53 exactly
+    # (rows are compared as Arrow values: a pandas view of a nullable
+    # int64 column would float it)
+    big = dict(zip(left["lv"].to_pylist(), left["big"].to_pylist()))
+    assert sorted((r["lv"], r["big"]) for r in out.take_all()
+                  if r["lv"] in big) == sorted(big.items())
     key = ["k", "lv", "rv"]
 
     def norm(df):

@@ -1,5 +1,5 @@
-"""bucket_exchange: the one single-input hash-bucket exchange that every
-bucketed operator routes through."""
+"""bucket_exchange and co_partition: the single-input and the two-input
+hash-bucket exchanges that every bucketed operator routes through."""
 
 import uuid
 
@@ -10,7 +10,11 @@ import pyarrow.compute as pc
 import pytest
 import ray
 
-from kb_ner_ray.stages.partitioning import bucket_exchange, bucket_multi
+from kb_ner_ray.stages.partitioning import (
+    bucket_exchange,
+    bucket_multi,
+    co_partition,
+)
 
 N_ROWS = 240
 
@@ -58,7 +62,9 @@ def _tag_call():
 
 def _blocks(t: pa.Table) -> "ray.data.Dataset":
     # several input blocks, so a key's rows start out spread across them
-    return ray.data.from_arrow([t.slice(i, 60) for i in range(0, len(t), 60)])
+    # (an empty table stays one empty block)
+    return ray.data.from_arrow([t.slice(i, 60)
+                                for i in range(0, max(len(t), 1), 60)])
 
 
 @pytest.mark.parametrize("n_buckets", [1, 3, 16])
@@ -96,3 +102,111 @@ def test_bucket_exchange_prep_drops_every_row():
     out = bucket_exchange(_blocks(_table()), ["name"], _tag_call(),
                           prep=drop_all, n_buckets=3)
     assert out.count() == 0
+
+
+# ---- co_partition: the one two-input exchange -------------------------------
+
+# left keys, right keys: the names differ on purpose
+CO_KEYS = {
+    "int": (["uid"], ["user"]),
+    "str": (["name"], ["label"]),
+}
+
+
+def _right() -> pa.Table:
+    """Right side: ``rid`` shares a left column name and type, ``name``
+    shares a left column name with another type (int64 above 2^53)."""
+    rng = np.random.default_rng(11)
+    n = 90
+    user = rng.integers(20, 50, n)  # overlaps the left uids 20..36
+    return pa.table({
+        "rid": pa.array(np.arange(n), pa.int64()),
+        "user": pa.array(user, pa.int64()),
+        "label": pa.array([f"n{i}" for i in rng.integers(10, 40, n)],
+                          pa.string()),
+        "name": pa.array(2**53 + 1 + 2 * (user % 2), pa.int64()),
+    })
+
+
+def _pair_call(keys, l_schema: pa.Schema, r_schema: pa.Schema):
+    """per_bucket for co_partition: one row per input row of either side,
+    tagged with the side, the row's key, this call's id, and whether both
+    sides arrived with exactly their own schema and values."""
+    def call(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        big = [2**53 + 1 + 2 * (u % 2) for u in rt["user"].to_pylist()]
+        ok = (lt.schema.equals(l_schema) and rt.schema.equals(r_schema)
+              and rt["name"].to_pylist() == big)
+
+        def key(t, ks):
+            return [repr(tuple(r.values())) for r in t.select(ks).to_pylist()]
+
+        n = len(lt) + len(rt)
+        return pa.table({
+            "side": ["L"] * len(lt) + ["R"] * len(rt),
+            "rid": lt["rid"].to_pylist() + rt["rid"].to_pylist(),
+            "key": key(lt, keys[0]) + key(rt, keys[1]),
+            "call": [uuid.uuid4().hex] * n,
+            "ok": [ok] * n,
+        })
+    return call
+
+
+def _co(left: pa.Table, right: pa.Table, case: str, **kw) -> pd.DataFrame:
+    keys = CO_KEYS[case]
+    out = co_partition(_blocks(left), _blocks(right), keys,
+                       _pair_call(keys, left.schema, right.schema), **kw)
+    return out.to_pandas()
+
+
+@pytest.mark.parametrize("n_buckets", [1, 3, 16])
+@pytest.mark.parametrize("case", sorted(CO_KEYS))
+def test_co_partition_colocates_both_sides(case, n_buckets):
+    left, right = _table(), _right()
+    got = _co(left, right, case, n_buckets=n_buckets)
+    assert got["ok"].all()
+    # every row of each side reaches exactly one per_bucket call
+    for side, t in (("L", left), ("R", right)):
+        rids = sorted(got.loc[got["side"] == side, "rid"])
+        assert rids == list(range(len(t)))
+    # a key's left and right rows meet in the same call
+    assert (got.groupby("key")["call"].nunique() == 1).all()
+    both = set(got.loc[got["side"] == "L", "key"]) & set(
+        got.loc[got["side"] == "R", "key"])
+    assert both  # the fixture keys overlap, so some calls see both sides
+
+
+@pytest.mark.parametrize("empty", ["left", "right", "both"])
+def test_co_partition_empty_sides(empty):
+    left, right = _table(), _right()
+    if empty in ("left", "both"):
+        left = left.slice(0, 0)
+    if empty in ("right", "both"):
+        right = right.slice(0, 0)
+    got = _co(left, right, "int", n_buckets=3)
+    # the empty side still arrives with its own (correct) schema; with
+    # both sides empty there is no bucket and no call
+    assert got.empty or got["ok"].all()
+    sides = got["side"].tolist() if len(got) else []
+    assert sides.count("L") == len(left)
+    assert sides.count("R") == len(right)
+
+
+@pytest.mark.parametrize("n_salts", [1, 4])
+def test_co_partition_salt_replicates_right(n_salts):
+    left, right = _table(), _right()
+    got = _co(left, right, "int", n_buckets=3, salt=("rid", n_salts))
+    assert got["ok"].all()
+    lg, rg = got[got["side"] == "L"], got[got["side"] == "R"]
+    # each left row exactly once; each right row once per salt, each
+    # copy in a different group
+    assert sorted(lg["rid"]) == list(range(len(left)))
+    assert (rg.groupby("rid").size() == n_salts).all()
+    assert (rg.groupby("rid")["call"].nunique() == n_salts).all()
+    assert rg["rid"].nunique() == len(right)
+    # every left row's call holds all of its key's right rows
+    r_calls = rg.groupby("key")["call"].apply(set)
+    for key, call in zip(lg["key"], lg["call"]):
+        if key in r_calls.index:
+            assert call in r_calls[key]
+            assert (rg[rg["call"] == call].groupby("key").size()
+                    .get(key) == (rg["key"] == key).sum() / n_salts)
