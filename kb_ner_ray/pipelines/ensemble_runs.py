@@ -34,8 +34,7 @@ import os
 import ray
 
 from ..stages.ensemble import VariantTagger, vote_group_factory
-from ..state.manifest import (input_fingerprint, partition_done,
-                              write_partition_ds)
+from ..state.manifest import input_fingerprint, partition_done, write_partition
 from .kg import load_corpus_refs, sentences_dataset
 
 
@@ -80,8 +79,8 @@ def run_checkpoint_predictions(corpus: str, checkpoints: list[dict],
                                    "n_models": ckpt["n_models"]},
             batch_format="pyarrow", batch_size=512,
             concurrency=concurrency)
-        write_partition_ds(out_dir, run_id, preds, fp,
-                           counters={"checkpoint": ckpt})
+        write_partition(out_dir, run_id, preds, fp,
+                        counters={"checkpoint": ckpt})
         computed.append(run_id)
     return {"computed": computed, "skipped": skipped}
 

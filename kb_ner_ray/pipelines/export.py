@@ -14,7 +14,7 @@ Layout (the repo's standard resumable sink, state/manifest.py):
 100-TB shape: ONE bucketed shuffle routes each doc (text travels once)
 to its md5-derived shard, and each shard REDUCER writes its own
 partition atomically where it already holds the rows
-(state/manifest.write_partition_table — no per-shard Dataset job, no
+(state/manifest.write_partition — no per-shard Dataset job, no
 driver concat; an earlier revision launched one sequential filter+sort
 job per shard, which is n_shards full passes).  Docs of already-done
 shards are dropped at the hash pass, so a resume moves only the
@@ -37,7 +37,7 @@ import pyarrow as pa
 from ..state.manifest import (
     input_fingerprint,
     partition_done,
-    write_partition_table,
+    write_partition,
 )
 
 
@@ -83,9 +83,9 @@ def export_training_shards(docs_ds, out_dir: str, *,
         shard = int(g["__shard"].iloc[0])
         g = g.sort_values(["order_key", id_col], kind="mergesort") \
             .drop(columns=["__shard"])
-        write_partition_table(out_dir, shard,
-                              pa.Table.from_pandas(g, preserve_index=False),
-                              fp(shard))
+        write_partition(out_dir, shard,
+                        pa.Table.from_pandas(g, preserve_index=False),
+                        fp(shard))
         return pa.table({"shard": pa.array([shard], pa.int64()),
                          "n_rows": pa.array([len(g)], pa.int64())})
 
@@ -97,7 +97,7 @@ def export_training_shards(docs_ds, out_dir: str, *,
     # a pending shard with NO rows still needs its (empty) manifest so
     # resume doesn't recompute it forever
     for s in pend - written:
-        write_partition_table(
+        write_partition(
             out_dir, s,
             pa.table({id_col: pa.array([], pa.int64()),
                       "order_key": pa.array([], pa.string())}),

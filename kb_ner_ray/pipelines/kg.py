@@ -27,6 +27,8 @@ the kg_contexts / kg_mentions inspection queries.
 
 from __future__ import annotations
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -39,7 +41,6 @@ from ..stages.tagger import kernel_rows, retrieve_tag_triples_shared
 
 def _read_table_dir(path: str):
     import glob
-    import pyarrow as pa
 
     files = sorted(glob.glob(path + "/*.parquet"))
     return pa.concat_tables([pq.read_table(f) for f in files])
@@ -93,15 +94,35 @@ def _sentences_batch_size(corpus: str) -> int:
     return int(max(256, min(2048, n_pages // (total * 12))))
 
 
+def _label_pages(batch: pa.Table, labels: dict) -> pa.Table:
+    """The ``path`` column of a page batch -> its file's ``part`` label."""
+    idx = pc.index_in(batch["path"], value_set=pa.array(list(labels)))
+    if idx.null_count:  # an unlabelled row would land in no partition
+        raise ValueError(f"page path not in the partition labels: "
+                         f"{batch['path'].filter(idx.is_null())[0]}")
+    return batch.drop_columns(["path"]).append_column(
+        "part", pa.array(list(labels.values()), pa.string()).take(idx))
+
+
 def sentences_dataset(pages):
-    """pages -> sentences Dataset (url, sent_id, text, lang).  ``pages``
-    is a corpus directory (all of its pages/) or a list of page Parquet
-    files (one ``run_resumable`` partition)."""
-    paths = pages + "/pages" if isinstance(pages, str) else pages
+    """pages -> sentences Dataset (url, sent_id, text, lang[, part]).
+
+    ``pages`` is a corpus directory (all of its pages/), a list of page
+    Parquet files, or a dict of page file -> partition label.  Given a
+    dict, the files are read once and every sentence row carries its
+    file's label as a ``part`` string column, which extract, explode and
+    the kernel pass through (``run_resumable``'s one job over all of its
+    missing partitions)."""
+    paths = pages + "/pages" if isinstance(pages, str) else list(pages)
+    labels = pages if isinstance(pages, dict) else None
+    ds = ray.data.read_parquet(paths,
+                               columns=["url", "warc_ts", "html", "lang"],
+                               include_paths=labels is not None)
+    if labels is not None:
+        ds = ds.map_batches(_label_pages, fn_kwargs={"labels": labels},
+                            batch_format="pyarrow")
     return (
-        ray.data.read_parquet(paths,
-                              columns=["url", "warc_ts", "html", "lang"])
-        .map_batches(extract_pages, batch_format="pyarrow")
+        ds.map_batches(extract_pages, batch_format="pyarrow")
         .map_batches(explode_sentences, batch_format="pyarrow")
     )
 

@@ -6,11 +6,13 @@ Three phases, shuffle-light by construction:
    (normalized_surface, ent_id) link counts from the raw-triple sides — the
    combiner pattern from the Ray guide, so the groupby only ever sees one row
    per (surface, ent) per batch, not one per mention.
-2. **Global count** (the only shuffle): ``groupby([surface, ent]).sum`` over
+2. **Global count** (``combine_link_counts``, on the driver): group and sum
    the tiny partials; result size is bounded by the entity vocabulary, NOT
    the corpus, so collecting it on the driver is safe at any corpus scale.
    Surface-key skew ("hot surfaces", north rule) is absorbed by phase 1:
-   a hot surface contributes at most one row per batch.
+   a hot surface contributes at most one row per batch.  ``run_resumable``
+   keeps each partition's combined counts beside its manifest, so its
+   global count is one more combine over those, with no raw-triple rescan.
 3. **Apply** (map_batches, no shuffle): broadcast the surface->canonical dict
    (functions/canon.py kernel) via ``ray.put`` and map both triple sides.
 """
@@ -18,10 +20,16 @@ Three phases, shuffle-light by construction:
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 
 from ..functions.canon import build_canonical_map
 from ..functions.text import normalize_surface
+
+# the raw-triple columns the link counts are read from, and their schema
+SIDE_COLUMNS = ["subj_surface", "subj_ent", "obj_surface", "obj_ent"]
+LINK_COUNTS_SCHEMA = pa.schema([("surface", pa.string()),
+                                ("ent_id", pa.int64()), ("cnt", pa.int64())])
 
 
 def partial_link_counts(batch: pa.Table) -> pa.Table:
@@ -34,13 +42,35 @@ def partial_link_counts(batch: pa.Table) -> pa.Table:
             if ent >= 0:
                 key = (normalize_surface(surf), ent)
                 counts[key] = counts.get(key, 0) + 1
-    return pa.table(
-        {
-            "surface": pa.array([k[0] for k in counts], pa.string()),
-            "ent_id": pa.array([k[1] for k in counts], pa.int64()),
-            "cnt": pa.array(list(counts.values()), pa.int64()),
-        }
-    )
+    return pa.table([[k[0] for k in counts], [k[1] for k in counts],
+                     list(counts.values())], schema=LINK_COUNTS_SCHEMA)
+
+
+def combine_link_counts(partials: list[pa.Table]) -> pa.Table:
+    """Partial (surface, ent, cnt) tables -> one row per (surface, ent)
+    with the summed count: the global combine, vocabulary-sized."""
+    t = (pa.concat_tables(partials) if partials
+         else LINK_COUNTS_SCHEMA.empty_table())
+    agg = t.group_by(["surface", "ent_id"]).aggregate([("cnt", "sum")])
+    return pa.table([agg["surface"], agg["ent_id"], agg["cnt_sum"]],
+                    schema=LINK_COUNTS_SCHEMA)
+
+
+def file_link_counts(files: list[str]) -> pa.Table:
+    """The link counts of raw-triple Parquet files, combined."""
+    return combine_link_counts([
+        partial_link_counts(pq.read_table(f, columns=SIDE_COLUMNS))
+        for f in files])
+
+
+def canonical_map(partials: list[pa.Table],
+                  ent_title: dict[int, str]) -> dict[str, str]:
+    """Phase 2: partial link counts -> surface->canonical dict."""
+    counts = combine_link_counts(partials)
+    link_counts = {(s, e): n for s, e, n in zip(
+        counts["surface"].to_pylist(), counts["ent_id"].to_pylist(),
+        counts["cnt"].to_pylist())}
+    return build_canonical_map(link_counts, ent_title)
 
 
 def compute_canonical_map(raw_triples, ent_title: dict[int, str]) -> dict[str, str]:
@@ -49,8 +79,8 @@ def compute_canonical_map(raw_triples, ent_title: dict[int, str]) -> dict[str, s
     The final combine runs on the driver: after the per-batch combiner the
     stream is at most (n_blocks x vocabulary) distinct rows — bounded by the
     entity vocabulary, NOT the corpus — so collecting partials and summing
-    in pandas replaces a full Ray sort-shuffle whose fixed cost dwarfs the
-    few thousand rows it would move."""
+    them replaces a full Ray sort-shuffle whose fixed cost dwarfs the few
+    thousand rows it would move."""
     # batch_size bundles the many small raw-triple blocks (one per upstream
     # task) into few large batches: fewer combiner outputs and a cheap
     # driver collect regardless of upstream task count
@@ -58,11 +88,8 @@ def compute_canonical_map(raw_triples, ent_title: dict[int, str]) -> dict[str, s
                                        batch_format="pyarrow",
                                        batch_size=65536)
     pdf = partials.to_pandas()  # vocabulary-sized partials
-    agg = pdf.groupby(["surface", "ent_id"], as_index=False)["cnt"].sum()
-    link_counts = {
-        (r.surface, int(r.ent_id)): int(r.cnt) for r in agg.itertuples()
-    }
-    return build_canonical_map(link_counts, ent_title)
+    return canonical_map([pa.Table.from_pandas(
+        pdf, schema=LINK_COUNTS_SCHEMA, preserve_index=False)], ent_title)
 
 
 _CANON_CACHE: dict = {}  # worker-local: ObjectRef -> resolved dict

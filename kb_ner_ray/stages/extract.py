@@ -14,13 +14,15 @@ from ..functions.text import extract_text
 
 
 def extract_pages(batch: pa.Table) -> pa.Table:
-    """(url, warc_ts, html, lang, ...) -> (url, warc_ts, text, lang).
+    """(url, warc_ts, html, lang[, part], ...) -> (url, warc_ts, text,
+    lang[, part]).
 
     Per-row HTML parsing is irreducibly per-document; the regex machinery is
-    module-level-compiled and the batch dimension amortizes dispatch.
+    module-level-compiled and the batch dimension amortizes dispatch.  A
+    ``part`` column (the resumable run's partition label) passes through.
     """
     texts = [extract_text(h) for h in batch.column("html").to_pylist()]
-    return pa.table(
+    out = pa.table(
         {
             "url": batch.column("url"),
             "warc_ts": batch.column("warc_ts"),
@@ -28,3 +30,6 @@ def extract_pages(batch: pa.Table) -> pa.Table:
             "lang": batch.column("lang"),
         }
     )
+    if "part" in batch.column_names:
+        out = out.append_column("part", batch.column("part"))
+    return out

@@ -13,18 +13,21 @@ from ..functions.text import split_sentences
 
 
 def explode_sentences(batch: pa.Table) -> pa.Table:
-    urls, sent_ids, texts, langs = [], [], [], []
-    for url, text, lang in zip(
+    """(url, text, lang[, part]) pages -> (url, sent_id, text, lang[, part])
+    sentences; a ``part`` column is repeated onto each page's sentences."""
+    urls, sent_ids, texts, langs, rows = [], [], [], [], []
+    for i, (url, text, lang) in enumerate(zip(
         batch.column("url").to_pylist(),
         batch.column("text").to_pylist(),
         batch.column("lang").to_pylist(),
-    ):
+    )):
         for sid, sent in enumerate(split_sentences(text, lang)):
             urls.append(url)
             sent_ids.append(sid)
             texts.append(sent)
             langs.append(lang)
-    return pa.table(
+            rows.append(i)
+    out = pa.table(
         {
             "url": pa.array(urls, pa.string()),
             "sent_id": pa.array(sent_ids, pa.int32()),
@@ -32,6 +35,10 @@ def explode_sentences(batch: pa.Table) -> pa.Table:
             "lang": pa.array(langs, pa.string()),
         }
     )
+    if "part" in batch.column_names:
+        out = out.append_column(
+            "part", batch.column("part").take(pa.array(rows, pa.int64())))
+    return out
 
 
 def filter_by_length(sents_ds, max_tokens: int = 510, train: bool = True,

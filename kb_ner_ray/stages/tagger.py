@@ -252,8 +252,9 @@ class SentenceKernel(_KBActorBase):
     # ---- the emitter ----------------------------------------------------
 
     def emit(self, batch: pa.Table, mode: str = "triples", **kw) -> pa.Table:
-        """(url, sent_id, text[, lang]) rows -> the ``mode`` output rows of
-        every input row (see SCHEMAS).
+        """(url, sent_id, text[, lang][, part]) rows -> the ``mode`` output
+        rows of every input row (see SCHEMAS), plus the input's ``part``
+        column (the resumable run's partition label) when it has one.
 
         Triples results are memoized under (text, lang), every other mode
         under (text, lang, mode, *sorted kw).  The memo freezes when full:
@@ -287,7 +288,10 @@ class SentenceKernel(_KBActorBase):
         idx = pa.array(np.repeat(np.arange(n), counts), pa.int64())
         cols["url"] = batch["url"].take(idx).cast(pa.string())
         cols["sent_id"] = batch["sent_id"].take(idx).cast(pa.int32())
-        return pa.table({name: cols[name] for name, _t in fields})
+        out = pa.table({name: cols[name] for name, _t in fields})
+        if "part" in batch.column_names:
+            out = out.append_column("part", batch["part"].take(idx))
+        return out
 
 
 # The traced benchmark (perfbench/layers.py) patches the kernel under this

@@ -8,6 +8,9 @@ Layout:
       part=<NNNN>/data.parquet        one directory per input partition
       part=<NNNN>/_MANIFEST.json      {partition, input_fingerprint,
                                        n_rows, counters, schema_version}
+      part=<NNNN>/_LINK_COUNTS.arrow  raw-triples partitions only: the
+                                       partition's (surface, ent_id, cnt)
+                                       link counts, combined
       _DONE                           written when every partition landed
 
 Resume = re-list input partitions, skip those whose manifest exists AND
@@ -24,9 +27,15 @@ import hashlib
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.feather as feather
 import pyarrow.parquet as pq
 
 SCHEMA_VERSION = 1
+# a raw-triples partition's combined (surface, ent_id, cnt) link counts, an
+# Arrow file: the raw-triples glob ``part=*/*.parquet`` does not match it
+LINK_COUNTS = "_LINK_COUNTS.arrow"
 
 
 def _tmp_dir(final: str) -> str:
@@ -76,7 +85,7 @@ def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
 def _land(out_dir: str, part_id: int, fingerprint: str, write,
           counters_of) -> dict:
     """Atomic partition write: ``write(tmp)`` lands the data files in a
-    per-process tmp dir, ``counters_of(files, n_rows)`` derives the
+    per-process tmp dir, ``counters_of(tmp, files, n_rows)`` derives the
     counters from what was written (n_rows from the parquet footers), then
     the manifest lands beside them and one ``os.replace`` publishes the
     partition.  Returns the counters."""
@@ -89,7 +98,7 @@ def _land(out_dir: str, part_id: int, fingerprint: str, write,
     write(tmp)
     files = sorted(_glob.glob(os.path.join(tmp, "*.parquet")))
     n_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    counters = counters_of(files, n_rows)
+    counters = counters_of(tmp, files, n_rows)
     manifest = {
         "partition": part_id,
         "input_fingerprint": fingerprint,
@@ -105,65 +114,74 @@ def _land(out_dir: str, part_id: int, fingerprint: str, write,
     return counters
 
 
+def write_partition(out_dir: str, part_id: int, data, fingerprint: str,
+                    counters: dict | None = None) -> dict:
+    """Generic atomic partition write of a Dataset or an Arrow table.
+
+    A Dataset streams its blocks into the tmp dir (``write_parquet``),
+    never through the driver.  A table is written where it is held: a
+    reducer that materializes its partition anyway (e.g. a shard group
+    inside ``groupby().map_groups``) writes its own rows, with no Dataset
+    job per partition."""
+    if isinstance(data, pa.Table):
+        def write(tmp):
+            pq.write_table(data, os.path.join(tmp, "data.parquet"))
+    else:
+        write = data.write_parquet
+    return _land(out_dir, part_id, fingerprint, write,
+                 lambda _tmp, _files, n: dict(counters or {}, n_rows=n))
+
+
+def land_raw_partition(out_dir: str, part_id: int, fingerprint: str,
+                       write, counts: pa.Table | None = None) -> dict:
+    """Atomic write of a raw-triples partition: ``write(tmp)`` places its
+    Parquet files, its combined link ``counts`` are written beside them as
+    ``LINK_COUNTS``, and the manifest records ``n_raw_triples`` and
+    ``n_linked_sides`` (the counts' sum).  ``run_resumable`` passes counts
+    computed in a Ray task from the staged files; without them they are
+    computed here from the written files.  Returns the counters."""
+    from ..stages.canonicalize import file_link_counts
+
+    def counters_of(tmp, files, n_rows):
+        lc = file_link_counts(files) if counts is None else counts
+        feather.write_feather(lc, os.path.join(tmp, LINK_COUNTS))
+        return {"n_raw_triples": n_rows,
+                "n_linked_sides": int(pc.sum(lc["cnt"]).as_py() or 0)}
+
+    return _land(out_dir, part_id, fingerprint, write, counters_of)
+
+
 def write_partition_streamed(out_dir: str, part_id: int, ds,
                              fingerprint: str) -> dict:
-    """Atomic STREAMING write of a raw-triples partition:
-    ``ds.write_parquet`` lands the partition's blocks directly in the tmp
-    dir (no driver-side concat — the round-1 verdict flagged pulling a
-    partition's output through the driver), and the counters are
-    recovered from the written files (linked-side counts from a
-    column-pruned vectorized read).  Returns the counters."""
-    import pyarrow.compute as pc
-
-    def counters_of(files, n_rows):
-        n_linked = 0
-        for f in files:
-            t = pq.read_table(f, columns=["subj_ent", "obj_ent"])
-            for col in ("subj_ent", "obj_ent"):
-                n_linked += int(pc.sum(pc.cast(pc.greater_equal(
-                    t[col], 0), "int64")).as_py() or 0)
-        return {"n_raw_triples": n_rows, "n_linked_sides": n_linked}
-
-    return _land(out_dir, part_id, fingerprint, ds.write_parquet,
-                 counters_of)
+    """Atomic STREAMING write of one raw-triples partition Dataset:
+    ``ds.write_parquet`` lands its blocks directly in the tmp dir (no
+    driver-side concat — the round-1 verdict flagged pulling a partition's
+    output through the driver).  Returns the counters."""
+    return land_raw_partition(out_dir, part_id, fingerprint,
+                              ds.write_parquet)
 
 
-def write_partition_ds(out_dir: str, part_id: int, ds,
-                       fingerprint: str,
-                       counters: dict | None = None) -> dict:
-    """Generic atomic STREAMING partition write (schema-agnostic sibling of
-    ``write_partition_streamed``): blocks land in the tmp dir via
-    ``ds.write_parquet``, never through the driver."""
-    return _land(out_dir, part_id, fingerprint, ds.write_parquet,
-                 lambda _files, n: dict(counters or {}, n_rows=n))
+def landed_dirs(out_dir: str) -> list[str]:
+    """The published partition directories, in partition order.  A
+    ``.tmp`` dir is not one: a crash between the manifest write and the
+    os.replace leaves a fully-written tmp dir whose data sits at the wrong
+    path, and resume must redo it."""
+    if not os.path.isdir(out_dir):
+        return []
+    return [os.path.join(out_dir, d) for d in sorted(os.listdir(out_dir))
+            if d.startswith("part=") and ".tmp" not in d]
 
 
-def write_partition_table(out_dir: str, part_id: int, table,
-                          fingerprint: str,
-                          counters: dict | None = None) -> dict:
-    """Atomic partition write of an in-memory Arrow table — the
-    WORKER-SIDE sibling of ``write_partition_ds`` for reducers that
-    materialize their partition anyway (e.g. a shard group inside
-    ``groupby().map_groups``): no Dataset job per partition, the
-    reducer writes its own rows where it holds them."""
-    return _land(
-        out_dir, part_id, fingerprint,
-        lambda tmp: pq.write_table(table, os.path.join(tmp, "data.parquet")),
-        lambda _files, n: dict(counters or {}, n_rows=n))
+def read_link_counts(part_dir: str) -> pa.Table:
+    """A landed raw-triples partition's combined link counts."""
+    return feather.read_table(os.path.join(part_dir, LINK_COUNTS))
 
 
 def read_manifests(out_dir: str) -> list[dict]:
     out = []
-    if not os.path.isdir(out_dir):
-        return out
-    for d in sorted(os.listdir(out_dir)):
-        mpath = os.path.join(out_dir, d, "_MANIFEST.json")
-        # ".tmp" exclusion: a crash between the manifest write and the
-        # os.replace leaves a fully-written tmp dir whose manifest must
-        # NOT count as a finished partition (its data sits at the wrong
-        # path; resume must redo it)
-        if (d.startswith("part=") and ".tmp" not in d
-                and os.path.exists(mpath)):
+    for d in landed_dirs(out_dir):
+        mpath = os.path.join(d, "_MANIFEST.json")
+        if os.path.exists(mpath):
             with open(mpath) as f:
                 out.append(json.load(f))
     return out

@@ -11,14 +11,14 @@ from kb_ner_ray.state.manifest import (
     input_fingerprint,
     partition_done,
     read_manifests,
-    write_partition_table,
+    write_partition,
 )
 
 
 def test_manifest_roundtrip(tmp_path):
     out = str(tmp_path / "out")
     t = pa.table({"a": [1, 2, 3]})
-    write_partition_table(out, 0, t, "fp0", {"rows_in": 3})
+    write_partition(out, 0, t, "fp0", {"rows_in": 3})
     assert partition_done(out, 0, "fp0")
     assert not partition_done(out, 0, "fp-changed")
     assert not partition_done(out, 1, "fp0")
@@ -29,8 +29,8 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_manifest_atomic_overwrite(tmp_path):
     out = str(tmp_path / "out")
-    write_partition_table(out, 0, pa.table({"a": [1]}), "fp0")
-    write_partition_table(out, 0, pa.table({"a": [1, 2]}), "fp1")
+    write_partition(out, 0, pa.table({"a": [1]}), "fp0")
+    write_partition(out, 0, pa.table({"a": [1, 2]}), "fp1")
     assert partition_done(out, 0, "fp1") and not partition_done(out, 0, "fp0")
     assert read_manifests(out)[0]["n_rows"] == 2
 
@@ -45,7 +45,7 @@ def test_fingerprint_tracks_content(tmp_path):
 
 def test_corrupt_manifest_is_not_done(tmp_path):
     out = str(tmp_path / "out")
-    write_partition_table(out, 0, pa.table({"a": [1]}), "fp0")
+    write_partition(out, 0, pa.table({"a": [1]}), "fp0")
     mpath = os.path.join(out, "part=0000", "_MANIFEST.json")
     with open(mpath, "w") as f:
         f.write("{not json")
@@ -187,3 +187,288 @@ ray.shutdown()
     assert r1["n_triples"] == res["n_kg"] > 0
     assert r1["skipped"] == [] and len(r1["computed"]) >= 1
     assert r2["computed"] == [] and r2["skipped"] == r1["computed"]
+
+
+# ---- one job for every missing partition, link counts per partition ------
+
+_KEY = ["subj", "pred", "obj", "url", "sent_id"]
+
+
+def _final_rows(out):
+    from kb_ner_ray.pipelines.run import load_final_triples
+
+    return sorted(tuple(r.values()) for r in
+                  load_final_triples(out).select(_KEY).to_pylist())
+
+
+def _corpus_copy(tmp_path, n_files=2, empty=()):
+    """The sf0.001 corpus with its pages split over ``n_files`` files; the
+    pages of the files numbered in ``empty`` get empty ``html``."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.kg import _read_table_dir
+
+    src, dst = corpus_dir(0.001), str(tmp_path / "corpus")
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns("pages"))
+    os.makedirs(os.path.join(dst, "pages"))
+    pages = _read_table_dir(src + "/pages")
+    step = -(-pages.num_rows // n_files)
+    for i in range(n_files):
+        t = pages.slice(i * step, step)
+        if i in empty:
+            t = t.set_column(t.schema.get_field_index("html"), "html",
+                             pa.array([b""] * t.num_rows, t["html"].type))
+        pq.write_table(t, os.path.join(dst, "pages",
+                                       f"part-{i:05d}.parquet"))
+    return dst
+
+
+def _check_partitions(out, corpus):
+    """Per partition: manifest n_rows == its Parquet footers, link counts
+    sum to n_linked_sides (itself recounted from the raw triples), raw
+    files hold exactly the raw-triples schema; and the canonical map from
+    the per-partition counts equals the one rebuilt from the raw triples."""
+    import glob
+
+    import pyarrow.compute as pc
+    import pyarrow.feather as feather
+    import pyarrow.parquet as pq
+    import ray
+
+    from kb_ner_ray.pipelines.kg import load_corpus_refs
+    from kb_ner_ray.stages.canonicalize import (
+        LINK_COUNTS_SCHEMA,
+        canonical_map,
+        compute_canonical_map,
+    )
+    from kb_ner_ray.stages.tagger import SCHEMAS
+    from kb_ner_ray.state.manifest import LINK_COUNTS, landed_dirs
+
+    raw_dir = os.path.join(out, "raw")
+    dirs = landed_dirs(raw_dir)
+    assert dirs
+    counts, raw_files = [], []
+    for d in dirs:
+        with open(os.path.join(d, "_MANIFEST.json")) as f:
+            m = json.load(f)
+        files = sorted(glob.glob(os.path.join(d, "*.parquet")))
+        raw_files += files
+        assert m["n_rows"] == sum(pq.ParquetFile(f).metadata.num_rows
+                                  for f in files)
+        n_linked = 0
+        for f in files:
+            assert pq.read_schema(f) == pa.schema(SCHEMAS["triples"])
+            t = pq.read_table(f)
+            for col in ("subj_ent", "obj_ent"):
+                n_linked += pc.sum(pc.greater_equal(t[col], 0)).as_py() or 0
+        lc = feather.read_table(os.path.join(d, LINK_COUNTS))
+        assert lc.schema == LINK_COUNTS_SCHEMA
+        assert (pc.sum(lc["cnt"]).as_py() or 0) == \
+            m["counters"]["n_linked_sides"] == n_linked
+        counts.append(lc)
+    ent_title = load_corpus_refs(corpus)[2]
+    assert canonical_map(counts, ent_title) == compute_canonical_map(
+        ray.data.read_parquet(raw_files), ent_title)
+
+
+def test_resumable_counts_conserve_and_match_raw_rescan(tmp_path):
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = corpus_dir(0.001)
+    out = str(tmp_path / "run")
+    r1 = run_resumable(corpus, out, n_partitions=2)
+    assert r1["computed"] == [0, 1]
+    _check_partitions(out, corpus)
+
+    mpath = os.path.join(out, "raw", "part=0001", "_MANIFEST.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    m["input_fingerprint"] = "stale"
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    r2 = run_resumable(corpus, out, n_partitions=2)
+    assert r2["computed"] == [1] and r2["skipped"] == [0]
+    _check_partitions(out, corpus)
+
+
+def test_resumable_run_is_one_heavy_job(tmp_path, monkeypatch):
+    """Every missing partition comes out of ONE write_parquet into the raw
+    staging dir; a run with nothing missing submits none."""
+    from ray.data import Dataset
+
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=8)
+    out = str(tmp_path / "run")
+    raw_dir = os.path.join(out, "raw")
+    writes = []
+    real = Dataset.write_parquet
+
+    def counting(self, path, *args, **kwargs):
+        writes.append(path)
+        return real(self, path, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "write_parquet", counting)
+
+    r1 = run_resumable(corpus, out, n_partitions=8)
+    assert r1["computed"] == list(range(8))
+    assert [p for p in writes if p.startswith(raw_dir)] == [
+        os.path.join(raw_dir, f"_staging.{os.getpid()}")]
+    writes.clear()
+    r2 = run_resumable(corpus, out, n_partitions=8)
+    assert r2["computed"] == [] and r2["skipped"] == list(range(8))
+    assert [p for p in writes if p.startswith(raw_dir)] == []
+
+
+def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
+                                                       monkeypatch):
+    """A crash after the first partition is published: the run raises,
+    the rerun computes only the unlanded partition, the final triples
+    equal a clean run's, and no staged file is ever in the raw glob."""
+    import glob
+
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines import run
+
+    corpus = corpus_dir(0.001)
+    run.run_resumable(corpus, str(tmp_path / "clean"), n_partitions=2)
+    want = _final_rows(str(tmp_path / "clean"))
+
+    out = str(tmp_path / "run")
+    raw_dir = os.path.join(out, "raw")
+    real, landed, staged = run.land_raw_partition, [], []
+
+    def raw_glob_is_published():
+        for f in glob.glob(os.path.join(raw_dir, "part=*", "*.parquet")):
+            d = os.path.dirname(f)
+            assert os.path.basename(d) in {f"part={p:04d}" for p in landed}
+            assert os.path.exists(os.path.join(d, "_MANIFEST.json"))
+
+    def landing(out_dir, part_id, fingerprint, write, counts):
+        raw_glob_is_published()
+        staged.extend(glob.glob(os.path.join(raw_dir, "_staging.*", "*",
+                                             "*.parquet")))
+        if landed:
+            raise RuntimeError("injected crash mid-landing")
+        counters = real(out_dir, part_id, fingerprint, write, counts)
+        landed.append(part_id)
+        raw_glob_is_published()
+        return counters
+
+    with monkeypatch.context() as m:
+        m.setattr(run, "land_raw_partition", landing)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run.run_resumable(corpus, out, n_partitions=2)
+    assert landed == [0] and staged
+    raw_glob_is_published()
+
+    r = run.run_resumable(corpus, out, n_partitions=2)
+    assert r["computed"] == [1] and r["skipped"] == [0]
+    assert _final_rows(out) == want
+    assert not glob.glob(os.path.join(raw_dir, "_staging*"))
+
+
+def test_resumable_run_recomputes_partition_without_link_counts(tmp_path):
+    """A partition landed in the older layout (manifest, no link-counts
+    file) is recomputed, not skipped: skipping it would drop its counts
+    from the canonical map."""
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.run import run_resumable
+    from kb_ner_ray.state.manifest import LINK_COUNTS
+
+    corpus = corpus_dir(0.001)
+    out = str(tmp_path / "run")
+    run_resumable(corpus, out, n_partitions=2)
+    want = _final_rows(out)
+    lc = os.path.join(out, "raw", "part=0000", LINK_COUNTS)
+    os.remove(lc)
+    r = run_resumable(corpus, out, n_partitions=2)
+    assert r["computed"] == [0] and r["skipped"] == [1]
+    assert os.path.exists(lc)
+    assert _final_rows(out) == want
+
+
+def test_resumable_run_lands_empty_partition(tmp_path):
+    """A partition whose pages yield no triples lands with n_rows 0 and
+    an empty typed link-counts table, and the rerun skips it."""
+    import pyarrow.feather as feather
+
+    from kb_ner_ray.pipelines.run import run_resumable
+    from kb_ner_ray.stages.canonicalize import LINK_COUNTS_SCHEMA
+    from kb_ner_ray.state.manifest import LINK_COUNTS
+
+    corpus = _corpus_copy(tmp_path, n_files=2, empty=(1,))
+    out = str(tmp_path / "run")
+    r1 = run_resumable(corpus, out, n_partitions=2)
+    assert r1["computed"] == [0, 1] and r1["n_triples"] > 0
+    part1 = os.path.join(out, "raw", "part=0001")
+    with open(os.path.join(part1, "_MANIFEST.json")) as f:
+        m = json.load(f)
+    assert m["n_rows"] == 0 and m["counters"]["n_linked_sides"] == 0
+    lc = feather.read_table(os.path.join(part1, LINK_COUNTS))
+    assert lc.num_rows == 0 and lc.schema == LINK_COUNTS_SCHEMA
+    _check_partitions(out, corpus)
+
+    r2 = run_resumable(corpus, out, n_partitions=2)
+    assert r2["computed"] == [] and r2["skipped"] == [0, 1]
+    assert r2["n_triples"] == r1["n_triples"]
+
+    # recomputing only the empty partition: the job writes no rows at all
+    mpath = os.path.join(part1, "_MANIFEST.json")
+    m["input_fingerprint"] = "stale"
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    r3 = run_resumable(corpus, out, n_partitions=2)
+    assert r3["computed"] == [1] and r3["skipped"] == [0]
+    assert r3["n_triples"] == r1["n_triples"]
+    _check_partitions(out, corpus)
+
+
+def test_resumable_run_keeps_live_foreign_staging(tmp_path):
+    """A run deletes only its own staging dir and those of processes that
+    are gone: a concurrent run's staged files survive."""
+    import subprocess
+    import sys
+
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=2)
+    out = str(tmp_path / "run")
+    raw_dir = os.path.join(out, "raw")
+    dead = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True, text=True).stdout.strip()
+    live = os.path.join(raw_dir, f"_staging.{os.getppid()}", "part=0000")
+    gone = os.path.join(raw_dir, f"_staging.{dead}", "part=0000")
+    for d in (live, gone):
+        os.makedirs(d)
+        with open(os.path.join(d, "x.parquet"), "w") as f:
+            f.write("staged")
+    r = run_resumable(corpus, out, n_partitions=2)
+    assert r["computed"] == [0, 1]
+    assert os.path.exists(os.path.join(live, "x.parquet"))
+    assert not os.path.exists(os.path.dirname(gone))
+    _check_partitions(out, corpus)
+
+
+def test_resumable_run_ignores_partitions_beyond_split(tmp_path):
+    """Partition dirs left by an earlier run with more partitions stay out
+    of the canonical map and the final triples."""
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=4)
+    run_resumable(corpus, str(tmp_path / "clean"), n_partitions=2)
+    want = _final_rows(str(tmp_path / "clean"))
+
+    out = str(tmp_path / "run")
+    r1 = run_resumable(corpus, out, n_partitions=4)
+    assert r1["computed"] == [0, 1, 2, 3]
+    r2 = run_resumable(corpus, out, n_partitions=2)
+    assert r2["computed"] == [0, 1]
+    assert os.path.isdir(os.path.join(out, "raw", "part=0003"))
+    assert _final_rows(out) == want
+    assert r2["n_triples"] == len(want)
