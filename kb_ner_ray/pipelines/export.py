@@ -75,14 +75,14 @@ def export_training_shards(docs_ds, out_dir: str, *,
         hx = [hashlib.md5(str(int(i)).encode()).hexdigest() for i in ids]
         shard = np.array([int(h[:8], 16) % n_shards for h in hx], np.int64)
         keep = np.array([s in pend for s in shard])
-        t = (t.append_column("__shard", pa.array(shard))
+        t = (t.append_column("order_shard", pa.array(shard))
              .append_column("order_key", pa.array(hx, pa.string())))
         return t.filter(pa.array(keep))
 
     def write_shard(g: pd.DataFrame) -> pa.Table:
-        shard = int(g["__shard"].iloc[0])
+        shard = int(g["order_shard"].iloc[0])
         g = g.sort_values(["order_key", id_col], kind="mergesort") \
-            .drop(columns=["__shard"])
+            .drop(columns=["order_shard"])
         write_partition(out_dir, shard,
                         pa.Table.from_pandas(g, preserve_index=False),
                         fp(shard))
@@ -90,7 +90,7 @@ def export_training_shards(docs_ds, out_dir: str, *,
                          "n_rows": pa.array([len(g)], pa.int64())})
 
     stats = (docs_ds.map_batches(hash_batch, batch_format="pyarrow")
-             .groupby("__shard")
+             .groupby("order_shard")
              .map_groups(write_shard, batch_format="pandas")
              .to_pandas())
     written = set(stats["shard"]) if len(stats) else set()

@@ -2360,51 +2360,33 @@ def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
     Zipf-head token's per-batch partials — one per (lang, batch) — all
     landed in ONE token-hash reducer group, ~n_blocks rows at 100 TB):
 
-    * per-batch (lang, tok, salt, c) pre-agg keyed on
-      hash(tok) x (hash(doc) % n_salts) — the salt is per DOC, so a
-      hot token's mass splits ~n_salts ways however batches were cut,
-      at a partial-volume cost of at most x n_salts on hot tokens only
-      (a rare token's docs land on few salts, so it still travels as
-      ~one row);
+    * per-batch (lang, tok, c) pre-agg, bucketed on hash(tok) and
+      salted per BATCH by ``bucket_exchange``'s salted mode, so a hot
+      token still travels as one partial per (lang, batch) and its
+      largest phase-1 group holds ~1/n_salts of those partials;
     * phase 1 groups on (bucket, salt) and sums to one row per
       (lang, tok) per group;
     * phase 2 groups on hash(tok) (<= n_salts rows per (lang, tok)),
       finishes the exact counts, and emits ONE bounded stats row per
       (lang, bucket) — the driver combine stays |langs| x n_buckets."""
-    from ..stages.partitioning import (bucket_array, check_group_cap,
-                                       default_buckets, default_salts)
+    from ..stages.partitioning import bucket_exchange
     from ..stages.sparse import _tokenize_batch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    nb = default_buckets()
-    ns = n_salts or default_salts()
 
     def pairs(t: pa.Table) -> pa.Table:
         flat, di, lengths = _tokenize_batch(t, "text")
         langs = t["lang"].to_numpy(zero_copy_only=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        s = bucket_array(ids, ns).astype(np.int64)
-        out = (pa.table({"lang": pa.array(langs[di]), "tok": flat,
-                         "__s": pa.array(s[di], pa.int64())})
-               .group_by(["lang", "tok", "__s"]).aggregate([("tok", "count")])
-               .rename_columns(["lang", "tok", "__s", "c"]))
-        b = bucket_array(out["tok"], nb).astype(np.int64)
-        return pa.table({
-            "lang": out["lang"], "tok": out["tok"],
-            "c": out.column("c").cast(pa.int64()),
-            "__bs": pa.array(
-                b * ns + out["__s"].to_numpy(zero_copy_only=False),
-                pa.int64()),
-        })
+        out = (pa.table({"lang": pa.array(langs[di]), "tok": flat})
+               .group_by(["lang", "tok"]).aggregate([("tok", "count")]))
+        return pa.table({"lang": out["lang"], "tok": out["tok"],
+                         "c": out["tok_count"].cast(pa.int64())})
 
     def phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "corpus_lang_stats.phase1")
-        cnt = g.groupby(["lang", "tok"], as_index=False)["c"].sum()
-        cnt["__b"] = g["__bs"].iloc[0] // ns
-        return cnt.astype({"c": np.int64})
+        return (g.groupby(["lang", "tok"], as_index=False)["c"].sum()
+                .astype({"c": np.int64}))
 
     def phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "corpus_lang_stats.phase2")
         cnt = g.groupby(["lang", "tok"], as_index=False)["c"].sum()
         agg = cnt.groupby("lang").agg(
             vocab=("tok", "size"),
@@ -2413,11 +2395,9 @@ def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
         return agg.astype({"vocab": np.int64, "hapax": np.int64,
                            "n_tokens": np.int64})
 
-    vocab = (ds.map_batches(pairs, batch_format="pyarrow")
-             .groupby("__bs")
-             .map_groups(phase1, batch_format="pandas")
-             .groupby("__b")
-             .map_groups(phase2, batch_format="pandas")
+    vocab = (bucket_exchange(ds, ["tok"], phase2, prep=pairs,
+                             combine=phase1, n_salts=n_salts,
+                             row_cap=row_cap)
              .to_pandas()
              .groupby("lang", as_index=False).sum())
 
@@ -2586,21 +2566,19 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
 
     * per-batch distinct (tok, doc) pairs (vectorized; a doc's pairs
       are emitted exactly once globally, so partial dfs never
-      double-count) keyed on hash(tok) x (hash(doc) % n_salts) — the
-      salt is per ROW, so no group holds more than ~df(tok)/n_salts
-      rows of any token however batches were cut;
+      double-count), bucketed on hash(tok) and salted per ROW on
+      hash(doc) % n_salts by ``bucket_exchange``'s salted mode, so no
+      group holds more than ~df(tok)/n_salts rows of any token however
+      batches were cut;
     * phase 1 groups on (bucket, salt) and emits ONE fixed-width row
       per token per group (tok, df partial, first-10 partial);
     * phase 2 groups on hash(tok) and min-merges: <= n_salts partial
       rows per token, so the group is bounded by bucket vocabulary,
       not corpus size.  Output per token is BOUNDED (df + 10 ids)."""
-    from ..stages.partitioning import (bucket_array, check_group_cap,
-                                       default_buckets, default_salts)
+    from ..stages.partitioning import bucket_exchange
     from ..stages.sparse import _tokenize_batch
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    nb = default_buckets()
-    ns = n_salts or default_salts()
 
     def pairs(t: pa.Table) -> pa.Table:
         flat, di, _len = _tokenize_batch(t, "text")
@@ -2608,21 +2586,11 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
         pdf = (pd.DataFrame({"tok": flat.to_numpy(zero_copy_only=False),
                              "doc_id": ids[di]})
                .drop_duplicates(["tok", "doc_id"]))
-        out = pa.table({"tok": pa.array(pdf["tok"].to_numpy(object),
-                                        pa.string()),
-                        "doc_id": pa.array(pdf["doc_id"].to_numpy(np.int64))})
-        b = bucket_array(out["tok"], nb).astype(np.int64)
-        # per-ROW doc-hash salt (pairs keep doc identity, unlike the
-        # pre-aggregated partials elsewhere): a hot token's rows spread
-        # ~uniformly across n_salts phase-1 groups regardless of how
-        # batches were cut, so no group holds more than ~df(tok)/n_salts
-        s = bucket_array(pdf["doc_id"].to_numpy(np.int64), ns).astype(
-            np.int64)
-        return out.append_column(
-            "__bs", pa.array(b * ns + s, pa.int64()))
+        return pa.table({"tok": pa.array(pdf["tok"].to_numpy(object),
+                                         pa.string()),
+                         "doc_id": pa.array(pdf["doc_id"].to_numpy(np.int64))})
 
     def phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "token_postings.phase1")
         g = (g.drop_duplicates(["tok", "doc_id"])
              .sort_values(["tok", "doc_id"], kind="mergesort"))
         grp = g.groupby("tok", sort=False)
@@ -2630,17 +2598,13 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
         first10 = g[grp.cumcount().to_numpy() < 10].copy()
         first10["s"] = first10["doc_id"].astype(str)
         posts = first10.groupby("tok", sort=False)["s"].agg(",".join)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "tok": sizes.index.to_numpy(object),
             "df": sizes.to_numpy(np.int64),
             "postings": posts.reindex(sizes.index).to_numpy(object),
         })
-        out["__b"] = (g.groupby("tok", sort=False)["__bs"].first()
-                      .reindex(sizes.index).to_numpy(np.int64) // ns)
-        return out
 
     def phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "token_postings.phase2")
         df = g.groupby("tok", as_index=False)["df"].sum()
 
         def merge10(parts) -> str:
@@ -2651,11 +2615,9 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
         df["postings"] = posts.reindex(df["tok"]).to_numpy(object)
         return df.astype({"df": np.int64})
 
-    return (ds.map_batches(pairs, batch_format="pyarrow")
-            .groupby("__bs")
-            .map_groups(phase1, batch_format="pandas")
-            .groupby("__b")
-            .map_groups(phase2, batch_format="pandas"))
+    return bucket_exchange(ds, ["tok"], phase2, prep=pairs, combine=phase1,
+                           n_salts=n_salts, salt_col="doc_id",
+                           row_cap=row_cap)
 
 
 SQL_TOKEN_POSTINGS = r"""

@@ -529,7 +529,7 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     import pandas as pd
     import ray.data as rd
 
-    from .partitioning import bucket_multi, co_partition, default_buckets
+    from .partitioning import bucket_exchange, co_partition, default_buckets
 
     nb = n_buckets or default_buckets()
     edges = pairs_ds.select_columns([a_col, b_col]).materialize()
@@ -550,18 +550,15 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     def deg_partial(t: pa.Table) -> pa.Table:
         n = np.concatenate([t[a_col].to_numpy(), t[b_col].to_numpy()])
         u, c = np.unique(n, return_counts=True)
-        out = pa.table({"node": pa.array(u.astype(np.int64)),
-                        "c": pa.array(c.astype(np.int64))})
-        return out.append_column(
-            "__b", pa.array(bucket_multi([out["node"]], nb), pa.int32()))
+        return pa.table({"node": pa.array(u.astype(np.int64)),
+                         "c": pa.array(c.astype(np.int64))})
 
     def deg_final(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["c"].sum()
         return out.rename(columns={"c": "deg"})
 
-    deg = (edges.map_batches(deg_partial, batch_format="pyarrow")
-           .groupby("__b").map_groups(deg_final, batch_format="pandas")
-           .materialize())
+    deg = bucket_exchange(edges, ["node"], deg_final, prep=deg_partial,
+                          n_buckets=nb).materialize()
 
     # rank join: edge rows meet their endpoint's degree row in one
     # co-partitioned bucket.  deg and each join's output are materialized:
@@ -613,13 +610,7 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
                              "y": np.concatenate(ys),
                              "wu": np.concatenate(us)})
 
-    def bucket_u(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(bucket_multi([t["u"]], nb), pa.int32()))
-
-    wedges = (oriented.map_batches(bucket_u, batch_format="pyarrow")
-              .groupby("__b").map_groups(wedge_rows,
-                                         batch_format="pandas"))
+    wedges = bucket_exchange(oriented, ["u"], wedge_rows, n_buckets=nb)
 
     # the closing edge (x, y) is oriented min-rank -> max-rank like every
     # edge, but rank order is unknown here, so key the shuffle on the
@@ -631,13 +622,9 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         else:
             x, y = t["x"].to_numpy(), t["y"].to_numpy()
             wu = t["wu"].to_numpy().astype(np.int64)
-        lo = np.minimum(x, y).astype(np.int64)
-        hi = np.maximum(x, y).astype(np.int64)
-        out = pa.table({"x": pa.array(lo), "y": pa.array(hi),
-                        "wu": pa.array(wu)})
-        return out.append_column(
-            "__b", pa.array(bucket_multi([out["x"], out["y"]], nb),
-                            pa.int32()))
+        return pa.table({"x": pa.array(np.minimum(x, y).astype(np.int64)),
+                         "y": pa.array(np.maximum(x, y).astype(np.int64)),
+                         "wu": pa.array(wu)})
 
     paired = (wedges.map_batches(tag_pair, fn_kwargs={"is_edge": False},
                                  batch_format="pyarrow")
@@ -658,17 +645,11 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         u, c = np.unique(nodes, return_counts=True)
         return pd.DataFrame({"node": u, "c": c.astype(np.int64)})
 
-    closed = paired.groupby("__b").map_groups(close,
-                                              batch_format="pandas")
-
-    def cnt_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(bucket_multi([t["node"]], nb), pa.int32()))
+    closed = bucket_exchange(paired, ["x", "y"], close, n_buckets=nb)
 
     def cnt_final(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("node", as_index=False)["c"].sum()
         return pd.DataFrame({"doc_id": out["node"].to_numpy(np.int64),
                              "n_triangles": out["c"].to_numpy(np.int64)})
 
-    return (closed.map_batches(cnt_bucket, batch_format="pyarrow")
-            .groupby("__b").map_groups(cnt_final, batch_format="pandas"))
+    return bucket_exchange(closed, ["node"], cnt_final, n_buckets=nb)

@@ -22,9 +22,10 @@ Plan (two corpus passes + two bucketed shuffles; text never shuffles):
   (vectorized: shifted-array equality per offset, no Python loop over
   rows), shuffles ONCE on hash(pair) and prunes inside the reducers.
   The T/P corpus scalars ride along as ONE sentinel row per batch
-  (summed inside the bucket-0 reducer), so no extra corpus pass and no
-  per-block driver combine for them.  The surviving pair table is
-  materialized (it is the pruned, fixed-width RESULT, not the corpus);
+  (summed inside the one reducer their null key hashes to), so no
+  extra corpus pass and no per-block driver combine for them.  The
+  surviving pair table is materialized (it is the pruned, fixed-width
+  RESULT, not the corpus);
 * the survivor token set is collected behind a measured-bytes gate
   (raises like decontaminate on a pathological corpus) and broadcast;
 * pass B streams the corpus again for survivor-token occurrence counts:
@@ -43,6 +44,8 @@ ValueError naming the token rather than scoring garbage.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -55,8 +58,8 @@ from .sparse import _tokenize_batch
 PMI_SCALE = 10_000
 
 
-def _pair_counts_batch(t: pa.Table, text_col: str, window: int,
-                       n_buckets: int) -> pa.Table:
+def _pair_counts_batch(t: pa.Table, text_col: str,
+                       window: int) -> pa.Table:
     flat, doc_idx, lengths = _tokenize_batch(t, text_col)
     toks = flat.to_numpy(zero_copy_only=False)
     parts = []
@@ -77,12 +80,9 @@ def _pair_counts_batch(t: pa.Table, text_col: str, window: int,
         cnt = pd.DataFrame({"a": pd.Series([], object),
                             "b": pd.Series([], object),
                             "n_ab": pd.Series([], np.int64)})
-    from .partitioning import bucket_multi
-
-    bk = bucket_multi([cnt["a"].to_numpy(object),
-                       cnt["b"].to_numpy(object)], n_buckets)
-    # sentinel row: the batch's T/P scalar partial (a/b null, bucket 0) —
-    # null never collides with a real token (whitespace split yields '').
+    # sentinel row: the batch's T/P scalar partial (a/b null, so every
+    # batch's sentinel hashes to one bucket) — null never collides with a
+    # real token (whitespace split yields '').
     n_tok = int(lengths.sum())
     n_pair = int(sum(np.maximum(lengths - d, 0).sum()
                      for d in range(1, window + 1)))
@@ -94,7 +94,6 @@ def _pair_counts_batch(t: pa.Table, text_col: str, window: int,
                          pa.int64()),
         "n_tok": pa.array([0] * n + [n_tok], pa.int64()),
         "n_pair": pa.array([0] * n + [n_pair], pa.int64()),
-        "__b": pa.array(list(bk.astype(np.int64)) + [0], pa.int32()),
     })
 
 
@@ -116,7 +115,7 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
         out = out[out["n_ab"] >= min_pair]
         out["n_tok"] = np.int64(0)
         out["n_pair"] = np.int64(0)
-        if sent.any():  # bucket 0: fold the scalar partials into one row
+        if sent.any():  # the sentinel bucket: fold the scalars into one row
             out = pd.concat([out, pd.DataFrame({
                 "a": [None], "b": [None], "n_ab": [np.int64(0)],
                 "n_tok": [np.int64(g.loc[sent, "n_tok"].sum())],
@@ -125,14 +124,10 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
         return out.astype({"n_ab": np.int64, "n_tok": np.int64,
                            "n_pair": np.int64})
 
-    surv_all = (docs_ds
-                .map_batches(_pair_counts_batch, batch_format="pyarrow",
-                             fn_kwargs={"text_col": text_col,
-                                        "window": window,
-                                        "n_buckets": nb})
-                .groupby("__b")
-                .map_groups(reduce_bucket, batch_format="pandas")
-                .materialize())
+    surv_all = bucket_exchange(
+        docs_ds, ["a", "b"], reduce_bucket, n_buckets=nb,
+        prep=functools.partial(_pair_counts_batch, text_col=text_col,
+                               window=window)).materialize()
     # the lone sentinel row carries the corpus scalars
     sent_df = (surv_all
                .map_batches(lambda t: t.filter(pc.is_null(t["a"])),

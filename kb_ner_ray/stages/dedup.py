@@ -297,20 +297,20 @@ def content_md5(texts) -> list[str]:
 
 
 def add_content_hash(batch: pa.Table) -> pa.Table:
-    from .partitioning import default_buckets
-
-    n_salt = default_buckets()  # reducer fan-out follows the cluster
     h = content_md5(batch.column("text").to_pylist())
-    t = batch.append_column("content_hash", pa.array(h, pa.string()))
-    # coarse shuffle key: salt buckets instead of |distinct hashes|
-    # groups — per-group dispatch must stay O(buckets), not O(corpus)
-    salt = [int(x[:4], 16) % n_salt for x in h]
-    return t.append_column("salt", pa.array(salt, pa.int32()))
+    return batch.append_column("content_hash", pa.array(h, pa.string()))
+
+
+def _doc_hashes(batch: pa.Table) -> pa.Table:
+    h = content_md5(batch.column("text").to_pylist())
+    return pa.table({"doc_id": batch["doc_id"],
+                     "content_hash": pa.array(h, pa.string())})
 
 
 def collapse_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    """Per salt bucket: vectorized keep-min-doc_id + count per content hash
-    (reference M3 semantics, kb/parse_text.py:49-52, made global)."""
+    """Per content-hash bucket: vectorized keep-min-doc_id + count per
+    content hash (reference M3 semantics, kb/parse_text.py:49-52, made
+    global)."""
     out = group.groupby("content_hash", as_index=False).agg(
         doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
     return out[["doc_id", "content_hash", "n_dups"]]
@@ -318,12 +318,10 @@ def collapse_bucket(group: pd.DataFrame) -> pd.DataFrame:
 
 def exact_dedup(docs_ds):
     """Dataset(doc_id, text) -> Dataset(doc_id, content_hash, n_dups)."""
-    return (
-        docs_ds.map_batches(add_content_hash, batch_format="pyarrow")
-        .select_columns(["doc_id", "content_hash", "salt"])
-        .groupby("salt")
-        .map_groups(collapse_bucket, batch_format="pandas")
-    )
+    from .partitioning import bucket_exchange
+
+    return bucket_exchange(docs_ds, ["content_hash"], collapse_bucket,
+                           prep=_doc_hashes)
 
 
 # ---- MinHash + LSH ----------------------------------------------------------
@@ -556,28 +554,17 @@ def minhash_lsh_pairs(docs_ds, threshold: float = 0.8):
     jaccard verify per pair (vectorized intersect of sorted arrays).
     """
     from .joins import hash_join
-    from .partitioning import bucket_array, default_buckets
+    from .partitioning import bucket_exchange
 
     sig = docs_ds.map_batches(shingle_signatures, batch_format="pyarrow")
 
-    n_pb = default_buckets()
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__pb", pa.array(
-            bucket_array(t["doc_a"], n_pb), pa.int32()))
-
-    cands = (
+    cands = bucket_exchange(
         banded_pairs_overflow(
             docs_ds.map_batches(minhash_bands, batch_format="pyarrow"),
             key_col="band_hash", payload_cols=[],
-            pair_fn=_candidate_pair_fn, pair_schema={})
-        .map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("__pb")
-        .map_groups(
-            lambda g: g.drop_duplicates(["doc_a", "doc_b"])[
-                ["doc_a", "doc_b"]],
-            batch_format="pandas")
-    )
+            pair_fn=_candidate_pair_fn, pair_schema={}),
+        ["doc_a"],
+        lambda g: g.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b"]])
 
     def rekey_a(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_a"], "doc_b": t["doc_b"]})
@@ -911,9 +898,7 @@ def repeated_ngrams(docs_ds, n: int = 10, min_docs: int = 2):
     grams seen in >= min_docs documents, with total occurrence counts.
     Returns (gram_hash, n_docs, n_occurrences).
     """
-    from .partitioning import default_buckets
-
-    nb = default_buckets()
+    from .partitioning import bucket_exchange
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         gs, ds_, cnts = [], [], []
@@ -926,14 +911,11 @@ def repeated_ngrams(docs_ds, n: int = 10, min_docs: int = 2):
                 gs.append(g)
                 ds_.append(doc_id)
                 cnts.append(c)
-        t = pa.table({
+        return pa.table({
             "gram": pa.array(gs, pa.int64()),
             "doc_id": pa.array(ds_, pa.int64()),
             "cnt": pa.array(cnts, pa.int64()),
         })
-        return t.append_column("__gb", pa.array(
-            (np.asarray(gs, dtype=np.int64) % nb).astype(np.int32)
-            if gs else np.array([], dtype=np.int32), pa.int32()))
 
     def hot_grams(group: pd.DataFrame) -> pd.DataFrame:
         agg = group.groupby("gram").agg(
@@ -942,9 +924,7 @@ def repeated_ngrams(docs_ds, n: int = 10, min_docs: int = 2):
         return agg.astype({"gram": "int64", "n_docs": "int64",
                            "n_occurrences": "int64"})
 
-    return (docs_ds.map_batches(gram_rows, batch_format="pyarrow")
-            .groupby("__gb")
-            .map_groups(hot_grams, batch_format="pandas"))
+    return bucket_exchange(docs_ds, ["gram"], hot_grams, prep=gram_rows)
 
 
 def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
@@ -972,7 +952,7 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
     n_words_removed) — rewrite semantics, pinned by the planted-passage
     pytest (not SQL-expressible at reasonable cost).
     """
-    from .partitioning import bucket_array, default_buckets
+    from .partitioning import bucket_exchange, default_buckets
 
     nb = n_buckets or default_buckets()
 
@@ -986,13 +966,10 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
             gs.extend(hs)
             ds_.extend([doc_id] * len(hs))
             ps.extend(range(len(hs)))
-        g = np.asarray(gs, dtype=np.int64)
         return pa.table({
-            "gram": pa.array(g, pa.int64()),
+            "gram": pa.array(np.asarray(gs, np.int64), pa.int64()),
             "doc_id": pa.array(np.asarray(ds_, np.int64), pa.int64()),
             "pos": pa.array(np.asarray(ps, np.int64), pa.int64()),
-            "__gb": pa.array((g % nb).astype(np.int32) if len(g)
-                             else np.array([], np.int32), pa.int32()),
         })
 
     def cut_positions(group: pd.DataFrame) -> pd.DataFrame:
@@ -1004,25 +981,23 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
         cut = hot.iloc[1:][hot["gram"].to_numpy()[1:]
                            == hot["gram"].to_numpy()[:-1]] \
             if len(hot) else hot
-        d = cut["doc_id"].to_numpy(np.int64) if len(cut) else \
-            np.array([], np.int64)
         return pd.DataFrame({
-            "doc_id": d,
+            "doc_id": (cut["doc_id"].to_numpy(np.int64) if len(cut)
+                       else np.array([], np.int64)),
             "pos": (cut["pos"].to_numpy(np.int64) if len(cut)
                     else np.array([], np.int64)),
-            "__db": bucket_array(d, nb),
         })
 
-    cuts = (docs_ds.map_batches(pos_rows, batch_format="pyarrow")
-            .groupby("__gb")
-            .map_groups(cut_positions, batch_format="pandas"))
+    cuts = bucket_exchange(docs_ds, ["gram"], cut_positions, prep=pos_rows,
+                           n_buckets=nb)
 
+    # cut positions and docs share one schema (a doc row has pos -1),
+    # so the rewrite is ONE exchange over their union
     def tag_cuts(t: pa.Table) -> pa.Table:
         return pa.table({
             "doc_id": t["doc_id"],
             "text": pa.array([""] * t.num_rows, pa.string()),
             "pos": t["pos"],
-            "__db": t["__db"],
         })
 
     def tag_docs(t: pa.Table) -> pa.Table:
@@ -1030,7 +1005,6 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
             "doc_id": t["doc_id"],
             "text": t["text"],
             "pos": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-            "__db": pa.array(bucket_array(t["doc_id"], nb), pa.int32()),
         })
 
     def rewrite(group: pd.DataFrame) -> pd.DataFrame:
@@ -1071,8 +1045,7 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
     tagged = (docs_ds.select_columns(["doc_id", "text"])
               .map_batches(tag_docs, batch_format="pyarrow")
               .union(cuts.map_batches(tag_cuts, batch_format="pyarrow")))
-    return tagged.groupby("__db").map_groups(rewrite,
-                                             batch_format="pandas")
+    return bucket_exchange(tagged, ["doc_id"], rewrite, n_buckets=nb)
 
 
 def decontaminate(docs_ds, benchmark_ds, n: int = 8,
@@ -1200,16 +1173,9 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
     """
     import pyarrow.compute as pc
 
-    from .partitioning import (
-        bucket_array,
-        check_group_cap,
-        co_partition,
-        default_buckets,
-        default_salts,
-    )
+    from .partitioning import bucket_exchange, co_partition, default_buckets
 
     nb = n_buckets or default_buckets()
-    ns = n_salts or default_salts()
 
     def _split(t: pa.Table):
         ls = pc.split_pattern(t["text"].combine_chunks()
@@ -1225,15 +1191,11 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
         off = ls.offsets.to_numpy(zero_copy_only=False)
         idx = np.arange(len(flat), dtype=np.int64) - off[par]
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        line = flat.to_numpy(zero_copy_only=False)[keepm]
-        did = ids[par[keepm]].astype(np.int64)
-        lb = bucket_array(line, nb).astype(np.int64)
-        st = bucket_array(did, ns).astype(np.int64)
         return pa.table({
-            "doc_id": pa.array(did),
+            "doc_id": pa.array(ids[par[keepm]].astype(np.int64)),
             "idx": pa.array(idx[keepm]),
-            "line": pa.array(line, pa.string()),
-            "__k": pa.array(lb * ns + st),
+            "line": pa.array(flat.to_numpy(zero_copy_only=False)[keepm],
+                             pa.string()),
         })
 
     def sentinel(t: pa.Table) -> pa.Table:
@@ -1245,24 +1207,18 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
                          "n_lines": pa.array(n_nz)})
 
     src = docs_ds.select_columns(["doc_id", "text"])
-    lines = src.map_batches(explode, batch_format="pyarrow")
     sentinels = src.map_batches(sentinel, batch_format="pyarrow")
 
     def salt_min(g: pd.DataFrame) -> pd.DataFrame:
         # one (line-bucket, salt) group: keep the salt-local min
         # (doc_id, idx) per line — everything else is a duplicate
         # regardless of the global winner
-        check_group_cap(len(g), row_cap, "line_dedup.salt_min")
         out = (g.sort_values(["line", "doc_id", "idx"], kind="mergesort")
                .drop_duplicates("line"))
-        out = out.copy()
-        out["__k"] = bucket_array(out["line"].to_numpy(object),
-                                  nb).astype(np.int64)
-        return out[["doc_id", "idx", "line", "__k"]]
+        return out[["doc_id", "idx", "line"]]
 
     def global_min(g: pd.DataFrame) -> pa.Table:
         # <= n_salts candidate rows per line: elect the global winner
-        check_group_cap(len(g), row_cap, "line_dedup.global_min")
         out = (g.sort_values(["line", "doc_id", "idx"], kind="mergesort")
                .drop_duplicates("line"))
         return pa.table({
@@ -1273,11 +1229,10 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
 
     # materialized: co_partition reads its schema up front, which on the
     # lazy two-shuffle chain would run both shuffles twice
-    winners = (lines
-               .groupby("__k").map_groups(salt_min, batch_format="pandas")
-               .groupby("__k").map_groups(global_min,
-                                          batch_format="pandas")
-               .materialize())
+    winners = bucket_exchange(src, ["line"], global_min, prep=explode,
+                              n_buckets=nb, combine=salt_min,
+                              n_salts=n_salts, salt_col="doc_id",
+                              row_cap=row_cap).materialize()
 
     def rebuild(wt: pa.Table, st: pa.Table) -> pd.DataFrame:
         sent = st.to_pandas()
@@ -1320,8 +1275,8 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
          through the exact bucketed ANTI join against the old hash
          stream (stages/joins.semi_join(anti=True) — sound because the
          bloom only ROUTES rows here, it never drops);
-      4. survivors of A+B collapse per content hash inside salt buckets
-         (same engine as exact_dedup) for the within-new dedup.
+      4. survivors of A+B collapse per content hash inside content-hash
+         buckets (same engine as exact_dedup) for the within-new dedup.
 
     Both passes over the new shard are stateless hash maps — no shuffle
     re-executes.  Returns Dataset(doc_id, content_hash, n_dups).
@@ -1329,23 +1284,18 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
     import ray
 
     from .joins import _build_bloom, semi_join
-    from .partitioning import BloomFilter, default_buckets
+    from .partitioning import BloomFilter, bucket_exchange, default_buckets
     from .similarity import _cached_state
 
     nb = n_buckets or default_buckets()
 
-    def hash_only(t: pa.Table) -> pa.Table:
-        h = content_md5(t.column("text").to_pylist())
-        return pa.table({"doc_id": t["doc_id"],
-                         "content_hash": pa.array(h, pa.string())})
-
-    old_hashes = old_ds.map_batches(hash_only, batch_format="pyarrow") \
+    old_hashes = old_ds.map_batches(_doc_hashes, batch_format="pyarrow") \
         .select_columns(["content_hash"])
     bloom = _build_bloom(old_hashes, "content_hash", bloom_bits)
     bref = ray.put(bloom.bits)
 
     def split(t: pa.Table, want_hits: bool) -> pa.Table:
-        t = hash_only(t)
+        t = _doc_hashes(t)
         bf = BloomFilter(bloom_bits, _cached_state(bref, lambda b: b))
         hit = bf.contains_many(t["content_hash"])
         return t.filter(pa.array(hit if want_hits else ~hit))
@@ -1356,16 +1306,8 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
                                    batch_format="pyarrow")
     fresh = semi_join(positives, old_hashes, on="content_hash",
                       n_buckets=nb, anti=True)
-    survivors = misses.union(fresh)
-
-    def add_salt(t: pa.Table) -> pa.Table:
-        salt = [int(x[:4], 16) % nb
-                for x in t["content_hash"].to_pylist()]
-        return t.append_column("salt", pa.array(salt, pa.int32()))
-
-    return (survivors.map_batches(add_salt, batch_format="pyarrow")
-            .groupby("salt")
-            .map_groups(collapse_bucket, batch_format="pandas"))
+    return bucket_exchange(misses.union(fresh), ["content_hash"],
+                           collapse_bucket, n_buckets=nb)
 
 
 def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8,

@@ -11,9 +11,21 @@ Every single-input bucketed operator shuffles through ``bucket_exchange``;
 every two-input co-partition (joins, build/probe plans, rebuilds) goes
 through ``co_partition``, which hands each bucket both sides as Arrow
 tables with their own exact schemas.
+
+The salt rule, stated once: a salted exchange's phase-1 group id is
+``bucket * ns + salt``.  Rows that keep their document (token postings,
+dedup lines) salt on ``bucket_array(doc_id, ns)``, so a hot key's rows
+spread ~uniformly over ``ns`` groups.  Pre-aggregated partials get ONE
+salt per batch, a fingerprint of the batch's cells: the batch still
+emits one partial row per key, and the batches spread over ``ns``
+groups.  Salting partials per document instead multiplies a hot key's
+partial rows up to ``ns``-fold and leaves its largest group as big as
+unsalted.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -85,11 +97,10 @@ class BloomFilter:
         return BloomFilter(self.n_bits, self.bits | other.bits)
 
 
-def bucket_multi(arrays, n_buckets: int) -> np.ndarray:
-    """Deterministic vectorized bucket ids for a COMPOSITE key (several
-    aligned Arrow/numpy columns).  Same cross-process-stable SipHash as
-    ``bucket_array``, combined per column with a polynomial mix; datetime
-    columns hash via their int64 view."""
+def _row_hash(arrays) -> np.ndarray:
+    """uint64 SipHash per row of a COMPOSITE key (several aligned
+    Arrow/numpy columns), combined per column with a polynomial mix;
+    datetime columns hash via their int64 view."""
     import pandas as pd
 
     h = None
@@ -102,11 +113,31 @@ def bucket_multi(arrays, n_buckets: int) -> np.ndarray:
             arr = arr.view(np.int64)
         hc = pd.util.hash_array(arr, categorize=False)
         h = hc if h is None else h * np.uint64(1000003) + hc
-    return (h % np.uint64(n_buckets)).astype(np.int32)
+    return h
+
+
+def bucket_multi(arrays, n_buckets: int) -> np.ndarray:
+    """Deterministic vectorized bucket ids for a COMPOSITE key (several
+    aligned Arrow/numpy columns).  Same cross-process-stable SipHash as
+    ``bucket_array``, so for a single key the ids are equal."""
+    return (_row_hash(arrays) % np.uint64(n_buckets)).astype(np.int32)
+
+
+def batch_salt(t, n_salts: int) -> int:
+    """THE salt of a batch of pre-aggregated partials: the wrapping sum
+    of its rows' hashes over every column, mod ``n_salts``.  A pure
+    function of the batch's cells, so reruns regroup identically, and
+    batches with different content spread ~uniformly over the salts."""
+    if not t.num_rows:
+        return 0
+    h = _row_hash([t[c] for c in t.column_names])
+    return int(h.sum(dtype=np.uint64) % np.uint64(n_salts))
 
 
 def bucket_exchange(ds, keys, per_bucket, *, prep=None,
-                    n_buckets: int | None = None):
+                    n_buckets: int | None = None, combine=None,
+                    n_salts: int | None = None, salt_col: str | None = None,
+                    row_cap: int | None = None):
     """THE single-input hash-bucket exchange: every row (after the
     optional per-batch pyarrow ``prep``, typically a combiner that
     pre-aggregates to partial rows) gets ``__b = bucket_multi(keys, nb)``,
@@ -118,6 +149,18 @@ def bucket_exchange(ds, keys, per_bucket, *, prep=None,
     ``default_buckets()``; for a single key ``__b`` equals
     ``bucket_array(key, nb)``, which co-partitioned join plans rely on.
 
+    Salted two-phase mode (``combine`` given), for mergeable reduces
+    whose hot key would serialize one reducer: phase 1 groups on
+    ``__b = bucket_multi(keys, nb) * ns + salt`` and ``combine``
+    merges each salt group's rows to partial rows that keep the key
+    columns; phase 2 re-buckets those partials on ``keys`` and
+    ``per_bucket`` finishes each key from its <= ns partials (one per
+    phase-1 group), ``ns`` = ``n_salts`` or ``default_salts()``.  The
+    salt is ``bucket_array(salt_col, ns)`` when ``salt_col`` names a
+    per-row column (rows that keep their document), else ``batch_salt``
+    (pre-aggregated partials: one salt per batch).  ``row_cap`` asserts
+    every group's row count, once per phase (``check_group_cap``).
+
     The pandas schema metadata a pandas-block input (e.g. a previous
     exchange's output) picks up on conversion is dropped: it makes the
     block schema unhashable and the reducers log "Failed to hash the
@@ -126,16 +169,37 @@ def bucket_exchange(ds, keys, per_bucket, *, prep=None,
 
     nb = n_buckets or default_buckets()
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if prep is not None:
-            t = prep(t)
-        b = bucket_multi([t[k] for k in keys], nb)
-        return (t.replace_schema_metadata()
-                .append_column("__b", pa.array(b, pa.int32())))
+    def tag(prep_fn, ns: int):
+        def add_group(t: pa.Table) -> pa.Table:
+            if prep_fn is not None:
+                t = prep_fn(t)
+            t = t.replace_schema_metadata()
+            if "__b" in t.column_names:  # the previous phase's group id
+                t = t.drop_columns(["__b"])
+            g = bucket_multi([t[k] for k in keys], nb)
+            if ns:  # phase 1 of the salted mode
+                g = g.astype(np.int64) * ns + (
+                    bucket_array(t[salt_col], ns) if salt_col
+                    else batch_salt(t, ns))
+            return t.append_column("__b", pa.array(g))
+        return add_group
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
+    def capped(fn):
+        @functools.wraps(fn)
+        def call(g):
+            check_group_cap(len(g), row_cap, call.__qualname__)
+            return fn(g)
+        return call
+
+    if combine is not None:
+        ds = (ds.map_batches(tag(prep, n_salts or default_salts()),
+                             batch_format="pyarrow")
+              .groupby("__b")
+              .map_groups(capped(combine), batch_format="pandas"))
+        prep = None
+    return (ds.map_batches(tag(prep, 0), batch_format="pyarrow")
             .groupby("__b")
-            .map_groups(per_bucket, batch_format="pandas"))
+            .map_groups(capped(per_bucket), batch_format="pandas"))
 
 
 def co_partition(left, right, keys, per_bucket, *,
@@ -207,33 +271,24 @@ def bucket_array(values, n_buckets: int) -> np.ndarray:
     / numpy array of ints or strings (pandas' SipHash; stable across
     processes — required, since map tasks on different workers must agree
     on the bucket of a key)."""
-    import pandas as pd
-
-    if hasattr(values, "to_numpy"):
-        arr = values.to_numpy(zero_copy_only=False)
-    else:
-        arr = np.asarray(values)
-    h = pd.util.hash_array(arr, categorize=False)
-    return (h % np.uint64(n_buckets)).astype(np.int32)
+    return bucket_multi([values], n_buckets)
 
 
 def default_salts(cap: int = 64) -> int:
     """Salt fan-out for two-phase (key, salt) -> (key) combines over
-    Zipf-skewed key spaces (token vocabularies).  The salt is
-    hash(doc) % n_salts, so a hot key's rows/partials spread ~uniformly
-    across salts and no phase-1 reducer group holds more than ~1/salts
-    of its mass.  Scales with the cluster like ``default_buckets`` but
-    capped: the phase-2 group then carries <= salts rows per key, and
-    past ~64 the extra fan-out only multiplies phase-2 volume (and, for
-    pre-aggregated partials, the per-batch partial row count)."""
+    Zipf-skewed key spaces (token vocabularies); the salt itself follows
+    the rule in the module docstring.  Scales with the cluster like
+    ``default_buckets`` but capped: the phase-2 group then carries
+    <= salts rows per key, and past ~64 the extra fan-out only
+    multiplies phase-2 volume."""
     return min(cap, default_buckets())
 
 
 def check_group_cap(n_rows: int, row_cap: int | None, site: str) -> None:
     """Optional reducer-group row-cap assertion (the planted-hot-token
     tests pass a cap; production leaves it None).  Raising here means a
-    salted two-phase reduce failed to bound its phase-1 group — a bug,
-    not a data problem."""
+    salted two-phase reduce failed to bound its group — a bug, not a
+    data problem."""
     if row_cap is not None and n_rows > row_cap:
         raise AssertionError(
             f"{site}: reducer group holds {n_rows} rows "

@@ -3,58 +3,49 @@
 canonicalization shuffle").
 
 A single hot key (one domain with 20% of all rows — the synthetic corpus
-plants exactly this) lands on one reducer in a naive groupby.  Salting
-splits every key into ``n_salts`` sub-keys for the first (wide) exchange,
-then a second exchange over the per-(key, salt) partials — which is at most
-``n_salts x |keys|`` rows — removes the salt.  The flagship pipeline's
-canonicalization avoids the wide exchange entirely (per-batch combiner +
-vocabulary-sized driver combine); this operator is the general fallback for
-aggregates whose key cardinality is too large to combine on the driver but
-whose key distribution is skewed.
+plants exactly this) lands on one reducer in a naive groupby.  Each
+batch pre-aggregates to one partial row per key, and the salted mode of
+``partitioning.bucket_exchange`` gives every batch ONE salt, so the hot
+key's partials (one per batch) spread over ``n_salts`` phase-1 groups;
+phase 2 merges the <= n_salts per-group partials of each key.  The
+flagship pipeline's canonicalization avoids the wide exchange entirely
+(per-batch combiner + vocabulary-sized driver combine); this operator
+is the general fallback for aggregates whose key cardinality is too
+large to combine on the driver but whose key distribution is skewed.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def salted_grouped_sum(ds, key: str, value: str, n_salts: int = 16):
-    """Dataset -> Dataset(key, sum, n_rows) via salt -> partial -> unsalt
-    -> final.
+    """Dataset -> Dataset(key, sum, n_rows) via per-batch partial ->
+    salted merge -> final.
 
-    Both exchanges use coarse fixed-width keys: phase 1 groups on
-    (salt) x hash-bucketed key inside per-batch combiners, so no reducer
-    ever sees more than 1/n_salts of a hot key's rows.
+    Every batch emits one (key, sum, count) partial per key, salted per
+    batch, so a hot key's largest phase-1 group holds ~n_batches/n_salts
+    of its partials and salting never adds partial rows.
     """
+    from .partitioning import bucket_exchange
+
     def partial(t: pa.Table) -> pa.Table:
-        # per-batch combiner + salt assignment (row index % n_salts)
-        n = t.num_rows
-        salt = pa.array([i % n_salts for i in range(n)], pa.int32())
-        return (pa.table({key: t[key], "__salt": salt, value: t[value]})
-                .group_by([key, "__salt"])
+        return (pa.table({key: t[key], value: t[value]})
+                .group_by(key)
                 .aggregate([(value, "sum"), (value, "count")]))
 
-    from .partitioning import bucket_array, default_buckets
-
-    n_kb = default_buckets()  # reducer fan-out follows the cluster
-
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__kb", pa.array(bucket_array(t[key], n_kb), pa.int32()))
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(key, as_index=False)[
+            [f"{value}_sum", f"{value}_count"]].sum()
 
     def unsalt(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(key, as_index=False).agg(
             **{"sum": (f"{value}_sum", "sum"),
                "n_rows": (f"{value}_count", "sum")})
 
-    partials = (ds.map_batches(partial, batch_format="pyarrow")
-                .map_batches(bucket, batch_format="pyarrow"))
-    # ONE second exchange on the coarse key-hash bucket (keys of one
-    # bucket co-locate; the salt dimension collapses vectorized inside)
-    return (partials.groupby("__kb")
-            .map_groups(unsalt, batch_format="pandas"))
+    return bucket_exchange(ds, [key], unsalt, prep=partial, combine=merge,
+                           n_salts=n_salts)
 
 
 def hot_key_fractions(ds, key: str, top: int = 5) -> pd.DataFrame:

@@ -206,10 +206,11 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     posting never has to co-locate:
 
     * N (total docs) from ``docs_ds.count()`` (parquet metadata);
-    * df table: per-batch per-token distinct-doc counts keyed on
-      hash(tok) x (hash(doc) % n_salts) -> phase-1 (bucket, salt) sums ->
-      phase-2 hash(tok) final sums.  No group ever exceeds
-      ~n_blocks/n_salts rows of a hot token;
+    * df table: per-batch per-token distinct-doc counts (one partial
+      row per token per batch) through the salted mode of
+      ``bucket_exchange``: one salt per batch, phase-1 (bucket, salt)
+      sums, phase-2 hash(tok) final sums.  A hot token's largest
+      phase-1 group holds ~n_batches/n_salts partial rows;
     * the df table is measured (``size_bytes`` after materialize) and
       BYTE-GATED like unigram_ppl's vocabulary: under ``max_df_bytes``
       it broadcasts (``ray.put`` once) and scoring is a single
@@ -226,8 +227,8 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     key space is UNBOUNDED (token vocab) — contrast bm25_search, where
     only the small query vocabulary matters and df partials fit the
     bounded-combiner contract."""
-    from .partitioning import (bucket_array, check_group_cap, co_partition,
-                               default_buckets, default_salts)
+    from .partitioning import (bucket_exchange, check_group_cap,
+                               co_partition, default_buckets, default_salts)
 
     nb = default_buckets()
     ns = n_salts or default_salts()
@@ -239,42 +240,26 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
 
     # ---- df table: salted two-phase distinct-doc counts per token ----
     def df_partial(t: pa.Table) -> pa.Table:
-        # per-DOC-hash salt inside the pre-agg: a hot token's partial
-        # counts split across ~n_salts (tok, salt) rows per batch, so no
-        # phase-1 group ever holds more than ~n_batches rows of it —
-        # rare tokens still travel as ~one row (few docs -> few salts)
         flat, di, _len = _tokenize_batch(t, text_col)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        salts = bucket_array(ids, ns).astype(np.int64)
-        pdf = (pd.DataFrame({"tok": flat.to_numpy(zero_copy_only=False),
+        cnt = (pd.DataFrame({"tok": flat.to_numpy(zero_copy_only=False),
                              "di": di})
-               .drop_duplicates(["tok", "di"]))
-        pdf["__s"] = salts[pdf["di"].to_numpy()]
-        pdf = (pdf.groupby(["tok", "__s"], sort=False).size()
-               .reset_index(name="dfp"))
-        out = pa.table({"tok": pa.array(pdf["tok"].to_numpy(object),
-                                        pa.string()),
-                        "dfp": pa.array(pdf["dfp"].to_numpy(np.int64))})
-        b = bucket_array(out["tok"], nb).astype(np.int64)
-        return out.append_column(
-            "__bs",
-            pa.array(b * ns + pdf["__s"].to_numpy(np.int64), pa.int64()))
+               .drop_duplicates(["tok", "di"])
+               .groupby("tok", sort=False).size())
+        return pa.table({"tok": pa.array(cnt.index.to_numpy(object),
+                                         pa.string()),
+                         "dfp": pa.array(cnt.to_numpy(np.int64))})
 
     def df_phase1(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "tfidf.df_phase1")
-        out = g.groupby("tok", as_index=False)["dfp"].sum()
-        out["__b"] = g["__bs"].iloc[0] // ns
-        return out.astype({"dfp": np.int64})
+        return g.groupby("tok", as_index=False)["dfp"].sum().astype(
+            {"dfp": np.int64})
 
     def df_phase2(g: pd.DataFrame) -> pd.DataFrame:
-        check_group_cap(len(g), row_cap, "tfidf.df_phase2")
         out = g.groupby("tok", as_index=False)["dfp"].sum()
         return out.rename(columns={"dfp": "df"}).astype({"df": np.int64})
 
-    df_ds = (docs_ds.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("__bs").map_groups(df_phase1, batch_format="pandas")
-             .groupby("__b").map_groups(df_phase2, batch_format="pandas")
-             .materialize())
+    df_ds = bucket_exchange(docs_ds, ["tok"], df_phase2, prep=df_partial,
+                            combine=df_phase1, n_salts=ns, row_cap=row_cap,
+                            n_buckets=nb).materialize()
     df_bytes = df_ds.size_bytes() or 0
     if plan == "auto":
         plan = "broadcast" if df_bytes <= max_df_bytes else "join"
@@ -313,17 +298,15 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
             tf = tf_rows(t)
             s = tf["tf"].to_numpy(np.float64) * tf["tok"].map(idf).to_numpy(
                 np.float64)
-            out = pd.DataFrame({
+            return pd.DataFrame({
                 "doc_id": tf["doc_id"].to_numpy(np.int64),
                 "tok": tf["tok"].to_numpy(object),
                 "score_bp": np.floor(s * SCORE_SCALE + 0.5).astype(np.int64),
             })
-            out["__d"] = bucket_array(out["doc_id"].to_numpy(np.int64), nb)
-            return out
 
-        return (docs_ds.map_batches(score_map, batch_format="pyarrow")
-                .groupby("__d").map_groups(topk_bucket,
-                                           batch_format="pandas"))
+        return bucket_exchange(
+            docs_ds.map_batches(score_map, batch_format="pyarrow"),
+            ["doc_id"], topk_bucket, n_buckets=nb)
 
     # join plan: probe rows salt on hash(doc) % ns, df rows replicate x ns
     def score_join(prb: pa.Table, bld: pa.Table) -> pd.DataFrame:
@@ -333,15 +316,14 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
                         index=bld["tok"])
         s = prb["tf"].to_numpy(np.float64) * prb["tok"].map(idf).to_numpy(
             np.float64)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": prb["doc_id"].to_numpy(np.int64),
             "tok": prb["tok"].to_numpy(object),
             "score_bp": np.floor(s * SCORE_SCALE + 0.5).astype(np.int64),
         })
-        out["__d"] = bucket_array(out["doc_id"].to_numpy(np.int64), nb)
-        return out
 
     probe = docs_ds.map_batches(tf_rows, batch_format="pyarrow")
-    return (co_partition(probe, df_ds, (["tok"], ["tok"]), score_join,
-                         n_buckets=nb, salt=("doc_id", ns))
-            .groupby("__d").map_groups(topk_bucket, batch_format="pandas"))
+    return bucket_exchange(
+        co_partition(probe, df_ds, (["tok"], ["tok"]), score_join,
+                     n_buckets=nb, salt=("doc_id", ns)),
+        ["doc_id"], topk_bucket, n_buckets=nb)

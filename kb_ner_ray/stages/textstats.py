@@ -379,9 +379,10 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
         build = counts_ds.map_batches(
             lambda t: t.filter(pc.is_valid(t["tok"])).select(["tok", "c"]),
             batch_format="pyarrow")
-        return (co_partition(probe, build, (["tok"], ["tok"]), merge,
-                             n_buckets=nb, salt=("doc_id", ns))
-                .groupby("doc_id").map_groups(per_doc, batch_format="pandas"))
+        return bucket_exchange(
+            co_partition(probe, build, (["tok"], ["tok"]), merge,
+                         n_buckets=nb, salt=("doc_id", ns)),
+            ["doc_id"], per_doc, n_buckets=nb)
 
     # broadcast plan — the vocab fit under the measured-bytes gate
     cpdf = counts_ds.to_pandas()
@@ -594,11 +595,10 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
         probe = docs_ds.map_batches(probe_partial, batch_format="pyarrow")
         zeros = (docs_ds.select_columns(["doc_id"])
                  .map_batches(zero_rows, batch_format="pyarrow"))
-        return (co_partition(probe, model, (["a"], ["a"]), merge,
-                             n_buckets=nb, salt=("doc_id", ns))
-                .union(zeros)
-                .groupby("doc_id").map_groups(per_doc,
-                                              batch_format="pandas"))
+        return bucket_exchange(
+            co_partition(probe, model, (["a"], ["a"]), merge,
+                         n_buckets=nb, salt=("doc_id", ns)).union(zeros),
+            ["doc_id"], per_doc, n_buckets=nb)
 
     # broadcast plan — the pruned model fit under the measured-bytes gate
     mdf = model.to_pandas()

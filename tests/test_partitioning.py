@@ -1,6 +1,8 @@
 """bucket_exchange and co_partition: the single-input and the two-input
 hash-bucket exchanges that every bucketed operator routes through."""
 
+import ast
+import pathlib
 import uuid
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import ray
 
 from kb_ner_ray.stages.partitioning import (
+    bucket_array,
     bucket_exchange,
     bucket_multi,
     co_partition,
@@ -102,6 +105,143 @@ def test_bucket_exchange_prep_drops_every_row():
     out = bucket_exchange(_blocks(_table()), ["name"], _tag_call(),
                           prep=drop_all, n_buckets=3)
     assert out.count() == 0
+
+
+# ---- bucket_exchange, salted two-phase mode ---------------------------------
+
+
+def _phase1_tag():
+    """combine that passes every row on, tagged with its phase-1 group id
+    and this call's id."""
+    def tag(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"rid": g["rid"].to_numpy(np.int64),
+                             "uid": g["uid"].to_numpy(np.int64),
+                             "g1": g["__b"].to_numpy(np.int64),
+                             "call1": uuid.uuid4().hex})
+    return tag
+
+
+def _phase2_tag():
+    def tag(g: pd.DataFrame) -> pd.DataFrame:
+        return g.drop(columns=["__b"]).assign(call2=uuid.uuid4().hex)
+    return tag
+
+
+@pytest.mark.parametrize("n_salts", [1, 4])
+def test_salted_exchange_routes_rows_through_both_phases(n_salts):
+    nb, t = 3, _table()
+    got = (bucket_exchange(_blocks(t), ["uid"], _phase2_tag(),
+                           combine=_phase1_tag(), n_salts=n_salts,
+                           salt_col="rid", n_buckets=nb)
+           .to_pandas().sort_values("rid", ignore_index=True))
+    # every row reaches exactly one phase-1 call
+    assert got["rid"].tolist() == list(range(N_ROWS))
+    # the phase-1 group id is bucket * ns + salt, one call per group
+    want = (bucket_multi([t["uid"]], nb).astype(np.int64) * n_salts
+            + bucket_array(t["rid"], n_salts))
+    assert got["g1"].tolist() == want.tolist()
+    assert (got.groupby("g1")["call1"].nunique() == 1).all()
+    assert (got.groupby("call1")["g1"].nunique() == 1).all()
+    # phase 2 sees every partial row of a key in one call
+    assert (got.groupby("uid")["call2"].nunique() == 1).all()
+    if n_salts > 1:  # the salt really split some key over groups
+        assert (got.groupby("uid")["g1"].nunique() > 1).any()
+
+
+def _sum_rid():
+    def f(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("uid", as_index=False)["rid"].sum()
+    return f
+
+
+def test_salted_exchange_one_salt_equals_plain():
+    plain = bucket_exchange(_blocks(_table()), ["uid"], _sum_rid(),
+                            n_buckets=3)
+    salted = bucket_exchange(_blocks(_table()), ["uid"], _sum_rid(),
+                             combine=_sum_rid(), n_salts=1, n_buckets=3)
+    a, b = (ds.to_pandas().sort_values("uid", ignore_index=True)
+            for ds in (plain, salted))
+    pd.testing.assert_frame_equal(a, b)
+
+
+def test_salted_exchange_empty_input():
+    empty = ray.data.from_arrow(_table().slice(0, 0))
+    out = bucket_exchange(empty, ["uid"], _phase2_tag(),
+                          combine=_phase1_tag(), n_salts=4, n_buckets=3)
+    assert out.count() == 0
+
+
+def test_salted_exchange_prep_drops_every_row():
+    def drop_all(t: pa.Table) -> pa.Table:
+        return t.filter(pc.less(t["uid"], -1))
+
+    out = bucket_exchange(_blocks(_table()), ["uid"], _phase2_tag(),
+                          prep=drop_all, combine=_phase1_tag(), n_salts=4,
+                          n_buckets=3)
+    assert out.count() == 0
+
+
+N_BATCHES = 64
+
+
+def _hot_blocks() -> tuple:
+    """N_BATCHES blocks; in each, half the rows carry the key "hot" and
+    the rest keys unique to the block."""
+    rng = np.random.default_rng(3)
+    blocks = []
+    for b in range(N_BATCHES):
+        n = 40
+        keys = ["hot" if i % 2 else f"k{b}_{i}" for i in range(n)]
+        blocks.append(pa.table({
+            "doc_id": pa.array(np.arange(b * n, (b + 1) * n), pa.int64()),
+            "key": pa.array(keys, pa.string()),
+            "v": pa.array(rng.integers(0, 100, n), pa.int64()),
+        }))
+    return ray.data.from_arrow(blocks), sum(
+        int(pc.sum(t.filter(pc.equal(t["key"], "hot"))["v"]).as_py())
+        for t in blocks)
+
+
+def _pre_agg():
+    """the per-batch combiner: ONE partial row per key per batch"""
+    def pre(t: pa.Table) -> pa.Table:
+        return (t.select(["key", "v"]).group_by("key")
+                .aggregate([("v", "sum"), ("v", "count")]))
+    return pre
+
+
+def _merge_counting():
+    """combine: merge a phase-1 group's partials per key and record how
+    many partial rows each key had there."""
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("key", as_index=False).agg(
+            v_sum=("v_sum", "sum"), n_partials=("v_sum", "size"))
+    return merge
+
+
+def _hot_phase1_groups(n_salts: int) -> pd.DataFrame:
+    """One row per phase-1 group holding the hot key: its partial-row
+    count and merged sum (phase 2 passes the merged partials on)."""
+    ds, want = _hot_blocks()
+    got = bucket_exchange(
+        ds, ["key"], lambda g: g.drop(columns=["__b"]), prep=_pre_agg(),
+        combine=_merge_counting(), n_salts=n_salts, n_buckets=4
+    ).to_pandas()
+    hot = got[got["key"] == "hot"]
+    assert hot["v_sum"].sum() == want
+    return hot
+
+
+def test_salted_exchange_spreads_hot_partials_per_batch():
+    """Pre-aggregated partials take one salt per batch: salting adds no
+    partial rows, and the hot key's largest phase-1 group holds at most
+    twice its fair share of them."""
+    ns = 4
+    unsalted = _hot_phase1_groups(1)
+    assert unsalted["n_partials"].tolist() == [N_BATCHES]
+    salted = _hot_phase1_groups(ns)
+    assert salted["n_partials"].sum() == N_BATCHES
+    assert salted["n_partials"].max() <= 2 * N_BATCHES / ns
 
 
 # ---- co_partition: the one two-input exchange -------------------------------
@@ -210,3 +350,42 @@ def test_co_partition_salt_replicates_right(n_salts):
             assert call in r_calls[key]
             assert (rg[rg["call"] == call].groupby("key").size()
                     .get(key) == (rg["key"] == key).sum() / n_salts)
+
+
+# ---- structural guard: no hand-rolled bucket shuffles -----------------------
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "kb_ner_ray"
+
+# (module, top-level function) -> why it keeps its own ``__b`` groupby
+HAND_ROLLED_OK = {
+    ("stages/components.py", "components_from_pairs"):
+        "iterative label propagation: the static edge set is tagged with "
+        "__b once and every round's labels carry their __b forward, so "
+        "rounds co-group without rehashing",
+    ("stages/components.py", "pagerank"):
+        "iterative rank updates: edges, out-degrees and ranks carry __b "
+        "across rounds, so each round co-groups without rehashing",
+}
+
+
+def test_no_hand_rolled_bucket_groupby():
+    """A ``.groupby("__...")`` on a hand-built bucket column outside
+    partitioning.py is a shuffle that should go through bucket_exchange
+    or co_partition; only the allowlisted iterative loops keep theirs."""
+    found = set()
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == "stages/partitioning.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "groupby" and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and str(node.args[0].value).startswith("__")):
+                    found.add((rel, getattr(top, "name", "<module>")))
+    assert found <= set(HAND_ROLLED_OK), sorted(found - set(HAND_ROLLED_OK))
+    # the allowlist shrinks with the code: no stale entries
+    assert found == set(HAND_ROLLED_OK)

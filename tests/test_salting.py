@@ -70,8 +70,9 @@ def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir):
     # this scale the ns=1 phase-1 group is dominated by the bucket's
     # unique-token rows, not the hot token's per-batch partials — the
     # hot-group blowup for PRE-AGGREGATED partials only materializes
-    # with many batches, which is exactly what the per-doc salt bounds
-    # at corpus scale: ~min(n_salts, n_batches) rows per salt group.)
+    # with many batches.  The per-batch salt bounds it there: a hot
+    # token's one partial per (lang, batch) spreads over n_salts
+    # groups, ~n_batches/n_salts batches' partials per group.)
     unsalted = (q_corpus_lang_stats(hot_sf_dir, n_salts=1)
                 .sort_values("lang").reset_index(drop=True))
     assert out.equals(unsalted)
