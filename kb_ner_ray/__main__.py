@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +37,13 @@ def main(argv: list[str] | None = None) -> int:
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
-    DataContext.get_current().enable_progress_bars = False
+    # Ray's own DataContext construction sets these two deprecated
+    # fields; this program sets neither
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"`(use_push_based_shuffle|use_polars)` is deprecated",
+            DeprecationWarning)
+        DataContext.get_current().enable_progress_bars = False
 
     from .pipelines.config import PipelineConfig, run_pipeline
 

@@ -150,7 +150,7 @@ _TRAIL_WS_RE = re.compile(r"[ \t]+\n")
 _MULTI_SP_RE = re.compile(r"[ \t]{2,}")
 
 
-def extract_text(html_bytes: bytes | str) -> str:
+def extract_text(html: bytes | str) -> str:
     """Boilerplate-free text from an HTML page.
 
     Deterministic trafilatura-style pipeline: strip comments; drop
@@ -160,10 +160,10 @@ def extract_text(html_bytes: bytes | str) -> str:
     per-url byte-identical invariant (BASELINE.json input_hint) is tested
     against the generator's ground-truth ``text`` column.
     """
-    if isinstance(html_bytes, (bytes, bytearray, memoryview)):
-        raw = bytes(html_bytes).decode("utf-8", errors="replace")
+    if isinstance(html, (bytes, bytearray, memoryview)):
+        raw = bytes(html).decode("utf-8", errors="replace")
     else:
-        raw = html_bytes
+        raw = html
     s = _COMMENT_RE.sub(" ", raw)
     prev = None
     while prev != s:  # nested boilerplate containers

@@ -157,16 +157,10 @@ def _stage_triples(ds, ctx):
 
 @register("canonicalize")
 def _stage_canonicalize(ds, ctx, **_):
-    import ray
-
-    from ..stages.canonicalize import apply_canonical, compute_canonical_map
+    from .kg import canonical_triples
 
     _kb_ref, _gaz_ref, ent_title = ctx.refs()
-    raw = ds.materialize()
-    canon = compute_canonical_map(raw, ent_title)
-    return raw.map_batches(apply_canonical,
-                           fn_kwargs={"canon_ref": ray.put(canon)},
-                           batch_format="pyarrow", batch_size=32768)
+    return canonical_triples(ds, ent_title)
 
 
 @register("langid")
@@ -271,8 +265,7 @@ def _stage_near_dup_keep(ds, ctx, method: str = "jaccard",
 
 
 @register("decontaminate")
-def _stage_decontaminate(ds, ctx, benchmark: str = "", n: int = 8,
-                         max_benchmark_bytes: int = 1 << 30):
+def _stage_decontaminate(ds, ctx, benchmark: str = "", n: int = 8):
     """Flag docs overlapping a benchmark parquet (path in ``benchmark``)
     by word n-gram; broadcast-small-side plan (see dedup.decontaminate)."""
     import ray.data as rd
@@ -280,8 +273,7 @@ def _stage_decontaminate(ds, ctx, benchmark: str = "", n: int = 8,
     from ..stages.dedup import decontaminate
 
     assert benchmark, "decontaminate stage needs `benchmark:` parquet path"
-    return decontaminate(ds, rd.read_parquet(benchmark), n=n,
-                         max_benchmark_bytes=max_benchmark_bytes)
+    return decontaminate(ds, rd.read_parquet(benchmark), n=n)
 
 
 @register("line_dedup")

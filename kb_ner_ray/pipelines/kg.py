@@ -150,21 +150,28 @@ def kernel_dataset(corpus: str, mode: str, **kw):
                        mode=mode, **kw)
 
 
-def kg_triples(corpus: str):
-    """Full pipeline; returns the final triples Dataset."""
-    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
+def canonical_triples(raw, ent_title: dict):
+    """raw triples -> canonical triples: the driver-combined canonical
+    map broadcast once, applied by plain tasks.  ``kg_triples`` and the
+    config ``canonicalize`` stage both end here."""
     # raw triples are output-sized with two consumers (counts + apply):
     # object-store materialize (bounded at bench scale, fastest);
     # run_resumable is the path that checkpoints them to Parquet
-    raw = raw_triples(sentences_dataset(corpus), corpus).materialize()
+    raw = raw.materialize()
     canon = compute_canonical_map(raw, ent_title)
-    canon_ref = ray.put(canon)
     return raw.map_batches(
         apply_canonical,
-        fn_kwargs={"canon_ref": canon_ref},
+        fn_kwargs={"canon_ref": ray.put(canon)},
         batch_format="pyarrow",
         batch_size=32768,  # re-bundle the many small materialized blocks
     )
+
+
+def kg_triples(corpus: str):
+    """Full pipeline; returns the final triples Dataset."""
+    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
+    return canonical_triples(
+        raw_triples(sentences_dataset(corpus), corpus), ent_title)
 
 
 def kg_triples_for_sf_dir(sf_dir: str, **kw):

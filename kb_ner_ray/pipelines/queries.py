@@ -20,6 +20,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..stages import partitioning
 from ..stages.partitioning import bucket_exchange
 
 # ---------- helpers ----------------------------------------------------------
@@ -223,10 +224,10 @@ def q_orders_lineitem_join(sf_dir: str):
     sorted-array broadcast (orderkey array + priority-code array, zero-copy
     numpy; searchsorted probe + bincount partials).  AUTO-SELECTED: the
     co-partitioned plan (q_orders_lineitem_bucketed) runs when the orders
-    side measures large."""
+    side fails ``partitioning.fits_broadcast``."""
     import pyarrow.parquet as pq
 
-    if _table_bytes(sf_dir, "orders") > BROADCAST_MAX_BYTES:
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")):
         return q_orders_lineitem_bucketed(sf_dir)
 
     orders = pq.read_table(f"{sf_dir}/orders.parquet",
@@ -379,12 +380,12 @@ def q_revenue_by_nation(sf_dir: str):
     per-worker dict deserialization), and the fact scan probes it with
     searchsorted and pre-aggregates per nation code with bincount.
     AUTO-SELECTED plan: the broadcast probe requires the dimension chain
-    (orders+customer) to measure small; above BROADCAST_MAX_BYTES the
-    co-partitioned hash-join plan runs instead."""
+    (orders+customer) to pass ``partitioning.fits_broadcast``; above the
+    limit the co-partitioned hash-join plan runs instead."""
     import pyarrow.parquet as pq
 
-    if (_table_bytes(sf_dir, "orders") + _table_bytes(sf_dir, "customer")
-            > BROADCAST_MAX_BYTES):
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")
+                                       + _table_bytes(sf_dir, "customer")):
         return q_revenue_by_nation_bucketed(sf_dir)
 
     orders = pq.read_table(f"{sf_dir}/orders.parquet",
@@ -970,13 +971,9 @@ def q_approx_distinct_users(sf_dir: str):
     return df.rename(columns={"group": "event_type"})
 
 
-# A side is broadcastable when its on-disk size is measurably small; above
-# this the engine switches to the co-partitioned (bucketed) join.  ~256 MB
-# parquet inflates to a few GB in memory — the sane per-worker ceiling.
-BROADCAST_MAX_BYTES = 256 << 20
-
-
 def _table_bytes(sf_dir: str, table: str) -> int:
+    """On-disk parquet size: what the broadcast-vs-co-partition gates
+    measure a table by (``partitioning.fits_broadcast``)."""
     import os
 
     return os.path.getsize(f"{sf_dir}/{table}.parquet")
@@ -1008,7 +1005,7 @@ def q_events_asof_orders(sf_dir: str):
     o_custkey = user_id.  AUTO-SELECTED plan: broadcast merge_asof while
     the orders side measures small (worker-local cached, C-speed pandas
     merge_asof per batch); the co-partitioned asof_join otherwise."""
-    if _table_bytes(sf_dir, "orders") > BROADCAST_MAX_BYTES:
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")):
         return q_events_asof_bucketed(sf_dir)
     import pyarrow.parquet as pq
 
@@ -1119,29 +1116,15 @@ FROM documents GROUP BY md5(text)
 def q_minhash_dedup(sf_dir: str):
     """MinHash+LSH near-dup pairs, zero corpus broadcast.  AUTO-SELECTED:
     in-band verification (2 shuffles, N_BANDS x signature payload) while
-    the corpus measures small; the byte-lean 3-shuffle join path
-    (minhash_dedup_join) otherwise."""
+    the corpus passes ``partitioning.fits_broadcast``; the byte-lean
+    3-shuffle join path (stages/dedup.py minhash_lsh_pairs) otherwise."""
     from ..stages.dedup import minhash_lsh_pairs, minhash_lsh_pairs_inband
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    if _table_bytes(sf_dir, "documents") > BROADCAST_MAX_BYTES:
-        ds = minhash_lsh_pairs(docs, threshold=0.8)
-    else:
+    if partitioning.fits_broadcast(_table_bytes(sf_dir, "documents")):
         ds = minhash_lsh_pairs_inband(docs, threshold=0.8)
-    df = ds.to_pandas()
-    df["jaccard_bp"] = _cents(df["jaccard"], 10000)
-    return df[["doc_a", "doc_b", "jaccard_bp"]].astype(np.int64)
-
-
-def q_minhash_dedup_join(sf_dir: str):
-    """The join-path MinHash verification (stages/dedup.py
-    minhash_lsh_pairs): candidate pairs hash-joined to per-doc shingle
-    signatures — the byte-lean 100-TB plan, exercised at every scale."""
-    from ..stages.dedup import minhash_lsh_pairs
-
-    ds = minhash_lsh_pairs(
-        _read(sf_dir, "documents", columns=["doc_id", "text"]),
-        threshold=0.8)
+    else:
+        ds = minhash_lsh_pairs(docs, threshold=0.8)
     df = ds.to_pandas()
     df["jaccard_bp"] = _cents(df["jaccard"], 10000)
     return df[["doc_a", "doc_b", "jaccard_bp"]].astype(np.int64)
@@ -1320,7 +1303,7 @@ def q_customers_with_orders(sf_dir: str):
     AUTO-SELECTED: falls over to the co-partitioned semi_join when the
     orders side measures large.  Membership test is a vectorized
     ``pc.is_in`` against the broadcast key array, not per-row Python."""
-    if _table_bytes(sf_dir, "orders") > BROADCAST_MAX_BYTES:
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")):
         return q_customers_semi_bucketed(sf_dir)
     keys = ray.put(pa.array(sorted(_custkeys_with_orders(sf_dir)),
                             pa.int64()))
@@ -1364,7 +1347,7 @@ def q_customers_no_urgent_orders(sf_dir: str):
     orders side measures large."""
     import pyarrow.parquet as pq
 
-    if _table_bytes(sf_dir, "orders") > BROADCAST_MAX_BYTES:
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")):
         return q_customers_anti_bucketed(sf_dir)
     t = pq.read_table(f"{sf_dir}/orders.parquet",
                       columns=["o_custkey", "o_orderpriority"])
@@ -1589,24 +1572,6 @@ def q_ngram_jaccard(sf_dir: str):
     df = ngram_jaccard_pairs(
         _read(sf_dir, "documents", columns=["doc_id", "text"]),
         threshold=JACCARD_THRESHOLD).to_pandas()
-    if df.empty:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype=np.int64),
-                             "doc_b": pd.Series([], dtype=np.int64),
-                             "jac_bp": pd.Series([], dtype=np.int64)})
-    df["jac_bp"] = _cents(df["jaccard"], 10000)
-    return df[["doc_a", "doc_b", "jac_bp"]].astype(np.int64)
-
-
-def q_ngram_jaccard_salted(sf_dir: str):
-    """ngram_jaccard through the giant-block 2D decomposition
-    (block_split=3: docs replicated 3 ways, pairs covered exactly once) —
-    the skew guard for a hot length block, proven identical via the same
-    exact SQL oracle."""
-    from ..stages.dedup import ngram_jaccard_pairs
-
-    df = ngram_jaccard_pairs(
-        _read(sf_dir, "documents", columns=["doc_id", "text"]),
-        threshold=JACCARD_THRESHOLD, block_split=3).to_pandas()
     if df.empty:
         return pd.DataFrame({"doc_a": pd.Series([], dtype=np.int64),
                              "doc_b": pd.Series([], dtype=np.int64),
@@ -3093,12 +3058,12 @@ def q_source_reputation_filter(sf_dir: str):
 
     good_ds = bucket_exchange(ds, ["source"], rep_final,
                               prep=rep_partial).materialize()
-    gbytes = good_ds.size_bytes() or 0
-    if gbytes > (1 << 30):
+    if not partitioning.fits_broadcast(good_ds.size_bytes()):
         raise ValueError(
-            f"source_reputation_filter: good-source set is {gbytes} bytes "
-            "(> 1 GiB); use a bucketed semi-join on source instead of the "
-            "broadcast keep pass")
+            "source_reputation_filter: good-source set is "
+            f"{good_ds.size_bytes()} bytes, over the broadcast limit; use a "
+            "bucketed semi-join on source instead of the broadcast keep "
+            "pass")
     gpdf = good_ds.to_pandas()
     # a zero-row dataset loses its columns through to_pandas; an empty
     # GOOD set is a legitimate (if brutal) outcome of the filter
@@ -4983,29 +4948,27 @@ def _q5_finalize(pdf: pd.DataFrame, nat_names: list) -> pd.DataFrame:
     }).sort_values("n_name").reset_index(drop=True))
 
 
-def q_local_supplier_revenue(sf_dir: str, plan: str = "auto"):
+def q_local_supplier_revenue(sf_dir: str):
     """TPC-H Q5-shaped LOCAL-SUPPLIER revenue: lineitems whose CUSTOMER
     (via orders) and SUPPLIER sit in the SAME nation of one region — the
     classic 6-table star join (region/nation/customer/orders/supplier
     dims around the lineitem fact).  AUTO-SELECTED plan:
 
-    * broadcast (below BROADCAST_MAX_BYTES for orders+customer+supplier):
+    * broadcast (orders+customer+supplier pass
+      ``partitioning.fits_broadcast``):
       both dimension chains compose driver-side into sorted key arrays +
       dense nation codes (orderkey -> customer nation; suppkey ->
       supplier nation), ``ray.put`` once, and the single fact scan probes
       both with searchsorted, keeps code-equal rows and pre-aggregates
       with bincount — ZERO shuffles, nation-bounded partials;
-    * bucketed (above the gate / plan='bucketed'): three co-partitioned
+    * bucketed (above the limit): three co-partitioned
       hash joins (orders x customer on custkey, lineitem x that on
       orderkey, x supplier on suppkey) with the region filter pushed into
       the dimension reads, then the same nation-code partial combine.
       Plan parity is pinned by pytest."""
-    if plan == "auto":
-        big = (_table_bytes(sf_dir, "orders")
-               + _table_bytes(sf_dir, "customer")
-               + _table_bytes(sf_dir, "supplier")) > BROADCAST_MAX_BYTES
-        plan = "bucketed" if big else "broadcast"
-    if plan == "bucketed":
+    if not partitioning.fits_broadcast(_table_bytes(sf_dir, "orders")
+                                       + _table_bytes(sf_dir, "customer")
+                                       + _table_bytes(sf_dir, "supplier")):
         return q_local_supplier_revenue_bucketed(sf_dir)
     import pyarrow.parquet as pq
 
@@ -5388,14 +5351,17 @@ def queries_registry():
         "doc_top_bigrams": q_doc_top_bigrams,
         "local_supplier_revenue": q_local_supplier_revenue,
         "events_hourly_uniques": q_events_hourly_uniques,
-        # The plan-parity duplicates (minhash_dedup_join,
-        # ngram_jaccard_salted, {orders_lineitem,revenue_by_nation,
-        # events_asof,customers_semi,customers_anti}_bucketed) are NOT
-        # registered: their equivalence to the registered plan is pinned
-        # by pytest (test_plan_auto_selection_forced_bucketed,
-        # test_ngram_jaccard_salted_equals_plain, test_ops minhash plan
-        # pair), and registering them pushed exact-oracled queries past
-        # the driver's 50-entry checked window (round-2 verdict #1).
+        # The above-limit plans ({orders_lineitem,revenue_by_nation,
+        # events_asof,customers_semi,customers_anti,
+        # local_supplier_revenue}_bucketed) are NOT registered: each
+        # registered query falls back to its own when its side fails
+        # partitioning.fits_broadcast, and their equivalence is pinned
+        # by pytest (test_plan_auto_selection_forced_bucketed).
+        # Registering them pushed exact-oracled queries past the driver's
+        # 50-entry checked window (round-2 verdict #1).  The MinHash join
+        # path and the block-split n-gram Jaccard have no query wrapper;
+        # test_ops pins them at the stage level (test_minhash_plans_agree,
+        # test_ngram_jaccard_salted_equals_plain).
     }
 
 
@@ -5472,7 +5438,6 @@ def oracle_registry():
         "events_hopping": SQL_EVENTS_HOPPING,
         "doc_unigram_ppl": SQL_UNIGRAM_PPL,
         "token_postings": SQL_TOKEN_POSTINGS,
-        # dropped from registry (plan-parity dup): "ngram_jaccard_salted": SQL_NGRAM_JACCARD,
         "doc_pii_redact": SQL_PII_REDACT,
         "semdedup": SQL_SEMDEDUP,
         "dsir_weights": SQL_DSIR_WEIGHTS,

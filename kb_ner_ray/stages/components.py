@@ -9,8 +9,8 @@ in kb/process_wiki.py), but at 100 TB near-dup dedup is cluster-shaped:
 A~B and B~C must collapse to ONE survivor even when A~C was never
 emitted.
 
-TWO plans, auto-selected on measured edge bytes (the repo's standard
-broadcast-vs-bucketed gate):
+TWO plans, chosen on measured edge bytes by the repo's one broadcast
+rule (``partitioning.fits_broadcast``):
 
 * driver union-find (path halving) when the verified-pair set fits on
   the driver — near-dup edge sets are a small fraction of the corpus,
@@ -40,17 +40,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import partitioning
 from .partitioning import bucket_array, default_buckets
-
-
-# Auto-selection gate, same philosophy as queries.BROADCAST_MAX_BYTES: an
-# edge set whose MATERIALIZED bytes fit comfortably on the driver closes
-# faster under sequential union-find (O(E a(E)), no per-round shuffle
-# fixed costs) than under the distributed loop; beyond it, the hash-min
-# loop is the only plan whose per-worker memory does not grow with the
-# edge count.  Parity of the two plans is pinned by pytest on planted
-# chain/clique/isolated graphs.
-DRIVER_CC_MAX_BYTES = 256 << 20
 
 
 def _check_nonneg_ids(*arrays: np.ndarray) -> None:
@@ -99,16 +90,16 @@ def _union_find_components(pdf: pd.DataFrame, a_col: str,
 def components_from_pairs(pairs_ds, a_col: str = "doc_a",
                           b_col: str = "doc_b",
                           n_buckets: int | None = None,
-                          max_rounds: int = 20,
-                          driver_max_bytes: int | None = None):
+                          max_rounds: int = 20):
     """Dataset(a_col, b_col, ...) undirected edges -> Dataset(node,
     component) where ``component`` is the smallest node id reachable.
 
-    Plan auto-selection on measured edge bytes (``driver_max_bytes``,
-    default DRIVER_CC_MAX_BYTES; pass 0 to force the distributed loop):
-    small edge sets close on the driver via union-find, large ones run
-    the distributed hash-min loop.  Raises ``RuntimeError`` if the loop
-    has not converged within ``max_rounds``.
+    Plan auto-selection on measured edge bytes: an edge set that
+    ``partitioning.fits_broadcast`` closes on the driver via union-find
+    (O(E a(E)), no per-round shuffle fixed costs); a larger one runs the
+    distributed hash-min loop, whose per-worker memory does not grow
+    with the edge count.  Raises ``RuntimeError`` if the loop has not
+    converged within ``max_rounds``.
     """
     import ray.data as rd
 
@@ -124,9 +115,7 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
             "node": pa.array([], pa.int64()),
             "component": pa.array([], pa.int64()),
         }))
-    gate = (DRIVER_CC_MAX_BYTES if driver_max_bytes is None
-            else driver_max_bytes)
-    if (pairs_ds.size_bytes() or 0) <= gate:
+    if partitioning.fits_broadcast(pairs_ds.size_bytes()):
         comp = _union_find_components(pairs_ds.to_pandas(), a_col, b_col)
         return rd.from_arrow(pa.table({
             "node": pa.array(comp["node"].to_numpy(np.int64), pa.int64()),
@@ -272,8 +261,7 @@ def near_dup_keep(docs_ds, pairs_ds, id_col: str = "doc_id",
 
 def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
              damping: float = 0.85, n_iters: int = 10,
-             n_buckets: int | None = None,
-             driver_max_bytes: int | None = None):
+             n_buckets: int | None = None):
     """Distributed PageRank over a directed edge list (the classic
     power iteration; Page et al. 1999) — entity-importance ranking for
     the materialized triple graph (subj -> obj edges).
@@ -301,9 +289,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
 
     nb = n_buckets or default_buckets()
     edges = edges_ds.select_columns([src_col, dst_col]).materialize()
-    gate = (DRIVER_CC_MAX_BYTES if driver_max_bytes is None
-            else driver_max_bytes)
-    if (edges.size_bytes() or 0) <= gate:
+    if partitioning.fits_broadcast(edges.size_bytes()):
         pdf = edges.to_pandas()
         if not len(pdf):
             return rd.from_arrow(pa.table({
@@ -506,8 +492,7 @@ def _triangle_counts_driver(ea: np.ndarray, eb: np.ndarray) -> dict:
 
 
 def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
-                    n_buckets: int | None = None,
-                    driver_max_bytes: int | None = None):
+                    n_buckets: int | None = None):
     """Per-node triangle counts over an undirected simple edge list —
     the degree-ordered node-iterator (Suri & Vassilvitskii 2011,
     "Counting triangles and the curse of the last reducer"): orient
@@ -519,10 +504,9 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
 
     Exchanges: one degree aggregation, two bucketed rank joins, one
     wedge/edge co-shuffle, one per-node count shuffle — every stage
-    fixed-width (ints only).  Below the measured edge-byte gate
-    (``driver_max_bytes``, default DRIVER_CC_MAX_BYTES; pass 0 to force
-    the distributed plan) the same degree-ordered algorithm runs as ONE
-    vectorized driver pass — the components_from_pairs plan-gate
+    fixed-width (ints only).  When the measured edge bytes pass
+    ``partitioning.fits_broadcast`` the same degree-ordered algorithm
+    runs as ONE vectorized driver pass — the components_from_pairs plan-gate
     discipline: a verified near-dup pair list is tiny next to its
     corpus, so five sequential shuffle barriers are pure latency there.
     Returns Dataset(doc_id, n_triangles) for nodes in >= 1 triangle."""
@@ -537,9 +521,7 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
             "n_triangles": pa.array([], pa.int64())}))
-    gate = (DRIVER_CC_MAX_BYTES if driver_max_bytes is None
-            else driver_max_bytes)
-    if (edges.size_bytes() or 0) <= gate:
+    if partitioning.fits_broadcast(edges.size_bytes()):
         pdf = edges.to_pandas()
         out = _triangle_counts_driver(
             pdf[a_col].to_numpy(np.int64), pdf[b_col].to_numpy(np.int64))

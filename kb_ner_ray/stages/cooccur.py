@@ -26,8 +26,9 @@ Plan (two corpus passes + two bucketed shuffles; text never shuffles):
   extra corpus pass and no per-block driver combine for them.  The
   surviving pair table is materialized (it is the pruned, fixed-width
   RESULT, not the corpus);
-* the survivor token set is collected behind a measured-bytes gate
-  (raises like decontaminate on a pathological corpus) and broadcast;
+* the survivor token set is collected, measured against
+  ``partitioning.fits_broadcast`` (raises like decontaminate on a
+  pathological corpus) and broadcast;
 * pass B streams the corpus again for survivor-token occurrence counts:
   per-batch partials (bounded by the survivor vocabulary) go through a
   bucketed token-hash reduce, so the driver collects ONE bounded row
@@ -52,6 +53,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from . import partitioning
 from .partitioning import bucket_exchange, default_buckets
 from .sparse import _tokenize_batch
 
@@ -98,8 +100,7 @@ def _pair_counts_batch(t: pa.Table, text_col: str,
 
 
 def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
-                 text_col: str = "text",
-                 max_vocab_bytes: int = 1 << 30):
+                 text_col: str = "text"):
     """Dataset(tok_a, tok_b, n_ab, pmi_bp) of surviving co-occurrences."""
     nb = default_buckets()
 
@@ -162,10 +163,11 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
             arr = batch[col]
             vocab_bytes += arr.nbytes
             vocab.update(arr.to_pylist())
-        if vocab_bytes > max_vocab_bytes:
+        if not partitioning.fits_broadcast(vocab_bytes):
             raise ValueError(
-                f"survivor vocabulary exceeds {max_vocab_bytes} bytes; "
-                f"raise min_pair (prune harder) or max_vocab_bytes")
+                "survivor vocabulary exceeds the broadcast limit "
+                f"({vocab_bytes} bytes so far); raise min_pair (prune "
+                "harder)")
     vocab_arr = pa.array(sorted(vocab), pa.string())
     vref = ray.put(vocab_arr)
 

@@ -1049,7 +1049,6 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
 
 
 def decontaminate(docs_ds, benchmark_ds, n: int = 8,
-                  max_benchmark_bytes: int = 1 << 30,
                   frac_threshold_bp: int | None = None):
     """Benchmark decontamination: flag corpus docs sharing >= 1 word
     n-gram with a benchmark/eval set (the standard train-set hygiene
@@ -1060,9 +1059,9 @@ def decontaminate(docs_ds, benchmark_ds, n: int = 8,
     MBs, the corpus is the 100-TB side), so its distinct gram hashes are
     collected once, sorted, and ``ray.put`` broadcast; every corpus
     batch does a vectorized ``searchsorted`` membership — no shuffle at
-    all.  Raises if the collected benchmark grams exceed
-    ``max_benchmark_bytes`` rather than silently materializing a big
-    side on the driver (use the repeated-ngrams join path for
+    all.  Raises if the collected benchmark grams fail
+    ``partitioning.fits_broadcast`` rather than silently materializing a
+    big side on the driver (use the repeated-ngrams join path for
     corpus-vs-corpus overlap).
 
     Returns Dataset(doc_id, n_overlap, contaminated) over ``docs_ds``
@@ -1077,6 +1076,8 @@ def decontaminate(docs_ds, benchmark_ds, n: int = 8,
     import ray
     import ray.data  # noqa: F401  (docs_ds already implies ray.data)
 
+    from . import partitioning
+
     def bench_grams(t: pa.Table) -> pa.Table:
         out = set()
         for text in t.column("text").to_pylist():
@@ -1088,10 +1089,10 @@ def decontaminate(docs_ds, benchmark_ds, n: int = 8,
     # whether the broadcast plan is even legal
     g_ds = benchmark_ds.map_batches(
         bench_grams, batch_format="pyarrow").materialize()
-    if (g_ds.size_bytes() or 0) > max_benchmark_bytes:
+    if not partitioning.fits_broadcast(g_ds.size_bytes()):
         raise ValueError(
             f"decontaminate: benchmark gram set is {g_ds.size_bytes()} "
-            f"bytes (> {max_benchmark_bytes}); the broadcast plan needs a "
+            "bytes, over the broadcast limit; the broadcast plan needs a "
             "SMALL benchmark side - use repeated_ngrams/join for "
             "corpus-vs-corpus")
     pdf = g_ds.to_pandas()
@@ -1310,8 +1311,7 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
                            collapse_bucket, n_buckets=nb)
 
 
-def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8,
-                        max_benchmark_bytes: int = 1 << 30):
+def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8):
     """FUZZY benchmark decontamination (the Dolma/RefinedWeb companion
     to the exact n-gram `decontaminate`): flag corpus docs whose word-
     shingle Jaccard against ANY benchmark doc reaches ``threshold``,
@@ -1334,6 +1334,8 @@ def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8,
     import pandas as pd
     import ray
 
+    from . import partitioning
+
     def bench_state(t: pa.Table) -> pa.Table:
         rows_bid, rows_band, rows_key, rows_sh = [], [], [], []
         for bid, text in zip(t.column("doc_id").to_pylist(),
@@ -1355,10 +1357,10 @@ def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8,
 
     b_ds = benchmark_ds.map_batches(
         bench_state, batch_format="pyarrow").materialize()
-    if (b_ds.size_bytes() or 0) > max_benchmark_bytes:
+    if not partitioning.fits_broadcast(b_ds.size_bytes()):
         raise ValueError(
             f"fuzzy_decontaminate: benchmark state is {b_ds.size_bytes()} "
-            f"bytes (> {max_benchmark_bytes}); the broadcast plan needs a "
+            "bytes, over the broadcast limit; the broadcast plan needs a "
             "SMALL benchmark side — use the banded pair join for "
             "corpus-vs-corpus near-dup")
     bpdf = b_ds.to_pandas()

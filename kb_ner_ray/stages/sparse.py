@@ -189,8 +189,7 @@ def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
 
 
 def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
-                   id_col: str = "doc_id", plan: str = "auto",
-                   max_df_bytes: int = 1 << 30,
+                   id_col: str = "doc_id",
                    row_cap: int | None = None,
                    n_salts: int | None = None):
     """Per-document top-k TF-IDF keywords — corpus-wide statistics joined
@@ -212,13 +211,13 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
       sums, phase-2 hash(tok) final sums.  A hot token's largest
       phase-1 group holds ~n_batches/n_salts partial rows;
     * the df table is measured (``size_bytes`` after materialize) and
-      BYTE-GATED like unigram_ppl's vocabulary: under ``max_df_bytes``
-      it broadcasts (``ray.put`` once) and scoring is a single
-      stateless pass — ONE shuffle total (the per-doc top-k);
-    * above the gate (``plan='join'`` / auto): salted replicated hash
-      join — probe (doc, tok, tf) rows key on
-      hash(tok) x hash(doc) % n_salts, df build rows replicate x
-      n_salts, so a hot token's probe rows split across n_salts
+      BYTE-GATED like unigram_ppl's vocabulary: when it passes
+      ``partitioning.fits_broadcast`` it broadcasts (``ray.put`` once)
+      and scoring is a single stateless pass — ONE shuffle total (the
+      per-doc top-k);
+    * above the limit: salted replicated hash join — probe (doc, tok,
+      tf) rows key on hash(tok) x hash(doc) % n_salts, df build rows
+      replicate x n_salts, so a hot token's probe rows split across n_salts
       reducer groups while every probe row still meets its df row;
     * final shuffle on hash(doc): reducers hold complete docs and cut
       the top-k (per-doc output bounded by k).
@@ -227,6 +226,7 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     key space is UNBOUNDED (token vocab) — contrast bm25_search, where
     only the small query vocabulary matters and df partials fit the
     bounded-combiner contract."""
+    from . import partitioning
     from .partitioning import (bucket_exchange, check_group_cap,
                                co_partition, default_buckets, default_salts)
 
@@ -260,15 +260,6 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     df_ds = bucket_exchange(docs_ds, ["tok"], df_phase2, prep=df_partial,
                             combine=df_phase1, n_salts=ns, row_cap=row_cap,
                             n_buckets=nb).materialize()
-    df_bytes = df_ds.size_bytes() or 0
-    if plan == "auto":
-        plan = "broadcast" if df_bytes <= max_df_bytes else "join"
-    elif plan == "broadcast" and df_bytes > max_df_bytes:
-        raise ValueError(
-            f"tfidf_keywords: df table is {df_bytes} bytes "
-            f"(> {max_df_bytes}); the broadcast plan would materialize it "
-            "on the driver and every worker - raise max_df_bytes or use "
-            "plan='join'")
 
     def tf_rows(t: pa.Table) -> pd.DataFrame:
         flat, di, _len = _tokenize_batch(t, text_col)
@@ -286,7 +277,7 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
         return top[["doc_id", "tok", "score_bp", "rank"]].astype(
             {"rank": np.int64})
 
-    if plan == "broadcast":
+    if partitioning.fits_broadcast(df_ds.size_bytes()):
         dfp = df_ds.to_pandas()
         lookup = pd.Series(
             np.log(n_docs / dfp["df"].to_numpy(np.float64)),

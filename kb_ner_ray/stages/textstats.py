@@ -205,7 +205,6 @@ def doc_gopher_rules(batch: pa.Table) -> pa.Table:
 
 
 def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
-                max_vocab_bytes: int = 1 << 30, plan: str = "auto",
                 row_cap: int | None = None, n_salts: int | None = None):
     """Corpus-trained unigram negative-log-likelihood per document — the
     CCNet-style LM-quality signal (Wenzek et al. 2020 bucket corpora by
@@ -224,11 +223,12 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     vocabulary (the decontaminate pattern — never trust "zipfian,
     bounded" claims, measure):
 
-    - ``broadcast`` (vocab <= ``max_vocab_bytes``): log-probs collected
-      once, ``ray.put``, per-batch vectorized token->logprob map
-      (pandas hash join) + segment sums.  Zero extra shuffles.
-    - ``join`` (vocab over the gate, or forced): the vocabulary never
-      reaches the driver — per-batch (doc_id, tok)->occurrences
+    - ``broadcast`` (vocab passes ``partitioning.fits_broadcast``):
+      log-probs collected once, ``ray.put``, per-batch vectorized
+      token->logprob map (pandas hash join) + segment sums.  Zero extra
+      shuffles.
+    - ``join`` (vocab over the limit): the vocabulary never reaches the
+      driver — per-batch (doc_id, tok)->occurrences
       partials join the count table inside SALTED token-hash buckets
       (round-4 verdict: a Zipf-head token carries ~one probe row per
       document, all landing in one token-hash group — probe rows now
@@ -239,9 +239,6 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
       Bounded per-reducer memory (~probe/(n_buckets*n_salts)) at any
       corpus size.
 
-    ``plan="broadcast"`` forces the broadcast plan and RAISES over the
-    gate instead of falling back (for callers that must not shuffle).
-
     Both plans return Dataset(doc_id, n_tokens, nll_bp) with nll_bp =
     floor(avg(-ln p) * 1e4 + 0.5) — integer-rounded so the SQL oracle
     hash-matches.
@@ -250,6 +247,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import pandas as pd
     import ray
 
+    from . import partitioning
     from .partitioning import bucket_exchange, default_buckets
 
     nb = n_buckets or default_buckets()
@@ -313,16 +311,6 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     # is then in the kept vocab); a real value either way keeps fillna sane.
     oov_logp = -np.log(oov_mass / total) if oov_mass > 0 else 0.0
 
-    vocab_bytes = counts_ds.size_bytes() or 0
-    if plan == "auto":
-        plan = "broadcast" if vocab_bytes <= max_vocab_bytes else "join"
-    elif plan == "broadcast" and vocab_bytes > max_vocab_bytes:
-        raise ValueError(
-            f"unigram_ppl: pruned vocabulary is {vocab_bytes} bytes "
-            f"(> {max_vocab_bytes}); the broadcast plan would materialize "
-            "it on the driver and every worker - raise min_count, raise "
-            "max_vocab_bytes, or use plan='join'")
-
     from .partitioning import check_group_cap, co_partition, default_salts
 
     ns = n_salts or default_salts()
@@ -339,7 +327,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
         return pa.table({"doc_id": out["doc_id"], "tok": out["tok"],
                          "c": out["tok_count"].cast(pa.int64())})
 
-    if plan == "join":
+    if not partitioning.fits_broadcast(counts_ds.size_bytes()):
         def merge(prb: pa.Table, bld: pa.Table) -> pa.Table:
             check_group_cap(len(prb) + len(bld), row_cap,
                             "unigram_ppl.merge")
@@ -384,7 +372,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
                          n_buckets=nb, salt=("doc_id", ns)),
             ["doc_id"], per_doc, n_buckets=nb)
 
-    # broadcast plan — the vocab fit under the measured-bytes gate
+    # broadcast plan — the measured vocab fits the broadcast limit
     cpdf = counts_ds.to_pandas()
     kept = cpdf[cpdf["tok"].notna()]
     logp = dict(zip(kept["tok"],
@@ -412,7 +400,6 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
 
 
 def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
-               max_model_bytes: int = 1 << 30, plan: str = "auto",
                row_cap: int | None = None, n_salts: int | None = None):
     """Corpus-trained BIGRAM negative-log-likelihood per document — the
     next LM-quality rung above ``unigram_ppl`` on the CCNet/KenLM ladder
@@ -432,21 +419,18 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     and its floor reduce together.  The pruned model's size is MEASURED
     and picks the scoring plan (same ladder as ``unigram_ppl``):
 
-    - ``broadcast`` (model <= ``max_model_bytes``): collected once,
-      ``ray.put``, per-batch scoring with two pandas merges (bigram
-      hit, else context floor) and per-doc bincount sums.  Zero extra
-      shuffles.
-    - ``join`` (model over the gate, or forced): the model never
-      reaches the driver — per-batch (doc_id, context, next)
+    - ``broadcast`` (model passes ``partitioning.fits_broadcast``):
+      collected once, ``ray.put``, per-batch scoring with two pandas
+      merges (bigram hit, else context floor) and per-doc bincount sums.
+      Zero extra shuffles.
+    - ``join`` (model over the limit): the model never reaches the
+      driver — per-batch (doc_id, context, next)
       occurrence partials join the model rows inside SALTED
       context-hash buckets (probe rows key on hash(context) x
       (hash(doc) % n_salts); fixed-width model rows — bigram AND floor
       — replicate x n_salts so every salted probe group resolves
       locally), then a fixed-width doc_id shuffle sums per-doc
       partials.  A Zipf-head context ("the") splits ~n_salts ways.
-
-    ``plan="broadcast"`` forces the broadcast plan and RAISES over the
-    gate instead of falling back (for callers that must not shuffle).
 
     Docs with < 2 tokens have no bigrams: n_bigrams = 0 and nll_bp = 0
     (mirrored by the oracle's COALESCE; the join plan unions a per-doc
@@ -455,6 +439,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import numpy as np
     import ray
 
+    from . import partitioning
     from .partitioning import bucket_exchange, default_buckets
     from .sparse import _tokenize_batch
 
@@ -511,19 +496,9 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
 
     model = bucket_exchange(docs_ds, ["a"], reduce_context,
                             prep=pair_partial, n_buckets=nb).materialize()
-    mbytes = model.size_bytes() or 0
-    if plan == "auto":
-        plan = "broadcast" if mbytes <= max_model_bytes else "join"
-    elif plan == "broadcast" and mbytes > max_model_bytes:
-        raise ValueError(
-            f"bigram_ppl: pruned model is {mbytes} bytes "
-            f"(> {max_model_bytes}); the broadcast plan would materialize "
-            "it on the driver and every worker - raise min_count, raise "
-            "max_model_bytes, or use plan='join'")
-
     import pandas as pd
 
-    if plan == "join":
+    if not partitioning.fits_broadcast(model.size_bytes()):
         from .partitioning import check_group_cap, co_partition, default_salts
 
         ns = n_salts or default_salts()
@@ -600,7 +575,7 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
                          n_buckets=nb, salt=("doc_id", ns)).union(zeros),
             ["doc_id"], per_doc, n_buckets=nb)
 
-    # broadcast plan — the pruned model fit under the measured-bytes gate
+    # broadcast plan — the measured pruned model fits the broadcast limit
     mdf = model.to_pandas()
 
     big = mdf[mdf["b"].notna()][["a", "b", "logp"]]

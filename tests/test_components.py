@@ -1,5 +1,7 @@
 """Connected components + dedup-apply (stages/components.py)."""
 
+import contextlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -34,20 +36,22 @@ def test_components_driver_plan(ray_session):
     assert dict(zip(got["node"], got["component"])) == WANT
 
 
-def test_components_distributed_plan_parity(ray_session):
-    """driver_max_bytes=0 forces the hash-min loop; identical labelling
-    to the union-find plan, incl. the diameter-4 chain."""
-    got = components_from_pairs(_pairs_ds(EDGES), driver_max_bytes=0,
-                                n_buckets=4).to_pandas()
+def test_components_distributed_plan_parity(ray_session,
+                                            over_broadcast_limit):
+    """Over the broadcast limit the hash-min loop runs; identical
+    labelling to the union-find plan, incl. the diameter-4 chain."""
+    with over_broadcast_limit():
+        got = components_from_pairs(_pairs_ds(EDGES),
+                                    n_buckets=4).to_pandas()
     assert dict(zip(got["node"], got["component"])) == WANT
 
 
-def test_components_unconverged_raises(ray_session):
+def test_components_unconverged_raises(ray_session, over_broadcast_limit):
     """A partially-converged labelling must never be returned silently."""
     chain = [(i, i + 1) for i in range(12)]
-    with pytest.raises(RuntimeError, match="not converged"):
-        components_from_pairs(_pairs_ds(chain), driver_max_bytes=0,
-                              n_buckets=4, max_rounds=2)
+    with over_broadcast_limit(), pytest.raises(RuntimeError,
+                                               match="not converged"):
+        components_from_pairs(_pairs_ds(chain), n_buckets=4, max_rounds=2)
 
 
 def test_components_randomized_parity(ray_session):
@@ -130,7 +134,7 @@ def _edges_ds(edges):
     }))
 
 
-def test_pagerank_plans_match_reference(ray_session):
+def test_pagerank_plans_match_reference(ray_session, over_broadcast_limit):
     """Driver and distributed PageRank plans both reproduce the numpy
     power iteration on a random graph with dangling nodes; the star
     center out-ranks its leaves."""
@@ -146,18 +150,19 @@ def test_pagerank_plans_match_reference(ray_session):
     edges += [(i, 99) for i in range(6)]         # star onto node 99
     want = _pagerank_reference(edges, n_iters=4)
 
-    for force in (None, 0):   # None -> driver plan; 0 -> distributed
-        got = (pagerank(_edges_ds(edges), driver_max_bytes=force,
-                        n_buckets=4, n_iters=4)
-               .to_pandas().set_index("node")["rank"].to_dict())
+    # driver plan, then the distributed plan over the broadcast limit
+    for plan in (contextlib.nullcontext, over_broadcast_limit):
+        with plan():
+            got = (pagerank(_edges_ds(edges), n_buckets=4, n_iters=4)
+                   .to_pandas().set_index("node")["rank"].to_dict())
         assert set(got) == set(want)
         for k, v in want.items():
-            assert abs(got[k] - v) < 1e-9, (force, k, got[k], v)
+            assert abs(got[k] - v) < 1e-9, (plan, k, got[k], v)
     # the 6-in-edge star node beats the uniform baseline
     assert want[99] > 1.0 / len(want)
 
 
-def test_triangle_counts_random_parity(ray_session):
+def test_triangle_counts_random_parity(ray_session, over_broadcast_limit):
     """Degree-ordered distributed triangle counts == brute-force numpy
     enumeration on a random graph with a planted hub (the 'last
     reducer' shape the orientation exists to kill)."""
@@ -191,10 +196,11 @@ def test_triangle_counts_random_parity(ray_session):
 
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array(ea), "doc_b": pa.array(eb)})).repartition(3)
-    # byte-gated driver plan AND the forced distributed plan (gate=0)
+    # byte-gated driver plan AND the distributed plan over the limit
     got = (triangle_counts(pairs, n_buckets=4).to_pandas()
            .set_index("doc_id")["n_triangles"].to_dict())
-    dist = (triangle_counts(pairs, n_buckets=4, driver_max_bytes=0)
-            .to_pandas().set_index("doc_id")["n_triangles"].to_dict())
+    with over_broadcast_limit():
+        dist = (triangle_counts(pairs, n_buckets=4)
+                .to_pandas().set_index("doc_id")["n_triangles"].to_dict())
     assert got == want and dist == want
     assert sum(want.values()) % 3 == 0

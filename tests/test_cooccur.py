@@ -68,11 +68,11 @@ def test_pmi_randomized_parity(ray_session):
     assert got_rows == _brute_pmi(texts, window=3, min_pair=3)
 
 
-def test_pmi_vocab_gate_raises(ray_session):
+def test_pmi_vocab_gate_raises(ray_session, over_broadcast_limit):
     texts = ["aaa bbb"] * 6
-    with pytest.raises(ValueError, match="survivor vocabulary"):
-        windowed_pmi(_docs_ds(texts), window=2, min_pair=2,
-                     max_vocab_bytes=4)
+    with over_broadcast_limit(), pytest.raises(
+            ValueError, match="survivor vocabulary"):
+        windowed_pmi(_docs_ds(texts), window=2, min_pair=2)
 
 
 def test_pmi_empty_result_schema(ray_session):

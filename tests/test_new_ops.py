@@ -3,6 +3,7 @@ supervision, semi/anti broadcast joins, window top-N."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 
 from kb_ner_ray.stages.dedup import charset_jaccard, ngram_jaccard_pairs
@@ -455,11 +456,13 @@ def test_windowed_stream_matches_batch_hourly(ray_session):
         check_dtype=False, atol=1e-9)
 
 
-def test_plan_auto_selection_forced_bucketed(ray_session):
-    """Force every size-gated plan onto its co-partitioned path
-    (BROADCAST_MAX_BYTES=0) and assert identical results to the broadcast
-    path — the guard that the auto-selection switch is safe to flip at
-    scale."""
+def test_plan_auto_selection_forced_bucketed(ray_session,
+                                            over_broadcast_limit):
+    """Force every size-gated plan onto its co-partitioned path (the
+    broadcast predicate answers False) and assert identical results to
+    the broadcast path — the guard that the auto-selection switch is
+    safe to flip at scale.  Each query must have asked the predicate,
+    so the forced run provably took the other plan."""
     import pandas as pd
 
     from kb_ner_ray.pipelines import queries as Q
@@ -467,29 +470,23 @@ def test_plan_auto_selection_forced_bucketed(ray_session):
     sf = "/root/testdata/sf0.001"
     names = ["events_asof_orders", "customers_with_orders",
              "customers_no_urgent_orders", "orders_lineitem_join",
-             "revenue_by_nation", "minhash_dedup"]
+             "revenue_by_nation", "minhash_dedup",
+             "local_supplier_revenue"]
     reg = Q.queries_registry()
 
-    def run_all():
-        out = {}
-        for n in names:
-            r = reg[n](sf)
-            df = r.to_pandas() if hasattr(r, "to_pandas") else r
-            out[n] = (df[sorted(df.columns)]
-                      .sort_values(sorted(df.columns))
-                      .reset_index(drop=True))
-        return out
+    def run(n):
+        r = reg[n](sf)
+        df = r.to_pandas() if hasattr(r, "to_pandas") else r
+        return (df[sorted(df.columns)]
+                .sort_values(sorted(df.columns))
+                .reset_index(drop=True))
 
-    normal = run_all()
-    orig = Q.BROADCAST_MAX_BYTES
-    try:
-        Q.BROADCAST_MAX_BYTES = 0
-        forced = run_all()
-    finally:
-        Q.BROADCAST_MAX_BYTES = orig
     for n in names:
-        pd.testing.assert_frame_equal(forced[n], normal[n],
-                                      check_dtype=False)
+        normal = run(n)
+        with over_broadcast_limit() as asked:
+            forced = run(n)
+        assert asked, f"{n} never consulted fits_broadcast"
+        pd.testing.assert_frame_equal(forced, normal, check_dtype=False)
 
 
 def test_bloom_filter_laws():
@@ -662,10 +659,11 @@ def test_registry_window_carries_full_signal():
             f"oracle for {n!r} never checked"
 
 
-def test_unigram_ppl_join_plan_matches_broadcast(ray_session):
-    """The bucketed-join fallback (vocab over the byte gate) must produce
-    the same (doc_id, n_tokens, nll_bp) as the gated broadcast plan —
-    plan choice is a memory decision, never a semantics one."""
+def test_unigram_ppl_join_plan_matches_broadcast(ray_session,
+                                                 over_broadcast_limit):
+    """The bucketed-join fallback (vocab over the broadcast limit) must
+    produce the same (doc_id, n_tokens, nll_bp) as the gated broadcast
+    plan — plan choice is a memory decision, never a semantics one."""
     from kb_ner_ray.stages.textstats import unigram_ppl
 
     rng = np.random.default_rng(7)
@@ -677,10 +675,11 @@ def test_unigram_ppl_join_plan_matches_broadcast(ray_session):
     texts[1] += " zzunique2 zzunique2x"
     docs = pa.table({"doc_id": pa.array(range(50), pa.int64()),
                      "text": texts})
-    a = (unigram_ppl(ray.data.from_arrow(docs), plan="broadcast")
+    a = (unigram_ppl(ray.data.from_arrow(docs))
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (unigram_ppl(ray.data.from_arrow(docs), plan="join")
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with over_broadcast_limit():
+        b = (unigram_ppl(ray.data.from_arrow(docs))
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert a[["doc_id", "n_tokens", "nll_bp"]].equals(
         b[["doc_id", "n_tokens", "nll_bp"]])
     # pruned singletons exist -> docs holding them score the OOV floor,
@@ -690,12 +689,10 @@ def test_unigram_ppl_join_plan_matches_broadcast(ray_session):
     assert not a["nll_bp"].equals(c["nll_bp"])
 
 
-def test_unigram_ppl_broadcast_gate_raises(ray_session):
-    """plan='broadcast' with an oversized vocabulary must RAISE (the
-    decontaminate-style measured-bytes guard), and plan='auto' must fall
-    back to the join plan instead."""
-    import pytest as _pytest
-
+def test_unigram_ppl_over_limit_falls_back_to_join(ray_session,
+                                                   over_broadcast_limit):
+    """A vocabulary over the broadcast limit must fall back to the join
+    plan, with the broadcast plan's scores."""
     from kb_ner_ray.stages.textstats import unigram_ppl
 
     docs = pa.table({
@@ -703,11 +700,11 @@ def test_unigram_ppl_broadcast_gate_raises(ray_session):
         "text": ["a a b b c c", "b b c c d d"],
     })
     ds = ray.data.from_arrow(docs)
-    with _pytest.raises(ValueError, match="broadcast plan"):
-        unigram_ppl(ds, plan="broadcast", max_vocab_bytes=1)
-    out = (unigram_ppl(ds, plan="auto", max_vocab_bytes=1)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    want = (unigram_ppl(ds, plan="broadcast")
+    with over_broadcast_limit() as asked:
+        out = (unigram_ppl(ds)
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert asked
+    want = (unigram_ppl(ds)
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert out[["doc_id", "n_tokens", "nll_bp"]].equals(
         want[["doc_id", "n_tokens", "nll_bp"]])
@@ -858,26 +855,10 @@ def test_bigram_ppl_planted(ray_session):
     assert out.loc[0, "nll_bp"] == int(np.floor(want * 10_000 + 0.5))
 
 
-def test_bigram_ppl_model_gate_raises(ray_session):
-    import pytest
-
-    from kb_ner_ray.stages.textstats import bigram_ppl
-
-    docs = pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        "text": pa.array(["a b c d e f", "a b c d e f"], pa.string()),
-    })
-    # a forced broadcast plan must refuse (not silently materialize) an
-    # over-budget model; plan='auto' instead falls back to the join plan
-    with pytest.raises(ValueError, match="pruned model"):
-        bigram_ppl(ray.data.from_arrow(docs), max_model_bytes=4,
-                   plan="broadcast")
-
-
-def test_bigram_ppl_join_plan_matches_broadcast(ray_session):
-    """The above-gate bucketed-join scoring plan (max_model_bytes=0
-    forces it under plan='auto') produces the exact broadcast-plan
-    result, including the zero-bigram doc row."""
+def test_bigram_ppl_join_plan_matches_broadcast(ray_session,
+                                                over_broadcast_limit):
+    """The above-limit bucketed-join scoring plan produces the exact
+    broadcast-plan result, including the zero-bigram doc row."""
     rng = np.random.default_rng(11)
     vocab = [f"w{i}" for i in range(9)]
     texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 12)))
@@ -889,16 +870,18 @@ def test_bigram_ppl_join_plan_matches_broadcast(ray_session):
     from kb_ner_ray.stages.textstats import bigram_ppl
 
     ds = ray.data.from_arrow(docs).repartition(4)
-    want = (bigram_ppl(ds, plan="broadcast")
+    want = (bigram_ppl(ds)
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    got = (bigram_ppl(ds, max_model_bytes=0)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with over_broadcast_limit():
+        got = (bigram_ppl(ds)
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert got[["doc_id", "n_bigrams", "nll_bp"]].equals(
         want[["doc_id", "n_bigrams", "nll_bp"]])
     assert (got.loc[got["doc_id"] >= 30, "n_bigrams"] == 0).all()
 
 
-def test_bigram_ppl_join_plan_hot_context_capped(ray_session):
+def test_bigram_ppl_join_plan_hot_context_capped(ray_session,
+                                                 over_broadcast_limit):
     """A Zipf-head context ('the' starts a bigram in every doc) must not
     serialize one merge reducer: with n_salts=4 the probe mass spreads
     by doc hash, so no group exceeds the planted cap."""
@@ -910,14 +893,14 @@ def test_bigram_ppl_join_plan_hot_context_capped(ray_session):
     from kb_ner_ray.stages.textstats import bigram_ppl
 
     ds = ray.data.from_arrow(docs).repartition(4)
-    want = (bigram_ppl(ds, plan="broadcast")
+    want = (bigram_ppl(ds)
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     # 200 docs x up to 3 probe rows; unsalted, 'the'-context rows land in
     # ONE group (~400+ rows). n_salts=4 bounds every group; the model
     # replicates x4 but is tiny/fixed-width.
-    got = (bigram_ppl(ds, plan="join", n_salts=4, n_buckets=8,
-                      row_cap=220)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with over_broadcast_limit():
+        got = (bigram_ppl(ds, n_salts=4, n_buckets=8, row_cap=220)
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert got[["doc_id", "n_bigrams", "nll_bp"]].equals(
         want[["doc_id", "n_bigrams", "nll_bp"]])
 
@@ -1279,10 +1262,11 @@ def test_kmeans_embeddings_numpy_parity(ray_session):
         assert (got == want).all()
 
 
-def test_fuzzy_decontaminate_planted_leak(ray_session):
+def test_fuzzy_decontaminate_planted_leak(ray_session, over_broadcast_limit):
     """A verbatim benchmark copy and a one-token paraphrase are both
     flagged; unrelated docs are not, and never even reach verification
-    (zero candidates)."""
+    (zero candidates).  A benchmark side over the broadcast limit
+    raises instead of broadcasting."""
     from kb_ner_ray.stages.dedup import fuzzy_decontaminate
 
     bench_text = ("the quick brown fox jumps over the lazy dog "
@@ -1308,6 +1292,26 @@ def test_fuzzy_decontaminate_planted_leak(ray_session):
     assert out.loc[1, "contaminated"] == 1 and out.loc[1, "jac_bp"] < 10_000
     assert (out.loc[[2, 3], "contaminated"] == 0).all()
     assert (out.loc[[2, 3], "n_candidates"] == 0).all()
+    with over_broadcast_limit(), pytest.raises(ValueError, match="SMALL"):
+        fuzzy_decontaminate(corpus, bench, threshold=0.6)
+
+
+def test_source_reputation_filter_gate_raises(ray_session, tmp_path,
+                                              over_broadcast_limit):
+    """A good-source set over the broadcast limit raises rather than
+    broadcasting (the filter has no distributed keep pass)."""
+    import pyarrow.parquet as pq
+
+    from kb_ner_ray.pipelines.queries import q_source_reputation_filter
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1], pa.int64()),
+        "text": ["a plain sentence of several words here"] * 2,
+        "source": ["a.example", "b.example"],
+    }), tmp_path / "documents.parquet")
+    with over_broadcast_limit(), pytest.raises(
+            ValueError, match="over the broadcast limit"):
+        q_source_reputation_filter(str(tmp_path))
 
 
 def test_events_burst_dedup_semantics(ray_session):
@@ -1735,14 +1739,14 @@ def test_event_user_ops_under_planted_skew(ray_session):
 
 def test_local_supplier_revenue_plan_parity(ray_session):
     """Q5: the bucketed 3-hash-join plan returns exactly the broadcast
-    plan's rows (the above-gate path must not change semantics)."""
+    plan's rows (the above-limit path must not change semantics)."""
     import pandas as pd
 
     from kb_ner_ray.pipelines.queries import (
         q_local_supplier_revenue, q_local_supplier_revenue_bucketed)
 
     sf = "/root/testdata/sf0.001"
-    a = q_local_supplier_revenue(sf, plan="broadcast")
+    a = q_local_supplier_revenue(sf)
     b = q_local_supplier_revenue_bucketed(sf)
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))

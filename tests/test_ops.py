@@ -543,7 +543,7 @@ def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session):
         assert np.allclose(got["sim"], want["sim"])
 
 
-def test_decontaminate_planted_overlap(ray_session):
+def test_decontaminate_planted_overlap(ray_session, over_broadcast_limit):
     """A train doc containing a benchmark 8-gram is flagged; clean docs
     are not; the benchmark-too-big guard raises instead of broadcasting."""
     import pytest as _pytest
@@ -559,5 +559,5 @@ def test_decontaminate_planted_overlap(ray_session):
            .sort_values("doc_id").reset_index(drop=True))
     assert list(out["contaminated"]) == [0, 1, 0]
     assert out.loc[1, "n_overlap"] == 1
-    with _pytest.raises(ValueError, match="SMALL"):
-        decontaminate(docs, bench, n=8, max_benchmark_bytes=4)
+    with over_broadcast_limit(), _pytest.raises(ValueError, match="SMALL"):
+        decontaminate(docs, bench, n=8)

@@ -389,3 +389,56 @@ def test_no_hand_rolled_bucket_groupby():
     assert found <= set(HAND_ROLLED_OK), sorted(found - set(HAND_ROLLED_OK))
     # the allowlist shrinks with the code: no stale entries
     assert found == set(HAND_ROLLED_OK)
+
+
+def test_fits_broadcast_limit():
+    from kb_ner_ray.stages.partitioning import (BROADCAST_MAX_BYTES,
+                                                fits_broadcast)
+
+    assert fits_broadcast(None) and fits_broadcast(0)
+    assert fits_broadcast(BROADCAST_MAX_BYTES)
+    assert not fits_broadcast(BROADCAST_MAX_BYTES + 1)
+
+
+_SIZE_CALLS = ("size_bytes", "_table_bytes")
+
+
+def _measures_size(node) -> bool:
+    return any(isinstance(n, ast.Call)
+               and getattr(n.func, "attr", getattr(n.func, "id", None))
+               in _SIZE_CALLS for n in ast.walk(node))
+
+
+def test_one_broadcast_rule():
+    """Every driver-side size decision asks partitioning.fits_broadcast.
+    Outside partitioning.py no function takes a ``plan`` or ``*_bytes``
+    parameter (a per-operator knob forks the rule), and no
+    ``size_bytes()`` / ``_table_bytes(...)`` result is compared, directly
+    or through a local name it was assigned to."""
+    knobs, compares = [], []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == "stages/partitioning.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                        a.vararg, a.kwarg]:
+                if arg and (arg.arg == "plan" or arg.arg.endswith("_bytes")):
+                    knobs.append(f"{rel}:{fn.lineno} {arg.arg}")
+        sized = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                 and _measures_size(n.value)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Compare) and any(
+                    _measures_size(side) or any(
+                        isinstance(x, ast.Name) and x.id in sized
+                        for x in ast.walk(side))
+                    for side in [n.left, *n.comparators]):
+                compares.append(f"{rel}:{n.lineno}")
+    assert not knobs, knobs
+    assert not compares, compares

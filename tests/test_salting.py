@@ -78,48 +78,53 @@ def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir):
     assert out.equals(unsalted)
 
 
-def test_tfidf_join_plan_salted_hot_token(ray_session, hot_sf_dir):
-    """Above the df-byte gate tfidf falls back to the salted replicated
-    hash join; the hot token's probe rows must split across salts, and
-    the join plan must match the broadcast plan exactly."""
+def test_tfidf_join_plan_salted_hot_token(ray_session, hot_sf_dir,
+                                          over_broadcast_limit):
+    """Above the broadcast limit tfidf falls back to the salted
+    replicated hash join; the hot token's probe rows must split across
+    salts, and the join plan must match the broadcast plan exactly."""
     from kb_ner_ray.stages.sparse import tfidf_keywords
 
     ds = ray.data.read_parquet(f"{hot_sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    a = (tfidf_keywords(ds, k=2, plan="broadcast")
+    a = (tfidf_keywords(ds, k=2)
          .to_pandas().sort_values(["doc_id", "rank"])
          .reset_index(drop=True))
-    b = (tfidf_keywords(ds, k=2, plan="join", row_cap=CAP, n_salts=8)
-         .to_pandas().sort_values(["doc_id", "rank"])
-         .reset_index(drop=True))
+    with over_broadcast_limit():
+        b = (tfidf_keywords(ds, k=2, row_cap=CAP, n_salts=8)
+             .to_pandas().sort_values(["doc_id", "rank"])
+             .reset_index(drop=True))
     assert a.equals(b)
     # per doc: unique token ranks first (idf ln(N/1) > ln(N/N)=0)
     r1 = a[a["rank"] == 1]
     assert (r1["tok"] != "the").all()
 
-    with pytest.raises(Exception, match="salting failed to spread"):
-        (tfidf_keywords(ds, k=2, plan="join", row_cap=CAP, n_salts=1)
-         .materialize())
+    with over_broadcast_limit(), pytest.raises(
+            Exception, match="salting failed to spread"):
+        tfidf_keywords(ds, k=2, row_cap=CAP, n_salts=1).materialize()
 
 
-def test_tfidf_forced_broadcast_gate_raises(ray_session, hot_sf_dir):
+def test_tfidf_over_limit_falls_back_to_join(ray_session, hot_sf_dir,
+                                             over_broadcast_limit):
     from kb_ner_ray.stages.sparse import tfidf_keywords
 
     ds = ray.data.read_parquet(f"{hot_sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    with pytest.raises(ValueError, match="broadcast plan"):
-        tfidf_keywords(ds, k=2, plan="broadcast", max_df_bytes=1)
-    # auto with a tiny gate silently takes the join plan and stays exact
-    a = (tfidf_keywords(ds, k=2, plan="auto", max_df_bytes=1)
-         .to_pandas().sort_values(["doc_id", "rank"])
-         .reset_index(drop=True))
-    b = (tfidf_keywords(ds, k=2, plan="broadcast")
+    # over the limit the df table silently takes the join plan and stays
+    # exact
+    with over_broadcast_limit() as asked:
+        a = (tfidf_keywords(ds, k=2)
+             .to_pandas().sort_values(["doc_id", "rank"])
+             .reset_index(drop=True))
+    assert asked
+    b = (tfidf_keywords(ds, k=2)
          .to_pandas().sort_values(["doc_id", "rank"])
          .reset_index(drop=True))
     assert a.equals(b)
 
 
-def test_unigram_join_salted_hot_token(ray_session, hot_sf_dir):
+def test_unigram_join_salted_hot_token(ray_session, hot_sf_dir,
+                                       over_broadcast_limit):
     """The unigram_ppl join plan's merge groups on hash(tok) x
     (hash(doc) % n_salts): the hot token's per-(doc, tok) probe rows
     spread across salts while every probe row still meets its
@@ -128,16 +133,17 @@ def test_unigram_join_salted_hot_token(ray_session, hot_sf_dir):
 
     ds = ray.data.read_parquet(f"{hot_sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-    a = (unigram_ppl(ds, plan="broadcast")
+    a = (unigram_ppl(ds)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (unigram_ppl(ds, plan="join", row_cap=CAP, n_salts=8)
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with over_broadcast_limit():
+        b = (unigram_ppl(ds, row_cap=CAP, n_salts=8)
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert a[["doc_id", "n_tokens", "nll_bp"]].equals(
         b[["doc_id", "n_tokens", "nll_bp"]])
 
-    with pytest.raises(Exception, match="salting failed to spread"):
-        (unigram_ppl(ds, plan="join", row_cap=CAP, n_salts=1)
-         .materialize())
+    with over_broadcast_limit(), pytest.raises(
+            Exception, match="salting failed to spread"):
+        unigram_ppl(ds, row_cap=CAP, n_salts=1).materialize()
 
 
 def test_salt_spread_uniformity():
