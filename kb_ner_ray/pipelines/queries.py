@@ -1285,6 +1285,14 @@ def _custkeys_with_orders(sf_dir: str):
     return set(t.column("o_custkey").to_pylist())
 
 
+def _keep_keys(t: pa.Table, col: str = "", keys_ref=None) -> pa.Table:
+    """Rows of ``t`` whose int64 ``col`` is in the broadcast key array: a
+    plain task with the ref in ``fn_kwargs`` (an actor pool holding the
+    ref makes Ray core log its object-store constructor-argument error)."""
+    return t.filter(pc.is_in(t[col].cast(pa.int64()),
+                             value_set=ray.get(keys_ref)))
+
+
 def q_customers_semi_bucketed(sf_dir: str):
     """SEMI join via the co-partitioned path (stages/joins.py semi_join):
     no key-set broadcast — the scale path when the right side is a fact
@@ -1307,17 +1315,10 @@ def q_customers_with_orders(sf_dir: str):
         return q_customers_semi_bucketed(sf_dir)
     keys = ray.put(pa.array(sorted(_custkeys_with_orders(sf_dir)),
                             pa.int64()))
-
-    class Semi:
-        def __init__(self):
-            self.keys = ray.get(keys)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["c_custkey"], value_set=self.keys))
-
     return (_read(sf_dir, "customer",
                   columns=["c_custkey", "c_name", "c_nationkey"])
-            .map_batches(Semi, batch_format="pyarrow", concurrency=(1, 4)))
+            .map_batches(_keep_keys, batch_format="pyarrow",
+                         fn_kwargs={"col": "c_custkey", "keys_ref": keys}))
 
 
 SQL_SEMI_JOIN = """
@@ -1836,14 +1837,6 @@ def q_corpus_prep(sf_dir: str):
         sorted(exact_dedup(ds).to_pandas()["doc_id"].astype(int).tolist()),
         pa.int64()))
 
-    class Survivors:
-        def __init__(self):
-            self.keep = ray.get(keep_ids)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["doc_id"].cast(pa.int64()),
-                                     value_set=self.keep))
-
     # stages 2-3 fused in one vectorized pass: quality gate + split counts
     def prep(t: pa.Table) -> pa.Table:
         q = quality_batch(t)  # (doc_id, quality)
@@ -1855,8 +1848,8 @@ def q_corpus_prep(sf_dir: str):
         return pa.table({"split": pa.array(split, pa.string())}).group_by(
             "split").aggregate([("split", "count")])
 
-    pdf = (ds.map_batches(Survivors, batch_format="pyarrow",
-                          concurrency=(1, 4))
+    pdf = (ds.map_batches(_keep_keys, batch_format="pyarrow",
+                          fn_kwargs={"col": "doc_id", "keys_ref": keep_ids})
            .map_batches(prep, batch_format="pyarrow")
            .to_pandas())
     df = pdf.groupby("split", as_index=False).agg(

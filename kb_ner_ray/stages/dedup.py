@@ -83,6 +83,14 @@ def _tri_grp_keys(bkey_hash: np.ndarray, band_ids: np.ndarray,
     return (mixed >> np.uint64(1)).astype(np.int64)
 
 
+def _plain_table(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """``df`` as an Arrow table of ``schema`` without the pandas metadata
+    ``from_pandas`` attaches: that dict makes the block schema unhashable,
+    so Ray Data logs "Failed to hash the schemas" for every block."""
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False
+                                ).replace_schema_metadata()
+
+
 def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
                           pair_fn, pair_schema: dict[str, object],
                           max_group: int = 200):
@@ -159,8 +167,7 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
                           "dropped)", len(grp), S * (S + 1) // 2)
                 outs.append(_unified(None, grp, S=S))
         df = pd.concat(outs, ignore_index=True)
-        return pa.Table.from_pandas(df, schema=unified_schema,
-                                    preserve_index=False)
+        return _plain_table(df, unified_schema)
 
     out1 = (rows_ds.groupby("band_grp")
             .map_groups(pass1, batch_format="pandas")
@@ -180,6 +187,10 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
     if ovf.count() == 0:
         return pairs
 
+    pair_out_schema = pa.schema([
+        ("doc_a", pa.int64()), ("doc_b", pa.int64()),
+        *[(c, pa.from_numpy_dtype(dt)) for c, dt in pair_schema.items()],
+    ])
     expand_schema = pa.schema([
         ("tri_grp", pa.int64()), ("band_id", pa.int32()),
         ("bkey", pa.string()), ("gi", pa.int32()), ("gj", pa.int32()),
@@ -219,11 +230,9 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
         }
         for c in payload_cols:
             cols[c] = df[c].to_numpy(object)[rep]
-        out = pd.DataFrame(cols)
-        return pa.Table.from_pandas(out, schema=expand_schema,
-                                    preserve_index=False)
+        return _plain_table(pd.DataFrame(cols), expand_schema)
 
-    def pass2(group: pd.DataFrame) -> pd.DataFrame:
+    def pass2(group: pd.DataFrame) -> pa.Table:
         outs = [pd.DataFrame({"doc_a": np.array([], np.int64),
                               "doc_b": np.array([], np.int64),
                               **{c: np.array([], dtype=dt)
@@ -240,7 +249,8 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
                 right = grp[grp["part"] == gj].sort_values("doc_id")
                 if len(left) and len(right):
                     outs.append(pair_fn(left, right))
-        return pd.concat(outs, ignore_index=True)
+        return _plain_table(pd.concat(outs, ignore_index=True),
+                            pair_out_schema)
 
     pairs2 = (ovf.map_batches(expand, batch_format="pandas")
               .groupby("tri_grp")

@@ -158,7 +158,16 @@ class SentenceKernel(_KBActorBase):
         (full-sequence decode, the reference's ``remove_x=False`` branch);
         otherwise the trie codec, with sequences longer than the 510-token
         model window going through the sliding-window path
-        (functions/windows.py, flair embeddings.py:2960-2969 semantics)."""
+        (functions/windows.py, flair embeddings.py:2960-2969 semantics).
+
+        The trie path scans only ``aug_tokens[:n + max_len - 1]`` (n =
+        sentence tokens), and that is exact: a greedy match starting at
+        i < n reads at most ``max_len`` tokens, i.e. nothing past index
+        n + max_len - 2, so the scan visits the same positions below n and
+        picks the same entries as the full scan; every span starting at or
+        past n ends past n and is dropped by the sentence-region filter
+        either way.  No assumption about ``<EOS>`` is needed.
+        ``data/oracle.py`` keeps the full scan as the reference."""
         tokens = text.split()
         aug_tokens = aug.split()
         if backend == "viterbi":
@@ -172,7 +181,8 @@ class SentenceKernel(_KBActorBase):
             spans = decode_bioes(
                 tag_tokens_windowed(aug_tokens, self.gaz.tag_tokens))
         else:
-            spans = self.gaz.mentions_via_codec(aug_tokens)
+            spans = self.gaz.mentions_via_codec(
+                aug_tokens[:len(tokens) + self.gaz.max_len - 1])
         return tokens, [s for s in spans if s[1] <= len(tokens)]
 
     def _linked(self, text: str, lang: str | None,

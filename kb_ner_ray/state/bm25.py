@@ -115,7 +115,12 @@ class KBIndex:
 
     def search(self, sentence: str, entity: str | None = None, k: int = 10,
                title_boost: float = 2.0) -> list[tuple[int, float]]:
-        """Top-k (row_index, score), score desc, ties by row index asc.
+        """Top-k (row_index, score) as plain ints and floats, score desc.
+
+        Ties are broken by row index asc only among the ``4k`` candidates
+        that ``argpartition`` leaves; which of the documents tied at the
+        top-k cut are among them is up to introselect, not the row order
+        (the exact stable top-k is ROADMAP direction 1).
 
         ``entity`` engages the reference's --with_entity mode
         (kb/generate_data.py:52-55): bool/should adds a boosted title match.
@@ -129,10 +134,13 @@ class KBIndex:
         if n == 0:
             return []
         k = min(k, n)
-        # stable top-k: argpartition then sort by (-score, idx)
-        cand = np.argpartition(-scores, k - 1)[: max(k * 4, k)]
-        cand = cand[np.lexsort((cand, -scores[cand]))][:k]
-        return [(int(i), float(scores[i])) for i in cand if scores[i] > 0.0]
+        # argpartition keeps 4k candidates (ties at the cut: introselect's
+        # pick), then sort them by (-score, idx)
+        neg = -scores
+        cand = np.argpartition(neg, k - 1)[: max(k * 4, k)]
+        cand = cand[np.lexsort((cand, neg[cand]))][:k]
+        return [(i, s) for i, s in zip(cand.tolist(), scores[cand].tolist())
+                if s > 0.0]
 
 
 class MultiLangKBIndex:

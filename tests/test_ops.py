@@ -498,6 +498,23 @@ def test_simhash_overflow_no_pair_loss(ray_session):
     assert len(small) == len(small.drop_duplicates(["doc_a", "doc_b"]))
 
 
+def test_simhash_overflow_blocks_have_hashable_schemas(ray_session):
+    """The overflow plan's output blocks are Arrow tables without pandas
+    metadata: that dict makes a schema unhashable, and Ray Data then logs
+    "Failed to hash the schemas" for every block."""
+    texts = (["identical body for the simhash hot bucket test " * 4] * 40
+             + [f"distinct text {i} " + " ".join(f"q{i}{k}" for k in range(30))
+                for i in range(10)])
+    ds = simhash_near_dups(_docs_ds(texts), max_dist=3,
+                           max_group=8).materialize()
+    blocks = [ray.get(ref) for ref in ds.to_arrow_refs()]
+    assert sum(b.num_rows for b in blocks) == ds.count() > 0
+    for b in blocks:
+        assert isinstance(b, pa.Table)
+        assert b.schema.metadata is None
+        hash(b.schema)
+
+
 def test_lsh_embed_overflow_no_pair_loss(ray_session):
     from kb_ner_ray.stages.similarity import near_dup_pairs_lsh
 

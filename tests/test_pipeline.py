@@ -282,3 +282,58 @@ def test_kg_triples_query_exactly_matches_oracle_sf001(ray_session):
     ws = sorted(map(tuple, want[cols].itertuples(index=False)))
     assert len(gs) == len(ws)
     assert gs == ws
+
+
+def _full_scan_spans(gaz, text, aug):
+    """The oracle's trie tagging: every augmented token scanned, spans
+    kept inside the sentence region."""
+    n = len(text.split())
+    return [s for s in gaz.mentions_via_codec(aug.split()) if s[1] <= n]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_trie_spans_equal_full_scan_on_corpus(seed):
+    """The trie branch of ``SentenceKernel._spans`` tags only the sentence
+    plus ``max_len - 1`` look-ahead tokens; on every corpus sentence its
+    spans equal the full augmented-sequence scan's."""
+    from kb_ner_ray.data.oracle import TOP_K
+    from kb_ner_ray.stages.tagger import SentenceKernel
+
+    corpus = generate_corpus(80, seed=seed)
+    k = SentenceKernel(corpus["gazetteer"].to_pylist(),
+                       corpus["kb"].to_pylist())
+    assert k.gaz.max_len > 1
+    n_spans = 0
+    for row in corpus["sentences"].to_pylist():
+        text = row["text"]
+        aug = k._attach(text, k.index.search(text, lang=row["lang"],
+                                             k=TOP_K))[0]
+        _tokens, spans = k._spans(text, aug, "trie")
+        assert spans == _full_scan_spans(k.gaz, text, aug), text
+        n_spans += len(spans)
+    assert n_spans > 0
+
+
+@pytest.mark.parametrize("surfaces,text,aug,want", [
+    # (a) the 3-token surface starting at the last sentence token runs
+    # across <EOS>: it wins over "Acme", then leaves the sentence region
+    (["Acme", "Acme <EOS> Corp"], "We like Acme",
+     "We like Acme <EOS> Corp is big", []),
+    # (b) a max_len-token surface ending exactly at the last sentence token
+    (["New Haven Park", "Haven"], "Visit New Haven Park",
+     "Visit New Haven Park <EOS> Haven is near New Haven Park",
+     [(1, 4, "LOC", 1.0)]),
+    # (c) single-token surfaces only: max_len == 1, no look-ahead
+    (["Acme", "Corp"], "Acme rocks", "Acme rocks <EOS> Corp Acme",
+     [(0, 1, "LOC", 1.0)]),
+])
+def test_trie_spans_lookahead_planted(surfaces, text, aug, want):
+    from kb_ner_ray.stages.tagger import SentenceKernel
+
+    kb = [{"kb_id": 0, "ent_id": 0, "title": "T", "sentence": "x",
+           "s_id": 0}]
+    k = SentenceKernel([{"surface": s, "label": "LOC", "ent_id": i}
+                        for i, s in enumerate(surfaces)], kb)
+    assert k.gaz.max_len == max(len(s.split()) for s in surfaces)
+    assert k._spans(text, aug, "trie")[1] == want
+    assert want == _full_scan_spans(k.gaz, text, aug)

@@ -1,5 +1,7 @@
 """BM25 / gazetteer / union-find / canonicalization kernel tests."""
 
+import numpy as np
+
 from kb_ner_ray.functions.canon import build_canonical_map
 from kb_ner_ray.functions.tokenizer import subtoken_count, tokenize_with_offsets
 from kb_ner_ray.state.bm25 import KBIndex, analyze
@@ -53,6 +55,23 @@ def test_bm25_topk_and_ties_deterministic():
     idx = KBIndex(_kb(["x y"] * 5))
     hits = idx.search("x", k=3)
     assert [h[0] for h in hits] == [0, 1, 2]  # ties broken by row index
+
+
+def test_bm25_hits_are_plain_and_match_per_element_formula():
+    """Hits are Python int/float pairs, equal to converting each chosen
+    element on its own, on a KB whose tied scores straddle the top-k cut
+    (60 tied documents, 4k = 40 argpartition candidates)."""
+    idx = KBIndex(_kb(["x y"] * 60 + ["x x y z", "z w", "y"]))
+    for query, k in [("x", 10), ("x z", 10), ("y", 3), ("w", 10)]:
+        hits = idx.search(query, k=k)
+        assert all(type(i) is int and type(s) is float for i, s in hits)
+        scores = np.zeros(len(idx.rows), dtype=np.float32)
+        idx.text.score_into(query, scores)
+        cand = np.argpartition(-scores, k - 1)[: k * 4]
+        cand = cand[np.lexsort((cand, -scores[cand]))][:k]
+        assert hits == [(int(i), float(scores[i])) for i in cand
+                        if scores[i] > 0.0]
+        assert len(hits) == min(k, int((scores > 0).sum()))
 
 
 def test_gazetteer_longest_match():
