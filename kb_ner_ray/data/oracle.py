@@ -69,8 +69,9 @@ def attach_contexts_cached(sentence: str,
                            max_rank: int | None = None) -> tuple[str, int]:
     """Greedy budgeted context stitch (kb/context_process.py:401-479) over
     PRE-CLEANED contexts with precomputed subtoken costs — the KB side is
-    fixed per actor, so ``clean_context``/``subtoken_count`` are hoisted to
-    actor ``__init__`` (hits_pre = [(clean_ctx, cost), ...] in rank order).
+    fixed per worker, so ``clean_context``/``subtoken_count`` are hoisted to
+    ``retriever.KBState`` (hits_pre = [(clean_ctx, cost), ...] in rank
+    order).
 
     ``min_rank``/``max_rank`` slice the rank-ordered hit list BEFORE the
     budget walk (reference ``context = context[min_rank:max_rank]``,

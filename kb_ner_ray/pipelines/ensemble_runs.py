@@ -8,9 +8,10 @@ all prediction files and majority-votes spans.  The engine's fused
 right when variants share all upstream work.  THIS module is the seat for
 genuinely distinct checkpoints, where each model is its own deployment:
 
-* each checkpoint runs as its own actor-pool pass over the sentence
-  stream (a real deployment constructs the actor from a weights path;
-  the sandbox stand-in is the pinned gazetteer ``VariantTagger``);
+* each checkpoint runs as its own plain-task pass over the sentence
+  stream (a real deployment loads its weights in the per-worker state
+  factory; the sandbox stand-in is the pinned gazetteer
+  ``VariantTagger``);
 * each run's predictions land STREAMED in a resumable partitioned sink
   (``out_dir/part=<m>/`` + lineage manifest, state/manifest.py) — a
   crashed 14-model sweep recomputes only missing/stale runs, keyed on
@@ -33,7 +34,7 @@ import os
 
 import ray
 
-from ..stages.ensemble import VariantTagger, vote_group_factory
+from ..stages.ensemble import variant_tag, vote_group_factory
 from ..state.manifest import input_fingerprint, partition_done, write_partition
 from .kg import load_corpus_refs, sentences_dataset
 
@@ -56,13 +57,13 @@ def checkpoint_fingerprint(corpus: str, checkpoint: dict) -> str:
 
 
 def run_checkpoint_predictions(corpus: str, checkpoints: list[dict],
-                               out_dir: str,
-                               concurrency=(1, 4)) -> dict:
+                               out_dir: str) -> dict:
     """One S11-style prediction run per checkpoint, resumably.
 
     ``checkpoints`` are identity dicts — the stand-in uses
-    {"model_id": m, "n_models": n} to build a ``VariantTagger``; a real
-    deployment adds a weights path and swaps the actor class.  Returns
+    {"model_id": m, "n_models": n} to pick a ``VariantTagger``; a real
+    deployment adds a weights path and loads it in the per-worker state
+    factory of its tagging task.  Returns
     {"computed": [...], "skipped": [...]} of run ids."""
     os.makedirs(out_dir, exist_ok=True)
     _kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
@@ -73,12 +74,10 @@ def run_checkpoint_predictions(corpus: str, checkpoints: list[dict],
             skipped.append(run_id)
             continue
         preds = sentences_dataset(corpus).map_batches(
-            VariantTagger,
-            fn_constructor_kwargs={"gaz_ref": gaz_ref,
-                                   "model_id": ckpt["model_id"],
-                                   "n_models": ckpt["n_models"]},
-            batch_format="pyarrow", batch_size=512,
-            concurrency=concurrency)
+            variant_tag,
+            fn_kwargs={"gaz_ref": gaz_ref, "model_id": ckpt["model_id"],
+                       "n_models": ckpt["n_models"]},
+            batch_format="pyarrow", batch_size=512)
         write_partition(out_dir, run_id, preds, fp,
                         counters={"checkpoint": ckpt})
         computed.append(run_id)
@@ -119,11 +118,10 @@ def ensemble_from_runs(out_dir: str, n_models: int,
 
 
 def run_ensemble(corpus: str, out_dir: str, n_models: int = 3,
-                 threshold: float | None = None, concurrency=(1, 4)):
+                 threshold: float | None = None):
     """End-to-end orchestration: n stand-in checkpoints -> resumable
     prediction runs -> cross-run vote."""
     checkpoints = [{"model_id": m, "n_models": n_models}
                    for m in range(n_models)]
-    run_checkpoint_predictions(corpus, checkpoints, out_dir,
-                               concurrency=concurrency)
+    run_checkpoint_predictions(corpus, checkpoints, out_dir)
     return ensemble_from_runs(out_dir, n_models, threshold)

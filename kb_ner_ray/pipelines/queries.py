@@ -21,7 +21,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..stages import partitioning
-from ..stages.partitioning import bucket_exchange
+from ..stages.partitioning import bucket_exchange, resolve, worker_state
 
 # ---------- helpers ----------------------------------------------------------
 
@@ -45,6 +45,19 @@ def _probe_sorted(keys_sorted: np.ndarray, probe: np.ndarray):
     idx = np.minimum(idx, n - 1)
     valid = keys_sorted[idx] == probe
     return idx, valid
+
+
+def _revenue_partial(code: np.ndarray, rev: np.ndarray,
+                     n_codes: int) -> pa.Table:
+    """Per-code revenue sum and row count over codes 0..n_codes-1."""
+    return pa.table({
+        "code": pa.array(np.arange(n_codes), pa.int64()),
+        "revenue_sum": pa.array(
+            np.bincount(code, weights=rev, minlength=n_codes), pa.float64()),
+        "revenue_count": pa.array(
+            np.bincount(code, minlength=n_codes).astype(np.int64),
+            pa.int64()),
+    })
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
@@ -161,6 +174,24 @@ ORDER BY sum(l_extendedprice * (1 - l_discount)) DESC, l_orderkey LIMIT 10
 """
 
 
+_DIMS_STATE: dict = {}  # _attach_dims' slot: n_ref -> dimension arrays
+
+
+def _attach_dims(t: pa.Table, n_ref=None) -> pa.Table:
+    """customer rows -> (r_name, n_name, c_acctbal) through the broadcast
+    sorted nation keys and their name arrays (inner join)."""
+    keys, n_names, r_names = worker_state(_DIMS_STATE, n_ref,
+                                          lambda: resolve(n_ref))
+    idx, valid = _probe_sorted(keys, t["c_nationkey"].to_numpy())
+    t = t.filter(pa.array(valid))  # inner join: drop unknown keys
+    take = pa.array(idx[valid], pa.int64())
+    return pa.table({
+        "r_name": r_names.take(take),
+        "n_name": n_names.take(take),
+        "c_acctbal": t["c_acctbal"],
+    })
+
+
 def q_customer_rollup(sf_dir: str):
     """customer x nation x region via BROADCAST dict lookups (dimension
     tables are the small side; no shuffle join), then grouped agg."""
@@ -178,28 +209,14 @@ def q_customer_rollup(sf_dir: str):
                      pa.array([n_map[k][0] for k in nk], pa.string()),
                      pa.array([n_map[k][1] for k in nk], pa.string())))
 
-    class AttachDims:
-        def __init__(self):
-            self.keys, self.n_names, self.r_names = ray.get(n_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            probe = t["c_nationkey"].to_numpy()
-            idx, valid = _probe_sorted(self.keys, probe)
-            t = t.filter(pa.array(valid))  # inner join: drop unknown keys
-            take = pa.array(idx[valid], pa.int64())
-            return pa.table({
-                "r_name": self.r_names.take(take),
-                "n_name": self.n_names.take(take),
-                "c_acctbal": t["c_acctbal"],
-            })
-
     def partial(t: pa.Table) -> pa.Table:
         return t.group_by(["r_name", "n_name"]).aggregate(
             [("c_acctbal", "sum"), ("c_acctbal", "count")])
 
     pdf = (
         _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-        .map_batches(AttachDims, batch_format="pyarrow", concurrency=(1, 2))
+        .map_batches(_attach_dims, fn_kwargs={"n_ref": n_ref},
+                     batch_format="pyarrow")
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()  # nation-cardinality partials
     )
@@ -217,6 +234,19 @@ FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey
 JOIN region r ON n.n_regionkey = r.r_regionkey
 GROUP BY r.r_name, n.n_name
 """
+
+
+_CODES_STATE: dict = {}  # _code_revenue's slot: ref -> (orderkeys, codes)
+
+
+def _code_revenue(t: pa.Table, ref=None, n_codes: int = 0) -> pa.Table:
+    """lineitem batch -> per-code revenue partials, probing the broadcast
+    (sorted orderkeys, code of each) arrays (inner join)."""
+    ok_s, codes = worker_state(_CODES_STATE, ref, lambda: resolve(ref))
+    idx, valid = _probe_sorted(ok_s, t["l_orderkey"].to_numpy())
+    rev = (t["l_extendedprice"].to_numpy()
+           * (1.0 - t["l_discount"].to_numpy()))[valid]
+    return _revenue_partial(codes[idx[valid]], rev, n_codes)
 
 
 def q_orders_lineitem_join(sf_dir: str):
@@ -239,31 +269,12 @@ def q_orders_lineitem_join(sf_dir: str):
     order = np.argsort(o_keys)
     ok_sorted = o_keys[order]
     codes = np.array([prio_idx[prios[i]] for i in order], dtype=np.int64)
-    n_codes = len(prio_names)
     ref = ray.put((ok_sorted, codes))
-
-    from ..stages.similarity import _cached_state
-
-    def join_partial(t: pa.Table, ref=ref) -> pa.Table:
-        ok_s, code_arr = _cached_state(ref, lambda x: x)
-        k = t["l_orderkey"].to_numpy()
-        idx, valid = _probe_sorted(ok_s, k)
-        code = code_arr[idx[valid]]
-        rev = (t["l_extendedprice"].to_numpy()
-               * (1.0 - t["l_discount"].to_numpy()))[valid]
-        return pa.table({
-            "code": pa.array(np.arange(n_codes), pa.int64()),
-            "revenue_sum": pa.array(
-                np.bincount(code, weights=rev, minlength=n_codes),
-                pa.float64()),
-            "revenue_count": pa.array(
-                np.bincount(code, minlength=n_codes).astype(np.int64),
-                pa.int64()),
-        })
-
     pdf = (_read(sf_dir, "lineitem",
                  columns=["l_orderkey", "l_extendedprice", "l_discount"])
-           .map_batches(join_partial, batch_format="pyarrow")
+           .map_batches(_code_revenue,
+                        fn_kwargs={"ref": ref, "n_codes": len(prio_names)},
+                        batch_format="pyarrow")
            .to_pandas())
     df = pdf.groupby("code", as_index=False).agg(
         {"revenue_sum": "sum", "revenue_count": "sum"})
@@ -354,14 +365,8 @@ def q_revenue_by_nation_bucketed(sf_dir: str):
         rev = (t["l_extendedprice"].to_numpy()
                * (1.0 - t["l_discount"].to_numpy()))
         code = t["c_nationkey"].to_numpy().astype(np.int64)
-        n = int(code.max()) + 1 if len(code) else 1
-        return pa.table({
-            "code": pa.array(np.arange(n), pa.int64()),
-            "revenue_sum": pa.array(
-                np.bincount(code, weights=rev, minlength=n), pa.float64()),
-            "revenue_count": pa.array(
-                np.bincount(code, minlength=n).astype(np.int64), pa.int64()),
-        })
+        return _revenue_partial(code, rev,
+                                int(code.max()) + 1 if len(code) else 1)
 
     pdf = joined.map_batches(partial, batch_format="pyarrow").to_pandas()
     df = pdf.groupby("code", as_index=False).agg(
@@ -414,29 +419,12 @@ def q_revenue_by_nation(sf_dir: str):
     c_idx, c_valid = _probe_sorted(c_keys_sorted, o_cust)
     ok_sorted = ok_sorted[c_valid]  # inner join: drop customer-less orders
     o_code = nat_code_of_cust[c_idx[c_valid]]
-    n_codes = len(names)
     ref = ray.put((ok_sorted, o_code.astype(np.int64)))
-
-    from ..stages.similarity import _cached_state
-
-    def join_partial(t: pa.Table, ref=ref) -> pa.Table:
-        ok_s, codes = _cached_state(ref, lambda x: x)
-        k = t["l_orderkey"].to_numpy()
-        idx, valid = _probe_sorted(ok_s, k)
-        code = codes[idx[valid]]
-        rev = (t["l_extendedprice"].to_numpy()
-               * (1.0 - t["l_discount"].to_numpy()))[valid]
-        sums = np.bincount(code, weights=rev, minlength=n_codes)
-        counts = np.bincount(code, minlength=n_codes)
-        return pa.table({
-            "code": pa.array(np.arange(n_codes), pa.int64()),
-            "revenue_sum": pa.array(sums, pa.float64()),
-            "revenue_count": pa.array(counts.astype(np.int64), pa.int64()),
-        })
-
     pdf = (_read(sf_dir, "lineitem",
                  columns=["l_orderkey", "l_extendedprice", "l_discount"])
-           .map_batches(join_partial, batch_format="pyarrow")
+           .map_batches(_code_revenue,
+                        fn_kwargs={"ref": ref, "n_codes": len(names)},
+                        batch_format="pyarrow")
            .to_pandas())
     df = pdf.groupby("code", as_index=False).agg(
         {"revenue_sum": "sum", "revenue_count": "sum"})
@@ -1000,6 +988,20 @@ def q_events_asof_bucketed(sf_dir: str):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
+_ASOF_STATE: dict = {}  # _last_order_asof's slot: ref -> sorted orders
+
+
+def _last_order_asof(df: pd.DataFrame, ref=None) -> pd.DataFrame:
+    """events -> (event_id, user_id, last_order_date) by merge_asof against
+    the broadcast date-sorted orders."""
+    right = worker_state(_ASOF_STATE, ref, lambda: resolve(ref))
+    merged = pd.merge_asof(df.sort_values("ts"), right, left_on="ts",
+                           right_on="o_orderdate", left_by="user_id",
+                           right_by="o_custkey", direction="backward")
+    merged = merged.rename(columns={"o_orderdate": "last_order_date"})
+    return merged[["event_id", "user_id", "last_order_date"]]
+
+
 def q_events_asof_orders(sf_dir: str):
     """As-of join: each event gets the latest o_orderdate <= ts for
     o_custkey = user_id.  AUTO-SELECTED plan: broadcast merge_asof while
@@ -1012,22 +1014,9 @@ def q_events_asof_orders(sf_dir: str):
     orders = (pq.read_table(f"{sf_dir}/orders.parquet",
                             columns=["o_custkey", "o_orderdate"])
               .to_pandas().sort_values("o_orderdate"))
-    ref = ray.put(orders)
-
-    from ..stages.similarity import _cached_state
-
-    def asof(df: pd.DataFrame, ref=ref) -> pd.DataFrame:
-        right = _cached_state(ref, lambda x: x)
-        left = df.sort_values("ts")
-        merged = pd.merge_asof(left, right, left_on="ts",
-                               right_on="o_orderdate",
-                               left_by="user_id", right_by="o_custkey",
-                               direction="backward")
-        merged = merged.rename(columns={"o_orderdate": "last_order_date"})
-        return merged[["event_id", "user_id", "last_order_date"]]
-
     return (_read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-            .map_batches(asof, batch_format="pandas"))
+            .map_batches(_last_order_asof, fn_kwargs={"ref": ray.put(orders)},
+                         batch_format="pandas"))
 
 
 SQL_ASOF = """
@@ -1341,6 +1330,15 @@ def q_customers_anti_bucketed(sf_dir: str):
                      anti=True)
 
 
+_ANTI_STATE: dict = {}  # _drop_keys' slot: keys ref -> value set
+
+
+def _drop_keys(t: pa.Table, keys=None) -> pa.Table:
+    """customer rows whose c_custkey is NOT in the broadcast key set."""
+    value_set = worker_state(_ANTI_STATE, keys, lambda: resolve(keys))
+    return t.filter(pc.invert(pc.is_in(t["c_custkey"], value_set=value_set)))
+
+
 def q_customers_no_urgent_orders(sf_dir: str):
     """ANTI join (the reference's failed-keyword collection seat, J1):
     broadcast key set of urgent-order custkeys, inverted vectorized
@@ -1356,17 +1354,10 @@ def q_customers_no_urgent_orders(sf_dir: str):
     keys = ray.put(pa.array(sorted(set(t.column("o_custkey").to_pylist())),
                             pa.int64()))
 
-    class Anti:
-        def __init__(self):
-            self.keys = ray.get(keys)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(
-                pc.is_in(t["c_custkey"], value_set=self.keys)))
-
     return (_read(sf_dir, "customer",
                   columns=["c_custkey", "c_name", "c_nationkey"])
-            .map_batches(Anti, batch_format="pyarrow", concurrency=(1, 4)))
+            .map_batches(_drop_keys, fn_kwargs={"keys": keys},
+                         batch_format="pyarrow"))
 
 
 SQL_ANTI_JOIN = """
@@ -1471,6 +1462,17 @@ WHERE o_orderpriority = '2-HIGH' AND o_orderkey % 8 = 0
 """
 
 
+_EXISTS_STATE: dict = {}  # _exists_count's slot: keyset ref -> value set
+
+
+def _exists_count(t: pa.Table, keyset=None) -> pa.Table:
+    """Per-priority counts of the orders whose key is in the broadcast
+    key set."""
+    value_set = worker_state(_EXISTS_STATE, keyset, lambda: resolve(keyset))
+    t = t.filter(pc.is_in(t["o_orderkey"], value_set=value_set))
+    return t.group_by("o_orderpriority").aggregate([("o_orderkey", "count")])
+
+
 def q_order_priority_exists(sf_dir: str):
     """TPC-H-Q4-shaped EXISTS semi-join with date predicates on both sides:
     orders from 1996Q1 having >=1 late-shipped lineitem, counted per
@@ -1497,22 +1499,14 @@ def q_order_priority_exists(sf_dir: str):
     keyset = ray.put(pa.array(sorted(keys_df["l_orderkey"].tolist()),
                               pa.int64()))
 
-    class ExistsCount:
-        def __init__(self):
-            self.keys = ray.get(keyset)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = t.filter(pc.is_in(t["o_orderkey"], value_set=self.keys))
-            return t.group_by("o_orderpriority").aggregate(
-                [("o_orderkey", "count")])
-
     pdf = (
         _read(
             sf_dir, "orders",
             columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
             filter=((pc.field("o_orderdate") >= pa.scalar(lo))
                     & (pc.field("o_orderdate") < pa.scalar(hi))))
-        .map_batches(ExistsCount, batch_format="pyarrow", concurrency=(1, 4))
+        .map_batches(_exists_count, fn_kwargs={"keyset": keyset},
+                     batch_format="pyarrow")
         .to_pandas()
     )
     df = pdf.groupby("o_orderpriority", as_index=False).agg(
@@ -2022,7 +2016,7 @@ def q_kg_ensemble(sf_dir: str):
 def q_kg_ensemble_multirun(sf_dir: str):
     """Multi-checkpoint ensemble ORCHESTRATION (the reference's 14-model
     sweep, ensemble_prediction.py:462-505): each stand-in checkpoint runs
-    as its own actor-pool pass and persists predictions to a resumable
+    as its own plain-task pass and persists predictions to a resumable
     manifest-tracked sink under /tmp, then the vote reads all runs back.
     Must equal the fused kg_ensemble exactly (pinned in pytest)."""
     import os as _os
@@ -2037,14 +2031,14 @@ def q_kg_ensemble_multirun(sf_dir: str):
 def q_kg_distant_supervision(sf_dir: str):
     """M18 seat: project detected surfaces onto retrieved KB contexts."""
     from ..pipelines.kg import load_corpus_refs, sentences_dataset
-    from ..stages.distant import DistantSupervision
+    from ..stages.distant import distant_supervision
 
     corpus = _corpus(sf_dir)
     kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
     return sentences_dataset(corpus).map_batches(
-        DistantSupervision,
-        fn_constructor_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref},
-        batch_format="pyarrow", batch_size=256, concurrency=(1, 8))
+        distant_supervision,
+        fn_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref},
+        batch_format="pyarrow", batch_size=256)
 
 
 def q_multimodal_image_features(sf_dir: str):
@@ -3720,44 +3714,49 @@ FROM inj
 RANGE_SEARCH_COSINE = 0.35
 
 
+_RANGE_STATE: dict = {}  # _range_match's slot: qref -> queries
+
+
+def _range_match(t: pa.Table, qref=None) -> pa.Table:
+    """(qid, nid, sim_bp) for every batch vector within the cosine radius
+    of a broadcast query (the queries themselves excluded)."""
+    from ..stages.similarity import _matrix, _normalize
+
+    def build():
+        qids, qmat = resolve(qref)
+        return np.asarray(qids, np.int64), _normalize(qmat), set(qids)
+
+    qids, qnorm, exclude = worker_state(_RANGE_STATE, qref, build)
+    vids = t["vec_id"].to_numpy()
+    keep = ~np.isin(vids, list(exclude))
+    vids = vids[keep]
+    if not len(vids):
+        return pa.table({"qid": pa.array([], pa.int64()),
+                         "nid": pa.array([], pa.int64()),
+                         "sim_bp": pa.array([], pa.int64())})
+    m = _normalize(_matrix(t.column("embedding"))[keep])
+    sims = qnorm @ m.T
+    qi, vi = np.nonzero(sims >= RANGE_SEARCH_COSINE)
+    return pa.table({
+        "qid": pa.array(qids[qi]),
+        "nid": pa.array(vids[vi].astype(np.int64)),
+        "sim_bp": pa.array(_cents(sims[qi, vi], 10000)),
+    })
+
+
 def q_range_search(sf_dir: str):
     """Cosine RADIUS (range) search — the retrieval seat next to top-k
     kNN: every corpus vector within the query's cosine radius, not a
     fixed k.  Query matrix broadcast once via ray.put, per-batch matmul
     + threshold mask, zero shuffles, output streams (no driver top-k
     merge needed — the radius bounds the result, not a rank cut)."""
-    from ..stages.similarity import _cached_state, _matrix, _normalize
     from ..stages.similarity import load_queries
 
-    qs = load_queries(f"{sf_dir}/embeddings.parquet", N_QUERIES)
-    qref = ray.put(qs)
-
-    def match(t: pa.Table) -> pa.Table:
-        def build(q):
-            qids, qmat = q
-            return (np.asarray(qids, np.int64), _normalize(qmat),
-                    set(qids))
-
-        qids, qnorm, exclude = _cached_state(qref, build)
-        vids = t["vec_id"].to_numpy()
-        keep = ~np.isin(vids, list(exclude))
-        vids = vids[keep]
-        if not len(vids):
-            return pa.table({"qid": pa.array([], pa.int64()),
-                             "nid": pa.array([], pa.int64()),
-                             "sim_bp": pa.array([], pa.int64())})
-        m = _normalize(_matrix(t.column("embedding"))[keep])
-        sims = qnorm @ m.T
-        qi, vi = np.nonzero(sims >= RANGE_SEARCH_COSINE)
-        return pa.table({
-            "qid": pa.array(qids[qi]),
-            "nid": pa.array(vids[vi].astype(np.int64)),
-            "sim_bp": pa.array(_cents(sims[qi, vi], 10000)),
-        })
-
+    qref = ray.put(load_queries(f"{sf_dir}/embeddings.parquet", N_QUERIES))
     return _read(sf_dir, "embeddings",
                  columns=["vec_id", "embedding"]) \
-        .map_batches(match, batch_format="pyarrow")
+        .map_batches(_range_match, fn_kwargs={"qref": qref},
+                     batch_format="pyarrow")
 
 
 SQL_RANGE_SEARCH = f"""
@@ -4941,6 +4940,26 @@ def _q5_finalize(pdf: pd.DataFrame, nat_names: list) -> pd.DataFrame:
     }).sort_values("n_name").reset_index(drop=True))
 
 
+_SUPPLIER_STATE: dict = {}  # _local_supplier_revenue's slot: ref -> arrays
+
+
+def _local_supplier_revenue(t: pa.Table, ref=None,
+                            n_codes: int = 0) -> pa.Table:
+    """lineitem batch -> per-nation revenue partials of the rows whose
+    customer and supplier nation codes (probed in the broadcast sorted
+    orderkey and suppkey arrays) are equal."""
+    oks, ocode, sks, scode = worker_state(_SUPPLIER_STATE, ref,
+                                          lambda: resolve(ref))
+    i1, v1 = _probe_sorted(oks, t["l_orderkey"].to_numpy())
+    i2, v2 = _probe_sorted(sks, t["l_suppkey"].to_numpy())
+    valid = v1 & v2
+    cc = ocode[i1[valid]]
+    same = cc == scode[i2[valid]]
+    rev = (t["l_extendedprice"].to_numpy()
+           * (1.0 - t["l_discount"].to_numpy()))[valid][same]
+    return _revenue_partial(cc[same], rev, n_codes)
+
+
 def q_local_supplier_revenue(sf_dir: str):
     """TPC-H Q5-shaped LOCAL-SUPPLIER revenue: lineitems whose CUSTOMER
     (via orders) and SUPPLIER sit in the SAME nation of one region — the
@@ -4997,32 +5016,12 @@ def q_local_supplier_revenue(sf_dir: str):
     ref = ray.put((ok_sorted, o_code.astype(np.int64),
                    sk_sorted, s_code.astype(np.int64)))
 
-    from ..stages.similarity import _cached_state
-
-    def join_partial(t: pa.Table, ref=ref) -> pa.Table:
-        oks, ocode, sks, scode = _cached_state(ref, lambda x: x)
-        i1, v1 = _probe_sorted(oks, t["l_orderkey"].to_numpy())
-        i2, v2 = _probe_sorted(sks, t["l_suppkey"].to_numpy())
-        valid = v1 & v2
-        cc = ocode[i1[valid]]
-        same = cc == scode[i2[valid]]
-        code = cc[same]
-        rev = (t["l_extendedprice"].to_numpy()
-               * (1.0 - t["l_discount"].to_numpy()))[valid][same]
-        return pa.table({
-            "code": pa.array(np.arange(n_codes), pa.int64()),
-            "revenue_sum": pa.array(
-                np.bincount(code, weights=rev, minlength=n_codes),
-                pa.float64()),
-            "revenue_count": pa.array(
-                np.bincount(code, minlength=n_codes).astype(np.int64),
-                pa.int64()),
-        })
-
     pdf = (_read(sf_dir, "lineitem",
                  columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                           "l_discount"])
-           .map_batches(join_partial, batch_format="pyarrow")
+           .map_batches(_local_supplier_revenue,
+                        fn_kwargs={"ref": ref, "n_codes": n_codes},
+                        batch_format="pyarrow")
            .to_pandas())
     return _q5_finalize(pdf, nat_names)
 
@@ -5086,17 +5085,8 @@ def q_local_supplier_revenue_bucketed(sf_dir: str):
         cc = t["cust_code"].to_numpy(zero_copy_only=False)
         sc = t["supp_code"].to_numpy(zero_copy_only=False)
         same = cc == sc
-        code = cc[same].astype(np.int64)
         rev = t["rev"].to_numpy(zero_copy_only=False)[same]
-        return pa.table({
-            "code": pa.array(np.arange(n_codes), pa.int64()),
-            "revenue_sum": pa.array(
-                np.bincount(code, weights=rev, minlength=n_codes),
-                pa.float64()),
-            "revenue_count": pa.array(
-                np.bincount(code, minlength=n_codes).astype(np.int64),
-                pa.int64()),
-        })
+        return _revenue_partial(cc[same].astype(np.int64), rev, n_codes)
 
     pdf = (j3.map_batches(partial, batch_format="pyarrow").to_pandas())
     return _q5_finalize(pdf, nat_names)

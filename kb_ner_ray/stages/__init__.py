@@ -1,8 +1,9 @@
 """map_batches stage implementations.
 
-Stateless stages are plain functions (Arrow table in / Arrow table out).
-Stateful stages build their heavy state once from ``ray.put`` broadcasts:
-either per worker process behind a plain-task function (the sentence
-kernel, ``tagger.worker_state``) or per actor in a callable class run as an
-actor pool (``map_batches(Cls, concurrency=N, batch_size=B)``).
+Every stage is a plain function (Arrow table in / Arrow table out) run as
+a plain task.  A stateful stage receives its ``ray.put`` broadcasts as
+refs in ``fn_kwargs``, reads them through ``partitioning.resolve`` and
+builds its heavy state (an index, a gazetteer, a model) once per worker
+process through ``partitioning.worker_state``, in a module-level slot of
+its own.
 """

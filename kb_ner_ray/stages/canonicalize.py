@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 
 from ..functions.canon import build_canonical_map
 from ..functions.text import normalize_surface
+from .partitioning import resolve, worker_state
 
 # the raw-triple columns the link counts are read from, and their schema
 SIDE_COLUMNS = ["subj_surface", "subj_ent", "obj_surface", "obj_ent"]
@@ -92,27 +92,17 @@ def compute_canonical_map(raw_triples, ent_title: dict[int, str]) -> dict[str, s
         pdf, schema=LINK_COUNTS_SCHEMA, preserve_index=False)], ent_title)
 
 
-_CANON_CACHE: dict = {}  # worker-local: ObjectRef -> resolved dict
-
-
-def _resolve_canon(canon_ref):
-    if isinstance(canon_ref, ray.ObjectRef):
-        hit = _CANON_CACHE.get(canon_ref)
-        if hit is None:
-            hit = ray.get(canon_ref)
-            _CANON_CACHE.clear()  # at most one live canonical map per worker
-            _CANON_CACHE[canon_ref] = hit
-        return hit
-    return canon_ref
+_CANON_STATE: dict = {}  # apply_canonical's slot: canon_ref -> dict
 
 
 def apply_canonical(batch: pa.Table, canon_ref=None) -> pa.Table:
     """Raw triples -> final (subj, pred, obj, url, sent_id, score).
 
-    A plain task fn (not an actor pool): the broadcast canonical map is
-    fetched from the local object store once per worker process and cached,
-    so there is no per-execution actor-pool spin-up cost."""
-    canon = _resolve_canon(canon_ref)
+    A plain task fn: the broadcast canonical map is fetched from the local
+    object store once per worker process and kept in its own slot, so the
+    kernel's state on the same worker is never evicted by it."""
+    canon = worker_state(_CANON_STATE, canon_ref,
+                         lambda: resolve(canon_ref))
 
     def name(surface: str) -> str:
         norm = normalize_surface(surface)

@@ -46,6 +46,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .partitioning import resolve, worker_state
+
 _log = logging.getLogger(__name__)
 
 
@@ -1295,8 +1297,7 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
     import ray
 
     from .joins import _build_bloom, semi_join
-    from .partitioning import BloomFilter, bucket_exchange, default_buckets
-    from .similarity import _cached_state
+    from .partitioning import broadcast_bloom, bucket_exchange, default_buckets
 
     nb = n_buckets or default_buckets()
 
@@ -1307,7 +1308,7 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
 
     def split(t: pa.Table, want_hits: bool) -> pa.Table:
         t = _doc_hashes(t)
-        bf = BloomFilter(bloom_bits, _cached_state(bref, lambda b: b))
+        bf = broadcast_bloom(bref, bloom_bits)
         hit = bf.contains_many(t["content_hash"])
         return t.filter(pa.array(hit if want_hits else ~hit))
 
@@ -1319,6 +1320,15 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
                       n_buckets=nb, anti=True)
     return bucket_exchange(misses.union(fresh), ["content_hash"],
                            collapse_bucket, n_buckets=nb)
+
+
+_BENCH_STATE: dict = {}  # _benchmark_bands' slot: ref -> (bands, shingles)
+
+
+def _benchmark_bands(state_ref) -> tuple[dict, dict]:
+    """This worker's broadcast benchmark band table and shingle sets."""
+    return worker_state(_BENCH_STATE, state_ref,
+                        lambda: resolve(state_ref))
 
 
 def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8):
@@ -1384,9 +1394,7 @@ def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8):
     state_ref = ray.put((bands, sh_by_id))
 
     def flag(t: pa.Table) -> pa.Table:
-        from .similarity import _cached_state
-
-        bands_, sh_ = _cached_state(state_ref, lambda s: s)
+        bands_, sh_ = _benchmark_bands(state_ref)
         ids = t.column("doc_id").to_pylist()
         n_cand = np.zeros(len(ids), np.int64)
         best_id = np.full(len(ids), -1, np.int64)

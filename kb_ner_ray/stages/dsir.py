@@ -35,6 +35,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from .partitioning import resolve
+
 DSIR_BUCKETS = 4096
 
 
@@ -106,7 +108,7 @@ def dsir_weights(docs_ds, *, target_lang: str = "en",
     lw_ref = ray.put(lw)
 
     def score(t: pa.Table) -> pa.Table:
-        w = ray.get(lw_ref) if isinstance(lw_ref, ray.ObjectRef) else lw_ref
+        w = resolve(lw_ref)
         flat, di, _len = _tokenize_batch(t, "text")
         toks = flat.to_numpy(zero_copy_only=False)
         hb, d = _bigram_buckets(toks, di, B)

@@ -16,19 +16,18 @@ import hashlib
 
 import pandas as pd
 import pyarrow as pa
-import ray
 
 from ..functions.spans import greedy_vote_assign
 from ..state.gazetteer import Gazetteer
+from .partitioning import resolve, worker_state
 
 
 class VariantTagger:
     """Model variant m of n: ignores surfaces with blake2b(surface)%n == m
     (a deterministic stand-in for checkpoint disagreement)."""
 
-    def __init__(self, gaz_ref, model_id: int, n_models: int):
-        rows = ray.get(gaz_ref) if isinstance(gaz_ref, ray.ObjectRef) else gaz_ref
-        kept = [r for r in rows
+    def __init__(self, gaz_rows: list[dict], model_id: int, n_models: int):
+        kept = [r for r in gaz_rows
                 if int.from_bytes(hashlib.blake2b(
                     r["surface"].encode(), digest_size=4).digest(), "big")
                 % n_models != model_id]
@@ -85,19 +84,24 @@ def vote_group_factory(n_models: int, threshold: float | None = None):
     return vote
 
 
-_VT_STATE: dict = {}  # worker-local: (gaz_ref, model_id, n) -> VariantTagger
+_VARIANT_STATE: dict = {}  # the variants' slot: (gaz_ref, n) -> n taggers
+
+
+def _variants(gaz_ref, n_models: int) -> list[VariantTagger]:
+    """This worker's ``n_models`` variant taggers over ``gaz_ref``, built
+    once (a real deployment loads its checkpoints here)."""
+    def build():
+        rows = resolve(gaz_ref)
+        return [VariantTagger(rows, m, n_models) for m in range(n_models)]
+
+    return worker_state(_VARIANT_STATE, (gaz_ref, n_models), build)
 
 
 def variant_tag(batch: pa.Table, gaz_ref=None, model_id: int = 0,
                 n_models: int = 3) -> pa.Table:
-    key = (gaz_ref, model_id, n_models)
-    st = _VT_STATE.get(key)
-    if st is None:
-        if len(_VT_STATE) > 8:
-            _VT_STATE.clear()
-        st = VariantTagger(gaz_ref, model_id, n_models)
-        _VT_STATE[key] = st
-    return st(batch)
+    """Plain task: model variant ``model_id`` of ``n_models`` tags the
+    batch."""
+    return _variants(gaz_ref, n_models)[model_id](batch)
 
 
 def all_variants_tag(batch: pa.Table, gaz_ref=None,
@@ -105,13 +109,11 @@ def all_variants_tag(batch: pa.Table, gaz_ref=None,
     """Run ALL n model variants over the batch in one pass (one upstream
     execution instead of n union branches each re-running the
     extract/explode chain)."""
-    outs = [variant_tag(batch, gaz_ref=gaz_ref, model_id=m,
-                        n_models=n_models) for m in range(n_models)]
-    return pa.concat_tables(outs)
+    return pa.concat_tables([tag(batch)
+                             for tag in _variants(gaz_ref, n_models)])
 
 
-def ensemble_mentions(sentences_ds, gaz_ref, n_models: int = 3,
-                      concurrency=None):
+def ensemble_mentions(sentences_ds, gaz_ref, n_models: int = 3):
     """sentences -> ensembled mention spans across n gazetteer variants."""
     preds = sentences_ds.map_batches(
         all_variants_tag,

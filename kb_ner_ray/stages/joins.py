@@ -185,15 +185,14 @@ def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
             raise ValueError("bloom_prefilter is unsound for anti joins")
         import ray
 
-        from .partitioning import BloomFilter
-        from .similarity import _cached_state
+        from .partitioning import broadcast_bloom
 
         bloom = _build_bloom(right_ds.select_columns([right_on]),
                              right_on, bloom_bits)
         bref = ray.put(bloom.bits)
 
         def prefilter(t: pa.Table) -> pa.Table:
-            bf = BloomFilter(bloom_bits, _cached_state(bref, lambda b: b))
+            bf = broadcast_bloom(bref, bloom_bits)
             return t.filter(pa.array(bf.contains_many(t[on])))
 
         left_ds = left_ds.map_batches(prefilter, batch_format="pyarrow")

@@ -16,6 +16,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from .partitioning import resolve, worker_state
+
 
 def _gold_index(gold_rows: list[dict]) -> dict:
     """gold mentions -> {(url, sent_id, start, end, label)} set + per-class
@@ -29,17 +31,13 @@ def _gold_index(gold_rows: list[dict]) -> dict:
     return {"keys": keys, "totals": totals}
 
 
-_GOLD_CACHE: dict = {}
+_GOLD_STATE: dict = {}  # partial_span_counts' slot: gold_ref -> index
 
 
 def partial_span_counts(batch: pa.Table, gold_ref=None) -> pa.Table:
-    """Predicted mentions batch -> per-class (tp, fp) partial counts."""
-    gold = _GOLD_CACHE.get(gold_ref)
-    if gold is None:
-        _GOLD_CACHE.clear()
-        raw = ray.get(gold_ref) if isinstance(gold_ref, ray.ObjectRef) else gold_ref
-        gold = _gold_index(raw) if isinstance(raw, list) else raw
-        _GOLD_CACHE[gold_ref] = gold
+    """Predicted mentions batch -> per-class (tp, fp) partial counts
+    against the broadcast ``_gold_index``."""
+    gold = worker_state(_GOLD_STATE, gold_ref, lambda: resolve(gold_ref))
     keys = gold["keys"]
     tp: dict[str, int] = {}
     fp: dict[str, int] = {}

@@ -1,12 +1,14 @@
 """Multimodal (image/audio) column plumbing.
 
 Binary media travel as opaque ``binary`` columns with typed metadata; decode
-and feature extraction are actor-pool ``map_batches`` stages.  The actual
-codec libraries (PIL/ffmpeg/torchaudio) are NOT in this container, so the
-decode kernel is a clearly-marked deterministic fake behind the same
-interface (``_decode_image`` raises NotImplementedError unless
-``allow_fake=True``); the Ray-side plumbing — schema, batch sizing for
-large binary payloads, actor signature, output layout — is real and tested.
+and feature extraction are plain-task ``map_batches`` stages (a real
+featurizer model would load once per worker through
+``partitioning.worker_state``).  The actual codec libraries
+(PIL/ffmpeg/torchaudio) are NOT in this container, so the decode kernel is
+a clearly-marked deterministic fake behind the same interface
+(``_decode_image`` raises NotImplementedError unless ``allow_fake=True``);
+the Ray-side plumbing — schema, batch sizing for large binary payloads,
+stage signature, output layout — is real and tested.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import struct
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 IMAGE_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
@@ -48,65 +49,37 @@ def _decode_image(content: bytes, allow_fake: bool = False) -> np.ndarray:
     if not allow_fake:
         raise NotImplementedError(
             "image codecs are not available in this environment; "
-            "construct the stage with allow_fake=True for the test fake")
+            "pass allow_fake=True for the test fake")
     width, height = struct.unpack("<II", content[:8])
     body = np.frombuffer(content[8:], dtype=np.uint8)
     reps = (width * height + len(body) - 1) // len(body)
     return np.tile(body, reps)[: width * height].reshape(height, width)
 
 
-class ImageFeatures:
-    """Actor-pool stage: binary image column -> per-image feature vector
-    (mean/std/histogram).  Small batch_size — large binary payloads
-    (SURVEY.md §4 memory note)."""
-
-    def __init__(self, allow_fake: bool = False):
-        self.allow_fake = allow_fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        means, stds, hists = [], [], []
-        for content in batch.column("content").to_pylist():
-            img = _decode_image(content, self.allow_fake)
-            means.append(float(img.mean()))
-            stds.append(float(img.std()))
-            hist, _ = np.histogram(img, bins=8, range=(0, 256))
-            hists.append((hist / hist.sum()).astype(np.float32).tolist())
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "mean_px": pa.array(means, pa.float64()),
-            "std_px": pa.array(stds, pa.float64()),
-            "hist": pa.array(hists, pa.list_(pa.float32())),
-        })
+def image_features(batch: pa.Table, allow_fake: bool = False) -> pa.Table:
+    """Binary image column -> per-image feature vector (mean/std/
+    histogram)."""
+    means, stds, hists = [], [], []
+    for content in batch.column("content").to_pylist():
+        img = _decode_image(content, allow_fake)
+        means.append(float(img.mean()))
+        stds.append(float(img.std()))
+        hist, _ = np.histogram(img, bins=8, range=(0, 256))
+        hists.append((hist / hist.sum()).astype(np.float32).tolist())
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "mean_px": pa.array(means, pa.float64()),
+        "std_px": pa.array(stds, pa.float64()),
+        "hist": pa.array(hists, pa.list_(pa.float32())),
+    })
 
 
-class ImageResize:
-    """Actor-pool stage: resize via stride sampling (the frame-sample /
-    thumbnail seat); output stays a binary column."""
-
-    def __init__(self, target: int = 16, allow_fake: bool = False):
-        self.target = target
-        self.allow_fake = allow_fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for content in batch.column("content").to_pylist():
-            img = _decode_image(content, self.allow_fake)
-            ys = np.linspace(0, img.shape[0] - 1, self.target).astype(int)
-            xs = np.linspace(0, img.shape[1] - 1, self.target).astype(int)
-            out.append(img[np.ix_(ys, xs)].tobytes())
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "thumb": pa.array(out, pa.binary()),
-            "thumb_w": pa.array([self.target] * batch.num_rows, pa.int32()),
-            "thumb_h": pa.array([self.target] * batch.num_rows, pa.int32()),
-        })
-
-
-def image_feature_pipeline(images_ds, allow_fake: bool = False,
-                           concurrency=(1, 2)):
+def image_feature_pipeline(images_ds, allow_fake: bool = False):
+    """Small batch_size — large binary payloads (SURVEY.md §4 memory
+    note)."""
     return images_ds.map_batches(
-        ImageFeatures, fn_constructor_kwargs={"allow_fake": allow_fake},
-        batch_format="pyarrow", batch_size=64, concurrency=concurrency)
+        image_features, fn_kwargs={"allow_fake": allow_fake},
+        batch_format="pyarrow", batch_size=64)
 
 
 # ---- audio ------------------------------------------------------------------
@@ -145,46 +118,39 @@ def _decode_audio(content: bytes, allow_fake: bool = False):
     if not allow_fake:
         raise NotImplementedError(
             "audio codecs are not available in this environment; "
-            "construct the stage with allow_fake=True for the test fake")
+            "pass allow_fake=True for the test fake")
     sr, n_samples = struct.unpack("<IQ", content[:12])
     pcm = np.frombuffer(content[12:12 + 2 * n_samples], dtype=np.int16)
     return sr, pcm.astype(np.float64) / 32768.0
 
 
-class AudioFeatures:
-    """Actor-pool stage: binary audio column -> (rms, zero-crossing rate,
-    8-band spectral energy).  The numpy kernels are the deterministic
-    stand-ins for a real featurizer (mel spectrogram / wav2vec encoder,
-    loaded once per actor in a GPU deployment)."""
-
-    def __init__(self, allow_fake: bool = False, n_bands: int = 8):
-        self.allow_fake = allow_fake
-        self.n_bands = n_bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rmss, zcrs, bands = [], [], []
-        for content in batch.column("content").to_pylist():
-            _sr, x = _decode_audio(content, self.allow_fake)
-            rmss.append(float(np.sqrt(np.mean(x * x))) if len(x) else 0.0)
-            zcrs.append(float(np.mean(np.abs(np.diff(np.signbit(x)))))
-                        if len(x) > 1 else 0.0)
-            spec = np.abs(np.fft.rfft(x)) ** 2
-            chunks = np.array_split(spec, self.n_bands)
-            tot = sum(float(c.sum()) for c in chunks) or 1.0
-            bands.append([float(c.sum()) / tot for c in chunks])
-        return pa.table({
-            "media_id": batch.column("media_id"),
-            "rms": pa.array(rmss, pa.float64()),
-            "zcr": pa.array(zcrs, pa.float64()),
-            "band_energy": pa.array(bands, pa.list_(pa.float64())),
-        })
+def audio_features(batch: pa.Table, allow_fake: bool = False,
+                   n_bands: int = 8) -> pa.Table:
+    """Binary audio column -> (rms, zero-crossing rate, ``n_bands``-band
+    spectral energy).  The numpy kernels are the deterministic stand-ins
+    for a real featurizer (mel spectrogram / wav2vec encoder)."""
+    rmss, zcrs, bands = [], [], []
+    for content in batch.column("content").to_pylist():
+        _sr, x = _decode_audio(content, allow_fake)
+        rmss.append(float(np.sqrt(np.mean(x * x))) if len(x) else 0.0)
+        zcrs.append(float(np.mean(np.abs(np.diff(np.signbit(x)))))
+                    if len(x) > 1 else 0.0)
+        spec = np.abs(np.fft.rfft(x)) ** 2
+        chunks = np.array_split(spec, n_bands)
+        tot = sum(float(c.sum()) for c in chunks) or 1.0
+        bands.append([float(c.sum()) / tot for c in chunks])
+    return pa.table({
+        "media_id": batch.column("media_id"),
+        "rms": pa.array(rmss, pa.float64()),
+        "zcr": pa.array(zcrs, pa.float64()),
+        "band_energy": pa.array(bands, pa.list_(pa.float64())),
+    })
 
 
-def audio_feature_pipeline(audio_ds, allow_fake: bool = False,
-                           concurrency=(1, 2)):
+def audio_feature_pipeline(audio_ds, allow_fake: bool = False):
     return audio_ds.map_batches(
-        AudioFeatures, fn_constructor_kwargs={"allow_fake": allow_fake},
-        batch_format="pyarrow", batch_size=64, concurrency=concurrency)
+        audio_features, fn_kwargs={"allow_fake": allow_fake},
+        batch_format="pyarrow", batch_size=64)
 
 
 # ---- video ------------------------------------------------------------------
@@ -227,50 +193,44 @@ def _decode_video(content: bytes, allow_fake: bool = False) -> np.ndarray:
     if not allow_fake:
         raise NotImplementedError(
             "video codecs are not available in this environment; "
-            "construct the stage with allow_fake=True for the test fake")
+            "pass allow_fake=True for the test fake")
     w, h, n_frames = struct.unpack("<III", content[:12])
     body = np.frombuffer(content[12:12 + n_frames * w * h], dtype=np.uint8)
     return body.reshape(n_frames, h, w)
 
 
-class FrameSample:
-    """Actor-pool flat-map stage: sample ``k`` frames evenly per video
-    (the frame-sample seat) — one OUTPUT ROW PER FRAME, frames as binary.
+def frame_sample(batch: pa.Table, k: int = 4,
+                 allow_fake: bool = False) -> pa.Table:
+    """Flat-map: sample ``k`` frames evenly per video (the frame-sample
+    seat) — one OUTPUT ROW PER FRAME, frames as binary."""
+    mids, fidxs, frames, ws, hs = [], [], [], [], []
+    for mid, content in zip(batch.column("media_id").to_pylist(),
+                            batch.column("content").to_pylist()):
+        vid = _decode_video(content, allow_fake)
+        n = vid.shape[0]
+        for fi in np.linspace(0, n - 1, min(k, n)).astype(int):
+            mids.append(mid)
+            fidxs.append(int(fi))
+            frames.append(vid[fi].tobytes())
+            hs.append(vid.shape[1])
+            ws.append(vid.shape[2])
+    return pa.table({
+        "media_id": pa.array(mids, pa.int64()),
+        "frame_idx": pa.array(fidxs, pa.int32()),
+        "frame": pa.array(frames, pa.binary()),
+        "frame_h": pa.array(hs, pa.int32()),
+        "frame_w": pa.array(ws, pa.int32()),
+    })
+
+
+def video_frame_pipeline(video_ds, k: int = 4, allow_fake: bool = False):
+    """videos -> sampled frames -> per-frame image features (the sampled
+    frame is an image row; the image featurizer chains directly).
     batch_size stays small: a video row is the largest payload in the
     engine and k frames multiply it."""
-
-    def __init__(self, k: int = 4, allow_fake: bool = False):
-        self.k = k
-        self.allow_fake = allow_fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mids, fidxs, frames, ws, hs = [], [], [], [], []
-        for mid, content in zip(batch.column("media_id").to_pylist(),
-                                batch.column("content").to_pylist()):
-            vid = _decode_video(content, self.allow_fake)
-            n = vid.shape[0]
-            for fi in np.linspace(0, n - 1, min(self.k, n)).astype(int):
-                mids.append(mid)
-                fidxs.append(int(fi))
-                frames.append(vid[fi].tobytes())
-                hs.append(vid.shape[1])
-                ws.append(vid.shape[2])
-        return pa.table({
-            "media_id": pa.array(mids, pa.int64()),
-            "frame_idx": pa.array(fidxs, pa.int32()),
-            "frame": pa.array(frames, pa.binary()),
-            "frame_h": pa.array(hs, pa.int32()),
-            "frame_w": pa.array(ws, pa.int32()),
-        })
-
-
-def video_frame_pipeline(video_ds, k: int = 4, allow_fake: bool = False,
-                         concurrency=(1, 2)):
-    """videos -> sampled frames -> per-frame image features (the sampled
-    frame is an image row; the image featurizer chains directly)."""
     frames = video_ds.map_batches(
-        FrameSample, fn_constructor_kwargs={"k": k, "allow_fake": allow_fake},
-        batch_format="pyarrow", batch_size=16, concurrency=concurrency)
+        frame_sample, fn_kwargs={"k": k, "allow_fake": allow_fake},
+        batch_format="pyarrow", batch_size=16)
 
     def frame_stats(t: pa.Table) -> pa.Table:
         means, stds = [], []

@@ -3,14 +3,14 @@
 score ``1 - edit_distance/max(len)`` at :14-22 with the 200-word candidate
 truncation at :40-43).
 
-``RerankedRetriever`` is the retrieve-then-rerank actor: BM25 fetches
+``RerankedRetriever`` is the retrieve-then-rerank state: BM25 fetches
 ``fetch_k`` candidates, a pluggable pair scorer rescores them, and the
 top-``k`` by (rerank score desc, BM25 rank asc) are emitted with new
 ranks.  THE CROSS-ENCODER SEAM is the ``scorer`` constructor argument + the
-actor ``__init__``: a GPU deployment loads the cross-encoder there once per
-actor and passes its batched forward as ``scorer`` — the dataflow,
-batching, and output schema stay identical.  The sandbox default scorers
-are deterministic:
+``worker_state`` factory in ``rerank_contexts``: a GPU deployment loads
+the cross-encoder there once per worker and passes its batched forward as
+``scorer`` — the dataflow, batching, and output schema stay identical.
+The sandbox default scorers are deterministic:
 
 * ``score_edit_pairs`` — the reference's edit-distance flavor, exactly;
 * ``token_f1_pairs`` — greedy exact-token-match P/R/F1, the deterministic
@@ -23,7 +23,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..data.oracle import TOP_K
-from .retriever import _KBActorBase
+from .partitioning import worker_state
+from .retriever import KBState
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -75,7 +76,7 @@ def token_f1_pairs(query: str, cands: list[str]) -> list[float]:
     return out
 
 
-class RerankedRetriever(_KBActorBase):
+class RerankedRetriever(KBState):
     """sentences(url, sent_id, text[, lang]) -> reranked contexts
     (url, sent_id, rank, kb_id, bm25_score, rerank_score, kb_sentence,
     kb_title)."""
@@ -85,7 +86,7 @@ class RerankedRetriever(_KBActorBase):
         super().__init__(kb_ref)
         self.k = k
         self.fetch_k = fetch_k
-        # CROSS-ENCODER SEAM: load the model HERE (once per actor); pass
+        # CROSS-ENCODER SEAM: load the model HERE (once per worker); pass
         # its batched forward as `scorer(query, [cands]) -> [scores]`.
         self.scorer = scorer or token_f1_pairs
 
@@ -134,18 +135,15 @@ class RerankedRetriever(_KBActorBase):
         )
 
 
-_RR_STATE: dict = {}
+_RERANK_STATE: dict = {}  # rerank_contexts' slot: (kb_ref, k, fetch_k)
 
 
 def rerank_contexts(batch: pa.Table, kb_ref=None, k: int = TOP_K,
                     fetch_k: int = 30) -> pa.Table:
-    """Plain-task RerankedRetriever with worker-local cached state (the
-    actor-pool form is `map_batches(RerankedRetriever, concurrency=...,
-    fn_constructor_kwargs=...)` for GPU deployments)."""
-    key = (kb_ref, k, fetch_k)
-    st = _RR_STATE.get(key)
-    if st is None:
-        _RR_STATE.clear()
-        st = RerankedRetriever(kb_ref, k=k, fetch_k=fetch_k)
-        _RR_STATE[key] = st
-    return st(batch)
+    """Plain task: the worker's ``RerankedRetriever`` for (kb_ref, k,
+    fetch_k), built once per worker, reranks the batch.  A cross-encoder
+    deployment builds its model in this factory and passes it as
+    ``scorer``."""
+    return worker_state(
+        _RERANK_STATE, (kb_ref, k, fetch_k),
+        lambda: RerankedRetriever(kb_ref, k=k, fetch_k=fetch_k))(batch)

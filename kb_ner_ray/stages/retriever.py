@@ -12,19 +12,21 @@ shuffle join; SURVEY.md §2.4).
 
 from __future__ import annotations
 
-import ray
-
 from ..data.oracle import clean_context
 from ..functions.tokenizer import subtoken_count
 from ..state.bm25 import MultiLangKBIndex
+from .partitioning import resolve
 
 
-class _KBActorBase:
+class KBState:
+    """The per-worker state built from the broadcast KB: its rows, the
+    BM25 index and the cleaned, costed context of every KB sentence."""
+
     def __init__(self, kb_ref):
-        kb_rows = ray.get(kb_ref) if isinstance(kb_ref, ray.ObjectRef) else kb_ref
+        kb_rows = resolve(kb_ref)
         self.kb_rows = kb_rows
         self.index = MultiLangKBIndex(kb_rows)  # per-language + all view
-        # KB side is fixed for the actor's lifetime: hoist the printable
+        # KB side is fixed for the state's lifetime: hoist the printable
         # filter + subtoken costs out of the per-sentence attach loop
         self.kb_clean = [clean_context(r["sentence"]) for r in kb_rows]
         self.kb_cost = [subtoken_count(c) for c in self.kb_clean]

@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from .partitioning import resolve, worker_state
+
 
 def _matrix(batch_col) -> np.ndarray:
     return np.array(batch_col.to_pylist(), dtype=np.float64)
@@ -31,31 +33,23 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
-_STATE_CACHE: dict = {}  # worker-local: ObjectRef -> built state
-
-
-def _cached_state(ref, build):
-    """Resolve a broadcast ObjectRef once per worker process (plain tasks
-    get actor-like state without per-execution actor-pool spin-up; the
-    object store read is node-local and the build is idempotent)."""
-    if not isinstance(ref, ray.ObjectRef):
-        return build(ref)
-    hit = _STATE_CACHE.get(ref)
-    if hit is None:
-        if len(_STATE_CACHE) > 8:
-            _STATE_CACHE.clear()
-        hit = build(ray.get(ref))
-        _STATE_CACHE[ref] = hit
-    return hit
+# Per-consumer worker-state slots (partitioning.worker_state): each holds
+# the state one consumer builds from its broadcast ref.
+_TOPK_STATE: dict = {}
+_IVF_STATE: dict = {}
+_NEAR_DUP_STATE: dict = {}
+_SEEDS_STATE: dict = {}
+_CENTROIDS_STATE: dict = {}
+_PLANES_STATE: dict = {}
 
 
 def batch_topk(batch: pa.Table, queries_ref=None, k: int = 5) -> pa.Table:
     """Per-batch partial cosine top-k against the broadcast query matrix."""
-    def build(q):
-        qids, qmat = q
+    def build():
+        qids, qmat = resolve(queries_ref)
         return qids, _normalize(qmat), set(qids)
 
-    qids, qnorm, exclude = _cached_state(queries_ref, build)
+    qids, qnorm, exclude = worker_state(_TOPK_STATE, queries_ref, build)
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     keep = ~np.isin(vids, list(exclude))
     vids = vids[keep]
@@ -161,15 +155,16 @@ def ivf_assign_topk(batch: pa.Table, state_ref=None, k: int = 5,
                     nprobe: int = 4) -> pa.Table:
     """Assign batch vectors to centroid buckets; score only vectors whose
     bucket is among each query's nprobe probed buckets."""
-    def build(state):
-        (qids, qmat), cents = state
+    def build():
+        (qids, qmat), cents = resolve(state_ref)
         qnorm = _normalize(qmat)
         sims = qnorm @ cents.T
         probe = [set(np.argsort(-sims[i])[:nprobe].tolist())
                  for i in range(len(qids))]
         return qids, qnorm, cents, probe, set(qids)
 
-    qids, qnorm, cents, probe, exclude = _cached_state(state_ref, build)
+    qids, qnorm, cents, probe, exclude = worker_state(
+        _IVF_STATE, (state_ref, nprobe), build)
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     keep = ~np.isin(vids, list(exclude))
     vids = vids[keep]
@@ -206,11 +201,11 @@ def ivf_knn(emb_ds, queries, centroids, k: int = 5, nprobe: int = 4):
 
 def _near_dup_batch(batch: pa.Table, all_ref=None,
                     threshold: float = 0.95) -> pa.Table:
-    def build(state):
-        vids, mat = state
+    def build():
+        vids, mat = resolve(all_ref)
         return np.asarray(vids, dtype=np.int64), _normalize(mat)
 
-    all_vids, all_mat = _cached_state(all_ref, build)
+    all_vids, all_mat = worker_state(_NEAR_DUP_STATE, all_ref, build)
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     m = _normalize(_matrix(batch.column("embedding")))
     sims = m @ all_mat.T
@@ -248,17 +243,12 @@ LSH_ROWS = LSH_PLANES // LSH_BANDS  # sign bits per band
 _PLANES_SEED = 11
 
 
-_PLANES_CACHE: dict[int, np.ndarray] = {}
-
-
 def _planes(dim: int) -> np.ndarray:
     """Deterministic random hyperplanes (seeded); every process
     regenerates the same matrix, so no broadcast is needed."""
-    hit = _PLANES_CACHE.get(dim)
-    if hit is None:
-        rng = np.random.RandomState(_PLANES_SEED)
-        hit = _PLANES_CACHE[dim] = rng.randn(LSH_PLANES, dim)
-    return hit
+    return worker_state(
+        _PLANES_STATE, dim,
+        lambda: np.random.RandomState(_PLANES_SEED).randn(LSH_PLANES, dim))
 
 
 def _sign_bands(m: np.ndarray) -> np.ndarray:
@@ -556,6 +546,17 @@ def embed_outliers(emb_ds, *, label_col: str = "label",
 # ---- SemDeDup (semantic dedup inside coarse clusters) -----------------------
 
 
+def _sorted_seeds(seeds_ref) -> tuple[np.ndarray, np.ndarray]:
+    """The worker's (seed ids asc, normalized seed matrix in that order)."""
+    def build():
+        qids, qmat = resolve(seeds_ref)
+        order = np.argsort(np.asarray(qids, dtype=np.int64))
+        return (np.asarray(qids, dtype=np.int64)[order],
+                _normalize(qmat)[order])
+
+    return worker_state(_SEEDS_STATE, seeds_ref, build)
+
+
 def _semdedup_rows(batch: pa.Table, seeds_ref=None, S: int = 2) -> pa.Table:
     """Assign each vector to its nearest seed (argmax quantized cosine,
     lowest seed id on ties — the SQL `ORDER BY q DESC, sid` contract),
@@ -563,13 +564,7 @@ def _semdedup_rows(batch: pa.Table, seeds_ref=None, S: int = 2) -> pa.Table:
     intra-cluster pairwise verify distributes even when one cluster holds
     most of the corpus (hot-cluster skew — same engine as
     cosine_pairs_blocked, cell key extended to cluster * S^2 + i*S + j)."""
-    def build(q):
-        qids, qmat = q
-        order = np.argsort(np.asarray(qids, dtype=np.int64))
-        return (np.asarray(qids, dtype=np.int64)[order],
-                _normalize(qmat)[order])
-
-    sids, seeds = _cached_state(seeds_ref, build)
+    sids, seeds = _sorted_seeds(seeds_ref)
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     m = _normalize(_matrix(batch.column("embedding")))
     q = np.floor((m @ seeds.T) * 10_000 + 0.5).astype(np.int64)
@@ -617,13 +612,7 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
     seeds_ref = ray.put(seeds)
 
     def assign_rows(t: pa.Table) -> pa.Table:
-        def build(qq):
-            qids, qmat = qq
-            order = np.argsort(np.asarray(qids, dtype=np.int64))
-            return (np.asarray(qids, dtype=np.int64)[order],
-                    _normalize(qmat)[order])
-
-        sids, sm = _cached_state(seeds_ref, build)
+        sids, sm = _sorted_seeds(seeds_ref)
         m = _normalize(_matrix(t.column("embedding")))
         q = np.floor((m @ sm.T) * 10_000 + 0.5).astype(np.int64)
         cl = sids[np.argmax(q, axis=1)]
@@ -653,7 +642,7 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
     markers = emb_ds.map_batches(assign_rows, batch_format="pyarrow") \
         .union(dups)
 
-    def resolve(g: pd.DataFrame) -> pa.Table:
+    def keep_flags(g: pd.DataFrame) -> pa.Table:
         agg = g.groupby("vec_id", as_index=False).agg(
             cluster=("cluster", "max"), ndup=("dup", "sum"))
         return pa.table({
@@ -663,11 +652,16 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
                              .astype(np.int64)),
         })
 
-    return bucket_exchange(markers, ["vec_id"], resolve,
+    return bucket_exchange(markers, ["vec_id"], keep_flags,
                            n_buckets=n_buckets)
 
 
 # ---- distributed Lloyd's k-means over the FULL embedding corpus ------------
+
+
+def _centroids(cref) -> np.ndarray:
+    """This worker's copy of the broadcast centroid matrix."""
+    return worker_state(_CENTROIDS_STATE, cref, lambda: resolve(cref))
 
 
 def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5,
@@ -703,7 +697,7 @@ def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5,
     cents = _normalize(np.asarray(init, dtype=np.float64))
 
     def partial(t: pa.Table, cref=None) -> pa.Table:
-        c = _cached_state(cref, lambda x: x)
+        c = _centroids(cref)
         m = _normalize(_matrix(t.column("embedding")))
         a = np.argmax(m @ c.T, axis=1)
         kk, dim = c.shape
@@ -755,7 +749,7 @@ def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5,
     cref = ray.put(cents)
 
     def assign(t: pa.Table) -> pa.Table:
-        c = _cached_state(cref, lambda x: x)
+        c = _centroids(cref)
         m = _normalize(_matrix(t.column("embedding")))
         a = np.argmax(m @ c.T, axis=1).astype(np.int64)
         return pa.table({"vec_id": t["vec_id"],

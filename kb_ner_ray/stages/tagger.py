@@ -23,7 +23,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..data.oracle import (
     TOP_K,
@@ -36,7 +35,8 @@ from ..functions.viterbi import viterbi_decode
 from ..functions.windows import WINDOW, tag_tokens_windowed
 from ..state.bm25 import analyze
 from ..state.gazetteer import Gazetteer
-from .retriever import _KBActorBase
+from .partitioning import resolve, worker_state
+from .retriever import KBState
 
 _URL, _SID = ("url", pa.string()), ("sent_id", pa.int32())
 
@@ -63,10 +63,6 @@ SCHEMAS = {
                 ("pred", pa.string()), ("obj_surface", pa.string()),
                 ("obj_ent", pa.int64()), _URL, _SID],
 }
-
-
-def _get(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 class ViterbiCodec:
@@ -116,7 +112,7 @@ class ViterbiCodec:
         return self.decode(self.emissions(tag_seq))
 
 
-class SentenceKernel(_KBActorBase):
+class SentenceKernel(KBState):
     """Per-worker state and the one per-sentence pass of the flagship."""
 
     # Distinct (sentence, mode) results kept per worker.  GRAFT_MEMO_CAP
@@ -132,7 +128,7 @@ class SentenceKernel(_KBActorBase):
         cap = os.environ.get("GRAFT_MEMO_CAP")
         if cap:
             self.MEMO_CAP = int(cap)
-        self.gaz = Gazetteer(_get(gaz_ref))
+        self.gaz = Gazetteer(resolve(gaz_ref))
         self.ent_def_tokens = {r["ent_id"]: set(analyze(r["sentence"]))
                                for r in self.kb_rows if r["s_id"] == 0}
         self._codec: ViterbiCodec | None = None
@@ -308,24 +304,13 @@ class SentenceKernel(_KBActorBase):
 # name: its state build and its per-miss ``_sentence_triples``.
 RetrieveTagTriples = SentenceKernel
 
-_TASK_STATE: dict = {}  # worker-local: key -> state built by its factory
-
-
-def worker_state(key, factory):
-    """The worker process's state for ``key``, built by ``factory()`` on
-    first use.  At most one live state per worker: a new key (a new corpus
-    broadcast) drops the old one."""
-    st = _TASK_STATE.get(key)
-    if st is None:
-        _TASK_STATE.clear()
-        st = _TASK_STATE[key] = factory()
-    return st
+_TASK_STATE: dict = {}  # the kernel's slot: (kb_ref, gaz_ref) -> kernel
 
 
 def kernel_rows(batch: pa.Table, kb_ref=None, gaz_ref=None,
                 mode: str = "triples", **kw) -> pa.Table:
     """Plain-task emitter of the worker's kernel for (kb_ref, gaz_ref)."""
-    kernel = worker_state((kb_ref, gaz_ref),
+    kernel = worker_state(_TASK_STATE, (kb_ref, gaz_ref),
                           lambda: SentenceKernel(gaz_ref, kb_ref))
     return kernel.emit(batch, mode, **kw)
 

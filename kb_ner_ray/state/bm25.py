@@ -104,7 +104,7 @@ class KBIndex:
     """BM25 over the KB table's ``sentence`` (text) and ``title`` fields.
 
     ``rows`` is a list of dicts with at least kb_id/ent_id/title/sentence.
-    One instance per retriever actor, built from the broadcast KB.
+    One instance per worker, built from the broadcast KB.
     """
 
     def __init__(self, rows: list[dict]):

@@ -7,7 +7,7 @@ environment (no GPU / no transformers). The engine keeps the *same interface*
 (token sequence in → BIOES tag sequence + confidence out, decoded via the
 pinned span codec) but the scorer is a longest-match token-trie over the
 known entity vocabulary. A real deployment swaps ``tag_tokens`` for the model
-forward + Viterbi inside the same actor (stages/tagger.py).
+forward + Viterbi inside the same per-worker kernel (stages/tagger.py).
 """
 
 from __future__ import annotations

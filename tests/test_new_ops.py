@@ -7,7 +7,7 @@ import pytest
 import ray
 
 from kb_ner_ray.stages.dedup import charset_jaccard, ngram_jaccard_pairs
-from kb_ner_ray.stages.distant import DistantSupervision
+from kb_ner_ray.stages.distant import distant_supervision
 
 
 def test_charset_jaccard_matches_duckdb():
@@ -43,13 +43,12 @@ def test_distant_supervision_projects_surfaces(tiny_corpus):
     detected sentence surface inside the named KB sentence (M18)."""
     kb = tiny_corpus["kb"].to_pylist()
     gaz = tiny_corpus["gazetteer"].to_pylist()
-    stage = DistantSupervision(kb_ref=kb, gaz_ref=gaz)
     batch = pa.table({
         "url": pa.array(["u1"], pa.string()),
         "sent_id": pa.array([0], pa.int32()),
         "text": [kb[0]["sentence"]],  # KB sentence retrieves itself
     })
-    out = stage(batch)
+    out = distant_supervision(batch, kb_ref=kb, gaz_ref=gaz)
     assert out.num_rows > 0
     kb_by_id = {r["kb_id"]: r for r in kb}
     for row in out.to_pylist():

@@ -16,10 +16,9 @@ from kb_ner_ray.stages.dedup import (
 )
 from kb_ner_ray.stages.ensemble import ensemble_mentions
 from kb_ner_ray.stages.multimodal import (
-    ImageFeatures,
-    ImageResize,
     _decode_image,
     image_feature_pipeline,
+    image_features,
     make_fake_images,
 )
 from kb_ner_ray.stages.similarity import (
@@ -241,19 +240,16 @@ def test_multimodal_decode_gated():
     imgs = make_fake_images(4)
     with pytest.raises(NotImplementedError):
         _decode_image(imgs.column("content")[0].as_py(), allow_fake=False)
-    feats = ImageFeatures(allow_fake=True)(imgs)
+    feats = image_features(imgs, allow_fake=True)
     assert feats.num_rows == 4
     assert all(len(h) == 8 for h in feats.column("hist").to_pylist())
 
 
-def test_multimodal_pipeline_and_resize():
+def test_multimodal_pipeline():
     ds = ray.data.from_arrow(make_fake_images(16))
     feats = image_feature_pipeline(ds, allow_fake=True).to_pandas()
     assert len(feats) == 16 and {"media_id", "mean_px", "std_px",
                                  "hist"} <= set(feats.columns)
-    thumbs = ImageResize(target=8, allow_fake=True)(make_fake_images(3))
-    assert thumbs.num_rows == 3
-    assert all(len(t) == 64 for t in thumbs.column("thumb").to_pylist())
 
 
 def test_audio_plumbing(ray_session):

@@ -1,8 +1,11 @@
 """bucket_exchange and co_partition: the single-input and the two-input
-hash-bucket exchanges that every bucketed operator routes through."""
+hash-bucket exchanges that every bucketed operator routes through; the
+worker-state helpers; and the structural guards that keep every operator
+on these shared helpers."""
 
 import ast
 import pathlib
+import re
 import uuid
 
 import numpy as np
@@ -442,3 +445,123 @@ def test_one_broadcast_rule():
                 compares.append(f"{rel}:{n.lineno}")
     assert not knobs, knobs
     assert not compares, compares
+
+
+# ---- one worker-state helper, no map_batches actor pools ----------------
+
+_SLOT_NAME = re.compile(r"_\w+_(STATE|CACHE)")
+
+# module-level ``_*_STATE``/``_*_CACHE`` dicts that are not worker_state slots
+STATE_DICT_OK = {
+    ("pipelines/kg.py", "_REFS_CACHE"):
+        "the driver-side ray.put memo: one set of broadcast refs per corpus "
+        "path, so repeated runs reuse the refs (and every worker state "
+        "keyed by them); no worker reads it",
+}
+
+
+def _func_name(call: ast.Call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _nested_nodes(tree: ast.Module) -> set:
+    """ids of the nodes inside a function or lambda nested in another
+    function.  Ray ships such a function by value, with a fresh copy of
+    every module dict it names, so a slot read there never caches."""
+    out = set()
+
+    def visit(node, depth):
+        for child in ast.iter_child_nodes(node):
+            d = depth + isinstance(child, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef, ast.Lambda))
+            if d >= 2:
+                out.add(id(child))
+            visit(child, d)
+
+    visit(tree, 0)
+    return out
+
+
+def test_one_worker_state_helper():
+    """Outside partitioning.py, in kb_ner_ray/: no ``isinstance(...,
+    ray.ObjectRef)`` (resolve through ``partitioning.resolve``); no
+    ``map_batches`` with ``fn_constructor_kwargs`` or ``concurrency=``
+    (an actor pool; stateful stages are plain tasks that keep their state
+    through ``partitioning.worker_state``); and no module-level
+    ``_*_STATE``/``_*_CACHE`` dict used other than as worker_state's slot
+    argument in a module-level function.  The bucket actors of stages/streaming.py are ``.remote()``
+    actors, not map_batches pools, and are not covered here."""
+    resolves, pools, caches = [], [], []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == "stages/partitioning.py":
+            continue
+        tree = ast.parse(path.read_text())
+        slots = {t.id for top in tree.body
+                 if isinstance(top, (ast.Assign, ast.AnnAssign))
+                 and isinstance(top.value, (ast.Dict, ast.Call))
+                 for t in (top.targets if isinstance(top, ast.Assign)
+                           else [top.target])
+                 if isinstance(t, ast.Name) and _SLOT_NAME.fullmatch(t.id)
+                 and (rel, t.id) not in STATE_DICT_OK}
+        as_slot, nested = set(), _nested_nodes(tree)
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            name = _func_name(n)
+            if (name == "isinstance" and len(n.args) == 2
+                    and "ObjectRef" in ast.unparse(n.args[1])):
+                resolves.append(f"{rel}:{n.lineno}")
+            if name == "map_batches" and any(
+                    k.arg in ("fn_constructor_kwargs", "concurrency")
+                    for k in n.keywords):
+                pools.append(f"{rel}:{n.lineno}")
+            if name == "worker_state" and n.args:
+                as_slot.add(id(n.args[0]))
+        for n in ast.walk(tree):
+            used = (n.id in slots and isinstance(n.ctx, ast.Load)
+                    if isinstance(n, ast.Name) else
+                    isinstance(n, ast.Attribute)
+                    and bool(_SLOT_NAME.fullmatch(n.attr)))
+            if used and (id(n) not in as_slot or id(n) in nested):
+                caches.append(f"{rel}:{n.lineno}")
+    assert not resolves, resolves
+    assert not pools, pools
+    assert not caches, caches
+
+
+def test_worker_state_slots():
+    """The factory runs once per key; a new key replaces only its own
+    slot's state; two slots stay independent; an unhashable key (an
+    in-process value) builds afresh and keeps nothing."""
+    from kb_ner_ray.stages.partitioning import worker_state
+
+    built = []
+
+    def make(tag):
+        def factory():
+            built.append(tag)
+            return [tag]
+        return factory
+
+    a, b = {}, {}
+    a1 = worker_state(a, "k1", make("a1"))
+    assert worker_state(a, "k1", make("again")) is a1
+    b1 = worker_state(b, "k1", make("b1"))
+    assert b1 is not a1
+    a2 = worker_state(a, "k2", make("a2"))
+    assert a2 == ["a2"] and list(a) == ["k2"]
+    assert worker_state(b, "k1", make("again")) is b1
+    assert built == ["a1", "b1", "a2"]
+    rows = [{"x": 1}]
+    assert worker_state(a, (rows,), lambda: len(rows)) == 1
+    assert list(a) == ["k2"]
+
+
+def test_resolve_reads_refs_and_passes_values():
+    from kb_ner_ray.stages.partitioning import resolve
+
+    value = {"x": [1, 2]}
+    assert resolve(value) is value
+    assert resolve(None) is None
+    assert resolve(ray.put(value)) == value

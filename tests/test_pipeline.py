@@ -11,7 +11,12 @@ import ray
 from kb_ner_ray.data.oracle import run_oracle
 from kb_ner_ray.data.synth import generate_corpus
 from kb_ner_ray.functions.spans import span_prf
-from kb_ner_ray.stages.canonicalize import apply_canonical, compute_canonical_map
+from kb_ner_ray.stages.canonicalize import (
+    apply_canonical,
+    canonical_map,
+    compute_canonical_map,
+    partial_link_counts,
+)
 from kb_ner_ray.stages.extract import extract_pages
 from kb_ner_ray.stages.sentences import explode_sentences
 from kb_ner_ray.stages.tagger import kernel_rows
@@ -96,9 +101,11 @@ def test_triples_conformance_ge_095(tiny_corpus, oracle_out, refs):
 
 
 def test_worker_builds_kernel_state_once(tiny_corpus, refs, monkeypatch):
-    """A worker serving kg_mentions batches, then kg_triples batches over
-    the same refs, builds its KB/gazetteer state once and memoizes both."""
-    from kb_ner_ray.stages import tagger
+    """A worker serving kg_mentions batches, then kg_triples batches, then
+    apply_canonical batches, then kg_triples batches again over the same
+    refs, builds its KB/gazetteer state once and keeps its memo: the
+    canonical map has its own slot and never evicts the kernel."""
+    from kb_ner_ray.stages import canonicalize, tagger
 
     builds = []
     init = tagger.SentenceKernel.__init__
@@ -109,15 +116,24 @@ def test_worker_builds_kernel_state_once(tiny_corpus, refs, monkeypatch):
 
     monkeypatch.setattr(tagger.SentenceKernel, "__init__", counting_init)
     monkeypatch.setattr(tagger, "_TASK_STATE", {})
+    monkeypatch.setattr(canonicalize, "_CANON_STATE", {})
     kw = {"kb_ref": refs["kb_ref"], "gaz_ref": refs["gaz_ref"]}
     sents = explode_sentences(extract_pages(tiny_corpus["pages"]))
     half = sents.num_rows // 2
-    for batch in (sents.slice(0, half), sents.slice(half)):
+    batches = (sents.slice(0, half), sents.slice(half))
+    for batch in batches:
         assert kernel_rows(batch, mode="mentions", **kw).num_rows > 0
-    for batch in (sents.slice(0, half), sents.slice(half)):
-        assert kernel_rows(batch, **kw).num_rows > 0
+    raw = [kernel_rows(batch, **kw) for batch in batches]
+    assert all(t.num_rows > 0 for t in raw)
+    canon_ref = ray.put(canonical_map(
+        [partial_link_counts(t) for t in raw], refs["ent_title"]))
+    for t in raw:
+        assert apply_canonical(t, canon_ref=canon_ref).num_rows == t.num_rows
+    for batch, want in zip(batches, raw):
+        assert kernel_rows(batch, **kw).equals(want)
     assert len(builds) == 1
     kernel = tagger._TASK_STATE[(refs["kb_ref"], refs["gaz_ref"])]
+    assert list(canonicalize._CANON_STATE) == [canon_ref]
     distinct = len(set(zip(sents["text"].to_pylist(),
                            sents["lang"].to_pylist())))
     assert len(kernel._memo) == 2 * distinct
