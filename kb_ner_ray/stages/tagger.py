@@ -2,6 +2,7 @@
 with one emitter per output schema.
 
 Fills the reference seats T4/J2 (BM25 top-k against the broadcast KB,
+one batched call per input batch like the reference's ``_msearch``,
 kb/generate_data.py:33-68), M12/J1 (budgeted context attach,
 kb/context_process.py:213-502), T2+T3 (the fused embedder+CRF tagger,
 flair/models/sequence_tagger_model.py — here the deterministic gazetteer
@@ -181,17 +182,17 @@ class SentenceKernel(KBState):
                 aug_tokens[:len(tokens) + self.gaz.max_len - 1])
         return tokens, [s for s in spans if s[1] <= len(tokens)]
 
-    def _linked(self, text: str, lang: str | None,
+    def _linked(self, text: str, lang: str | None, hits: list,
                 backend: str = "trie") -> tuple[list, list]:
-        """retrieve -> attach -> mentions -> link for one sentence: its
-        tokens and [(start, end, surface, label, score, ent_id)].
+        """attach -> mentions -> link for one sentence and its retrieved
+        ``hits``: its tokens and [(start, end, surface, label, score,
+        ent_id)].
 
         ``iter2`` closes the reference's iterative retrieval loop
         (README.md:276-278; kb/generate_data.py:52-55): pass-1 mention
         surfaces become entity-boosted queries, and the merged pass-2
         contexts are re-attached and the sentence re-tagged.  A sentence
         with no pass-1 mentions keeps its pass-1 result."""
-        hits = self.index.search(text, lang=lang, k=TOP_K)
         tokens, spans = self._spans(text, self._attach(text, hits)[0],
                                     backend)
         if backend == "iter2" and spans:
@@ -213,15 +214,15 @@ class SentenceKernel(KBState):
 
     # ---- per-sentence rows of each emitter ------------------------------
 
-    def _contexts(self, text: str, lang: str | None) -> list:
+    def _contexts(self, text: str, lang: str | None, hits: list) -> list:
         out = []
-        for rank, (i, score) in enumerate(
-                self.index.search(text, lang=lang, k=TOP_K)):
+        for rank, (i, score) in enumerate(hits):
             r = self.kb_rows[i]
             out.append((rank, r["kb_id"], score, r["sentence"], r["title"]))
         return out
 
     def _entity_contexts(self, text: str, lang: str | None,
+                         _hits: list | None,
                          title_boost: float = 2.0) -> list:
         tokens = text.split()
         out = []
@@ -233,20 +234,20 @@ class SentenceKernel(KBState):
                        for rank, (i, score) in enumerate(hits))
         return out
 
-    def _aug(self, text: str, lang: str | None, min_rank: int = 0,
-             max_rank: int | None = None) -> list:
-        hits = self.index.search(text, lang=lang, k=TOP_K)
+    def _aug(self, text: str, lang: str | None, hits: list,
+             min_rank: int = 0, max_rank: int | None = None) -> list:
         return [self._attach(text, hits, min_rank, max_rank)]
 
-    def _mentions(self, text: str, lang: str | None,
+    def _mentions(self, text: str, lang: str | None, hits: list,
                   backend: str = "trie") -> list:
-        return self._linked(text, lang, backend)[1]
+        return self._linked(text, lang, hits, backend)[1]
 
-    def _sentence_triples(self, text: str, lang: str | None = None) -> list:
+    def _sentence_triples(self, text: str, lang: str | None,
+                          hits: list) -> list:
         """(subj_surface, subj_ent, pred, obj_surface, obj_ent) tuples.
         Triple rule (pinned in data/oracle.py): adjacent mention pairs,
         pred = "_".join(alpha tokens strictly between) or "related_to"."""
-        tokens, linked = self._linked(text, lang)
+        tokens, linked = self._linked(text, lang, hits)
         linked.sort()
         return [(surf1, ent1,
                  "_".join(w for w in tokens[e1:s2] if w.isalpha())
@@ -265,23 +266,50 @@ class SentenceKernel(KBState):
         Triples results are memoized under (text, lang), every other mode
         under (text, lang, mode, *sorted kw).  The memo freezes when full:
         serving existing hits beats a clear-all thrash, which made run
-        times order-dependent."""
+        times order-dependent.  Rows are served in batch order: a row is a
+        hit when its key is in the memo or an earlier row of the batch
+        put it there, and a miss otherwise.  The misses' distinct
+        sentences are retrieved with one ``search_many`` call (the
+        reference's ``_msearch``), then each miss runs its steps once."""
         fields = SCHEMAS[mode]
         compute = getattr(self, "_sentence_triples" if mode == "triples"
                           else "_" + mode)
         n = batch.num_rows
+        texts = batch.column("text").to_pylist()
         langs = (batch.column("lang").to_pylist()
                  if "lang" in batch.column_names else [None] * n)
         tag = () if mode == "triples" else (mode, *sorted(kw.items()))
-        memo, cap = self._memo, self.MEMO_CAP
-        rows, counts = [], []
-        for text, lang in zip(batch.column("text").to_pylist(), langs):
-            key = (text, lang) + tag
+        memo = self._memo
+        room = self.MEMO_CAP - len(memo)
+        results: list = [None] * n
+        misses = []   # (row, key) of each row that runs the steps
+        waiting = {}  # key a miss puts in the memo -> the rows it serves
+        for i, query in enumerate(zip(texts, langs)):
+            key = query + tag
             res = memo.get(key)
-            if res is None:
-                res = compute(text, lang, **kw)
-                if len(memo) < cap:
-                    memo[key] = res
+            if res is not None:
+                results[i] = res
+            elif key in waiting:
+                waiting[key].append(i)
+            else:
+                misses.append((i, key))
+                if room > 0:
+                    waiting[key] = []
+                    room -= 1
+        hits = {}
+        if mode != "entity_contexts":  # its queries are per mention
+            queries = list(dict.fromkeys(key[:2] for _i, key in misses))
+            hits = dict(zip(queries, self.index.search_many(queries,
+                                                            k=TOP_K)))
+        for i, key in misses:
+            res = results[i] = compute(key[0], key[1], hits.get(key[:2]),
+                                       **kw)
+            if key in waiting:
+                memo[key] = res
+                for j in waiting.pop(key):
+                    results[j] = res
+        rows, counts = [], []
+        for res in results:
             rows.extend(res)
             counts.append(len(res))
         new = [f for f in fields if f[0] not in ("url", "sent_id")]

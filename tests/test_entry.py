@@ -4,9 +4,10 @@
 accepting ``sf_dir`` breaks the round's whole correctness record, so the
 contract is pinned here."""
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import __ray_entry__ as entrymod
 

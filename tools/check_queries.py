@@ -7,6 +7,7 @@ queries() entry at a given sf dir and diff against oracle_sql() via DuckDB
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -14,7 +15,8 @@ import duckdb
 import pandas as pd
 import ray
 
-sys.path.insert(0, "/root/repo")
+# this checkout's package, wherever the checkout is
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
