@@ -178,16 +178,20 @@ def _run_bench_once() -> dict:
     # candidate-pair volume so band-width tuning is data-driven —
     # candidates >> verified pairs means the band is too generous for
     # this corpus's similarity profile.
-    from kb_ner_ray.stages.dedup import (banding_candidate_stats,
+    from kb_ner_ray.stages.dedup import (N_BANDS, band_groups,
+                                         banding_candidate_stats,
                                          minhash_bands, simhash_bands)
 
     docs = rd.read_parquet(f"{SF_DIR}/documents.parquet",
                            columns=["doc_id", "text"])
     band_stats: dict = {}
-    for nm, bands_fn, key in (("simhash", simhash_bands, "band_val"),
-                              ("minhash", minhash_bands, "band_hash")):
+    for nm, bands_fn, key, n_bands in (
+            ("simhash", simhash_bands, "band_val", 4),
+            ("minhash", minhash_bands, "band_hash", N_BANDS)):
         st = banding_candidate_stats(
-            docs.map_batches(bands_fn, batch_format="pyarrow"), key)
+            docs.map_batches(bands_fn,
+                             fn_kwargs={"P": band_groups(n_bands)},
+                             batch_format="pyarrow"), key)
         band_stats[nm] = {
             "cand_pairs_per_band": {int(r.band_id): int(r.cand_pairs)
                                     for r in st.itertuples()},

@@ -277,12 +277,12 @@ def _stage_decontaminate(ds, ctx, benchmark: str = "", n: int = 8):
 
 
 @register("line_dedup")
-def _stage_line_dedup(ds, ctx, n_salts: int | None = None):
+def _stage_line_dedup(ds, ctx):
     """C4-style cross-document line dedup with first-occurrence rewrite
     (round 5); input needs (doc_id, text)."""
     from ..stages.dedup import line_dedup
 
-    return line_dedup(ds, n_salts=n_salts)
+    return line_dedup(ds)
 
 
 @register("temperature_sample")
@@ -290,30 +290,11 @@ def _stage_temperature_sample(ds, ctx, alpha: float = 0.3,
                               group_col: str = "lang",
                               id_col: str = "doc_id"):
     """mBERT/XLM-R temperature resampling over any group column:
-    deterministic downsample-only rates (n_min/n_g)^(1-alpha)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray
+    deterministic downsample-only rates (n_min/n_g)^(1-alpha)
+    (stages/selection.py temperature_sample)."""
+    from ..stages.selection import temperature_sample
 
-    def partial(t: pa.Table) -> pa.Table:
-        return (t.select([group_col, id_col]).group_by(group_col)
-                .aggregate([(id_col, "count")])
-                .rename_columns([group_col, "c"]))
-
-    cnt = (ds.map_batches(partial, batch_format="pyarrow")
-           .to_pandas().groupby(group_col, as_index=False)["c"].sum())
-    mn = float(cnt["c"].min())
-    thr = {s: int(np.floor(99_991 * (mn / float(c)) ** (1 - alpha) + 0.5))
-           for s, c in zip(cnt[group_col], cnt["c"])}
-    rref = ray.put(thr)
-
-    def keep(t: pa.Table) -> pa.Table:
-        r = ray.get(rref)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        th = np.array([r[s] for s in t[group_col].to_pylist()], np.int64)
-        return t.filter(pa.array((ids * 48_271 + 7) % 99_991 < th))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return temperature_sample(ds, alpha, group_col, id_col)
 
 
 @register("pack_sequences")

@@ -2302,8 +2302,7 @@ FROM ppl CROSS JOIN cuts
 """
 
 
-def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
-                        n_salts: int | None = None):
+def q_corpus_lang_stats(sf_dir: str):
     """Per-language corpus vocabulary profile — the Zipf diagnostics a
     corpus audit reads before training (vocab growth, hapax mass):
     n_docs, token occurrences, distinct vocabulary, and hapax count per
@@ -2315,12 +2314,12 @@ def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
     * per-batch (lang, tok, c) pre-agg, bucketed on hash(tok) and
       salted per BATCH by ``bucket_exchange``'s salted mode, so a hot
       token still travels as one partial per (lang, batch) and its
-      largest phase-1 group holds ~1/n_salts of those partials;
+      largest phase-1 group holds ~1/salts of those partials;
     * phase 1 groups on (bucket, salt) and sums to one row per
       (lang, tok) per group;
-    * phase 2 groups on hash(tok) (<= n_salts rows per (lang, tok)),
+    * phase 2 groups on hash(tok) (<= salts rows per (lang, tok)),
       finishes the exact counts, and emits ONE bounded stats row per
-      (lang, bucket) — the driver combine stays |langs| x n_buckets."""
+      (lang, bucket) — the driver combine stays |langs| x buckets."""
     from ..stages.partitioning import bucket_exchange
     from ..stages.sparse import _tokenize_batch
 
@@ -2348,8 +2347,7 @@ def q_corpus_lang_stats(sf_dir: str, *, row_cap: int | None = None,
                            "n_tokens": np.int64})
 
     vocab = (bucket_exchange(ds, ["tok"], phase2, prep=pairs,
-                             combine=phase1, n_salts=n_salts,
-                             row_cap=row_cap)
+                             combine=phase1)
              .to_pandas()
              .groupby("lang", as_index=False).sum())
 
@@ -2503,8 +2501,7 @@ FROM documents d LEFT JOIN per_doc p USING (doc_id)
 """
 
 
-def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
-                     n_salts: int | None = None):
+def q_token_postings(sf_dir: str):
     """Distributed inverted-index build (token -> document frequency +
     first-10 postings): the corpus-scale materialization of what the
     in-worker BM25 index (state/bm25.py) holds in memory — i.e. the S5
@@ -2519,12 +2516,12 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
     * per-batch distinct (tok, doc) pairs (vectorized; a doc's pairs
       are emitted exactly once globally, so partial dfs never
       double-count), bucketed on hash(tok) and salted per ROW on
-      hash(doc) % n_salts by ``bucket_exchange``'s salted mode, so no
-      group holds more than ~df(tok)/n_salts rows of any token however
+      hash(doc) % salts by ``bucket_exchange``'s salted mode, so no
+      group holds more than ~df(tok)/salts rows of any token however
       batches were cut;
     * phase 1 groups on (bucket, salt) and emits ONE fixed-width row
       per token per group (tok, df partial, first-10 partial);
-    * phase 2 groups on hash(tok) and min-merges: <= n_salts partial
+    * phase 2 groups on hash(tok) and min-merges: <= salts partial
       rows per token, so the group is bounded by bucket vocabulary,
       not corpus size.  Output per token is BOUNDED (df + 10 ids)."""
     from ..stages.partitioning import bucket_exchange
@@ -2568,8 +2565,7 @@ def q_token_postings(sf_dir: str, *, row_cap: int | None = None,
         return df.astype({"df": np.int64})
 
     return bucket_exchange(ds, ["tok"], phase2, prep=pairs, combine=phase1,
-                           n_salts=n_salts, salt_col="doc_id",
-                           row_cap=row_cap)
+                           salt_col="doc_id")
 
 
 SQL_TOKEN_POSTINGS = r"""
@@ -3188,30 +3184,12 @@ def q_temperature_sample(sf_dir: str):
     stratified_rebalance; alpha=1 keeps the natural mix.  Same
     deterministic full-cycle value-hash keep rule, ZERO shuffles, rates
     broadcast as scalars; thresholds integer-quantized on BOTH sides so
-    the oracle hash-matches."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
+    the oracle hash-matches (stages/selection.py temperature_sample)."""
+    from ..stages.selection import temperature_sample
 
-    def partial(t: pa.Table) -> pa.Table:
-        return (t.group_by("lang")
-                .aggregate([("doc_id", "count")])
-                .rename_columns(["lang", "c"]))
-
-    cnt = _tree_agg(ds, ["lang"], partial, {"c": "sum"})
-    mn = float(cnt["c"].min())
-    thr = {s: int(np.floor(99_991 * (mn / float(c)) ** (1 - TEMP_ALPHA)
-                           + 0.5))
-           for s, c in zip(cnt["lang"], cnt["c"])}
-    rref = ray.put(thr)
-
-    def keep(t: pa.Table) -> pa.Table:
-        r = ray.get(rref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        src = t["lang"].to_pylist()
-        th = np.array([r[s] for s in src], np.int64)
-        m = (ids * 48_271 + 7) % 99_991 < th
-        return t.filter(pa.array(m))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return temperature_sample(
+        _read(sf_dir, "documents", columns=["doc_id", "lang"]),
+        TEMP_ALPHA, "lang", "doc_id")
 
 
 SQL_TEMPERATURE_SAMPLE = """
@@ -3606,7 +3584,7 @@ def q_source_stats_salted(sf_dir: str):
 
     out = salted_grouped_sum(
         _read(sf_dir, "documents", columns=["source", "n_chars"]),
-        key="source", value="n_chars", n_salts=16)
+        key="source", value="n_chars")
 
     def rename(t: pa.Table) -> pa.Table:
         return pa.table({"source": t["source"],

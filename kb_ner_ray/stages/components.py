@@ -41,7 +41,9 @@ import pandas as pd
 import pyarrow as pa
 
 from . import partitioning
-from .partitioning import bucket_array, default_buckets
+from .partitioning import bucket_array
+
+DAMPING = 0.85  # pagerank's d
 
 
 def _check_nonneg_ids(*arrays: np.ndarray) -> None:
@@ -55,8 +57,7 @@ def _check_nonneg_ids(*arrays: np.ndarray) -> None:
                 "(-1 is the internal message sentinel)")
 
 
-def _union_find_components(pdf: pd.DataFrame, a_col: str,
-                           b_col: str) -> pd.DataFrame:
+def _union_find_components(pdf: pd.DataFrame) -> pd.DataFrame:
     """Driver-side union-find with path halving; component = min node id
     of the set (matches the distributed hash-min labelling exactly)."""
     parent: dict[int, int] = {}
@@ -67,8 +68,8 @@ def _union_find_components(pdf: pd.DataFrame, a_col: str,
             x = parent[x]
         return x
 
-    for a, b in zip(pdf[a_col].to_numpy(np.int64),
-                    pdf[b_col].to_numpy(np.int64)):
+    for a, b in zip(pdf["doc_a"].to_numpy(np.int64),
+                    pdf["doc_b"].to_numpy(np.int64)):
         ra, rb = find(int(a)), find(int(b))
         if ra != rb:
             # union by min keeps roots canonical-ish; exact min is
@@ -87,11 +88,8 @@ def _union_find_components(pdf: pd.DataFrame, a_col: str,
     return pd.DataFrame({"node": nodes[order], "component": labels[order]})
 
 
-def components_from_pairs(pairs_ds, a_col: str = "doc_a",
-                          b_col: str = "doc_b",
-                          n_buckets: int | None = None,
-                          max_rounds: int = 20):
-    """Dataset(a_col, b_col, ...) undirected edges -> Dataset(node,
+def components_from_pairs(pairs_ds, max_rounds: int = 20):
+    """Dataset(doc_a, doc_b, ...) undirected edges -> Dataset(node,
     component) where ``component`` is the smallest node id reachable.
 
     Plan auto-selection on measured edge bytes: an edge set that
@@ -103,11 +101,11 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
     """
     import ray.data as rd
 
-    nb = n_buckets or default_buckets()
+    nb = partitioning.default_buckets()
     # Pairs feed two branches (edges + initial labels); materialize so an
     # expensive upstream generator (LSH verify) runs ONCE.  Bounded:
     # verified pairs only, never the corpus.
-    pairs_ds = pairs_ds.select_columns([a_col, b_col]).materialize()
+    pairs_ds = pairs_ds.select_columns(["doc_a", "doc_b"]).materialize()
     if pairs_ds.count() == 0:
         # no edges -> no components (empty blocks can drop their column
         # schema through pandas round-trips, so don't fall through)
@@ -116,7 +114,7 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
             "component": pa.array([], pa.int64()),
         }))
     if partitioning.fits_broadcast(pairs_ds.size_bytes()):
-        comp = _union_find_components(pairs_ds.to_pandas(), a_col, b_col)
+        comp = _union_find_components(pairs_ds.to_pandas())
         return rd.from_arrow(pa.table({
             "node": pa.array(comp["node"].to_numpy(np.int64), pa.int64()),
             "component": pa.array(comp["component"].to_numpy(np.int64),
@@ -125,8 +123,8 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
 
     # Edges in both orientations, bucketed by src: static for all rounds.
     def orient(t: pa.Table) -> pa.Table:
-        a = np.asarray(t[a_col].to_numpy(zero_copy_only=False), np.int64)
-        b = np.asarray(t[b_col].to_numpy(zero_copy_only=False), np.int64)
+        a = np.asarray(t["doc_a"].to_numpy(zero_copy_only=False), np.int64)
+        b = np.asarray(t["doc_b"].to_numpy(zero_copy_only=False), np.int64)
         _check_nonneg_ids(a, b)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
@@ -140,8 +138,8 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
     # unique; cross-batch dedup happens in the first min-reduce).
     def init(t: pa.Table) -> pa.Table:
         nodes = np.unique(np.concatenate([
-            np.asarray(t[a_col].to_numpy(zero_copy_only=False), np.int64),
-            np.asarray(t[b_col].to_numpy(zero_copy_only=False), np.int64)]))
+            np.asarray(t["doc_a"].to_numpy(zero_copy_only=False), np.int64),
+            np.asarray(t["doc_b"].to_numpy(zero_copy_only=False), np.int64)]))
         return pa.table({
             "node": pa.array(nodes, pa.int64()),
             "label": pa.array(nodes, pa.int64()),
@@ -235,9 +233,7 @@ def components_from_pairs(pairs_ds, a_col: str = "doc_a",
         "(graph diameter exceeds the bound - raise max_rounds)")
 
 
-def near_dup_keep(docs_ds, pairs_ds, id_col: str = "doc_id",
-                  a_col: str = "doc_a", b_col: str = "doc_b",
-                  n_buckets: int | None = None):
+def near_dup_keep(docs_ds, pairs_ds):
     """Dedup-apply: drop every doc that belongs to a near-dup component
     and is not its canonical (minimum-id) member; non-members pass
     through untouched.  One bucketed anti-join of the docs against the
@@ -245,9 +241,7 @@ def near_dup_keep(docs_ds, pairs_ds, id_col: str = "doc_id",
     prefilter is unsound for ANTI semantics (joins.py)."""
     from .joins import semi_join
 
-    nb = n_buckets or default_buckets()
-    comps = components_from_pairs(pairs_ds, a_col=a_col, b_col=b_col,
-                                  n_buckets=nb)
+    comps = components_from_pairs(pairs_ds)
 
     def drops(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -255,13 +249,11 @@ def near_dup_keep(docs_ds, pairs_ds, id_col: str = "doc_id",
         return t.filter(pc.not_equal(t["node"], t["component"]))
 
     dropped = comps.map_batches(drops, batch_format="pyarrow")
-    return semi_join(docs_ds, dropped, on=id_col, right_on="node",
-                     n_buckets=nb, anti=True)
+    return semi_join(docs_ds, dropped, on="doc_id", right_on="node",
+                     anti=True)
 
 
-def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
-             damping: float = 0.85, n_iters: int = 10,
-             n_buckets: int | None = None):
+def pagerank(edges_ds, n_iters: int = 10):
     """Distributed PageRank over a directed edge list (the classic
     power iteration; Page et al. 1999) — entity-importance ranking for
     the materialized triple graph (subj -> obj edges).
@@ -287,16 +279,16 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
     """
     import ray.data as rd
 
-    nb = n_buckets or default_buckets()
-    edges = edges_ds.select_columns([src_col, dst_col]).materialize()
+    nb = partitioning.default_buckets()
+    edges = edges_ds.select_columns(["src", "dst"]).materialize()
     if partitioning.fits_broadcast(edges.size_bytes()):
         pdf = edges.to_pandas()
         if not len(pdf):
             return rd.from_arrow(pa.table({
                 "node": pa.array([], pa.int64()),
                 "rank": pa.array([], pa.float64())}))
-        src = pdf[src_col].to_numpy(np.int64)
-        dst = pdf[dst_col].to_numpy(np.int64)
+        src = pdf["src"].to_numpy(np.int64)
+        dst = pdf["dst"].to_numpy(np.int64)
         nodes = np.unique(np.concatenate([src, dst]))
         idx = {int(n): i for i, n in enumerate(nodes)}
         si = np.fromiter((idx[int(x)] for x in src), np.int64, len(src))
@@ -309,16 +301,16 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
             w = rank[si] / outdeg[si]          # outdeg>0 where si occurs
             np.add.at(contrib, di, w)
             dangling = rank[outdeg == 0].sum()
-            rank = ((1.0 - damping) / n
-                    + damping * (contrib + dangling / n))
+            rank = ((1.0 - DAMPING) / n
+                    + DAMPING * (contrib + dangling / n))
         return rd.from_arrow(pa.table({
             "node": pa.array(nodes, pa.int64()),
             "rank": pa.array(rank, pa.float64())}))
 
     # ---- distributed message loop ------------------------------------
     def orient(t: pa.Table) -> pa.Table:
-        s = np.asarray(t[src_col].to_numpy(zero_copy_only=False), np.int64)
-        d = np.asarray(t[dst_col].to_numpy(zero_copy_only=False), np.int64)
+        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.int64)
+        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.int64)
         _check_nonneg_ids(s, d)
         return pa.table({
             "src": pa.array(s, pa.int64()),
@@ -425,7 +417,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
                 "__b": t["__b"],
             })
 
-        base = (1.0 - damping) / n_nodes + damping * dangling / n_nodes
+        base = (1.0 - DAMPING) / n_nodes + DAMPING * dangling / n_nodes
 
         def apply_update(g: pd.DataFrame) -> pd.DataFrame:
             deg = g[g["outdeg"] >= 0][["node", "outdeg"]]
@@ -434,7 +426,7 @@ def pagerank(edges_ds, src_col: str = "src", dst_col: str = "dst",
             out = deg.copy()
             c = (out["node"].map(s).fillna(0.0).to_numpy(np.float64)
                  if s is not None else np.zeros(len(out)))
-            out["rank"] = base + damping * c
+            out["rank"] = base + DAMPING * c
             out["__b"] = np.full(len(out), int(g["__b"].iloc[0]), np.int32)
             return out.astype({"node": np.int64, "outdeg": np.int64,
                                "__b": np.int32})
@@ -491,8 +483,7 @@ def _triangle_counts_driver(ea: np.ndarray, eb: np.ndarray) -> dict:
     return {"node": nodes[nz], "c": counts[nz]}
 
 
-def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
-                    n_buckets: int | None = None):
+def triangle_counts(pairs_ds):
     """Per-node triangle counts over an undirected simple edge list —
     the degree-ordered node-iterator (Suri & Vassilvitskii 2011,
     "Counting triangles and the curse of the last reducer"): orient
@@ -513,10 +504,10 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     import pandas as pd
     import ray.data as rd
 
-    from .partitioning import bucket_exchange, co_partition, default_buckets
+    from .partitioning import bucket_exchange, co_partition
 
-    nb = n_buckets or default_buckets()
-    edges = pairs_ds.select_columns([a_col, b_col]).materialize()
+    nb = partitioning.default_buckets()
+    edges = pairs_ds.select_columns(["doc_a", "doc_b"]).materialize()
     if edges.count() == 0:
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], pa.int64()),
@@ -524,13 +515,13 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
     if partitioning.fits_broadcast(edges.size_bytes()):
         pdf = edges.to_pandas()
         out = _triangle_counts_driver(
-            pdf[a_col].to_numpy(np.int64), pdf[b_col].to_numpy(np.int64))
+            pdf["doc_a"].to_numpy(np.int64), pdf["doc_b"].to_numpy(np.int64))
         return rd.from_arrow(pa.table({
             "doc_id": pa.array(out["node"], pa.int64()),
             "n_triangles": pa.array(out["c"], pa.int64())}))
 
     def deg_partial(t: pa.Table) -> pa.Table:
-        n = np.concatenate([t[a_col].to_numpy(), t[b_col].to_numpy()])
+        n = np.concatenate([t["doc_a"].to_numpy(), t["doc_b"].to_numpy()])
         u, c = np.unique(n, return_counts=True)
         return pa.table({"node": pa.array(u.astype(np.int64)),
                          "c": pa.array(c.astype(np.int64))})
@@ -556,12 +547,12 @@ def triangle_counts(pairs_ds, a_col: str = "doc_a", b_col: str = "doc_b",
         return co_partition(edge_ds, deg, ([key], ["node"]), join,
                             n_buckets=nb).materialize()
 
-    with_da = _rank_join(edges, a_col, "deg_a")
-    oriented_in = _rank_join(with_da, b_col, "deg_b")
+    with_da = _rank_join(edges, "doc_a", "deg_a")
+    oriented_in = _rank_join(with_da, "doc_b", "deg_b")
 
     def orient(t: pa.Table) -> pa.Table:
-        a = t[a_col].to_numpy().astype(np.int64)
-        b = t[b_col].to_numpy().astype(np.int64)
+        a = t["doc_a"].to_numpy().astype(np.int64)
+        b = t["doc_b"].to_numpy().astype(np.int64)
         da = t["deg_a"].to_numpy().astype(np.int64)
         db = t["deg_b"].to_numpy().astype(np.int64)
         a_low = (da < db) | ((da == db) & (a < b))

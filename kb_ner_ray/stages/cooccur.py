@@ -54,15 +54,14 @@ import pyarrow.compute as pc
 import ray
 
 from . import partitioning
-from .partitioning import bucket_exchange, default_buckets
+from .partitioning import bucket_exchange
 from .sparse import _tokenize_batch
 
 PMI_SCALE = 10_000
 
 
-def _pair_counts_batch(t: pa.Table, text_col: str,
-                       window: int) -> pa.Table:
-    flat, doc_idx, lengths = _tokenize_batch(t, text_col)
+def _pair_counts_batch(t: pa.Table, window: int) -> pa.Table:
+    flat, doc_idx, lengths = _tokenize_batch(t, "text")
     toks = flat.to_numpy(zero_copy_only=False)
     parts = []
     for d in range(1, window + 1):
@@ -99,11 +98,8 @@ def _pair_counts_batch(t: pa.Table, text_col: str,
     })
 
 
-def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
-                 text_col: str = "text"):
+def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5):
     """Dataset(tok_a, tok_b, n_ab, pmi_bp) of surviving co-occurrences."""
-    nb = default_buckets()
-
     # Both passes must see the same rows (see module docstring): a
     # lazily re-executed non-deterministic upstream could desync the
     # pass-B counts from the pass-A survivors.  materialize() pins the
@@ -126,8 +122,8 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
                            "n_pair": np.int64})
 
     surv_all = bucket_exchange(
-        docs_ds, ["a", "b"], reduce_bucket, n_buckets=nb,
-        prep=functools.partial(_pair_counts_batch, text_col=text_col,
+        docs_ds, ["a", "b"], reduce_bucket,
+        prep=functools.partial(_pair_counts_batch,
                                window=window)).materialize()
     # the lone sentinel row carries the corpus scalars
     sent_df = (surv_all
@@ -175,7 +171,7 @@ def windowed_pmi(docs_ds, *, window: int = 3, min_pair: int = 5,
         # survivor-token occurrence counts, bounded by the (gated)
         # survivor vocabulary per batch
         va = ray.get(vref)
-        flat, _di, _lengths = _tokenize_batch(t, text_col)
+        flat, _di, _lengths = _tokenize_batch(t, "text")
         mask = pc.is_in(flat, value_set=va).to_numpy(zero_copy_only=False)
         hit = pd.Series(flat.to_numpy(zero_copy_only=False)[mask])
         cnt = hit.value_counts()

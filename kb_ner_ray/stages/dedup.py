@@ -27,7 +27,7 @@ algorithms".)
 * embedding cosine — see stages/similarity.py (near_dup_pairs_lsh).
 
 Grouping is always on COARSE keys — band_grp = band x cluster-scaled
-bucket-hash sub-key (see _band_groups), salt bucket, token count: per-group
+bucket-hash sub-key (see band_groups), salt bucket, token count: per-group
 pandas dispatch costs ~0.1 ms, so grouping on |corpus|-cardinality bucket
 hashes would dominate the hashing itself, while a band-only key would
 serialize each band into ONE reducer on a big cluster.  Bucket collisions
@@ -46,6 +46,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import partitioning
 from .partitioning import resolve, worker_state
 
 _log = logging.getLogger(__name__)
@@ -95,7 +96,7 @@ def _plain_table(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
 
 def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
                           pair_fn, pair_schema: dict[str, object],
-                          max_group: int = 200):
+                          max_group: int):
     """Banded candidate/verify plan with NO recall loss under hot buckets.
 
     ``rows_ds``: (band_grp, band_id, <key_col>, doc_id, *payload_cols) —
@@ -106,6 +107,9 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
     qualifying pair at most once GLOBALLY (first-colliding-band logic
     computed from the carried payloads); cross calls must orient
     (doc_a, doc_b) = (min, max) themselves.
+
+    ``max_group``: the plan's ``partitioning.overflow_rows``; a bucket
+    above it is redistributed over triangle cells.
 
     Returns a Dataset with columns (doc_a, doc_b, *pair_schema).
     """
@@ -186,8 +190,11 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
         lambda t: t.filter(pc.equal(t["kind"], 1)).select(
             ["band_id", "bkey", "doc_id", *payload_cols, "ovf_s"]),
         batch_format="pyarrow").materialize()
-    if ovf.count() == 0:
+    n_ovf = ovf.count()
+    if n_ovf == 0:
         return pairs
+    _log.info("banded_pairs_overflow: %d member rows of buckets over %d "
+              "docs redistributed over triangle cells", n_ovf, max_group)
 
     pair_out_schema = pa.schema([
         ("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -341,11 +348,12 @@ def exact_dedup(docs_ds):
 N_HASHES = 64
 N_BANDS = 16
 ROWS_PER_BAND = N_HASHES // N_BANDS
+SHINGLE_K = 3
 _MERSENNE = (1 << 61) - 1
 
 
-def _hash_params(seed: int = 7):
-    rng = np.random.RandomState(seed)
+def _hash_params():
+    rng = np.random.RandomState(7)
     a = rng.randint(1, _MERSENNE, size=N_HASHES, dtype=np.int64)
     b = rng.randint(0, _MERSENNE, size=N_HASHES, dtype=np.int64)
     return a, b
@@ -354,8 +362,10 @@ def _hash_params(seed: int = 7):
 _A, _B = _hash_params()
 
 
-def shingles(text: str, k: int = 3) -> set[int]:
-    """Word k-shingles hashed to 64-bit ints (stable across processes)."""
+def shingles(text: str) -> set[int]:
+    """Word ``SHINGLE_K``-shingles hashed to 64-bit ints (stable across
+    processes)."""
+    k = SHINGLE_K
     words = text.split()
     if len(words) < k:
         grams = [" ".join(words)] if words else []
@@ -378,20 +388,19 @@ def minhash_signature(sh: set[int]) -> np.ndarray:
 
 
 
-def _band_groups(n_bands: int) -> int:
-    """Sub-band shuffle fan-out: groups = n_bands x P with P scaled to the
-    cluster, so the band groupby never serializes into n_bands reducers on
-    a big cluster (a bucket's rows still share a group: the sub-key is a
-    function of the bucket hash)."""
-    from .partitioning import default_buckets
+def band_groups(n_bands: int) -> int:
+    """Sub-band shuffle fan-out P, read on the driver: groups = n_bands x
+    P with P scaled to the cluster, so the band groupby never serializes
+    into n_bands reducers on a big cluster (a bucket's rows still share a
+    group: the sub-key is a function of the bucket hash).  The band-row
+    functions get it through ``fn_kwargs``."""
+    return max(1, partitioning.default_buckets() // n_bands)
 
-    return max(1, default_buckets() // n_bands)
 
-
-def minhash_bands(batch: pa.Table) -> pa.Table:
+def minhash_bands(batch: pa.Table, P: int) -> pa.Table:
     """documents batch -> (band_grp, band_id, band_hash, doc_id) rows;
-    ``band_grp`` is the cluster-scaled shuffle key (see _band_groups)."""
-    P = _band_groups(N_BANDS)
+    ``band_grp`` is the cluster-scaled shuffle key (P sub-groups per
+    band, see band_groups)."""
     doc_ids, band_ids, band_hashes, band_grps = [], [], [], []
     for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):
@@ -446,14 +455,13 @@ def shingle_signatures(batch: pa.Table) -> pa.Table:
                      "sh": pa.array(shs, pa.binary())})
 
 
-def minhash_bands_with_sig(batch: pa.Table) -> pa.Table:
+def minhash_bands_with_sig(batch: pa.Table, P: int) -> pa.Table:
     """documents batch -> (band_id, band_hash, doc_id, msig, sh) rows:
     banding rows carrying the doc's full minhash signature AND shingle
     signature, so verification AND global pair-dedup both happen INSIDE
     the band group — no join, no broadcast, no second shuffle.  Costs
     N_BANDS x (sig + 512B) through the shuffle; the byte-lean alternative
     is the join path in minhash_lsh_pairs."""
-    P = _band_groups(N_BANDS)
     doc_ids, band_ids, band_hashes, band_grps, msigs, sigs = (
         [], [], [], [], [], [])
     for doc_id, text in zip(batch.column("doc_id").to_pylist(),
@@ -535,23 +543,24 @@ def _minhash_pair_fn(threshold: float):
     return fn
 
 
-def minhash_lsh_pairs_inband(docs_ds, threshold: float = 0.8,
-                             max_group: int = 200):
+def minhash_lsh_pairs_inband(docs_ds, threshold: float = 0.8):
     """Dataset(doc_id, text) -> verified near-dup pairs, zero broadcast:
     banding shuffle with signatures riding along, in-band exact
     verification, first-colliding-band emission (globally unique pairs
-    with no dedup pass).  Hot buckets (> max_group docs) are triangle-
-    redistributed by banded_pairs_overflow instead of truncated — no
-    recall loss, bounded per-reducer quadratic.  Shuffle payload is
-    N_BANDS x signature bytes — choose minhash_lsh_pairs (join path, 2x
-    signature bytes but 3 shuffles) when that multiplier is the
+    with no dedup pass).  Hot buckets (> ``overflow_rows("minhash")``
+    docs) are triangle-redistributed by banded_pairs_overflow instead of
+    truncated — no recall loss, bounded per-reducer quadratic.  Shuffle
+    payload is N_BANDS x signature bytes — choose minhash_lsh_pairs (join
+    path, 2x signature bytes but 3 shuffles) when that multiplier is the
     bottleneck."""
     rows = docs_ds.map_batches(minhash_bands_with_sig,
+                               fn_kwargs={"P": band_groups(N_BANDS)},
                                batch_format="pyarrow")
     return banded_pairs_overflow(
         rows, key_col="band_hash", payload_cols=["msig", "sh"],
         pair_fn=_minhash_pair_fn(threshold),
-        pair_schema={"jaccard": np.float64}, max_group=max_group)
+        pair_schema={"jaccard": np.float64},
+        max_group=partitioning.overflow_rows("minhash"))
 
 
 def minhash_lsh_pairs(docs_ds, threshold: float = 0.8):
@@ -572,9 +581,12 @@ def minhash_lsh_pairs(docs_ds, threshold: float = 0.8):
 
     cands = bucket_exchange(
         banded_pairs_overflow(
-            docs_ds.map_batches(minhash_bands, batch_format="pyarrow"),
+            docs_ds.map_batches(minhash_bands,
+                                fn_kwargs={"P": band_groups(N_BANDS)},
+                                batch_format="pyarrow"),
             key_col="band_hash", payload_cols=[],
-            pair_fn=_candidate_pair_fn, pair_schema={}),
+            pair_fn=_candidate_pair_fn, pair_schema={},
+            max_group=partitioning.overflow_rows("minhash")),
         ["doc_a"],
         lambda g: g.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b"]])
 
@@ -652,11 +664,11 @@ def _simhash_band_vals(hs: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def simhash_bands(batch: pa.Table) -> pa.Table:
+def simhash_bands(batch: pa.Table, P: int) -> pa.Table:
     """doc -> 4 x 16-bit bit-interleaved band rows (Hamming<=3 pairs
     share >=1 exact band — see ``_simhash_band_vals``); ``band_grp`` is
-    the cluster-scaled shuffle key."""
-    P = _band_groups(4)
+    the cluster-scaled shuffle key (P sub-groups per band, see
+    band_groups)."""
     ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     hs = np.array([simhash64(t) for t in batch.column("text").to_pylist()],
                   dtype=np.uint64).reshape(len(ids))
@@ -728,7 +740,7 @@ def _simhash_pair_fn(max_dist: int):
     return fn
 
 
-def simhash_near_dups(docs_ds, max_dist: int = 3, max_group: int = 200):
+def simhash_near_dups(docs_ds, max_dist: int = 3):
     """Globally unique Hamming<=max_dist pairs via 4x16-bit banding;
     first-colliding-band emission (no dedup pass), hot buckets triangle-
     redistributed by banded_pairs_overflow instead of truncated.  The
@@ -741,12 +753,15 @@ def simhash_near_dups(docs_ds, max_dist: int = 3, max_group: int = 200):
         return (t.drop_columns(["simhash"])
                 .append_column("simhash", pa.array(vals, pa.binary())))
 
-    rows = (docs_ds.map_batches(simhash_bands, batch_format="pyarrow")
+    rows = (docs_ds.map_batches(simhash_bands,
+                                fn_kwargs={"P": band_groups(4)},
+                                batch_format="pyarrow")
             .map_batches(to_bytes, batch_format="pyarrow"))
     return banded_pairs_overflow(
         rows, key_col="band_val", payload_cols=["simhash"],
         pair_fn=_simhash_pair_fn(max_dist),
-        pair_schema={"hamming": np.int64}, max_group=max_group)
+        pair_schema={"hamming": np.int64},
+        max_group=partitioning.overflow_rows("simhash"))
 
 
 # ---- blocked character-set Jaccard (exact-oracle flavour) -------------------
@@ -939,8 +954,7 @@ def repeated_ngrams(docs_ds, n: int = 10, min_docs: int = 2):
     return bucket_exchange(docs_ds, ["gram"], hot_grams, prep=gram_rows)
 
 
-def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
-                             n_buckets: int | None = None):
+def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2):
     """The APPLY step of exact-substring dedup (Lee et al. 2022
     "Deduplicating Training Data Makes Language Models Better",
     ExactSubstr): cut every non-canonical occurrence of a cross-document
@@ -964,9 +978,9 @@ def remove_repeated_passages(docs_ds, n: int = 10, min_docs: int = 2,
     n_words_removed) — rewrite semantics, pinned by the planted-passage
     pytest (not SQL-expressible at reasonable cost).
     """
-    from .partitioning import bucket_exchange, default_buckets
+    from .partitioning import bucket_exchange
 
-    nb = n_buckets or default_buckets()
+    nb = partitioning.default_buckets()
 
     def pos_rows(batch: pa.Table) -> pa.Table:
         gs: list[int] = []
@@ -1088,8 +1102,6 @@ def decontaminate(docs_ds, benchmark_ds, n: int = 8,
     import ray
     import ray.data  # noqa: F401  (docs_ds already implies ray.data)
 
-    from . import partitioning
-
     def bench_grams(t: pa.Table) -> pa.Table:
         out = set()
         for text in t.column("text").to_pylist():
@@ -1155,8 +1167,7 @@ def decontaminate(docs_ds, benchmark_ds, n: int = 8,
 _LINE_STRIP = " \t\r\x0b\x0c"
 
 
-def line_dedup(docs_ds, n_buckets: int | None = None,
-               n_salts: int | None = None, row_cap: int | None = None):
+def line_dedup(docs_ds):
     """Cross-document exact LINE dedup with first-occurrence rewrite —
     the C4 recipe (Raffel et al. 2020 §2.2 deduplicate repeated spans
     corpus-wide; applied at line granularity by RefinedWeb/Dolma): every
@@ -1172,9 +1183,9 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
 
     100-TB shape: line text travels ONCE into its salted line-hash
     bucket; a Zipf-head boilerplate line ("Home") spreads by
-    hash(doc_id) % n_salts, phase-1 reducers keep only their salt-min
-    occurrence (<= n_salts fixed-width candidate rows per line reach
-    phase 2), and the winner rows + one per-doc sentinel make the
+    hash(doc_id) % default_salts(), phase-1 reducers keep only their
+    salt-min occurrence (one fixed-width candidate row per salt and line
+    reaches phase 2), and the winner rows + one per-doc sentinel make the
     doc-bucket rebuild shuffle fixed-width outside the kept text
     itself.  The line rows and the per-doc sentinels come from two
     INDEPENDENT streaming passes (splitting twice is cheap; the
@@ -1186,9 +1197,9 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
     """
     import pyarrow.compute as pc
 
-    from .partitioning import bucket_exchange, co_partition, default_buckets
+    from .partitioning import bucket_exchange, co_partition
 
-    nb = n_buckets or default_buckets()
+    nb = partitioning.default_buckets()
 
     def _split(t: pa.Table):
         ls = pc.split_pattern(t["text"].combine_chunks()
@@ -1231,7 +1242,7 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
         return out[["doc_id", "idx", "line"]]
 
     def global_min(g: pd.DataFrame) -> pa.Table:
-        # <= n_salts candidate rows per line: elect the global winner
+        # <= one candidate row per salt per line: elect the global winner
         out = (g.sort_values(["line", "doc_id", "idx"], kind="mergesort")
                .drop_duplicates("line"))
         return pa.table({
@@ -1244,8 +1255,7 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
     # lazy two-shuffle chain would run both shuffles twice
     winners = bucket_exchange(src, ["line"], global_min, prep=explode,
                               n_buckets=nb, combine=salt_min,
-                              n_salts=n_salts, salt_col="doc_id",
-                              row_cap=row_cap).materialize()
+                              salt_col="doc_id").materialize()
 
     def rebuild(wt: pa.Table, st: pa.Table) -> pd.DataFrame:
         sent = st.to_pandas()
@@ -1269,8 +1279,7 @@ def line_dedup(docs_ds, n_buckets: int | None = None,
                         rebuild, n_buckets=nb)
 
 
-def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
-                         n_buckets: int | None = None):
+def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20):
     """Incremental crawl-over-crawl dedup (the CCNet / Dolma "dedupe the
     new dump against all prior dumps" seat): keep each NEW doc whose
     content hash is absent from the prior snapshot, then collapse
@@ -1297,9 +1306,7 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
     import ray
 
     from .joins import _build_bloom, semi_join
-    from .partitioning import broadcast_bloom, bucket_exchange, default_buckets
-
-    nb = n_buckets or default_buckets()
+    from .partitioning import broadcast_bloom, bucket_exchange
 
     old_hashes = old_ds.map_batches(_doc_hashes, batch_format="pyarrow") \
         .select_columns(["content_hash"])
@@ -1316,10 +1323,9 @@ def snapshot_delta_dedup(old_ds, new_ds, *, bloom_bits: int = 1 << 20,
                                 batch_format="pyarrow")
     positives = new_ds.map_batches(split, fn_kwargs={"want_hits": True},
                                    batch_format="pyarrow")
-    fresh = semi_join(positives, old_hashes, on="content_hash",
-                      n_buckets=nb, anti=True)
+    fresh = semi_join(positives, old_hashes, on="content_hash", anti=True)
     return bucket_exchange(misses.union(fresh), ["content_hash"],
-                           collapse_bucket, n_buckets=nb)
+                           collapse_bucket)
 
 
 _BENCH_STATE: dict = {}  # _benchmark_bands' slot: ref -> (bands, shingles)
@@ -1353,8 +1359,6 @@ def fuzzy_decontaminate(docs_ds, benchmark_ds, *, threshold: float = 0.8):
     candidate), ties broken toward the lower bench_id."""
     import pandas as pd
     import ray
-
-    from . import partitioning
 
     def bench_state(t: pa.Table) -> pa.Table:
         rows_bid, rows_band, rows_key, rows_sh = [], [], [], []

@@ -9,13 +9,13 @@ Ray plan (two streaming passes, ZERO shuffles):
 
   pass 1 — per-batch hashed-bigram bucket counts for source (all docs)
            and target (``target_lang`` docs), pre-reduced to at most
-           ``n_buckets`` partial rows per batch (np.bincount); the
+           ``DSIR_BUCKETS`` partial rows per batch (np.bincount); the
            driver combine is bounded by the FIXED bucket space — the
            _tree_agg contract, valid here by construction;
-  pass 2 — the (n_buckets,)-float weight vector broadcasts once via
+  pass 2 — the (DSIR_BUCKETS,)-float weight vector broadcasts once via
            ray.put; per-doc scores are bincount-weighted sums.
 
-Bucket ids are md5-derived (first 8 hex chars mod n_buckets) so the
+Bucket ids are md5-derived (first 8 hex chars mod DSIR_BUCKETS) so the
 DuckDB oracle reproduces them bit-for-bit; md5 runs once per DISTINCT
 gram per batch (vocab-bounded, not token-bounded).  A deployment at
 10^12 docs swaps md5 for a vectorized 64-bit multiplicative hash — the
@@ -58,15 +58,14 @@ def _bigram_buckets(toks: np.ndarray, di: np.ndarray, n_buckets: int):
     return hb[inv], d
 
 
-def dsir_weights(docs_ds, *, target_lang: str = "en",
-                 n_buckets: int = DSIR_BUCKETS):
+def dsir_weights(docs_ds, *, target_lang: str = "en"):
     """Dataset(doc_id, text, lang) -> Dataset(doc_id, n_bigrams, dsir_bp)
     where dsir_bp = basis-point-quantized
     sum_g [ ln((tgt[h(g)]+1)/(T+B)) - ln((src[h(g)]+1)/(S+B)) ]
     (add-one-smoothed multinomials over the hashed-bigram buckets)."""
     from .sparse import _tokenize_batch
 
-    B = int(n_buckets)
+    B = DSIR_BUCKETS
 
     def count_partial(t: pa.Table) -> pa.Table:
         flat, di, _len = _tokenize_batch(t, "text")

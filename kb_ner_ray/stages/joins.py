@@ -2,10 +2,10 @@
 "broadcast-small-side" join in this repo (SURVEY.md §2.4).
 
 When neither side fits in a broadcast, both sides co-partition on
-``hash(key) % n_buckets`` through ``partitioning.co_partition`` (the one
-two-input exchange: ONE all-to-all on the coarse bucket key) and each
-bucket finishes locally — a vectorized pandas merge / ``merge_asof`` or
-an Arrow ``is_in`` filter.  Every side arrives with its own exact Arrow
+``hash(key) % default_buckets()`` through ``partitioning.co_partition``
+(the one two-input exchange: ONE all-to-all on the coarse bucket key) and
+each bucket finishes locally — a vectorized pandas merge / ``merge_asof``
+or an Arrow ``is_in`` filter.  Every side arrives with its own exact Arrow
 schema; pandas views keep integer columns nullable (``_frame``), so an
 unmatched row never floats an int64 column.
 
@@ -46,8 +46,7 @@ def _table(df: pd.DataFrame, fields) -> pa.Table:
                                 preserve_index=False).replace_schema_metadata()
 
 
-def hash_join(left_ds, right_ds, on: str, n_buckets: int | None = None,
-              how: str = "inner"):
+def hash_join(left_ds, right_ds, on: str, how: str = "inner"):
     """Dataset x Dataset equi-join on ``on``.
 
     Non-key column names must be disjoint between the sides (no suffixing —
@@ -88,23 +87,21 @@ def hash_join(left_ds, right_ds, on: str, n_buckets: int | None = None,
         return _table(joined, list(lt.schema)
                       + [f for f in rt.schema if f.name != on])
 
-    return co_partition(left_ds, right_ds, ([on], [on]), merge_bucket,
-                        n_buckets=n_buckets)
+    return co_partition(left_ds, right_ds, ([on], [on]), merge_bucket)
 
 
 def asof_join(left_ds, right_ds, left_ts: str, right_ts: str,
-              left_by: str, right_by: str,
-              n_buckets: int | None = None, direction: str = "backward"):
+              left_by: str, right_by: str):
     """Bucketed as-of join — the scale path for "latest right row at or
     before each left row's timestamp, matched on a by-key".
 
-    Both sides are co-partitioned on ``hash(by_key) % n_buckets`` (every
-    left row and all its candidate right rows land in the same bucket, so
-    the per-bucket ``merge_asof`` is exact), and each bucket runs ONE
-    vectorized ``pd.merge_asof`` after an in-bucket sort.  One all-to-all
-    on the coarse bucket key; no side is broadcast — this replaces the
-    full-right-frame broadcast that round 1 flagged as un-broadcastable
-    at 100 TB.
+    Both sides are co-partitioned on ``hash(by_key) %
+    default_buckets()`` (every left row and all its candidate right rows
+    land in the same bucket, so the per-bucket ``merge_asof`` is exact),
+    and each bucket runs ONE vectorized ``pd.merge_asof`` after an
+    in-bucket sort.  One all-to-all on the coarse bucket key; no side is
+    broadcast — this replaces the full-right-frame broadcast that round 1
+    flagged as un-broadcastable at 100 TB.
 
     Output: left columns + right's non-by columns (``right_ts`` included,
     typed like ``left_ts``).  Non-key column names must be disjoint.
@@ -121,14 +118,14 @@ def asof_join(left_ds, right_ds, left_ts: str, right_ts: str,
         merged = pd.merge_asof(lg, rg.sort_values(right_ts),
                                left_on=left_ts, right_on=right_ts,
                                left_by=left_by, right_by=right_by,
-                               direction=direction)
+                               direction="backward")
         ts_type = lt.schema.field(left_ts).type
         return _table(merged, list(lt.schema) + [
             pa.field(f.name, ts_type) if f.name == right_ts else f
             for f in rt.schema if f.name != right_by])
 
     return co_partition(left_ds, right_ds, ([left_by], [right_by]),
-                        merge_bucket, n_buckets=n_buckets)
+                        merge_bucket)
 
 
 def _build_bloom(keys_ds, col: str, n_bits: int):
@@ -167,14 +164,14 @@ def _build_bloom(keys_ds, col: str, n_bits: int):
 
 
 def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
-              n_buckets: int | None = None, anti: bool = False,
-              bloom_prefilter: bool = False, bloom_bits: int = 1 << 20):
+              anti: bool = False, bloom_prefilter: bool = False,
+              bloom_bits: int = 1 << 20):
     """Bucketed SEMI (or ANTI) join: keep left rows whose key does (not)
     appear on the right.  Right side is projected to its key column, both
-    sides co-partitioned on ``hash(key) % n_buckets``, per-bucket filter is
-    one Arrow ``is_in``.  The scale path for the broadcast key-set semi
-    joins (key sets stop being broadcastable when the right side is a fact
-    table)."""
+    sides co-partitioned on ``hash(key) % default_buckets()``, per-bucket
+    filter is one Arrow ``is_in``.  The scale path for the broadcast
+    key-set semi joins (key sets stop being broadcastable when the right
+    side is a fact table)."""
     right_on = right_on or on
     if bloom_prefilter:
         # Bloom has no false NEGATIVES, so dropping definitely-absent left
@@ -205,5 +202,4 @@ def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
         return lt.filter(pc.invert(keep) if anti else keep)
 
     return co_partition(left_ds, right_ds.select_columns([right_on]),
-                        ([on], [right_on]), filter_bucket,
-                        n_buckets=n_buckets)
+                        ([on], [right_on]), filter_bucket)

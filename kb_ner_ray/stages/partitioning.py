@@ -3,11 +3,28 @@ vectorized deterministic key->bucket hashing, the two exchanges every
 bucketed operator shuffles through, the one broadcast-size rule, and the
 one way a worker resolves a broadcast and keeps the state built from it.
 
-Round-1 verdict flagged the fixed fan-out constants (32 salt buckets, 32
-session buckets, 64 key buckets): fine at 32 CPUs, but they cap reducer
-parallelism on a bigger cluster.  Every bucketed operator now derives its
-fan-out from ``ray.cluster_resources()`` at pipeline-build time, so a
-256-node cluster gets proportionally more reducers with no code change.
+The fan-out rule, stated once: every bucketed operator reads its
+fan-out from the functions below, on the driver, when it builds its plan,
+and hands the values to worker code through closures or ``fn_kwargs``; no
+worker asks the cluster.  It has four parts:
+
+- ``default_buckets()`` reducer groups (~2 per CPU of
+  ``ray.cluster_resources()``, at least 16) and ``default_salts()`` salts
+  per key (the same, capped at ``SALTS_MAX``), so a 256-node cluster gets
+  proportionally more reducers with no code change;
+- ``triangle_split()``, the S of every S*(S+1)/2-cell triangle self-join
+  over the buckets: ``max(2, ceil(sqrt(2 * default_buckets())))``, so the
+  cells number about one per bucket;
+- ``group_row_cap()``, a reducer-group row cap every salted reduce
+  asserts (``check_group_cap``): None in production, a number in the
+  planted-hot-key tests;
+- ``overflow_rows(plan)``, the bucket size above which a banded
+  near-dup plan redistributes a hot bucket over triangle cells
+  (``OVERFLOW_ROWS``: 200 for MinHash and SimHash, 500 for cosine LSH).
+
+Tests vary the fan-out by patching these module attributes, never by an
+operator option.
+
 Every single-input bucketed operator shuffles through ``bucket_exchange``;
 every two-input co-partition (joins, build/probe plans, rebuilds) goes
 through ``co_partition``, which hands each bucket both sides as Arrow
@@ -80,28 +97,52 @@ def worker_state(slot: dict, key, factory):
     return st
 
 
-def default_buckets(per_cpu: int = 2, lo: int = 16,
-                    hi: int | None = None) -> int:
+SALTS_MAX = 64
+OVERFLOW_ROWS = {"minhash": 200, "simhash": 200, "lsh": 500}
+
+
+def default_buckets(per_cpu: int = 2, lo: int = 16) -> int:
     """Bucket fan-out scaled to the cluster: ~``per_cpu`` buckets per CPU.
     Buckets are shuffle-reducer units — more than a few per CPU only adds
     scheduling overhead; fewer serializes reducers.
 
-    There is deliberately NO upper clamp by default (round-2 verdict: the
-    old ``hi=1024`` cap meant one bucket = corpus/1024 beyond 512 CPUs —
-    too big for one reducer at 100 TB).  The per-bucket memory bound is
-    therefore ~corpus_bytes/(cpus*per_cpu) at any cluster size; pass
-    ``hi`` only when a caller has a structural reason to bound fan-out
-    (e.g. a band-count divisor)."""
+    There is deliberately NO upper clamp (round-2 verdict: the old
+    ``hi=1024`` cap meant one bucket = corpus/1024 beyond 512 CPUs — too
+    big for one reducer at 100 TB).  The per-bucket memory bound is
+    therefore ~corpus_bytes/(cpus*per_cpu) at any cluster size."""
     try:
         import ray
 
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    n = max(lo, cpus * per_cpu)
-    if hi is not None:  # an explicit cap wins over the floor
-        n = min(hi, n)
-    return int(n)
+    return int(max(lo, cpus * per_cpu))
+
+
+def default_salts() -> int:
+    """Salt fan-out for two-phase (key, salt) -> (key) combines over
+    Zipf-skewed key spaces (token vocabularies); the salt itself follows
+    the rule in the module docstring.  Scales with the cluster like
+    ``default_buckets`` but capped: the phase-2 group then carries
+    <= salts rows per key, and past ``SALTS_MAX`` the extra fan-out only
+    multiplies phase-2 volume."""
+    return min(SALTS_MAX, default_buckets())
+
+
+def triangle_split() -> int:
+    """S of a triangle self-join: S*(S+1)/2 cells, ~one per bucket."""
+    return max(2, int(np.ceil(np.sqrt(2 * default_buckets()))))
+
+
+def group_row_cap() -> int | None:
+    """The reducer-group row cap salted reduces assert; None (no cap) in
+    production."""
+    return None
+
+
+def overflow_rows(plan: str) -> int:
+    """Hot-bucket size above which ``plan``'s banded pairs redistribute."""
+    return OVERFLOW_ROWS[plan]
 
 
 class BloomFilter:
@@ -195,8 +236,7 @@ def batch_salt(t, n_salts: int) -> int:
 
 def bucket_exchange(ds, keys, per_bucket, *, prep=None,
                     n_buckets: int | None = None, combine=None,
-                    n_salts: int | None = None, salt_col: str | None = None,
-                    row_cap: int | None = None):
+                    n_salts: int | None = None, salt_col: str | None = None):
     """THE single-input hash-bucket exchange: every row (after the
     optional per-batch pyarrow ``prep``, typically a combiner that
     pre-aggregates to partial rows) gets ``__b = bucket_multi(keys, nb)``,
@@ -217,8 +257,9 @@ def bucket_exchange(ds, keys, per_bucket, *, prep=None,
     phase-1 group), ``ns`` = ``n_salts`` or ``default_salts()``.  The
     salt is ``bucket_array(salt_col, ns)`` when ``salt_col`` names a
     per-row column (rows that keep their document), else ``batch_salt``
-    (pre-aggregated partials: one salt per batch).  ``row_cap`` asserts
-    every group's row count, once per phase (``check_group_cap``).
+    (pre-aggregated partials: one salt per batch).  In this mode every
+    group's row count is asserted against ``group_row_cap()``, once per
+    phase (``check_group_cap``).
 
     The pandas schema metadata a pandas-block input (e.g. a previous
     exchange's output) picks up on conversion is dropped: it makes the
@@ -227,6 +268,7 @@ def bucket_exchange(ds, keys, per_bucket, *, prep=None,
     import pyarrow as pa
 
     nb = n_buckets or default_buckets()
+    row_cap = group_row_cap() if combine is not None else None
 
     def tag(prep_fn, ns: int):
         def add_group(t: pa.Table) -> pa.Table:
@@ -333,21 +375,10 @@ def bucket_array(values, n_buckets: int) -> np.ndarray:
     return bucket_multi([values], n_buckets)
 
 
-def default_salts(cap: int = 64) -> int:
-    """Salt fan-out for two-phase (key, salt) -> (key) combines over
-    Zipf-skewed key spaces (token vocabularies); the salt itself follows
-    the rule in the module docstring.  Scales with the cluster like
-    ``default_buckets`` but capped: the phase-2 group then carries
-    <= salts rows per key, and past ~64 the extra fan-out only
-    multiplies phase-2 volume."""
-    return min(cap, default_buckets())
-
-
 def check_group_cap(n_rows: int, row_cap: int | None, site: str) -> None:
-    """Optional reducer-group row-cap assertion (the planted-hot-token
-    tests pass a cap; production leaves it None).  Raising here means a
-    salted two-phase reduce failed to bound its group — a bug, not a
-    data problem."""
+    """Reducer-group row-cap assertion against a ``group_row_cap()`` read
+    on the driver (None: no cap).  Raising here means a salted two-phase
+    reduce failed to bound its group — a bug, not a data problem."""
     if row_cap is not None and n_rows > row_cap:
         raise AssertionError(
             f"{site}: reducer group holds {n_rows} rows "

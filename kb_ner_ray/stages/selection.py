@@ -13,7 +13,7 @@ constant number of passes needs counting, and MapReduce folklore for the
 histogram form):
 
 * one stats pass gets (min, max, count);
-* each refinement pass histograms the column into <= ``bins`` equal-width
+* each refinement pass histograms the column into <= ``BINS`` equal-width
   integer bins over the still-candidate range and the driver keeps ONLY
   the combined bin counts (fixed-width, <= bins x n_blocks partial rows
   -> the bounded-combiner contract) before narrowing to the bin that
@@ -78,8 +78,7 @@ def _advance(h: pd.DataFrame, lo: int, hi: int, w: int, rem: int):
     return False, (blo, bhi, rem2)
 
 
-def exact_kth_smallest(ds, col: str, ks: list[int], *,
-                       bins: int = BINS) -> dict[int, int]:
+def exact_kth_smallest(ds, col: str, ks: list[int]) -> dict[int, int]:
     """Exact k-th smallest values (1-indexed ranks) of an int64 column.
 
     All requested ranks are refined in the SAME passes.  Returns
@@ -94,7 +93,7 @@ def exact_kth_smallest(ds, col: str, ks: list[int], *,
     resolved: dict[int, int] = {}
     while state:
         ranges = sorted({(lo, hi) for lo, hi, _ in state.values()})
-        widths = [max(1, -(-(hi - lo + 1) // bins)) for lo, hi in ranges]
+        widths = [max(1, -(-(hi - lo + 1) // BINS)) for lo, hi in ranges]
         rng_ref = ray.put((ranges, widths))
 
         def hist(t: pa.Table) -> pa.Table:
@@ -129,9 +128,7 @@ def exact_kth_smallest(ds, col: str, ks: list[int], *,
     return resolved
 
 
-def quality_buckets(scored_ds, col: str = "nll_bp", *,
-                    labels: tuple[str, str, str] = ("head", "middle",
-                                                    "tail")):
+def quality_buckets(scored_ds, col: str = "nll_bp"):
     """CCNet head/middle/tail assignment by EXACT score tertile cutoffs.
 
     ``scored_ds`` is a per-doc quality table (e.g. unigram_ppl's
@@ -150,11 +147,10 @@ def quality_buckets(scored_ds, col: str = "nll_bp", *,
     k1, k2 = -(-n // 3), -(-2 * n // 3)
     cuts = exact_kth_smallest(scored_ds, col, [k1, k2])
     c1, c2 = cuts[k1], cuts[k2]
-    head, middle, tail = labels
 
     def label(t: pa.Table) -> pa.Table:
         v = t[col].to_numpy(zero_copy_only=False)
-        b = np.where(v <= c1, head, np.where(v <= c2, middle, tail))
+        b = np.where(v <= c1, "head", np.where(v <= c2, "middle", "tail"))
         return pa.table({"doc_id": t["doc_id"], col: t[col],
                          "bucket": pa.array(b, pa.string())})
 
@@ -162,7 +158,7 @@ def quality_buckets(scored_ds, col: str = "nll_bp", *,
 
 
 def grouped_exact_kth(ds, group_col: str, value_col: str,
-                      ranks: dict, *, bins: int = BINS) -> dict:
+                      ranks: dict) -> dict:
     """Exact k-th smallest values PER GROUP of an int64 column.
 
     ``ranks`` maps group -> list of 1-indexed ranks.  Every (group, rank)
@@ -200,7 +196,7 @@ def grouped_exact_kth(ds, group_col: str, value_col: str,
     resolved: dict[tuple, int] = {}
     while state:
         targets = pd.DataFrame(
-            [(i, grp, lo, hi, max(1, -(-(hi - lo + 1) // bins)))
+            [(i, grp, lo, hi, max(1, -(-(hi - lo + 1) // BINS)))
              for i, ((grp, _k), (lo, hi, _r)) in enumerate(state.items())],
             columns=["sid", "g", "lo", "hi", "w"]).drop_duplicates(
                 ["g", "lo", "hi", "w"])
@@ -237,3 +233,37 @@ def grouped_exact_kth(ds, group_col: str, value_col: str,
                 nxt[(grp, k)] = res
         state = nxt
     return resolved
+
+
+def temperature_sample(ds, alpha: float, group_col: str, id_col: str):
+    """mBERT/XLM-R temperature resampling over ``group_col`` (Conneau et
+    al. 2020 §3.1: sample groups proportional to p_g^alpha, flattening
+    the head without erasing it).  Downsample-only rates: rate_g =
+    (n_min / n_g)^(1-alpha), so the rarest group keeps everything.
+
+    One counting pass (per-batch group counts, bounded by the group
+    space, combined on the driver), then ZERO shuffles: the rates
+    broadcast as integer thresholds, and a row is kept when the
+    full-cycle value hash ``(id * 48271 + 7) % 99991`` of its
+    ``id_col`` falls under its group's threshold.  Thresholds are
+    integer-quantized so the SQL oracle hash-matches.  Keeps every
+    input column."""
+    def partial(t: pa.Table) -> pa.Table:
+        return (t.select([group_col, id_col]).group_by(group_col)
+                .aggregate([(id_col, "count")])
+                .rename_columns([group_col, "c"]))
+
+    cnt = (ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+           .groupby(group_col, as_index=False)["c"].sum())
+    mn = float(cnt["c"].min())
+    thr = {g: int(np.floor(99_991 * (mn / float(c)) ** (1 - alpha) + 0.5))
+           for g, c in zip(cnt[group_col], cnt["c"])}
+    rref = ray.put(thr)
+
+    def keep(t: pa.Table) -> pa.Table:
+        r = ray.get(rref)
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        th = np.array([r[g] for g in t[group_col].to_pylist()], np.int64)
+        return t.filter(pa.array((ids * 48_271 + 7) % 99_991 < th))
+
+    return ds.map_batches(keep, batch_format="pyarrow")

@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from . import partitioning
 from .partitioning import resolve, worker_state
 
 
@@ -115,21 +116,26 @@ def ivf_centroids(parquet_path: str, n_centroids: int = 16) -> np.ndarray:
     return _normalize(np.array(df["embedding"].tolist(), dtype=np.float64))
 
 
-def train_ivf_centroids(parquet_path: str, n_centroids: int = 16,
-                        iters: int = 5, sample: int = 4096) -> np.ndarray:
+IVF_TRAIN_ITERS = 5
+IVF_TRAIN_SAMPLE = 4096
+
+
+def train_ivf_centroids(parquet_path: str,
+                        n_centroids: int = 16) -> np.ndarray:
     """Deterministic k-means coarse quantizer training (replaces the
     round-1 "first-n vectors" stand-in).
 
     Strided driver-side sample (bounded regardless of corpus size — the
     standard IVF recipe trains on a sample), farthest-point init from the
-    first vector (deterministic k-means++ flavor), ``iters`` Lloyd rounds
+    first vector (deterministic k-means++ flavor), ``IVF_TRAIN_ITERS``
+    Lloyd rounds
     on the unit sphere (spherical k-means: assign by max cosine, update by
     renormalized mean; an emptied cluster keeps its previous centroid)."""
     import pyarrow.parquet as pq
 
     t = pq.read_table(parquet_path, columns=["vec_id", "embedding"])
     df = t.to_pandas().sort_values("vec_id")
-    stride = max(1, len(df) // sample)
+    stride = max(1, len(df) // IVF_TRAIN_SAMPLE)
     X = _normalize(np.array(df["embedding"].iloc[::stride].tolist(),
                             dtype=np.float64))
     n_centroids = min(n_centroids, len(X))
@@ -141,7 +147,7 @@ def train_ivf_centroids(parquet_path: str, n_centroids: int = 16,
         cents.append(X[nxt])
         sims_to_c = np.maximum(sims_to_c, X @ X[nxt])
     C = np.stack(cents)
-    for _ in range(iters):
+    for _ in range(IVF_TRAIN_ITERS):
         assign = np.argmax(X @ C.T, axis=1)
         for ci in range(n_centroids):
             members = X[assign == ci]
@@ -264,15 +270,13 @@ def _sign_bands(m: np.ndarray) -> np.ndarray:
     return bits.reshape(len(m), LSH_BANDS, LSH_ROWS) @ weights
 
 
-def _lsh_band_rows(batch: pa.Table) -> pa.Table:
+def _lsh_band_rows(batch: pa.Table, P: int) -> pa.Table:
     """(vec_id, embedding) -> one row per band: (band_id, band_key,
     doc_id, emb bytes) in the banded_pairs_overflow row contract.  The
     embedding rides along (LSH_BANDS x 8*dim bytes through the shuffle)
     so exact verification AND global pair dedup happen inside the band
-    group — same shape as the in-band MinHash plan."""
-    from .partitioning import default_buckets
-
-    P = max(1, default_buckets() // LSH_BANDS)
+    group — same shape as the in-band MinHash plan.  ``band_grp`` is the
+    cluster-scaled shuffle key, P sub-groups per band."""
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     m = _normalize(_matrix(batch.column("embedding")))
     keys = _sign_bands(m)
@@ -327,8 +331,7 @@ def _lsh_pair_fn(threshold: float):
     return fn
 
 
-def near_dup_pairs_lsh(emb_ds, threshold: float = 0.95,
-                       max_group: int = 500):
+def near_dup_pairs_lsh(emb_ds, threshold: float = 0.95):
     """Pairs (a < b) with cosine >= threshold via hyperplane-sign banding
     (no broadcast): in-band exact cosine verification, first-colliding-
     band emission, hot buckets triangle-redistributed (no truncation,
@@ -341,13 +344,16 @@ def near_dup_pairs_lsh(emb_ds, threshold: float = 0.95,
     ~2-4% at c=0.45.  This is the high-threshold near-dup scale path;
     for an exhaustive low-threshold pair join use the exact
     ``cosine_pairs_blocked`` plan instead."""
-    from .dedup import banded_pairs_overflow
+    from .dedup import band_groups, banded_pairs_overflow
 
-    rows = emb_ds.map_batches(_lsh_band_rows, batch_format="pyarrow")
+    rows = emb_ds.map_batches(_lsh_band_rows,
+                              fn_kwargs={"P": band_groups(LSH_BANDS)},
+                              batch_format="pyarrow")
     out = banded_pairs_overflow(
         rows, key_col="band_key", payload_cols=["emb"],
         pair_fn=_lsh_pair_fn(threshold),
-        pair_schema={"sim": np.float64}, max_group=max_group)
+        pair_schema={"sim": np.float64},
+        max_group=partitioning.overflow_rows("lsh"))
 
     def rename(t: pa.Table) -> pa.Table:
         return t.rename_columns(["vec_a", "vec_b", "sim"])
@@ -442,8 +448,7 @@ def _cosine_pairs_in_cell(group: pd.DataFrame,
                          "sim": s.astype(np.float64)})
 
 
-def cosine_pairs_blocked(emb_ds, threshold: float,
-                         block_split: int | None = None):
+def cosine_pairs_blocked(emb_ds, threshold: float):
     """EXACT cosine pair join (a < b, cos >= threshold) via the triangle
     self-join decomposition: S*(S+1)/2 cells, each vector replicated into
     S cells, every unordered pair verified by matmul in exactly one cell.
@@ -453,11 +458,9 @@ def cosine_pairs_blocked(emb_ds, threshold: float,
     O(n^2) compute — no banding scheme prunes it without recall loss; cf.
     the recall note on near_dup_pairs_lsh).  The O(n^2) work is what gets
     distributed: per-cell memory/compute is (2n/S)^2-bounded, nothing is
-    broadcast, the only shuffle carries S x (8*dim)-byte rows.  Default S
-    targets ~one cell per shuffle reducer."""
-    from .partitioning import default_buckets
-
-    S = block_split or max(2, int(np.ceil(np.sqrt(2 * default_buckets()))))
+    broadcast, the only shuffle carries S x (8*dim)-byte rows.  S is
+    ``partitioning.triangle_split()``: ~one cell per shuffle reducer."""
+    S = partitioning.triangle_split()
     return (emb_ds.map_batches(_cosine_tri_rows, fn_kwargs={"S": S},
                                batch_format="pyarrow")
             .groupby("cell")
@@ -473,8 +476,7 @@ def _emb_matrix_fast(col) -> np.ndarray:
     return flat.astype(np.float64).reshape(len(arr), -1)
 
 
-def label_centroids(emb_ds, *, label_col: str = "label",
-                    emb_col: str = "embedding") -> pd.DataFrame:
+def label_centroids(emb_ds) -> pd.DataFrame:
     """Per-label mean vector via bounded per-batch partials.
 
     Each batch emits one (label, count, dim-sums) row per label present —
@@ -484,8 +486,8 @@ def label_centroids(emb_ds, *, label_col: str = "label",
     contract.  Returns pandas (label, n, c_0..c_{dim-1})."""
 
     def partial(t: pa.Table) -> pa.Table:
-        m = _emb_matrix_fast(t[emb_col])
-        lab = t[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        m = _emb_matrix_fast(t["embedding"])
+        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, inv = np.unique(lab, return_inverse=True)
         sums = np.zeros((len(uniq), m.shape[1]), np.float64)
         np.add.at(sums, inv, m)
@@ -503,8 +505,7 @@ def label_centroids(emb_ds, *, label_col: str = "label",
     return agg
 
 
-def embed_outliers(emb_ds, *, label_col: str = "label",
-                   emb_col: str = "embedding", id_col: str = "vec_id"):
+def embed_outliers(emb_ds):
     """Embedding-space outlier scoring for data cleaning: cosine of every
     vector to its LABEL CENTROID, quantized to int64 basis points (repo
     float policy).  A low score marks a vector that disagrees with its
@@ -515,7 +516,7 @@ def embed_outliers(emb_ds, *, label_col: str = "label",
     dim-sums (bounded partials, see label_centroids); the centroid matrix
     broadcasts via ray.put; pass 2 scores each batch with one matmul row
     lookup.  Returns Dataset(vec_id, label, cos_bp)."""
-    cent = label_centroids(emb_ds, label_col=label_col, emb_col=emb_col)
+    cent = label_centroids(emb_ds)
     labels = cent["label"].to_numpy(np.int64)
     dims = [c for c in cent.columns if c.startswith("c_")]
     C = cent[dims].to_numpy(np.float64)
@@ -526,16 +527,16 @@ def embed_outliers(emb_ds, *, label_col: str = "label",
 
     def score(t: pa.Table) -> pa.Table:
         lr, cm, cn = ray.get(ref)
-        m = _emb_matrix_fast(t[emb_col])
-        lab = t[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        m = _emb_matrix_fast(t["embedding"])
+        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         rows = np.array([lr[int(x)] for x in lab], np.int64)
         dot = np.einsum("ij,ij->i", m, cm[rows])
         vn = np.linalg.norm(m, axis=1)
         vn[vn == 0] = 1.0
         cos = dot / (vn * cn[rows])
         return pa.table({
-            id_col: t[id_col],
-            label_col: t[label_col],
+            "vec_id": t["vec_id"],
+            "label": t["label"],
             "cos_bp": pa.array(np.floor(cos * 10_000 + 0.5)
                                .astype(np.int64)),
         })
@@ -557,7 +558,7 @@ def _sorted_seeds(seeds_ref) -> tuple[np.ndarray, np.ndarray]:
     return worker_state(_SEEDS_STATE, seeds_ref, build)
 
 
-def _semdedup_rows(batch: pa.Table, seeds_ref=None, S: int = 2) -> pa.Table:
+def _semdedup_rows(batch: pa.Table, seeds_ref, S: int) -> pa.Table:
     """Assign each vector to its nearest seed (argmax quantized cosine,
     lowest seed id on ties — the SQL `ORDER BY q DESC, sid` contract),
     then explode it into the CLUSTER-LOCAL triangle cells so the
@@ -585,8 +586,7 @@ def _semdedup_rows(batch: pa.Table, seeds_ref=None, S: int = 2) -> pa.Table:
     })
 
 
-def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
-             n_buckets: int | None = None):
+def semdedup(emb_ds, seeds, threshold: float):
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540): coarse-cluster the
     embedding space, then drop every vector that has a strictly-lower-id
     neighbor above ``threshold`` cosine INSIDE its cluster.  Returns a
@@ -605,10 +605,11 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
     At real scale the seed set comes from train_ivf_centroids (sampled
     k-means); the driver-table query seeds on vec_id order so the DuckDB
     oracle can reproduce the assignment exactly.  The pairwise verify is
-    cluster-bounded — SemDeDup's core trick: O(sum_c n_c^2), not O(n^2)."""
-    from .partitioning import bucket_exchange, default_buckets
+    cluster-bounded — SemDeDup's core trick: O(sum_c n_c^2), not O(n^2).
+    S is ``partitioning.triangle_split()``."""
+    from .partitioning import bucket_exchange
 
-    S = S or max(2, int(np.ceil(np.sqrt(2 * default_buckets()))))
+    S = partitioning.triangle_split()
     seeds_ref = ray.put(seeds)
 
     def assign_rows(t: pa.Table) -> pa.Table:
@@ -652,8 +653,7 @@ def semdedup(emb_ds, seeds, threshold: float, S: int | None = None,
                              .astype(np.int64)),
         })
 
-    return bucket_exchange(markers, ["vec_id"], keep_flags,
-                           n_buckets=n_buckets)
+    return bucket_exchange(markers, ["vec_id"], keep_flags)
 
 
 # ---- distributed Lloyd's k-means over the FULL embedding corpus ------------
@@ -664,8 +664,7 @@ def _centroids(cref) -> np.ndarray:
     return worker_state(_CENTROIDS_STATE, cref, lambda: resolve(cref))
 
 
-def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5,
-                      init: np.ndarray | None = None):
+def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5):
     """Spherical k-means (Lloyd's) over the whole embedding Dataset —
     the trained coarse quantizer behind IVF / SemDeDup at deployment
     scale (train_ivf_centroids trains on a driver-side SAMPLE; this is
@@ -676,25 +675,23 @@ def kmeans_embeddings(emb_ds, k: int = 16, iters: int = 5,
     size, never the batch), the driver combine is k rows, and the new
     centroids re-broadcast via ray.put.  No shuffle at any point; at
     10^12 docs the per-iteration exchange is k x dim floats per block.
-    Deterministic: init = first-k vec_ids (or the caller's matrix),
+    Deterministic: init = first-k vec_ids,
     argmax cosine with lowest-cluster tie-break, empty clusters keep
     their previous centroid.  Returns (assignments Dataset(vec_id,
     cluster), centroids ndarray)."""
     import ray.data  # noqa: F401  (Dataset comes in, Dataset goes out)
 
-    if init is None:
-        # deterministic first-k-by-vec_id init WITHOUT a global sort:
-        # per-batch min-k partials (k rows each), driver head-k merge —
-        # the driver sees n_blocks x k rows, never the corpus
-        def min_k(t: pa.Table) -> pa.Table:
-            df = (t.select(["vec_id", "embedding"]).to_pandas()
-                  .sort_values("vec_id").head(k))
-            return pa.Table.from_pandas(df, preserve_index=False)
+    # deterministic first-k-by-vec_id init WITHOUT a global sort:
+    # per-batch min-k partials (k rows each), driver head-k merge — the
+    # driver sees n_blocks x k rows, never the corpus
+    def min_k(t: pa.Table) -> pa.Table:
+        df = (t.select(["vec_id", "embedding"]).to_pandas()
+              .sort_values("vec_id").head(k))
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-        sub = (emb_ds.map_batches(min_k, batch_format="pyarrow")
-               .to_pandas().sort_values("vec_id").head(k))
-        init = np.array(sub["embedding"].tolist(), dtype=np.float64)
-    cents = _normalize(np.asarray(init, dtype=np.float64))
+    sub = (emb_ds.map_batches(min_k, batch_format="pyarrow")
+           .to_pandas().sort_values("vec_id").head(k))
+    cents = _normalize(np.array(sub["embedding"].tolist(), dtype=np.float64))
 
     def partial(t: pa.Table, cref=None) -> pa.Table:
         c = _centroids(cref)

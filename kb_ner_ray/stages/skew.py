@@ -6,8 +6,8 @@ A single hot key (one domain with 20% of all rows — the synthetic corpus
 plants exactly this) lands on one reducer in a naive groupby.  Each
 batch pre-aggregates to one partial row per key, and the salted mode of
 ``partitioning.bucket_exchange`` gives every batch ONE salt, so the hot
-key's partials (one per batch) spread over ``n_salts`` phase-1 groups;
-phase 2 merges the <= n_salts per-group partials of each key.  The
+key's partials (one per batch) spread over ``default_salts()`` phase-1
+groups; phase 2 merges the <= salts per-group partials of each key.  The
 flagship pipeline's canonicalization avoids the wide exchange entirely
 (per-batch combiner + vocabulary-sized driver combine); this operator
 is the general fallback for aggregates whose key cardinality is too
@@ -20,13 +20,14 @@ import pandas as pd
 import pyarrow as pa
 
 
-def salted_grouped_sum(ds, key: str, value: str, n_salts: int = 16):
+def salted_grouped_sum(ds, key: str, value: str):
     """Dataset -> Dataset(key, sum, n_rows) via per-batch partial ->
     salted merge -> final.
 
     Every batch emits one (key, sum, count) partial per key, salted per
-    batch, so a hot key's largest phase-1 group holds ~n_batches/n_salts
-    of its partials and salting never adds partial rows.
+    batch over ``default_salts()`` salts, so a hot key's largest phase-1
+    group holds ~n_batches/salts of its partials and salting never adds
+    partial rows.
     """
     from .partitioning import bucket_exchange
 
@@ -44,8 +45,7 @@ def salted_grouped_sum(ds, key: str, value: str, n_salts: int = 16):
             **{"sum": (f"{value}_sum", "sum"),
                "n_rows": (f"{value}_count", "sum")})
 
-    return bucket_exchange(ds, [key], unsalt, prep=partial, combine=merge,
-                           n_salts=n_salts)
+    return bucket_exchange(ds, [key], unsalt, prep=partial, combine=merge)
 
 
 def hot_key_fractions(ds, key: str, top: int = 5) -> pd.DataFrame:

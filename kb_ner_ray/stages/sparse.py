@@ -69,8 +69,8 @@ def _tokenize_batch(t: pa.Table, text_col: str):
     return flat, doc_idx, lengths
 
 
-def corpus_bm25_stats(docs_ds, qterms: list[str], *, text_col: str = "text"
-                      ) -> tuple[int, float, pd.DataFrame]:
+def corpus_bm25_stats(docs_ds,
+                      qterms: list[str]) -> tuple[int, float, pd.DataFrame]:
     """Pass 1: (N, avgdl, per-term df) for the query vocabulary only.
 
     Per-batch partial: one row per query term present in the batch
@@ -82,7 +82,7 @@ def corpus_bm25_stats(docs_ds, qterms: list[str], *, text_col: str = "text"
 
     def partial(t: pa.Table) -> pa.Table:
         qarr = ray.get(qset_ref)
-        flat, doc_idx, lengths = _tokenize_batch(t, text_col)
+        flat, doc_idx, lengths = _tokenize_batch(t, "text")
         mask = pc.is_in(flat, value_set=qarr).to_numpy(zero_copy_only=False)
         hit = pd.DataFrame({"tok": flat.to_numpy(zero_copy_only=False)[mask],
                             "di": doc_idx[mask]})
@@ -107,9 +107,8 @@ def corpus_bm25_stats(docs_ds, qterms: list[str], *, text_col: str = "text"
     return n_docs, avgdl, df
 
 
-def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
-                       text_col: str = "text", id_col: str = "doc_id",
-                       k1: float = K1, b: float = B) -> pd.DataFrame:
+def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *,
+                       k: int = 10) -> pd.DataFrame:
     """Top-k BM25 search of a small query set against the full corpus.
 
     ``queries`` maps qid -> token list (duplicates collapse: the query is
@@ -120,8 +119,7 @@ def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
     qmap = pd.DataFrame(
         [(int(q), t) for q, toks in queries.items() for t in set(toks)],
         columns=["qid", "tok"])
-    n_docs, avgdl, df = corpus_bm25_stats(
-        docs_ds, qmap["tok"].tolist(), text_col=text_col)
+    n_docs, avgdl, df = corpus_bm25_stats(docs_ds, qmap["tok"].tolist())
     df = df.set_index("tok")["df"]
     # idf per query term; terms absent from the corpus score 0 everywhere
     # and are dropped from the probe set entirely.
@@ -138,7 +136,7 @@ def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
                           "score_q": pa.array([], pa.int64())})
         if not len(terms):
             return empty
-        flat, doc_idx, lengths = _tokenize_batch(t, text_col)
+        flat, doc_idx, lengths = _tokenize_batch(t, "text")
         mask = pc.is_in(flat, value_set=pa.array(terms["tok"])) \
             .to_numpy(zero_copy_only=False)
         if not mask.any():
@@ -154,12 +152,12 @@ def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
         tf = tf.merge(terms, on="tok")
         tfv = tf["tf"].to_numpy(np.float64)
         dl = lengths[tf["di"].to_numpy(np.int64)].astype(np.float64)
-        tf["contrib"] = (tf["idf"].to_numpy(np.float64) * tfv * (k1 + 1.0)
-                         / (tfv + k1 * (1.0 - b + b * dl / av)))
+        tf["contrib"] = (tf["idf"].to_numpy(np.float64) * tfv * (K1 + 1.0)
+                         / (tfv + K1 * (1.0 - B + B * dl / av)))
         scored = (tf.merge(q2t, on="tok")
                   .groupby(["qid", "di"], sort=False)["contrib"].sum()
                   .reset_index(name="s"))
-        ids = t[id_col].to_numpy(zero_copy_only=False)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         scored["doc_id"] = ids[scored["di"].to_numpy(np.int64)]
         scored["score_q"] = np.floor(
             scored["s"].to_numpy(np.float64) * SCORE_SCALE + 0.5
@@ -188,10 +186,7 @@ def bm25_search_corpus(docs_ds, queries: dict[int, list[str]], *, k: int = 10,
     return top[["qid", "doc_id", "rank"]].astype(np.int64)
 
 
-def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
-                   id_col: str = "doc_id",
-                   row_cap: int | None = None,
-                   n_salts: int | None = None):
+def tfidf_keywords(docs_ds, *, k: int = 5):
     """Per-document top-k TF-IDF keywords — corpus-wide statistics joined
     back to every document (keyword extraction / doc summarization).
 
@@ -209,15 +204,15 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
       row per token per batch) through the salted mode of
       ``bucket_exchange``: one salt per batch, phase-1 (bucket, salt)
       sums, phase-2 hash(tok) final sums.  A hot token's largest
-      phase-1 group holds ~n_batches/n_salts partial rows;
+      phase-1 group holds ~n_batches/salts partial rows;
     * the df table is measured (``size_bytes`` after materialize) and
       BYTE-GATED like unigram_ppl's vocabulary: when it passes
       ``partitioning.fits_broadcast`` it broadcasts (``ray.put`` once)
       and scoring is a single stateless pass — ONE shuffle total (the
       per-doc top-k);
     * above the limit: salted replicated hash join — probe (doc, tok,
-      tf) rows key on hash(tok) x hash(doc) % n_salts, df build rows
-      replicate x n_salts, so a hot token's probe rows split across n_salts
+      tf) rows key on hash(tok) x hash(doc) % salts, df build rows
+      replicate x salts, so a hot token's probe rows split across salts
       reducer groups while every probe row still meets its df row;
     * final shuffle on hash(doc): reducers hold complete docs and cut
       the top-k (per-doc output bounded by k).
@@ -227,11 +222,11 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
     only the small query vocabulary matters and df partials fit the
     bounded-combiner contract."""
     from . import partitioning
-    from .partitioning import (bucket_exchange, check_group_cap,
-                               co_partition, default_buckets, default_salts)
+    from .partitioning import bucket_exchange, check_group_cap, co_partition
 
-    nb = default_buckets()
-    ns = n_salts or default_salts()
+    nb = partitioning.default_buckets()
+    ns = partitioning.default_salts()
+    row_cap = partitioning.group_row_cap()
 
     # count() answers from parquet metadata on a bare read — no text
     # bytes move just to learn N (review finding: the previous dedicated
@@ -240,7 +235,7 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
 
     # ---- df table: salted two-phase distinct-doc counts per token ----
     def df_partial(t: pa.Table) -> pa.Table:
-        flat, di, _len = _tokenize_batch(t, text_col)
+        flat, di, _len = _tokenize_batch(t, "text")
         cnt = (pd.DataFrame({"tok": flat.to_numpy(zero_copy_only=False),
                              "di": di})
                .drop_duplicates(["tok", "di"])
@@ -258,12 +253,12 @@ def tfidf_keywords(docs_ds, *, k: int = 5, text_col: str = "text",
         return out.rename(columns={"dfp": "df"}).astype({"df": np.int64})
 
     df_ds = bucket_exchange(docs_ds, ["tok"], df_phase2, prep=df_partial,
-                            combine=df_phase1, n_salts=ns, row_cap=row_cap,
+                            combine=df_phase1, n_salts=ns,
                             n_buckets=nb).materialize()
 
     def tf_rows(t: pa.Table) -> pd.DataFrame:
-        flat, di, _len = _tokenize_batch(t, text_col)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
+        flat, di, _len = _tokenize_batch(t, "text")
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         return (pd.DataFrame({"doc_id": ids[di],
                               "tok": flat.to_numpy(zero_copy_only=False)})
                 .groupby(["doc_id", "tok"], sort=False)

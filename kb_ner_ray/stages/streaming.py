@@ -1,215 +1,18 @@
-"""Incremental (stream-shaped) sessionization with stateful actors.
+"""Incremental (ingest-time) exact dedup with stateful actors.
 
-Ray Data has no event-time windows/watermarks; for stream-shaped inputs the
-engine treats the events table as an ordered, partitioned log and keeps
-incremental state in ONE actor PER KEY-HASH BUCKET fed batches in ts order
-(the SURVEY.md §2 custom-operator option (c): raw actors only where the
-Dataset API can't express the semantics).  The batch equivalent
-(groupby(user).map_groups, queries.q_events_sessionize) produces identical
-sessions — pinned by test — so callers choose by input shape: bounded table
--> groupby; unbounded/ordered feed -> this.
-
-Ordering assumption (stated per SURVEY.md §2.9): batches must arrive in
-non-decreasing ``ts`` order per user; the driver feeds a ts-sorted stream.
+Ray Data has no keyed state that outlives a batch; a streaming dedup
+keeps its seen-set in ONE actor PER CONTENT-HASH BUCKET, fed by reader
+tasks (the SURVEY.md §2 custom-operator option (c): raw actors only where
+the Dataset API can't express the semantics).  The batch equivalent
+(stages/dedup.exact_dedup) keeps the same rows on a doc_id-ordered log —
+pinned by test — so callers choose by input shape: bounded table ->
+the batch plan; unbounded feed -> ``dedup_stream``.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import ray
-
-SESSION_GAP_MIN = 30
-
-
-def _ordered_stream(events_ds, simulate_ordered: bool):
-    """Yield ts-ordered pandas batches under the ordered-log contract.
-
-    ``simulate_ordered=True`` (the sandbox default): the input is a bounded
-    TABLE standing in for a stream, so sort it once to SIMULATE the ordered
-    log a real deployment would receive.  ``simulate_ordered=False`` (what
-    a real feed must use): consume as-is and ENFORCE the contract — a
-    batch that breaks global non-decreasing ``ts`` order raises instead of
-    being silently re-sorted (a deployment must never re-sort the stream
-    it claims is already ordered; round-2 verdict #5)."""
-    if simulate_ordered:
-        yield from events_ds.sort("ts").iter_batches(batch_size=4096,
-                                                     batch_format="pandas")
-        return
-    last = None
-    for batch in events_ds.iter_batches(batch_size=4096,
-                                        batch_format="pandas"):
-        ts = batch["ts"]
-        if len(ts):
-            if not ts.is_monotonic_increasing:
-                raise ValueError(
-                    "ordered-log contract violated: ts not non-decreasing "
-                    "within a batch (pass simulate_ordered=True only for "
-                    "bounded-table stand-ins)")
-            if last is not None and ts.iloc[0] < last:
-                raise ValueError(
-                    "ordered-log contract violated: batch starts at "
-                    f"{ts.iloc[0]} before previous batch end {last}")
-            last = ts.iloc[-1]
-        yield batch
-
-
-@ray.remote(num_cpus=0)
-class SessionBucket:
-    """Incremental per-user session state for one key-hash bucket."""
-
-    def __init__(self, gap_min: int = SESSION_GAP_MIN):
-        self.gap = pd.Timedelta(minutes=gap_min)
-        # user_id -> [session_id, n_events, start_ts, end_ts]
-        self.open: dict[int, list] = {}
-        self.closed: list[tuple] = []
-
-    def feed(self, users: list[int], tss: list) -> int:
-        """Consume a ts-ordered slice of events for this bucket's users."""
-        for uid, ts in zip(users, tss):
-            ts = pd.Timestamp(ts)
-            st = self.open.get(uid)
-            if st is None:
-                self.open[uid] = [1, 1, ts, ts]
-            elif ts - st[3] > self.gap:
-                self.closed.append((uid, st[0], st[1], st[2], st[3]))
-                self.open[uid] = [st[0] + 1, 1, ts, ts]
-            else:
-                st[1] += 1
-                st[3] = ts
-        return len(users)
-
-    def flush(self) -> list[tuple]:
-        """Close all open sessions and return every session seen."""
-        out = list(self.closed)
-        for uid, st in self.open.items():
-            out.append((uid, st[0], st[1], st[2], st[3]))
-        self.closed = []
-        self.open = {}
-        return out
-
-
-def sessionize_stream(events_ds, n_buckets: int = 8,
-                      gap_min: int = SESSION_GAP_MIN,
-                      simulate_ordered: bool = True) -> pd.DataFrame:
-    """Consume a ts-ordered events Dataset through the bucket actors.
-
-    Events are routed by user_id %% n_buckets; each bucket actor sees its
-    users' events in global ts order, so per-user order holds.  See
-    ``_ordered_stream`` for the ordered-log contract: a real feed passes
-    ``simulate_ordered=False`` and order violations raise.
-    """
-    actors = [SessionBucket.remote(gap_min) for _ in range(n_buckets)]
-    stream = _ordered_stream(events_ds, simulate_ordered)
-    pending = []
-    for batch in stream:
-        b = batch["user_id"].astype(int) % n_buckets
-        for i in range(n_buckets):
-            sub = batch[b == i]
-            if len(sub):
-                pending.append(actors[i].feed.remote(
-                    sub["user_id"].astype(int).tolist(),
-                    sub["ts"].tolist()))
-        if len(pending) > 4 * n_buckets:   # bounded in-flight backpressure
-            # Keep ray.wait's not_ready list (completion order is arbitrary;
-            # a positional slice could drop still-pending refs and lose their
-            # errors) and surface any feed-task error now.
-            ready, pending = ray.wait(
-                pending, num_returns=len(pending) - 2 * n_buckets)
-            ray.get(ready)
-    ray.get(pending)
-    rows: list[tuple] = []
-    for res in ray.get([a.flush.remote() for a in actors]):
-        rows.extend(res)
-    for a in actors:
-        ray.kill(a)
-    return pd.DataFrame(rows, columns=["user_id", "session_id", "n_events",
-                                       "start_ts", "end_ts"])
-
-
-# ---- tumbling event-time windows with incremental emission ------------------
-
-
-@ray.remote(num_cpus=0)
-class WindowBucket:
-    """Tumbling event-time window counters for one key-hash bucket.
-
-    Windows are epoch-aligned [k*W, (k+1)*W); the WATERMARK is the max ts
-    seen (valid under the ordered-log contract), and ``feed`` EMITS every
-    window whose end has passed the watermark — downstream consumers see
-    results incrementally instead of at end-of-stream (the difference
-    from SessionBucket's flush-at-end shape)."""
-
-    def __init__(self, window_min: int = 60):
-        self.w = pd.Timedelta(minutes=window_min)
-        # (key, window_start) -> [n, value_sum]
-        self.open: dict[tuple, list] = {}
-        self.watermark = None
-
-    def feed(self, keys: list, tss: list, values: list) -> list[tuple]:
-        for key, ts, val in zip(keys, tss, values):
-            ts = pd.Timestamp(ts)
-            start = ts.floor(self.w)
-            st = self.open.get((key, start))
-            if st is None:
-                self.open[(key, start)] = [1, float(val)]
-            else:
-                st[0] += 1
-                st[1] += float(val)
-            if self.watermark is None or ts > self.watermark:
-                self.watermark = ts
-        emitted = []
-        for (key, start) in list(self.open):
-            if start + self.w <= self.watermark:
-                n, s = self.open.pop((key, start))
-                emitted.append((key, start, n, s))
-        return emitted
-
-    def flush(self) -> list[tuple]:
-        out = [(key, start, n, s)
-               for (key, start), (n, s) in self.open.items()]
-        self.open = {}
-        return out
-
-
-def windowed_count_stream(events_ds, key: str = "event_type",
-                          window_min: int = 60,
-                          n_buckets: int = 4,
-                          simulate_ordered: bool = True) -> pd.DataFrame:
-    """Consume a ts-ordered events Dataset through tumbling-window bucket
-    actors; returns (key, window_start, n_events, value_sum) — identical
-    to the batch hourly aggregate when window_min=60 (pinned by test).
-    Incremental results stream back from every ``feed`` call.  See
-    ``_ordered_stream`` for the ordered-log contract (real feeds pass
-    ``simulate_ordered=False``; violations raise)."""
-    import zlib
-
-    actors = [WindowBucket.remote(window_min) for _ in range(n_buckets)]
-    stream = _ordered_stream(events_ds, simulate_ordered)
-    rows: list[tuple] = []
-    pending = []
-    for batch in stream:
-        kb = batch[key].map(
-            lambda v: zlib.crc32(str(v).encode()) % n_buckets)
-        for i in range(n_buckets):
-            sub = batch[kb == i]
-            if len(sub):
-                pending.append(actors[i].feed.remote(
-                    sub[key].tolist(), sub["ts"].tolist(),
-                    sub["value"].tolist()))
-        if len(pending) > 4 * n_buckets:
-            ready, pending = ray.wait(
-                pending, num_returns=len(pending) - 2 * n_buckets)
-            for res in ray.get(ready):
-                rows.extend(res)
-    for res in ray.get(pending):
-        rows.extend(res)
-    for res in ray.get([a.flush.remote() for a in actors]):
-        rows.extend(res)
-    for a in actors:
-        ray.kill(a)
-    return pd.DataFrame(rows, columns=[key, "window_start", "n_events",
-                                       "value_sum"])
-
 
 # ---- incremental (ingest-time) exact dedup -----------------------------------
 

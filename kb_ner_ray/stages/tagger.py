@@ -41,6 +41,9 @@ from .retriever import KBState
 
 _URL, _SID = ("url", pa.string()), ("sent_id", pa.int32())
 
+# the reference's --with_entity title boost (kb/generate_data.py:52-55)
+ENTITY_TITLE_BOOST = 2.0
+
 # emitter -> output columns.  "url"/"sent_id" repeat the input row; the
 # other columns are the per-sentence rows in order.  "aug" keeps every
 # input column and appends its two.
@@ -221,18 +224,26 @@ class SentenceKernel(KBState):
             out.append((rank, r["kb_id"], score, r["sentence"], r["title"]))
         return out
 
+    def _mention_hits(self, queries: list) -> dict:
+        """(text, lang) -> [(entity, hits)], one title-boosted query per
+        mention the gazetteer detects in the sentence; every mention of
+        every query goes to ONE ``search_many`` call."""
+        ents = {}
+        for text, lang in queries:
+            tokens = text.split()
+            ents[text, lang] = [" ".join(tokens[s:e]) for s, e, _l, _sc
+                                in self.gaz.mentions_via_codec(tokens)]
+        found = iter(self.index.search_many(
+            [(text, lang, ent) for (text, lang), es in ents.items()
+             for ent in es], k=TOP_K, title_boost=ENTITY_TITLE_BOOST))
+        return {q: [(ent, next(found)) for ent in es]
+                for q, es in ents.items()}
+
     def _entity_contexts(self, text: str, lang: str | None,
-                         _hits: list | None,
-                         title_boost: float = 2.0) -> list:
-        tokens = text.split()
-        out = []
-        for s, e, _l, _sc in self.gaz.mentions_via_codec(tokens):
-            ent = " ".join(tokens[s:e])
-            hits = self.index.search(text, lang=lang, entity=ent, k=TOP_K,
-                                     title_boost=title_boost)
-            out.extend((ent, rank, self.kb_rows[i]["kb_id"], score)
-                       for rank, (i, score) in enumerate(hits))
-        return out
+                         hits: list) -> list:
+        return [(ent, rank, self.kb_rows[i]["kb_id"], score)
+                for ent, found in hits
+                for rank, (i, score) in enumerate(found)]
 
     def _aug(self, text: str, lang: str | None, hits: list,
              min_rank: int = 0, max_rank: int | None = None) -> list:
@@ -269,8 +280,9 @@ class SentenceKernel(KBState):
         times order-dependent.  Rows are served in batch order: a row is a
         hit when its key is in the memo or an earlier row of the batch
         put it there, and a miss otherwise.  The misses' distinct
-        sentences are retrieved with one ``search_many`` call (the
-        reference's ``_msearch``), then each miss runs its steps once."""
+        sentences (for ``entity_contexts``, their detected mentions) are
+        retrieved with one ``search_many`` call (the reference's
+        ``_msearch``), then each miss runs its steps once."""
         fields = SCHEMAS[mode]
         compute = getattr(self, "_sentence_triples" if mode == "triples"
                           else "_" + mode)
@@ -296,9 +308,10 @@ class SentenceKernel(KBState):
                 if room > 0:
                     waiting[key] = []
                     room -= 1
-        hits = {}
-        if mode != "entity_contexts":  # its queries are per mention
-            queries = list(dict.fromkeys(key[:2] for _i, key in misses))
+        queries = list(dict.fromkeys(key[:2] for _i, key in misses))
+        if mode == "entity_contexts":  # its queries are per mention
+            hits = self._mention_hits(queries)
+        else:
             hits = dict(zip(queries, self.index.search_many(queries,
                                                             k=TOP_K)))
         for i, key in misses:

@@ -204,8 +204,7 @@ def doc_gopher_rules(batch: pa.Table) -> pa.Table:
     })
 
 
-def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
-                row_cap: int | None = None, n_salts: int | None = None):
+def unigram_ppl(docs_ds, min_count: int = 2):
     """Corpus-trained unigram negative-log-likelihood per document — the
     CCNet-style LM-quality signal (Wenzek et al. 2020 bucket corpora by
     LM perplexity; a unigram model is the dependency-free stand-in, with
@@ -232,11 +231,11 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
       partials join the count table inside SALTED token-hash buckets
       (round-4 verdict: a Zipf-head token carries ~one probe row per
       document, all landing in one token-hash group — probe rows now
-      key on hash(tok) x (hash(doc) % n_salts) and the fixed-width
-      build rows replicate x n_salts, so a hot token's probe mass
-      splits ~n_salts ways while every probe row still meets its count
+      key on hash(tok) x (hash(doc) % salts) and the fixed-width
+      build rows replicate x salts, so a hot token's probe mass
+      splits ~salts ways while every probe row still meets its count
       row), then a fixed-width doc_id shuffle sums per-doc partials.
-      Bounded per-reducer memory (~probe/(n_buckets*n_salts)) at any
+      Bounded per-reducer memory (~probe/(buckets*salts)) at any
       corpus size.
 
     Both plans return Dataset(doc_id, n_tokens, nll_bp) with nll_bp =
@@ -248,9 +247,9 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import ray
 
     from . import partitioning
-    from .partitioning import bucket_exchange, default_buckets
+    from .partitioning import bucket_exchange
 
-    nb = n_buckets or default_buckets()
+    nb = partitioning.default_buckets()
     mc = int(min_count)
 
     # vectorized Arrow tokenizer shared with sparse/cooccur — identical
@@ -311,9 +310,9 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     # is then in the kept vocab); a real value either way keeps fillna sane.
     oov_logp = -np.log(oov_mass / total) if oov_mass > 0 else 0.0
 
-    from .partitioning import check_group_cap, co_partition, default_salts
+    from .partitioning import check_group_cap, co_partition
 
-    ns = n_salts or default_salts()
+    ns, row_cap = partitioning.default_salts(), partitioning.group_row_cap()
 
     def doc_tok_partial(t: pa.Table) -> pa.Table:
         # (doc_id, tok) occurrence counts per batch — the probe side of
@@ -399,8 +398,7 @@ def unigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     return docs_ds.map_batches(score, batch_format="pyarrow")
 
 
-def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
-               row_cap: int | None = None, n_salts: int | None = None):
+def bigram_ppl(docs_ds, min_count: int = 2):
     """Corpus-trained BIGRAM negative-log-likelihood per document — the
     next LM-quality rung above ``unigram_ppl`` on the CCNet/KenLM ladder
     (real deployments use a 5-gram KenLM; the prune-and-smooth shape is
@@ -427,10 +425,10 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
       driver — per-batch (doc_id, context, next)
       occurrence partials join the model rows inside SALTED
       context-hash buckets (probe rows key on hash(context) x
-      (hash(doc) % n_salts); fixed-width model rows — bigram AND floor
-      — replicate x n_salts so every salted probe group resolves
+      (hash(doc) % salts); fixed-width model rows — bigram AND floor
+      — replicate x salts so every salted probe group resolves
       locally), then a fixed-width doc_id shuffle sums per-doc
-      partials.  A Zipf-head context ("the") splits ~n_salts ways.
+      partials.  A Zipf-head context ("the") splits ~salts ways.
 
     Docs with < 2 tokens have no bigrams: n_bigrams = 0 and nll_bp = 0
     (mirrored by the oracle's COALESCE; the join plan unions a per-doc
@@ -440,10 +438,10 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import ray
 
     from . import partitioning
-    from .partitioning import bucket_exchange, default_buckets
+    from .partitioning import bucket_exchange
     from .sparse import _tokenize_batch
 
-    nb = n_buckets or default_buckets()
+    nb = partitioning.default_buckets()
     mc = int(min_count)
 
     def _pairs(t: pa.Table):
@@ -499,9 +497,10 @@ def bigram_ppl(docs_ds, n_buckets: int | None = None, min_count: int = 2,
     import pandas as pd
 
     if not partitioning.fits_broadcast(model.size_bytes()):
-        from .partitioning import check_group_cap, co_partition, default_salts
+        from .partitioning import check_group_cap, co_partition
 
-        ns = n_salts or default_salts()
+        ns = partitioning.default_salts()
+        row_cap = partitioning.group_row_cap()
 
         def probe_partial(t: pa.Table) -> pa.Table:
             # (doc_id, a, b) occurrence counts per batch — pre-aggregated

@@ -61,3 +61,42 @@ def over_broadcast_limit(monkeypatch):
             yield asked
 
     return patched
+
+
+@pytest.fixture
+def fanout(monkeypatch):
+    """``with fanout(buckets=2, salts=1, row_cap=50, overflow=8) as
+    served:`` makes the fan-out rule's functions in ``partitioning``
+    (``default_buckets``, ``default_salts``, ``group_row_cap``,
+    ``overflow_rows``) serve the given values; a part left None keeps
+    its production answer (``default_salts`` then follows the served
+    buckets, ``triangle_split`` always does).  ``served`` maps each part
+    to the list of values it served, so a test can assert its value
+    reached the plan.  Every operator reads the rule on the driver, so
+    patching the module attributes reaches them."""
+    from kb_ner_ray.stages import partitioning
+
+    parts = {"buckets": "default_buckets", "salts": "default_salts",
+             "row_cap": "group_row_cap", "overflow": "overflow_rows"}
+
+    @contextlib.contextmanager
+    def patched(*, buckets=None, salts=None, row_cap=None, overflow=None):
+        values = {"buckets": buckets, "salts": salts, "row_cap": row_cap,
+                  "overflow": overflow}
+        served = {part: [] for part in parts}
+
+        def serve(part, real):
+            def rule(*args, **kwargs):
+                v = (real(*args, **kwargs) if values[part] is None
+                     else values[part])
+                served[part].append(v)
+                return v
+            return rule
+
+        with monkeypatch.context() as m:
+            for part, attr in parts.items():
+                m.setattr(partitioning, attr,
+                          serve(part, getattr(partitioning, attr)))
+            yield served
+
+    return patched

@@ -37,21 +37,23 @@ def test_components_driver_plan(ray_session):
 
 
 def test_components_distributed_plan_parity(ray_session,
-                                            over_broadcast_limit):
+                                            over_broadcast_limit, fanout):
     """Over the broadcast limit the hash-min loop runs; identical
     labelling to the union-find plan, incl. the diameter-4 chain."""
-    with over_broadcast_limit():
-        got = components_from_pairs(_pairs_ds(EDGES),
-                                    n_buckets=4).to_pandas()
+    with over_broadcast_limit(), fanout(buckets=4) as served:
+        got = components_from_pairs(_pairs_ds(EDGES)).to_pandas()
+    assert served["buckets"]
     assert dict(zip(got["node"], got["component"])) == WANT
 
 
-def test_components_unconverged_raises(ray_session, over_broadcast_limit):
+def test_components_unconverged_raises(ray_session, over_broadcast_limit,
+                                       fanout):
     """A partially-converged labelling must never be returned silently."""
     chain = [(i, i + 1) for i in range(12)]
-    with over_broadcast_limit(), pytest.raises(RuntimeError,
-                                               match="not converged"):
-        components_from_pairs(_pairs_ds(chain), n_buckets=4, max_rounds=2)
+    with over_broadcast_limit(), fanout(buckets=4) as served, \
+            pytest.raises(RuntimeError, match="not converged"):
+        components_from_pairs(_pairs_ds(chain), max_rounds=2)
+    assert served["buckets"]
 
 
 def test_components_randomized_parity(ray_session):
@@ -80,7 +82,7 @@ def test_components_randomized_parity(ray_session):
     assert dict(zip(driver["node"], driver["component"])) == want
 
 
-def test_near_dup_keep_planted(ray_session):
+def test_near_dup_keep_planted(ray_session, fanout):
     big = (1 << 55) + 1  # above float64's 2^53 integer precision
     docs = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(list(range(10)), pa.int64()),
@@ -88,11 +90,13 @@ def test_near_dup_keep_planted(ray_session):
         "n_chars": pa.array([big + i for i in range(10)], pa.int64()),
     }))
     pairs = _pairs_ds([(1, 2), (2, 3), (5, 6)])
-    # n_buckets=1 forces every kept doc to share its bucket with null-
+    # one bucket forces every kept doc to share its bucket with null-
     # widened R rows — the exact condition that rounded int64 through
     # float64 before the filter went Arrow-native
-    kept = (near_dup_keep(docs, pairs, n_buckets=1).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
+    with fanout(buckets=1) as served:
+        kept = (near_dup_keep(docs, pairs).to_pandas()
+                .sort_values("doc_id").reset_index(drop=True))
+    assert served["buckets"]
     # components {1,2,3} -> keep 1, {5,6} -> keep 5; others untouched
     assert kept["doc_id"].tolist() == [0, 1, 4, 5, 7, 8, 9]
     assert list(kept.columns) == ["doc_id", "text", "n_chars"]
@@ -134,7 +138,8 @@ def _edges_ds(edges):
     }))
 
 
-def test_pagerank_plans_match_reference(ray_session, over_broadcast_limit):
+def test_pagerank_plans_match_reference(ray_session, over_broadcast_limit,
+                                        fanout):
     """Driver and distributed PageRank plans both reproduce the numpy
     power iteration on a random graph with dangling nodes; the star
     center out-ranks its leaves."""
@@ -152,9 +157,10 @@ def test_pagerank_plans_match_reference(ray_session, over_broadcast_limit):
 
     # driver plan, then the distributed plan over the broadcast limit
     for plan in (contextlib.nullcontext, over_broadcast_limit):
-        with plan():
-            got = (pagerank(_edges_ds(edges), n_buckets=4, n_iters=4)
+        with plan(), fanout(buckets=4) as served:
+            got = (pagerank(_edges_ds(edges), n_iters=4)
                    .to_pandas().set_index("node")["rank"].to_dict())
+        assert served["buckets"]
         assert set(got) == set(want)
         for k, v in want.items():
             assert abs(got[k] - v) < 1e-9, (plan, k, got[k], v)
@@ -162,7 +168,8 @@ def test_pagerank_plans_match_reference(ray_session, over_broadcast_limit):
     assert want[99] > 1.0 / len(want)
 
 
-def test_triangle_counts_random_parity(ray_session, over_broadcast_limit):
+def test_triangle_counts_random_parity(ray_session, over_broadcast_limit,
+                                       fanout):
     """Degree-ordered distributed triangle counts == brute-force numpy
     enumeration on a random graph with a planted hub (the 'last
     reducer' shape the orientation exists to kill)."""
@@ -197,10 +204,13 @@ def test_triangle_counts_random_parity(ray_session, over_broadcast_limit):
     pairs = ray.data.from_arrow(pa.table({
         "doc_a": pa.array(ea), "doc_b": pa.array(eb)})).repartition(3)
     # byte-gated driver plan AND the distributed plan over the limit
-    got = (triangle_counts(pairs, n_buckets=4).to_pandas()
-           .set_index("doc_id")["n_triangles"].to_dict())
-    with over_broadcast_limit():
-        dist = (triangle_counts(pairs, n_buckets=4)
-                .to_pandas().set_index("doc_id")["n_triangles"].to_dict())
+    with fanout(buckets=4) as served:
+        got = (triangle_counts(pairs).to_pandas()
+               .set_index("doc_id")["n_triangles"].to_dict())
+        with over_broadcast_limit():
+            dist = (triangle_counts(pairs)
+                    .to_pandas().set_index("doc_id")["n_triangles"]
+                    .to_dict())
+    assert served["buckets"]
     assert got == want and dist == want
     assert sum(want.values()) % 3 == 0

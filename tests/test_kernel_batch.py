@@ -100,3 +100,26 @@ def test_each_miss_runs_once_and_the_batch_retrieves_once(
     calls["triples"] = 0
     kernel.emit(batch, "triples")
     assert calls["triples"] == batch.num_rows - memoized
+
+
+def test_entity_contexts_batch_retrieves_once(state, batch, monkeypatch):
+    """Every mention of every missed sentence goes to one title-boosted
+    ``search_many`` call per batch; no per-mention ``search``."""
+    kernel = _kernel(state, SentenceKernel.MEMO_CAP)
+    index = type(kernel.index)
+    calls = {"search_many": 0, "search": 0}
+
+    def counted(name):
+        real = getattr(index, name)
+
+        def call(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(index, name, counted(name))
+    assert kernel.emit(batch, "entity_contexts").num_rows > 0
+    assert calls == {"search_many": 1, "search": 0}
+    kernel.emit(batch, "entity_contexts")  # every row a memo hit
+    assert calls == {"search_many": 2, "search": 0}

@@ -194,7 +194,7 @@ def test_hash_join_matches_pandas(ray_session):
                       "big": pa.array([2**53 + 1, 2**53 + 3, 2**53 + 1, 7],
                                       pa.int64())})
     got = hash_join(_ray.data.from_arrow(left), _ray.data.from_arrow(right),
-                    on="k", n_buckets=4).to_pandas()
+                    on="k").to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="inner")
     key = ["k", "lv", "rv", "big"]
     got = got[key].sort_values(key).reset_index(drop=True)
@@ -203,7 +203,7 @@ def test_hash_join_matches_pandas(ray_session):
 
 
 def test_hash_join_fanout_extremes_and_chunked_merge(ray_session,
-                                                     monkeypatch):
+                                                     monkeypatch, fanout):
     """Round-2 verdict done-criterion: the bucketed join stays exact with
     the fan-out forced tiny (8 — giant buckets, exercises the chunked
     probe-side merge) and huge (4096 — mostly-empty buckets), now that
@@ -222,21 +222,22 @@ def test_hash_join_fanout_extremes_and_chunked_merge(ray_session,
             .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
     monkeypatch.setattr(joins, "MERGE_CHUNK_ROWS", 100)  # force chunk path
     for nb in (8, 4096):
-        got = (joins.hash_join(_ray.data.from_arrow(left),
-                               _ray.data.from_arrow(right),
-                               on="k", n_buckets=nb).to_pandas()
-               [["k", "lv", "rv"]]
-               .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
+        with fanout(buckets=nb) as served:
+            got = (joins.hash_join(_ray.data.from_arrow(left),
+                                   _ray.data.from_arrow(right),
+                                   on="k").to_pandas()
+                   [["k", "lv", "rv"]]
+                   .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
+        assert served["buckets"] == [nb]
         pd.testing.assert_frame_equal(got, want)
 
 
 def test_default_buckets_scales_past_old_clamp():
     from kb_ner_ray.stages.partitioning import default_buckets
 
-    # the fan-out must keep growing with the cluster (no 1024 ceiling)...
-    assert default_buckets(per_cpu=2, hi=None) >= 16
-    # ...as computed from CPUs: simulate by the pure arithmetic contract
-    assert default_buckets(per_cpu=2, lo=16, hi=8) == 8   # explicit cap only
+    # the fan-out must keep growing with the cluster (no 1024 ceiling),
+    # as computed from CPUs: simulate by the pure arithmetic contract
+    assert default_buckets(per_cpu=2) >= 16
     assert default_buckets(per_cpu=1024, lo=16) > 1024    # no implicit cap
 
 
@@ -252,63 +253,7 @@ def test_hash_join_rejects_column_collision(ray_session):
         hash_join(_ray.data.from_arrow(t), _ray.data.from_arrow(t), on="k")
 
 
-def test_stream_sessionize_matches_batch(ray_session):
-    """Incremental actor-bucket sessionizer == batch groupby sessionizer."""
-    import pandas as pd
-    import ray as _ray
-
-    from kb_ner_ray.pipelines.queries import q_events_sessionize
-    from kb_ner_ray.stages.streaming import sessionize_stream
-
-    sf = "/root/testdata/sf0.001"
-    batch_df = q_events_sessionize(sf).to_pandas()
-    stream_df = sessionize_stream(
-        _ray.data.read_parquet(f"{sf}/events.parquet",
-                               columns=["user_id", "event_id", "ts"]),
-        n_buckets=4)
-    key = ["user_id", "session_id"]
-    cols = key + ["n_events", "start_ts", "end_ts"]
-    a = batch_df[cols].sort_values(key).reset_index(drop=True)
-    b = stream_df[cols].sort_values(key).reset_index(drop=True)
-    a["n_events"] = a["n_events"].astype(int)
-    b["n_events"] = b["n_events"].astype(int)
-    b["start_ts"] = pd.to_datetime(b["start_ts"])
-    b["end_ts"] = pd.to_datetime(b["end_ts"])
-    a["session_id"] = a["session_id"].astype(int)
-    b["session_id"] = b["session_id"].astype(int)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
-def test_stream_ordered_log_contract(ray_session):
-    """simulate_ordered=False consumes a genuinely ordered feed without
-    re-sorting it, and RAISES on an out-of-order one (round-2 verdict:
-    a real deployment must never silently re-sort the stream it claims
-    is already ordered)."""
-    import pandas as pd
-    import pytest as _pytest
-    import ray as _ray
-
-    from kb_ner_ray.stages.streaming import sessionize_stream
-
-    ts = pd.date_range("2024-01-01", periods=200, freq="7min")
-    ordered = pd.DataFrame({
-        "user_id": np.arange(200) % 5, "event_id": np.arange(200),
-        "ts": ts})
-    want = sessionize_stream(_ray.data.from_pandas(ordered), n_buckets=2)
-    got = sessionize_stream(_ray.data.from_pandas(ordered), n_buckets=2,
-                            simulate_ordered=False)
-    key = ["user_id", "session_id"]
-    pd.testing.assert_frame_equal(
-        want.sort_values(key).reset_index(drop=True),
-        got.sort_values(key).reset_index(drop=True), check_dtype=False)
-
-    shuffled = ordered.sample(frac=1.0, random_state=5).reset_index(drop=True)
-    with _pytest.raises(ValueError, match="ordered-log contract"):
-        sessionize_stream(_ray.data.from_pandas(shuffled), n_buckets=2,
-                          simulate_ordered=False)
-
-
-def test_salted_grouped_sum_hot_key(ray_session):
+def test_salted_grouped_sum_hot_key(ray_session, fanout):
     """Salted two-phase sum == plain sum, with one key owning 50% of rows."""
     import numpy as np
     import ray as _ray
@@ -322,9 +267,10 @@ def test_salted_grouped_sum_hot_key(ray_session):
                   "v": pa.array(vals.tolist(), pa.int64())})
     from kb_ner_ray.stages.skew import hot_key_fractions, salted_grouped_sum
 
-    got = (salted_grouped_sum(_ray.data.from_arrow(t), "domain", "v",
-                              n_salts=8)
-           .to_pandas().sort_values("domain").reset_index(drop=True))
+    with fanout(salts=8) as served:
+        got = (salted_grouped_sum(_ray.data.from_arrow(t), "domain", "v")
+               .to_pandas().sort_values("domain").reset_index(drop=True))
+    assert served["salts"] == [8]
     import pandas as pd
 
     want = (t.to_pandas().groupby("domain", as_index=False)
@@ -337,7 +283,7 @@ def test_salted_grouped_sum_hot_key(ray_session):
     assert frac.iloc[0]["fraction"] > 0.4
 
 
-def test_asof_join_matches_merge_asof(ray_session):
+def test_asof_join_matches_merge_asof(ray_session, fanout):
     """Bucketed as-of join == global pandas merge_asof, including by-keys
     with no right-side rows (nulls) and duplicate right timestamps."""
     import numpy as np
@@ -363,12 +309,13 @@ def test_asof_join_matches_merge_asof(ray_session):
     # expected value is known whichever duplicate-ts right row wins
     left["lbig"] = 2**53 + 1 + 2 * (left["eid"] % 2)
     right["rbig"] = 2**53 + 1 + 2 * (right["ouid"] % 2)
-    out = asof_join(
-        _ray.data.from_arrow(pa.Table.from_pandas(left)),
-        _ray.data.from_arrow(pa.Table.from_pandas(right)),
-        left_ts="ts", right_ts="odate", left_by="uid", right_by="ouid",
-        n_buckets=4,
-    ).materialize()
+    with fanout(buckets=4) as served:
+        out = asof_join(
+            _ray.data.from_arrow(pa.Table.from_pandas(left)),
+            _ray.data.from_arrow(pa.Table.from_pandas(right)),
+            left_ts="ts", right_ts="odate", left_by="uid", right_by="ouid",
+        ).materialize()
+    assert served["buckets"] == [4]
     rows = out.take_all()  # Arrow values: rbig holds nulls
     assert all(r["lbig"] == 2**53 + 1 + 2 * (r["eid"] % 2) for r in rows)
     matched = [r for r in rows if r["odate"] is not None]
@@ -385,7 +332,7 @@ def test_asof_join_matches_merge_asof(ray_session):
         want[["eid", "uid", "ts", "odate"]], check_dtype=False)
 
 
-def test_semi_and_anti_join(ray_session):
+def test_semi_and_anti_join(ray_session, fanout):
     import pandas as pd
     import pyarrow as pa
     import ray as _ray
@@ -398,13 +345,15 @@ def test_semi_and_anti_join(ray_session):
     right = pa.table({"rk": [2, 4, 4, 9]})
     l_ds = _ray.data.from_arrow(left)
     r_ds = _ray.data.from_arrow(right)
-    semi = (semi_join(l_ds, r_ds, on="k", right_on="rk", n_buckets=3)
-            .to_pandas().sort_values("k"))
+    with fanout(buckets=3) as served:
+        semi = (semi_join(l_ds, r_ds, on="k", right_on="rk")
+                .to_pandas().sort_values("k"))
+        anti = (semi_join(l_ds, r_ds, on="k", right_on="rk",
+                          anti=True).to_pandas().sort_values("k"))
+    assert served["buckets"] == [3, 3]
     assert semi["k"].tolist() == [2, 4]
     assert semi["v"].tolist() == ["b", "d"]
     assert semi["big"].tolist() == [big[1], big[3]]
-    anti = (semi_join(l_ds, r_ds, on="k", right_on="rk", n_buckets=3,
-                      anti=True).to_pandas().sort_values("k"))
     assert anti["k"].tolist() == [1, 3, 5]
     assert anti["big"].tolist() == [big[0], big[2], big[4]]
 
@@ -423,36 +372,6 @@ def test_bucket_array_deterministic_and_balanced():
     strs = np.array([f"url-{i}" for i in range(1000)], dtype=object)
     bs = bucket_array(strs, 8)
     assert bs.min() >= 0 and bs.max() < 8
-
-
-def test_windowed_stream_matches_batch_hourly(ray_session):
-    """Tumbling-window streaming actors == batch hourly aggregate on the
-    same events (ordered-log contract), with incremental emission."""
-    import pandas as pd
-    import ray as _ray
-
-    from kb_ner_ray.stages.streaming import windowed_count_stream
-
-    rng = np.random.RandomState(9)
-    n = 5000
-    df = pd.DataFrame({
-        "event_type": [f"t{i % 5}" for i in range(n)],
-        "ts": pd.to_datetime("2024-03-01")
-        + pd.to_timedelta(np.sort(rng.randint(0, 60 * 60 * 48, n)),
-                          unit="s"),
-        "value": rng.rand(n).round(3),
-    })
-    got = (windowed_count_stream(
-        _ray.data.from_arrow(pa.Table.from_pandas(df)), n_buckets=3)
-        .sort_values(["event_type", "window_start"]).reset_index(drop=True))
-    want = (df.assign(window_start=df["ts"].dt.floor("60min"))
-            .groupby(["event_type", "window_start"], as_index=False)
-            .agg(n_events=("value", "size"), value_sum=("value", "sum"))
-            .sort_values(["event_type", "window_start"])
-            .reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        got.astype({"n_events": "int64"}), want.astype({"n_events": "int64"}),
-        check_dtype=False, atol=1e-9)
 
 
 def test_plan_auto_selection_forced_bucketed(ray_session,
@@ -522,9 +441,9 @@ def test_semi_join_bloom_prefilter_exact(ray_session):
     left = pa.table({"k": list(range(1000)), "v": [f"r{i}" for i in range(1000)]})
     right = pa.table({"rk": [i * 7 % 1000 for i in range(150)]})
     l_ds, r_ds = _ray.data.from_arrow(left), _ray.data.from_arrow(right)
-    plain = (semi_join(l_ds, r_ds, on="k", right_on="rk", n_buckets=4)
+    plain = (semi_join(l_ds, r_ds, on="k", right_on="rk")
              .to_pandas().sort_values("k").reset_index(drop=True))
-    bloom = (semi_join(l_ds, r_ds, on="k", right_on="rk", n_buckets=4,
+    bloom = (semi_join(l_ds, r_ds, on="k", right_on="rk",
                        bloom_prefilter=True, bloom_bits=1 << 14)
              .to_pandas().sort_values("k").reset_index(drop=True))
     assert plain.equals(bloom)
@@ -787,7 +706,7 @@ def test_dedup_stream_on_synth_docs(ray_session):
     assert got == want
 
 
-def test_hash_join_outer_matches_pandas(ray_session):
+def test_hash_join_outer_matches_pandas(ray_session, fanout):
     """FULL OUTER: left-only, matched, and right-only keys all survive,
     including through the chunked-probe path (MERGE_CHUNK_ROWS=1 via a
     planted oversized bucket is covered by the chunk tests; here n is
@@ -803,8 +722,11 @@ def test_hash_join_outer_matches_pandas(ray_session):
                                       2**53 + 3], pa.int64())})
     right = pa.table({"k": pa.array([2, 4, 4, 5], pa.int64()),
                       "rv": pa.array([20, 40, 41, 50], pa.int64())})
-    out = hash_join(_ray.data.from_arrow(left), _ray.data.from_arrow(right),
-                    on="k", n_buckets=3, how="outer").materialize()
+    with fanout(buckets=3) as served:
+        out = hash_join(_ray.data.from_arrow(left),
+                        _ray.data.from_arrow(right),
+                        on="k", how="outer").materialize()
+    assert served["buckets"] == [3]
     got = out.to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="outer")
     # rows whose left side matched keep their int64 above 2^53 exactly
@@ -880,9 +802,10 @@ def test_bigram_ppl_join_plan_matches_broadcast(ray_session,
 
 
 def test_bigram_ppl_join_plan_hot_context_capped(ray_session,
-                                                 over_broadcast_limit):
+                                                 over_broadcast_limit,
+                                                 fanout):
     """A Zipf-head context ('the' starts a bigram in every doc) must not
-    serialize one merge reducer: with n_salts=4 the probe mass spreads
+    serialize one merge reducer: with 4 salts the probe mass spreads
     by doc hash, so no group exceeds the planted cap."""
     texts = [f"the t{i} the t{(i * 7) % 13}" for i in range(200)]
     docs = pa.table({
@@ -895,11 +818,13 @@ def test_bigram_ppl_join_plan_hot_context_capped(ray_session,
     want = (bigram_ppl(ds)
             .to_pandas().sort_values("doc_id").reset_index(drop=True))
     # 200 docs x up to 3 probe rows; unsalted, 'the'-context rows land in
-    # ONE group (~400+ rows). n_salts=4 bounds every group; the model
+    # ONE group (~400+ rows). 4 salts bound every group; the model
     # replicates x4 but is tiny/fixed-width.
-    with over_broadcast_limit():
-        got = (bigram_ppl(ds, n_salts=4, n_buckets=8, row_cap=220)
+    with over_broadcast_limit(), \
+            fanout(salts=4, buckets=8, row_cap=220) as served:
+        got = (bigram_ppl(ds)
                .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert served["salts"] and served["buckets"] and 220 in served["row_cap"]
     assert got[["doc_id", "n_bigrams", "nll_bp"]].equals(
         want[["doc_id", "n_bigrams", "nll_bp"]])
 
@@ -1015,7 +940,7 @@ def test_pack_sequences_subtoken_counter(ray_session):
             subtoken_count(x) == 0 and i not in per_doc)
 
 
-def test_round5_ops_fanout_extremes(ray_session):
+def test_round5_ops_fanout_extremes(ray_session, fanout):
     """Fan-out is a tuning knob, never a semantics knob: line_dedup and
     pack_sequences produce identical results at tiny and huge bucket /
     salt fan-outs."""
@@ -1033,8 +958,12 @@ def test_round5_ops_fanout_extremes(ray_session):
     def norm(df):
         return df.sort_values("doc_id").reset_index(drop=True)
 
-    a = norm(line_dedup(ds, n_buckets=2, n_salts=1).to_pandas())
-    b = norm(line_dedup(ds, n_buckets=512, n_salts=64).to_pandas())
+    with fanout(buckets=2, salts=1) as tiny:
+        a = norm(line_dedup(ds).to_pandas())
+    with fanout(buckets=512, salts=64) as huge:
+        b = norm(line_dedup(ds).to_pandas())
+    assert tiny["buckets"] and tiny["salts"] == [1]
+    assert huge["buckets"] and huge["salts"] == [64]
     assert a.equals(b)
     assert a.loc[0, "text"] == "shared line\nuniq 0"  # within-doc dup too
 
@@ -1079,10 +1008,10 @@ def test_pii_redact_patterns():
     assert inj[1] == "beta"  # 100 hits none of the three residue classes
 
 
-def test_semdedup_planted_and_fanout(ray_session):
+def test_semdedup_planted_and_fanout(ray_session, fanout):
     """SemDeDup: a planted same-cluster near-duplicate is dropped (higher
-    id loses), a lone-cluster vector survives, and S / bucket fan-outs
-    are tuning knobs only."""
+    id loses), a lone-cluster vector survives, and the bucket fan-out
+    (and the triangle split S that follows it) is a tuning knob only."""
     import numpy as np
 
     from kb_ner_ray.stages.similarity import semdedup
@@ -1099,17 +1028,21 @@ def test_semdedup_planted_and_fanout(ray_session):
     })
     ds = ray.data.from_arrow(t).repartition(3)
 
-    def run(**kw):
-        return (semdedup(ds, seeds, threshold=0.95, **kw).to_pandas()
-                .sort_values("vec_id").reset_index(drop=True))
+    def run(data, threshold, buckets):
+        """semdedup at ``buckets`` (S = triangle_split() of them)."""
+        with fanout(buckets=buckets) as served:
+            out = (semdedup(data, seeds, threshold=threshold).to_pandas()
+                   .sort_values("vec_id").reset_index(drop=True))
+        assert served["buckets"] and set(served["buckets"]) == {buckets}
+        return out
 
-    out = run(S=2, n_buckets=2)
+    out = run(ds, 0.95, 2)          # S = 2
     assert len(out) == 40
     assert out.loc[3, "keep"] == 1 and out.loc[5, "keep"] == 0
     assert out.loc[3, "cluster"] == out.loc[5, "cluster"]
     # seed vectors are their own clusters' anchors (sim 1.0 to self)
     assert (out.loc[:3, "cluster"].to_numpy() == np.arange(4)).all()
-    big = run(S=5, n_buckets=64)
+    big = run(ds, 0.95, 12)         # S = 5
     assert out.equals(big)
 
     # hot-cluster skew: EVERY vector lands in seed 0's cluster; the
@@ -1124,10 +1057,8 @@ def test_semdedup_planted_and_fanout(ray_session):
                               pa.list_(pa.float32())),
     })
     hds = ray.data.from_arrow(th).repartition(3)
-    a = (semdedup(hds, seeds, threshold=0.9999, S=2, n_buckets=2)
-         .to_pandas().sort_values("vec_id").reset_index(drop=True))
-    b = (semdedup(hds, seeds, threshold=0.9999, S=6, n_buckets=32)
-         .to_pandas().sort_values("vec_id").reset_index(drop=True))
+    a = run(hds, 0.9999, 2)         # S = 2
+    b = run(hds, 0.9999, 18)        # S = 6
     assert a.equals(b)
     assert (a["cluster"] == 0).all()
     assert a.loc[9, "keep"] == 0 and a.loc[4, "keep"] == 1
@@ -1191,7 +1122,7 @@ def test_events_funnel_ordering_semantics(ray_session):
     assert out.loc[3, "sum_usecs"] == 30_000_000
 
 
-def test_snapshot_delta_dedup_semantics(ray_session):
+def test_snapshot_delta_dedup_semantics(ray_session, fanout):
     """Incremental dedup: old-snapshot hits drop, fresh docs keep with
     within-new multiplicity, min doc_id wins; bloom fan-out is a knob."""
     from kb_ner_ray.stages.dedup import snapshot_delta_dedup
@@ -1207,13 +1138,15 @@ def test_snapshot_delta_dedup_semantics(ray_session):
                           "fresh two",        # new, dup'd below
                           "fresh two"]),
     })).repartition(2)
-    out = (snapshot_delta_dedup(old, new, bloom_bits=1 << 12, n_buckets=3)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with fanout(buckets=3) as served:
+        out = (snapshot_delta_dedup(old, new, bloom_bits=1 << 12)
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        tiny = (snapshot_delta_dedup(old, new, bloom_bits=64)
+                .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert served["buckets"]
     assert out["doc_id"].tolist() == [11, 12]
     assert out.set_index("doc_id").loc[12, "n_dups"] == 2
     # tiny bloom (high FP rate) must not change the answer
-    tiny = (snapshot_delta_dedup(old, new, bloom_bits=64, n_buckets=3)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert tiny.equals(out)
 
 

@@ -1,6 +1,8 @@
 """Dedup / similarity / textstats / ensemble / multimodal operator tests
 with straight-line Python oracles on small inputs."""
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -454,11 +456,24 @@ def _pairs_set(df):
     return set(map(tuple, df[["doc_a", "doc_b"]].itertuples(index=False)))
 
 
-def test_hot_bucket_overflow_no_pair_loss(ray_session):
+def _with_overflow(fanout, caplog, overflow, run):
+    """(``run()`` as pandas, whether its banded plan redistributed a hot
+    bucket) with the overflow threshold served as ``overflow``; the plan
+    logs the redistribution on the driver."""
+    caplog.clear()
+    with fanout(overflow=overflow) as served, caplog.at_level(
+            logging.INFO, logger="kb_ner_ray.stages.dedup"):
+        out = run().to_pandas()
+    assert served["overflow"] == [overflow]
+    return out, any("redistributed over triangle cells" in r.getMessage()
+                    for r in caplog.records)
+
+
+def test_hot_bucket_overflow_no_pair_loss(ray_session, fanout, caplog):
     """Round-2 verdict/advice: hot LSH buckets must triangle-redistribute,
-    not truncate.  A planted 60-identical-doc bucket forced through
-    max_group=10 (S=6 triangle cells) yields EXACTLY the same pairs as
-    the no-overflow run — all C(60,2), each emitted once."""
+    not truncate.  A planted 60-identical-doc bucket forced through an
+    overflow threshold of 10 (S=6 triangle cells) yields EXACTLY the same
+    pairs as the no-overflow run — all C(60,2), each emitted once."""
     from kb_ner_ray.stages.dedup import minhash_lsh_pairs_inband
 
     n_dup = 60
@@ -466,12 +481,13 @@ def test_hot_bucket_overflow_no_pair_loss(ray_session):
              * n_dup
              + [f"unique filler document number {i} with words {i * 7}"
                 for i in range(20)])
-    small = (minhash_lsh_pairs_inband(_docs_ds(texts), threshold=0.9,
-                                      max_group=10)
-             .to_pandas())
-    big = (minhash_lsh_pairs_inband(_docs_ds(texts), threshold=0.9,
-                                    max_group=1000)
-           .to_pandas())
+    def run():
+        return minhash_lsh_pairs_inband(_docs_ds(texts), threshold=0.9)
+
+    small, redistributed = _with_overflow(fanout, caplog, 10, run)
+    assert redistributed
+    big, redistributed = _with_overflow(fanout, caplog, 1000, run)
+    assert not redistributed
     want = {(i, j) for i in range(n_dup) for j in range(i + 1, n_dup)}
     assert _pairs_set(big) >= want
     assert _pairs_set(small) == _pairs_set(big)
@@ -480,29 +496,34 @@ def test_hot_bucket_overflow_no_pair_loss(ray_session):
     assert len(small) == len(small.drop_duplicates(["doc_a", "doc_b"]))
 
 
-def test_simhash_overflow_no_pair_loss(ray_session):
+def test_simhash_overflow_no_pair_loss(ray_session, fanout, caplog):
     texts = (["identical body for the simhash hot bucket test " * 4] * 40
              + [f"distinct text {i} " + " ".join(f"q{i}{k}" for k in range(30))
                 for i in range(10)])
-    small = simhash_near_dups(_docs_ds(texts), max_dist=3,
-                              max_group=8).to_pandas()
-    big = simhash_near_dups(_docs_ds(texts), max_dist=3,
-                            max_group=1000).to_pandas()
+
+    def run():
+        return simhash_near_dups(_docs_ds(texts), max_dist=3)
+
+    small, redistributed = _with_overflow(fanout, caplog, 8, run)
+    assert redistributed
+    big, redistributed = _with_overflow(fanout, caplog, 1000, run)
+    assert not redistributed
     want = {(i, j) for i in range(40) for j in range(i + 1, 40)}
     assert _pairs_set(big) >= want
     assert _pairs_set(small) == _pairs_set(big)
     assert len(small) == len(small.drop_duplicates(["doc_a", "doc_b"]))
 
 
-def test_simhash_overflow_blocks_have_hashable_schemas(ray_session):
+def test_simhash_overflow_blocks_have_hashable_schemas(ray_session, fanout):
     """The overflow plan's output blocks are Arrow tables without pandas
     metadata: that dict makes a schema unhashable, and Ray Data then logs
     "Failed to hash the schemas" for every block."""
     texts = (["identical body for the simhash hot bucket test " * 4] * 40
              + [f"distinct text {i} " + " ".join(f"q{i}{k}" for k in range(30))
                 for i in range(10)])
-    ds = simhash_near_dups(_docs_ds(texts), max_dist=3,
-                           max_group=8).materialize()
+    with fanout(overflow=8) as served:
+        ds = simhash_near_dups(_docs_ds(texts), max_dist=3).materialize()
+    assert served["overflow"] == [8]
     blocks = [ray.get(ref) for ref in ds.to_arrow_refs()]
     assert sum(b.num_rows for b in blocks) == ds.count() > 0
     for b in blocks:
@@ -511,17 +532,20 @@ def test_simhash_overflow_blocks_have_hashable_schemas(ray_session):
         hash(b.schema)
 
 
-def test_lsh_embed_overflow_no_pair_loss(ray_session):
+def test_lsh_embed_overflow_no_pair_loss(ray_session, fanout, caplog):
     from kb_ner_ray.stages.similarity import near_dup_pairs_lsh
 
     rng = np.random.RandomState(7)
     dup = rng.randn(64)
     mat = np.vstack([np.tile(dup, (30, 1)) + 0.001 * rng.randn(30, 64),
                      rng.randn(20, 64)])
-    small = near_dup_pairs_lsh(_emb_ds(mat), threshold=0.95,
-                               max_group=6).to_pandas()
-    big = near_dup_pairs_lsh(_emb_ds(mat), threshold=0.95,
-                             max_group=1000).to_pandas()
+    def run():
+        return near_dup_pairs_lsh(_emb_ds(mat), threshold=0.95)
+
+    small, redistributed = _with_overflow(fanout, caplog, 6, run)
+    assert redistributed
+    big, redistributed = _with_overflow(fanout, caplog, 1000, run)
+    assert not redistributed
 
     def vpairs(df):
         return set(map(tuple, df[["vec_a", "vec_b"]].itertuples(index=False)))
@@ -532,7 +556,7 @@ def test_lsh_embed_overflow_no_pair_loss(ray_session):
     assert len(small) == len(small.drop_duplicates(["vec_a", "vec_b"]))
 
 
-def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session):
+def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session, fanout):
     """The triangle-blocked exact plan == the broadcast baseline at a LOW
     threshold (0.45) where LSH banding loses ~2-4% of pairs — this plan
     is what sits behind the exact SQL oracle."""
@@ -545,10 +569,12 @@ def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session):
     ref = ray.put((list(range(len(mat))), mat))
     want = (near_dup_pairs(_emb_ds(mat), ref, threshold=0.45).to_pandas()
             .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
-    for S in (2, 5):
-        got = (cosine_pairs_blocked(_emb_ds(mat), threshold=0.45,
-                                    block_split=S).to_pandas()
-               .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
+    for buckets in (2, 12):  # triangle_split() S = 2, 5
+        with fanout(buckets=buckets) as served:
+            got = (cosine_pairs_blocked(_emb_ds(mat), threshold=0.45)
+                   .to_pandas()
+                   .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
+        assert served["buckets"] == [buckets]
         assert len(want) > 5  # non-trivial pair count at 0.45
         pd.testing.assert_frame_equal(
             got[["vec_a", "vec_b"]], want[["vec_a", "vec_b"]],

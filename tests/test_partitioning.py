@@ -447,6 +447,86 @@ def test_one_broadcast_rule():
     assert not compares, compares
 
 
+# ---- one fan-out rule, read on the driver --------------------------------
+
+_FANOUT_KNOBS = ("n_buckets", "n_salts", "row_cap", "max_group")
+
+# defaulted fan-out parameters that are not a per-operator fork of the rule
+FANOUT_KNOB_OK = {
+    ("stages/streaming.py", "dedup_stream", "n_buckets"):
+        "the number of seen-set bucket actors of the ingest-time dedup, "
+        "not a shuffle fan-out: each actor holds 1/n of the index",
+}
+
+# what a worker must not call: the rule's readers and the cluster query
+_FANOUT_READS = {"default_buckets", "default_salts", "triangle_split",
+                 "group_row_cap", "overflow_rows", "cluster_resources"}
+
+
+def _defaulted_args(fn):
+    a = fn.args
+    pos = [*a.posonlyargs, *a.args]
+    yield from pos[len(pos) - len(a.defaults):]
+    yield from (arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None)
+
+
+def _map_fn_name(call: ast.Call):
+    """Name of the module-level function a map_batches / map_groups call
+    runs (``fn``, ``functools.partial(fn, ...)`` or ``module.fn``)."""
+    fn = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "fn"), None)
+    if isinstance(fn, ast.Call) and _func_name(fn) == "partial" and fn.args:
+        fn = fn.args[0]
+    return getattr(fn, "attr", getattr(fn, "id", None))
+
+
+def test_one_fanout_rule():
+    """Every bucketed operator reads the fan-out rule
+    (``partitioning.default_buckets``/``default_salts``/``triangle_split``/
+    ``group_row_cap``/``overflow_rows``) on the driver.  Outside
+    partitioning.py: no function has a defaulted ``n_buckets``,
+    ``n_salts``, ``row_cap`` or ``max_group`` parameter (a per-operator
+    option forks the rule; FANOUT_KNOB_OK lists the one exception), and
+    no module-level function that ``map_batches``/``map_groups`` runs
+    reaches, through the package's module-level functions, a call to the
+    rule or to ``ray.cluster_resources`` (a worker would ask the cluster
+    per batch, and its fan-out would follow the cluster size at that
+    moment, not at plan time)."""
+    knobs, trees = [], {}
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel != "stages/partitioning.py":
+            trees[rel] = ast.parse(path.read_text())
+    calls: dict = {}  # module-level function name -> names it calls
+    for rel, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                knobs += [f"{rel}:{fn.lineno} {fn.name}({arg.arg})"
+                          for arg in _defaulted_args(fn)
+                          if arg.arg in _FANOUT_KNOBS
+                          and (rel, fn.name, arg.arg) not in FANOUT_KNOB_OK]
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls.setdefault(fn.name, set()).update(
+                    _func_name(n) for n in ast.walk(fn)
+                    if isinstance(n, ast.Call))
+    reads = set(_FANOUT_READS)
+    while True:
+        more = {f for f, called in calls.items() if called & reads} - reads
+        if not more:
+            break
+        reads |= more
+    in_workers = [f"{rel}:{n.lineno} {_map_fn_name(n)}"
+                  for rel, tree in trees.items() for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and _func_name(n) in ("map_batches", "map_groups")
+                  and _map_fn_name(n) in calls
+                  and _map_fn_name(n) in reads]
+    assert not knobs, knobs
+    assert not in_workers, in_workers
+
+
 # ---- one worker-state helper, no map_batches actor pools ----------------
 
 _SLOT_NAME = re.compile(r"_\w+_(STATE|CACHE)")

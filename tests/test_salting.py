@@ -2,8 +2,10 @@
 (round-4 verdict #1): a Zipf-head token that appears in >=50% of docs must
 NOT serialize one reducer group.  Each test plants such a token, runs the
 salted plan under a reducer-group row cap (``check_group_cap``), verifies
-the output is still EXACT, and shows the unsalted plan (n_salts=1) blows
-the same cap — i.e. the salt is what bounds the group, not luck.
+the output is still EXACT, and shows the unsalted plan (one salt) blows
+the same cap — i.e. the salt is what bounds the group, not luck.  The
+cap and the salt count reach the plans through the ``fanout`` fixture,
+and every test asserts that the plan read them.
 
 Reference seat: the ES inverted index these dataflows materialize
 (kb/build_kb.py:41-86); the salting itself is the standard Spark/Flink
@@ -36,11 +38,18 @@ def hot_sf_dir(tmp_path_factory):
     return str(d)
 
 
-def test_token_postings_salted_hot_token(ray_session, hot_sf_dir):
+def _read_both(served):
+    """The plan read the served row cap and salt count."""
+    return CAP in served["row_cap"] and served["salts"]
+
+
+def test_token_postings_salted_hot_token(ray_session, hot_sf_dir, fanout):
     from kb_ner_ray.pipelines.queries import q_token_postings
 
-    out = (q_token_postings(hot_sf_dir, row_cap=CAP, n_salts=8)
-           .to_pandas().sort_values("tok").reset_index(drop=True))
+    with fanout(row_cap=CAP, salts=8) as served:
+        out = (q_token_postings(hot_sf_dir)
+               .to_pandas().sort_values("tok").reset_index(drop=True))
+    assert _read_both(served)
     assert len(out) == N_DOCS + 1  # "the" + N unique tokens
     hot = out[out["tok"] == "the"].iloc[0]
     assert hot["df"] == N_DOCS
@@ -50,15 +59,20 @@ def test_token_postings_salted_hot_token(ray_session, hot_sf_dir):
     # each unique token's posting is exactly its own doc id
     assert (uniq["postings"] == uniq["tok"].str[1:]).all()
 
-    with pytest.raises(Exception, match="salting failed to spread"):
-        q_token_postings(hot_sf_dir, row_cap=CAP, n_salts=1).materialize()
+    with fanout(row_cap=CAP, salts=1) as served, pytest.raises(
+            Exception, match="salting failed to spread"):
+        q_token_postings(hot_sf_dir).materialize()
+    assert _read_both(served)
 
 
-def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir):
+def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir,
+                                            fanout):
     from kb_ner_ray.pipelines.queries import q_corpus_lang_stats
 
-    out = (q_corpus_lang_stats(hot_sf_dir, row_cap=CAP, n_salts=8)
-           .sort_values("lang").reset_index(drop=True))
+    with fanout(row_cap=CAP, salts=8) as served:
+        out = (q_corpus_lang_stats(hot_sf_dir)
+               .sort_values("lang").reset_index(drop=True))
+    assert _read_both(served)
     per = N_DOCS // 4
     assert (out["n_docs"] == per).all()
     assert (out["n_tokens"] == 2 * per).all()
@@ -71,15 +85,17 @@ def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir):
     # unique-token rows, not the hot token's per-batch partials — the
     # hot-group blowup for PRE-AGGREGATED partials only materializes
     # with many batches.  The per-batch salt bounds it there: a hot
-    # token's one partial per (lang, batch) spreads over n_salts
-    # groups, ~n_batches/n_salts batches' partials per group.)
-    unsalted = (q_corpus_lang_stats(hot_sf_dir, n_salts=1)
-                .sort_values("lang").reset_index(drop=True))
+    # token's one partial per (lang, batch) spreads over the salts,
+    # ~n_batches/salts batches' partials per group.)
+    with fanout(salts=1) as served:
+        unsalted = (q_corpus_lang_stats(hot_sf_dir)
+                    .sort_values("lang").reset_index(drop=True))
+    assert served["salts"] == [1]
     assert out.equals(unsalted)
 
 
 def test_tfidf_join_plan_salted_hot_token(ray_session, hot_sf_dir,
-                                          over_broadcast_limit):
+                                          over_broadcast_limit, fanout):
     """Above the broadcast limit tfidf falls back to the salted
     replicated hash join; the hot token's probe rows must split across
     salts, and the join plan must match the broadcast plan exactly."""
@@ -90,18 +106,20 @@ def test_tfidf_join_plan_salted_hot_token(ray_session, hot_sf_dir,
     a = (tfidf_keywords(ds, k=2)
          .to_pandas().sort_values(["doc_id", "rank"])
          .reset_index(drop=True))
-    with over_broadcast_limit():
-        b = (tfidf_keywords(ds, k=2, row_cap=CAP, n_salts=8)
+    with over_broadcast_limit(), fanout(row_cap=CAP, salts=8) as served:
+        b = (tfidf_keywords(ds, k=2)
              .to_pandas().sort_values(["doc_id", "rank"])
              .reset_index(drop=True))
+    assert _read_both(served)
     assert a.equals(b)
     # per doc: unique token ranks first (idf ln(N/1) > ln(N/N)=0)
     r1 = a[a["rank"] == 1]
     assert (r1["tok"] != "the").all()
 
-    with over_broadcast_limit(), pytest.raises(
-            Exception, match="salting failed to spread"):
-        tfidf_keywords(ds, k=2, row_cap=CAP, n_salts=1).materialize()
+    with over_broadcast_limit(), fanout(row_cap=CAP, salts=1) as served, \
+            pytest.raises(Exception, match="salting failed to spread"):
+        tfidf_keywords(ds, k=2).materialize()
+    assert _read_both(served)
 
 
 def test_tfidf_over_limit_falls_back_to_join(ray_session, hot_sf_dir,
@@ -124,9 +142,9 @@ def test_tfidf_over_limit_falls_back_to_join(ray_session, hot_sf_dir,
 
 
 def test_unigram_join_salted_hot_token(ray_session, hot_sf_dir,
-                                       over_broadcast_limit):
+                                       over_broadcast_limit, fanout):
     """The unigram_ppl join plan's merge groups on hash(tok) x
-    (hash(doc) % n_salts): the hot token's per-(doc, tok) probe rows
+    (hash(doc) % salts): the hot token's per-(doc, tok) probe rows
     spread across salts while every probe row still meets its
     (replicated) count row, so the scores are exact."""
     from kb_ner_ray.stages.textstats import unigram_ppl
@@ -135,19 +153,21 @@ def test_unigram_join_salted_hot_token(ray_session, hot_sf_dir,
                                columns=["doc_id", "text"])
     a = (unigram_ppl(ds)
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    with over_broadcast_limit():
-        b = (unigram_ppl(ds, row_cap=CAP, n_salts=8)
+    with over_broadcast_limit(), fanout(row_cap=CAP, salts=8) as served:
+        b = (unigram_ppl(ds)
              .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert _read_both(served)
     assert a[["doc_id", "n_tokens", "nll_bp"]].equals(
         b[["doc_id", "n_tokens", "nll_bp"]])
 
-    with over_broadcast_limit(), pytest.raises(
-            Exception, match="salting failed to spread"):
-        unigram_ppl(ds, row_cap=CAP, n_salts=1).materialize()
+    with over_broadcast_limit(), fanout(row_cap=CAP, salts=1) as served, \
+            pytest.raises(Exception, match="salting failed to spread"):
+        unigram_ppl(ds).materialize()
+    assert _read_both(served)
 
 
 def test_salt_spread_uniformity():
-    """hash(doc) % n_salts must spread sequential doc ids near-uniformly
+    """hash(doc) % salts must spread sequential doc ids near-uniformly
     (the salt is only as good as its hash)."""
     from kb_ner_ray.stages.partitioning import bucket_array
 
@@ -157,10 +177,10 @@ def test_salt_spread_uniformity():
     assert counts.max() < 1.2 * 100_000 / 8
 
 
-def test_line_dedup_salted_hot_line(ray_session, hot_sf_dir):
+def test_line_dedup_salted_hot_line(ray_session, hot_sf_dir, fanout):
     """A boilerplate line repeated in EVERY doc (the C4 'Home' case) must
     not serialize one line-hash reducer: phase-1 groups stay under the
-    cap with n_salts=8, the unsalted plan blows it, and the rewrite is
+    cap with 8 salts, the unsalted plan blows it, and the rewrite is
     still exact (first doc keeps the hot line, all others drop it)."""
     import pyarrow.parquet as pq_
 
@@ -174,8 +194,10 @@ def test_line_dedup_salted_hot_line(ray_session, hot_sf_dir):
                           for i in range(N_DOCS)], pa.string()),
     })
     ds = ray.data.from_arrow(docs).repartition(8)
-    out = (line_dedup(ds, row_cap=CAP, n_salts=8)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with fanout(row_cap=CAP, salts=8) as served:
+        out = (line_dedup(ds)
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert _read_both(served)
     assert len(out) == N_DOCS
     assert out.loc[0, "text"] == "boiler plate line\nunique w0"
     assert (out.loc[1:, "text"]
@@ -184,11 +206,13 @@ def test_line_dedup_salted_hot_line(ray_session, hot_sf_dir):
     assert (out.loc[1:, "n_lines_removed"] == 1).all()
     assert (out["n_lines"] == 2).all()
 
-    with pytest.raises(Exception, match="salting failed to spread"):
-        line_dedup(ds, row_cap=CAP, n_salts=1).materialize()
+    with fanout(row_cap=CAP, salts=1) as served, pytest.raises(
+            Exception, match="salting failed to spread"):
+        line_dedup(ds).materialize()
+    assert _read_both(served)
 
 
-def test_line_dedup_randomized_brute_force_parity(ray_session):
+def test_line_dedup_randomized_brute_force_parity(ray_session, fanout):
     """Randomized corpora (dup-heavy line pool, empty/whitespace lines,
     within-doc repeats, empty docs) against a straight-line reference."""
     rng = np.random.default_rng(17)
@@ -222,9 +246,10 @@ def test_line_dedup_randomized_brute_force_parity(ray_session):
         "doc_id": pa.array(range(len(texts)), pa.int64()),
         "text": pa.array(texts, pa.string()),
     })
-    got = (line_dedup(ray.data.from_arrow(docs).repartition(5),
-                      n_buckets=16, n_salts=4)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    with fanout(buckets=16, salts=4) as served:
+        got = (line_dedup(ray.data.from_arrow(docs).repartition(5))
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert served["buckets"] and served["salts"]
     want = brute(texts)
     assert list(map(tuple, got[["doc_id", "text", "n_lines",
                                 "n_lines_removed"]]
