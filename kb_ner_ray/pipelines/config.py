@@ -87,14 +87,14 @@ def register(name: str):
 
 
 @register("extract")
-def _stage_extract(ds, ctx, **_):
+def _stage_extract(ds, ctx):
     from ..stages.extract import extract_pages
 
     return ds.map_batches(extract_pages, batch_format="pyarrow")
 
 
 @register("explode")
-def _stage_explode(ds, ctx, **_):
+def _stage_explode(ds, ctx):
     from ..stages.sentences import explode_sentences
 
     return ds.map_batches(explode_sentences, batch_format="pyarrow")
@@ -156,7 +156,7 @@ def _stage_triples(ds, ctx):
 
 
 @register("canonicalize")
-def _stage_canonicalize(ds, ctx, **_):
+def _stage_canonicalize(ds, ctx):
     from .kg import canonical_triples
 
     _kb_ref, _gaz_ref, ent_title = ctx.refs()
@@ -164,21 +164,21 @@ def _stage_canonicalize(ds, ctx, **_):
 
 
 @register("langid")
-def _stage_langid(ds, ctx, **_):
+def _stage_langid(ds, ctx):
     from ..stages.textstats import doc_langid
 
     return ds.map_batches(doc_langid, batch_format="pyarrow")
 
 
 @register("dedup_exact")
-def _stage_dedup_exact(ds, ctx, **_):
+def _stage_dedup_exact(ds, ctx):
     from ..stages.dedup import exact_dedup
 
     return exact_dedup(ds)
 
 
 @register("quality_filter")
-def _stage_quality_filter(ds, ctx, **_):
+def _stage_quality_filter(ds, ctx):
     """Keep only docs passing the Gopher rule set (textstats
     doc_gopher_rules `keep`); output keeps the input schema."""
     import pyarrow.compute as pc
@@ -316,7 +316,7 @@ def _stage_shuffle_index(ds, ctx, id_col: str = "doc_id",
 
 
 @register("pii_scrub")
-def _stage_pii_scrub(ds, ctx, **_):
+def _stage_pii_scrub(ds, ctx):
     """Redact emails/phones/IPv4 in `text` (C4/Dolma privacy pass):
     vectorized RE2 kernels, zero shuffles; keeps all input columns and
     per-doc PII counts (round 5)."""

@@ -1,21 +1,23 @@
 """The flagship pages -> triples pipeline (SURVEY.md §3 E1-E3 re-expressed
 Ray-Data-first; north-star stages 1-4).
 
-Dataflow (one streaming pass, ZERO shuffles — the canonicalization combine
-is vocabulary-sized and finishes on the driver):
+Dataflow: ONE fused Ray Data operator, then a driver combine, then plain
+tasks, with ZERO shuffles (the canonicalization combine is
+vocabulary-sized and finishes on the driver):
 
-    read_parquet(pages, columns pruned)
-      -> map_batches(extract_pages)             stateless, drops html
-      -> map_batches(explode_sentences)         stateless flat-map
-      -> map_batches(retrieve_tag_triples_...)  FUSED retrieve+attach+tag+
-                                                link+triple-emit as plain
-                                                tasks with worker-local
-                                                cached state; KB/gazetteer
-                                                broadcast; memoized over
-                                                duplicate (text, lang)
-      -> [materialize raw triples — output-sized, consumed twice]
-      -> canonicalize (per-batch partial counts -> driver combine -> map)
-      -> map_batches(apply_canonical)           plain tasks, broadcast dict
+    read_parquet(pages, columns pruned)        -+
+      -> [map_batches(_label_pages)]            |  one fused operator:
+      -> map_batches(extract_pages)             |  one task and one
+      -> map_batches(explode_sentences)         |  kernel call per read
+      -> map_batches(retrieve_tag_triples_...) -+  block
+           retrieve+attach+tag+link+triple-emit with worker-local cached
+           state; KB/gazetteer broadcast; memoized over duplicate
+           (text, lang)
+      -> [materialize raw triples -- output-sized, consumed twice]
+      -> partial link counts (plain tasks) -> combine -> canonical map
+                                                (on the driver)
+      -> apply_canonical                        one plain task per raw
+                                                block, map broadcast
 
 The KB/gazetteer are ``ray.put`` ONCE per corpus per driver session and
 resolved once per worker (broadcast join, never re-shipped per batch).
@@ -26,6 +28,8 @@ the kg_contexts / kg_mentions inspection queries.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -64,36 +68,6 @@ def load_corpus_refs(corpus: str):
     return out
 
 
-def _sentences_batch_size(corpus: str) -> int:
-    """batch_size for the fused read->extract->explode->heavy chain.
-
-    Two distinct effects (both verified empirically):
-
-    * TASK GRANULARITY - input-block BUNDLING counts the fused chain's
-      INPUT rows (pages): tasks get ~batch_size pages each.  This is the
-      dominant knob: ``ds.stats()`` at sf2.0/16cpu showed a 52-task run
-      (3.2 waves) losing ~20% wall to the last-wave straggler tail.
-    * SLICING - each inner map re-batches its own input rows (sentences
-      after explode), so per-batch overhead inside a task also follows
-      this value.
-
-    Target ~12 page-bundles per CPU, clamped: the floor keeps tiny corpora
-    from over-fragmenting (sf0.1/32cpu A/B: 256 pages 3.9s vs 93 pages
-    4.2s vs 843 4.8s); the ceiling keeps per-task work bounded on small
-    clusters (sf2.0/4cpu: 2048 pages 127.5s vs 4096+ 137-155s).  Parquet
-    metadata gives page counts without reading data."""
-    import glob
-
-    try:
-        total = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        total = 8
-    n_pages = 0
-    for f in glob.glob(corpus + "/pages/*.parquet"):
-        n_pages += pq.ParquetFile(f).metadata.num_rows
-    return int(max(256, min(2048, n_pages // (total * 12))))
-
-
 def _label_pages(batch: pa.Table, labels: dict) -> pa.Table:
     """The ``path`` column of a page batch -> its file's ``part`` label."""
     idx = pc.index_in(batch["path"], value_set=pa.array(list(labels)))
@@ -128,12 +102,12 @@ def sentences_dataset(pages):
 
 
 def _kernel_map(sents, corpus: str, fn, **kw):
-    # batch_size bundles input pages into tasks and slices the inner
-    # sentence stream (see _sentences_batch_size)
+    # no batch_size: a minimum bundle size would keep Ray Data from fusing
+    # the read into this operator, so each read block is one kernel call
     kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
     return sents.map_batches(
         fn, fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref, **kw},
-        batch_format="pyarrow", batch_size=_sentences_batch_size(corpus))
+        batch_format="pyarrow")
 
 
 def raw_triples(sents, corpus: str):
@@ -150,21 +124,25 @@ def kernel_dataset(corpus: str, mode: str, **kw):
                        mode=mode, **kw)
 
 
+@ray.remote
+def _apply_block(apply, block: pa.Table) -> pa.Table:
+    return apply(block)
+
+
 def canonical_triples(raw, ent_title: dict):
     """raw triples -> canonical triples: the driver-combined canonical
     map broadcast once, applied by plain tasks.  ``kg_triples`` and the
     config ``canonicalize`` stage both end here."""
-    # raw triples are output-sized with two consumers (counts + apply):
-    # object-store materialize (bounded at bench scale, fastest);
-    # run_resumable is the path that checkpoints them to Parquet
+    # the raw triples have two consumers (the link counts, then the
+    # apply), so they are materialized in the object store once, and one
+    # plain task maps each of their blocks.  ``apply_canonical`` is looked
+    # up per call and shipped to the tasks, so a wrapped apply (the traced
+    # benchmark's) is the one they run
     raw = raw.materialize()
-    canon = compute_canonical_map(raw, ent_title)
-    return raw.map_batches(
-        apply_canonical,
-        fn_kwargs={"canon_ref": ray.put(canon)},
-        batch_format="pyarrow",
-        batch_size=32768,  # re-bundle the many small materialized blocks
-    )
+    canon_ref = ray.put(compute_canonical_map(raw, ent_title))
+    apply = partial(apply_canonical, canon_ref=canon_ref)
+    return ray.data.from_arrow_refs(
+        [_apply_block.remote(apply, b) for b in raw.to_arrow_refs()])
 
 
 def kg_triples(corpus: str):

@@ -13,8 +13,10 @@ Three phases, shuffle-light by construction:
    a hot surface contributes at most one row per task.  ``run_resumable``
    keeps each partition's combined counts beside its manifest, so its
    global count is one more combine over those, with no raw-triple rescan.
-3. **Apply** (map_batches, no shuffle): broadcast the surface->canonical dict
-   (functions/canon.py kernel) via ``ray.put`` and map both triple sides.
+3. **Apply** (no shuffle): broadcast the surface->canonical dict
+   (functions/canon.py kernel) via ``ray.put`` and map both triple sides,
+   one plain task per raw-triple block (``kg.canonical_triples``) or in
+   ``run_resumable``'s final read -> write job.
 """
 
 from __future__ import annotations

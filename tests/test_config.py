@@ -56,6 +56,18 @@ def test_unknown_stage_raises(corpus_dir_small):
         build_pipeline(cfg)
 
 
+def test_stages_reject_unknown_params(corpus_dir_small):
+    """A stage takes only the params it declares: a stray YAML param (a
+    typo, an option since removed) raises instead of being dropped."""
+    for name in ("extract", "explode", "canonicalize", "langid",
+                 "dedup_exact", "quality_filter", "pii_scrub"):
+        cfg = PipelineConfig(input_path=corpus_dir_small + "/pages",
+                             corpus=corpus_dir_small,
+                             stages=[StageConfig(name, {"stray": 1})])
+        with pytest.raises(TypeError, match="stray"):
+            build_pipeline(cfg)
+
+
 def test_register_custom_stage(ray_session, corpus_dir_small):
     @register("take3")
     def _take3(ds, ctx, **_):

@@ -264,13 +264,18 @@ def test_flagship_plan_has_no_shuffle(ray_session):
     streaming pass — no all-to-all exchange anywhere (canonicalization
     is a per-batch combiner + vocabulary-bounded driver merge).  A
     future edit that introduces a groupby/sort/repartition into the hot
-    path should fail here, not at 100 TB."""
+    path should fail here, not at 100 TB.  The canonical apply runs as
+    plain tasks, so the raw triples' stats hold the whole Ray Data plan."""
     from kb_ner_ray.data.synth import corpus_dir
-    from kb_ner_ray.pipelines.kg import kg_triples
+    from kb_ner_ray.pipelines.kg import (
+        canonical_triples, load_corpus_refs, raw_triples, sentences_dataset)
 
-    ds = kg_triples(corpus_dir(0.001))
-    assert ds.count() > 0
-    stats = ds.stats()
+    corpus = corpus_dir(0.001)
+    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
+    raw = raw_triples(sentences_dataset(corpus), corpus).materialize()
+    assert canonical_triples(raw, ent_title).count() > 0
+    stats = raw.stats()
+    assert "MapBatches(retrieve_tag_triples_shared)" in stats
     for marker in ("AllToAll", "Sort", "Aggregate", "RandomShuffle",
                    "Repartition"):
         assert marker not in stats, f"unexpected {marker} in plan:\n{stats}"
@@ -298,6 +303,93 @@ def test_kg_triples_query_exactly_matches_oracle_sf001(ray_session):
     ws = sorted(map(tuple, want[cols].itertuples(index=False)))
     assert len(gs) == len(ws)
     assert gs == ws
+
+
+def _operators(ds) -> list[str]:
+    """The operator names a materialized Dataset's stats list."""
+    return [line.split(":")[0].split(" ", 2)[2]
+            for line in ds.stats().splitlines()
+            if line.startswith("Operator ")]
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_raw_triples_is_one_fused_operator(ray_session, labelled):
+    """Read, the partition labelling (run_resumable's form), extract,
+    explode and the kernel run as ONE Ray Data operator.  A minimum
+    bundle size on any of them (a ``batch_size=``) would keep the read
+    out of the fusion and split the chain into two operators.  The
+    corpus has more page files than twice the CPUs: Ray Data splits the
+    blocks of a read with fewer files, and a split read is never fused."""
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.kg import raw_triples, sentences_dataset
+    from kb_ner_ray.pipelines.run import _partition_files
+
+    corpus = corpus_dir(0.01)
+    pages = corpus
+    if labelled:
+        pages = {f: f"{p:04d}" for p, files in enumerate(
+            _partition_files(corpus, 8)) for f in files}
+    raw = raw_triples(sentences_dataset(pages), corpus).materialize()
+    assert raw.count() > 0
+    label = "MapBatches(_label_pages)->" if labelled else ""
+    assert _operators(raw) == [
+        f"ReadParquet->{label}MapBatches(extract_pages)->"
+        "MapBatches(explode_sentences)->"
+        "MapBatches(retrieve_tag_triples_shared)"]
+
+
+def _sha256_rows(ds) -> str:
+    import hashlib
+
+    df = ds.to_pandas()
+    rows = sorted(map(tuple, df[KEY_COLS].itertuples(index=False)))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_kg_triples_independent_of_read_blocks(ray_session):
+    """Kernel batches follow the read blocks, so the triples must not
+    depend on where the blocks split: one block for the whole corpus and
+    one block per page file give kg_triples' rows exactly."""
+    import glob
+
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.kg import (
+        canonical_triples, kg_triples, load_corpus_refs, raw_triples)
+
+    corpus = corpus_dir(0.01)
+    n_files = len(glob.glob(corpus + "/pages/*.parquet"))
+    assert n_files > 1
+    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
+    want = _sha256_rows(kg_triples(corpus))
+    for n_blocks in (1, n_files):
+        sents = (ray.data.read_parquet(
+            corpus + "/pages", columns=["url", "warc_ts", "html", "lang"],
+            override_num_blocks=n_blocks)
+            .map_batches(extract_pages, batch_format="pyarrow")
+            .map_batches(explode_sentences, batch_format="pyarrow"))
+        raw = raw_triples(sents, corpus).materialize()
+        assert raw.num_blocks() == n_blocks
+        assert _sha256_rows(canonical_triples(raw, ent_title)) == want
+
+
+def test_apply_tasks_run_the_patched_apply(ray_session, monkeypatch):
+    """``canonical_triples`` looks ``apply_canonical`` up per call and
+    ships it to its tasks, so a wrapper patched onto ``kg`` on the driver
+    (the traced benchmark's) is the one that runs."""
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines import kg
+
+    original = kg.apply_canonical
+
+    def marked(batch, canon_ref=None):
+        out = original(batch, canon_ref=canon_ref)
+        return out.append_column(
+            "marker", pa.array([7] * out.num_rows, pa.int64()))
+
+    monkeypatch.setattr(kg, "apply_canonical", marked)
+    df = kg.kg_triples(corpus_dir(0.001)).to_pandas()
+    assert len(df) > 0
+    assert set(df["marker"]) == {7}
 
 
 def _full_scan_spans(gaz, text, aug):
