@@ -5,7 +5,10 @@ Three phases, shuffle-light by construction:
 1. **Partial count** (plain tasks, no shuffle): per block, pre-aggregate
    (normalized_surface, ent_id) link counts from the raw-triple sides — the
    combiner pattern from the Ray guide, so the combine only ever sees one
-   row per (surface, ent) per task, not one per mention.
+   row per (surface, ent) per task, not one per mention.  Arrow groups the
+   raw (surface, ent) pairs first, so ``normalize_surface`` runs once per
+   distinct pair (a block holds a few hundred against thousands of
+   sides), and the normalized keys are grouped again.
 2. **Global count** (``combine_link_counts``, on the driver): group and sum
    the tiny partials; result size is bounded by the entity vocabulary, NOT
    the corpus, so collecting it on the driver is safe at any corpus scale.
@@ -16,12 +19,15 @@ Three phases, shuffle-light by construction:
 3. **Apply** (no shuffle): broadcast the surface->canonical dict
    (functions/canon.py kernel) via ``ray.put`` and map both triple sides,
    one plain task per raw-triple block (``kg.canonical_triples``) or in
-   ``run_resumable``'s final read -> write job.
+   ``run_resumable``'s final read -> write job.  Each side is
+   dictionary-encoded, only its distinct surfaces are named, and the
+   names are taken back to the rows.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -36,17 +42,20 @@ LINK_COUNTS_SCHEMA = pa.schema([("surface", pa.string()),
 
 
 def partial_link_counts(batch: pa.Table) -> pa.Table:
-    """Raw triples batch -> distinct (surface, ent, cnt) partial counts."""
-    counts: dict[tuple[str, int], int] = {}
-    for surf_col, ent_col in (("subj_surface", "subj_ent"),
-                              ("obj_surface", "obj_ent")):
-        for surf, ent in zip(batch.column(surf_col).to_pylist(),
-                             batch.column(ent_col).to_pylist()):
-            if ent >= 0:
-                key = (normalize_surface(surf), ent)
-                counts[key] = counts.get(key, 0) + 1
-    return pa.table([[k[0] for k in counts], [k[1] for k in counts],
-                     list(counts.values())], schema=LINK_COUNTS_SCHEMA)
+    """Raw triples batch -> distinct (surface, ent, cnt) partial counts of
+    its linked sides (ent >= 0), surfaces normalized."""
+    sides = pa.concat_tables([
+        pa.table({"surface": batch[surf], "ent_id": batch[ent]})
+        for surf, ent in (("subj_surface", "subj_ent"),
+                          ("obj_surface", "obj_ent"))])
+    sides = sides.filter(pc.greater_equal(sides["ent_id"], 0))
+    raw = sides.group_by(["surface", "ent_id"], use_threads=False).aggregate(
+        [("ent_id", "count")])
+    norm = pa.array(map(normalize_surface, raw["surface"].to_pylist()),
+                    pa.string())
+    return combine_link_counts([pa.table(
+        [norm, raw["ent_id"], raw["ent_id_count"]],
+        schema=LINK_COUNTS_SCHEMA)])
 
 
 def combine_link_counts(partials: list[pa.Table]) -> pa.Table:
@@ -111,21 +120,20 @@ def apply_canonical(batch: pa.Table, canon_ref=None) -> pa.Table:
     canon = worker_state(_CANON_STATE, canon_ref,
                          lambda: resolve(canon_ref))
 
-    def name(surface: str) -> str:
-        norm = normalize_surface(surface)
-        return canon.get(norm, norm)
+    def names(col) -> pa.Array:
+        codes = col.combine_chunks().dictionary_encode()
+        return pa.array(
+            [canon.get(n, n) for n in map(normalize_surface,
+                                          codes.dictionary.to_pylist())],
+            pa.string()).take(codes.indices)
 
-    subj = [name(s) for s in batch.column("subj_surface").to_pylist()]
-    obj = [name(s) for s in batch.column("obj_surface").to_pylist()]
-    n = batch.num_rows
     return pa.table(
         {
-            "subj": pa.array(subj, pa.string()),
+            "subj": names(batch.column("subj_surface")),
             "pred": batch.column("pred"),
-            "obj": pa.array(obj, pa.string()),
+            "obj": names(batch.column("obj_surface")),
             "url": batch.column("url"),
             "sent_id": batch.column("sent_id"),
-            "score": pa.array([1.0] * n, pa.float32()),
+            "score": pa.repeat(pa.scalar(1.0, pa.float32()), batch.num_rows),
         }
     )
-

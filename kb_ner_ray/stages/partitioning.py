@@ -59,11 +59,16 @@ the flagship's kernel and its canonical map never evict each other.  The
 factory is where a model would load, once per worker.  A slot is read
 only from module-level functions: a nested function travels to the
 worker by value, with a fresh copy of every module dict it names.
+Kept state is frozen out of the cyclic collector (``gc.freeze``), so a
+full collection does not walk an index, a trie or a memo that lives as
+long as its broadcast; ``worker_state`` is the one place that decides
+this.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 
 import numpy as np
 
@@ -86,14 +91,21 @@ def resolve(x):
 def worker_state(slot: dict, key, factory):
     """This worker's state for ``key`` in ``slot``, built by ``factory()``
     on first use.  A new key drops the slot's old state.  An unhashable
-    key (an in-process value, not a ref) builds afresh on every call."""
+    key (an in-process value, not a ref) builds afresh on every call.
+
+    Built state is moved to the collector's permanent generation: in a
+    Ray worker one full collection over a kernel's state costs about 50
+    ms.  The unfreeze before a build lets the collector free what the
+    old state leaves; no collection is forced here."""
     try:
         if key in slot:
             return slot[key]
     except TypeError:
         return factory()
+    gc.unfreeze()
     slot.clear()
     st = slot[key] = factory()
+    gc.freeze()
     return st
 
 

@@ -10,28 +10,38 @@ stand-in behind the same interface, SURVEY.md §7 step 5), M15/M16 (span
 decode via the pinned codec), J5 (map-side lookup against a broadcast entity
 dict) and the triple-emit seat (S11).
 
-All state (BM25 index, gazetteer trie, candidate map, KB definition tokens)
-is built once per worker process from the ``ray.put`` broadcasts and reached
+All state (BM25 index, gazetteer trie, candidate map, KB definition tokens,
+each KB context's cleaned text, subtoken cost and token split) is built
+once per worker process from the ``ray.put`` broadcasts and reached
 through ``worker_state``; the stages run as plain tasks, so parallelism
 follows the cluster with no actor-pool spin-up.  Web corpora are heavily
 sentence-duplicated, and every output row set is a pure function of
 (text, lang, mode), so one memo per worker serves repeats.
+
+The attach is one budget walk (``_budget``) that names the KB rows it
+attaches.  Only the ``aug`` emitter stitches them into ``aug_text``; the
+tagger builds its token sequence from the sentence's split and the
+contexts' cached splits, and only as far as the trie can read.
+``data/oracle.py`` keeps its own stitch-and-split attach as the
+reference.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain, islice
 
 import numpy as np
 import pyarrow as pa
 
 from ..data.oracle import (
+    CONTEXT_BUDGET,
     TOP_K,
-    attach_contexts_cached,
     entity_merged_hits,
     link_mention,
 )
 from ..functions.spans import decode_bioes
+from ..functions.tokenizer import subtoken_count
 from ..functions.viterbi import viterbi_decode
 from ..functions.windows import WINDOW, tag_tokens_windowed
 from ..state.bm25 import analyze
@@ -135,55 +145,96 @@ class SentenceKernel(KBState):
         self.gaz = Gazetteer(resolve(gaz_ref))
         self.ent_def_tokens = {r["ent_id"]: set(analyze(r["sentence"]))
                                for r in self.kb_rows if r["s_id"] == 0}
+        self.kb_toks = [c.split() for c in self.kb_clean]
         self._codec: ViterbiCodec | None = None
         self._memo: dict = {}
 
     # ---- the steps ------------------------------------------------------
 
+    def _budget(self, text: str, hits: list, min_rank: int = 0,
+                max_rank: int | None = None) -> list[int]:
+        """The KB rows of the contexts attached to ``text``, in rank order:
+        the reference's greedy walk over the rank window
+        ``hits[min_rank:max_rank]`` (kb/context_process.py:365,401-479)
+        under the 510-subtoken budget.  It stops once fewer than 10
+        subtokens remain and skips a context that would overflow."""
+        hits = hits[min_rank:max_rank]
+        if not hits:
+            return []
+        count = subtoken_count(text)
+        used = []
+        for i, _score in hits:
+            if CONTEXT_BUDGET - count < 10:
+                break
+            cost = self.kb_cost[i]
+            if cost + count + 1 > CONTEXT_BUDGET:
+                continue
+            count += cost
+            used.append(i)
+        return used
+
     def _attach(self, text: str, hits: list, min_rank: int = 0,
                 max_rank: int | None = None) -> tuple[str, int]:
-        """``aug_text`` = sentence [+ " <EOS> " + contexts] under the
-        510-subtoken budget, with the reference's greedy skip-on-overflow
-        loop over the rank window ``[min_rank:max_rank]``."""
-        return attach_contexts_cached(
-            text, [(self.kb_clean[i], self.kb_cost[i]) for i, _s in hits],
-            min_rank=min_rank, max_rank=max_rank)
+        """``aug_text`` = sentence [+ " <EOS> " + contexts] and the number
+        of contexts, over the contexts ``_budget`` picks."""
+        used = self._budget(text, hits, min_rank, max_rank)
+        if not used:
+            return text, 0
+        return (text + " <EOS> " + " ".join(self.kb_clean[i] for i in used),
+                len(used))
 
-    def _spans(self, text: str, aug: str, backend: str):
-        """Tag the augmented token sequence, keep spans inside the original
-        sentence region (context tokens are the reference's B-X/S-X masked
-        region; gen_item stops at <EOS>, ensemble_prediction.py:368).
+    def _aug_tokens(self, tokens: list[str], used: list[int],
+                    stop: int | None = None) -> list[str]:
+        """The first ``stop`` tokens (all by default) of the augmented
+        sequence: ``_attach``'s text split, built from the split sentence
+        and the contexts' cached splits.  ``str.split`` of the stitched
+        text is the concatenation of its parts' splits."""
+        if not used:
+            return tokens[:stop]
+        return list(islice(chain(tokens, ["<EOS>"],
+                                 *[self.kb_toks[i] for i in used]), stop))
+
+    def _spans(self, text: str, used: list[int], backend: str):
+        """Tag the sentence augmented with the KB contexts ``used``, keep
+        spans inside the original sentence region (context tokens are the
+        reference's B-X/S-X masked region; gen_item stops at <EOS>,
+        ensemble_prediction.py:368).
 
         ``viterbi`` decodes gazetteer-shaped emissions through the CRF
         (full-sequence decode, the reference's ``remove_x=False`` branch);
         otherwise the trie codec, with sequences longer than the 510-token
         model window going through the sliding-window path
         (functions/windows.py, flair embeddings.py:2960-2969 semantics).
+        Those two get the full augmented token list; its length is known
+        from the cached context splits.
 
-        The trie path scans only ``aug_tokens[:n + max_len - 1]`` (n =
-        sentence tokens), and that is exact: a greedy match starting at
-        i < n reads at most ``max_len`` tokens, i.e. nothing past index
-        n + max_len - 2, so the scan visits the same positions below n and
-        picks the same entries as the full scan; every span starting at or
-        past n ends past n and is dropped by the sentence-region filter
-        either way.  No assumption about ``<EOS>`` is needed.
-        ``data/oracle.py`` keeps the full scan as the reference."""
+        The trie path builds and scans only the first n + max_len - 1
+        augmented tokens (n = sentence tokens), and that is exact: a
+        greedy match starting at i < n reads at most ``max_len`` tokens,
+        i.e. nothing past index n + max_len - 2, so the scan visits the
+        same positions below n and picks the same entries as the full
+        scan; every span starting at or past n ends past n and is dropped
+        by the sentence-region filter either way.  No assumption about
+        ``<EOS>`` is needed.  ``data/oracle.py`` keeps the stitched text
+        and the full scan as the reference."""
         tokens = text.split()
-        aug_tokens = aug.split()
+        n = len(tokens)
+        n_aug = n + (1 + sum(len(self.kb_toks[i]) for i in used)
+                     if used else 0)
         if backend == "viterbi":
             if self._codec is None:
                 self._codec = ViterbiCodec(sorted(
                     {label for lst in self.gaz.by_first.values()
                      for _toks, label, _e in lst}))
-            spans = decode_bioes(
-                *self._codec.decode_tags(self.gaz.tag_tokens(aug_tokens)))
-        elif len(aug_tokens) > WINDOW:
-            spans = decode_bioes(
-                tag_tokens_windowed(aug_tokens, self.gaz.tag_tokens))
+            spans = decode_bioes(*self._codec.decode_tags(
+                self.gaz.tag_tokens(self._aug_tokens(tokens, used))))
+        elif n_aug > WINDOW:
+            spans = decode_bioes(tag_tokens_windowed(
+                self._aug_tokens(tokens, used), self.gaz.tag_tokens))
         else:
             spans = self.gaz.mentions_via_codec(
-                aug_tokens[:len(tokens) + self.gaz.max_len - 1])
-        return tokens, [s for s in spans if s[1] <= len(tokens)]
+                self._aug_tokens(tokens, used, n + self.gaz.max_len - 1))
+        return tokens, [s for s in spans if s[1] <= n]
 
     def _linked(self, text: str, lang: str | None, hits: list,
                 backend: str = "trie") -> tuple[list, list]:
@@ -196,13 +247,12 @@ class SentenceKernel(KBState):
         surfaces become entity-boosted queries, and the merged pass-2
         contexts are re-attached and the sentence re-tagged.  A sentence
         with no pass-1 mentions keeps its pass-1 result."""
-        tokens, spans = self._spans(text, self._attach(text, hits)[0],
-                                    backend)
+        tokens, spans = self._spans(text, self._budget(text, hits), backend)
         if backend == "iter2" and spans:
             hits = entity_merged_hits(
                 text, [" ".join(tokens[s:e]) for s, e, _l, _sc in spans],
                 self.index, lang=lang, k=TOP_K)
-            tokens, spans = self._spans(text, self._attach(text, hits)[0],
+            tokens, spans = self._spans(text, self._budget(text, hits),
                                         backend)
         out = []
         sent_set = None  # analyzed sentence, shared by its mentions

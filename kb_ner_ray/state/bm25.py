@@ -25,6 +25,7 @@ top-k at once; ``search`` is its one-query case.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -202,10 +203,10 @@ class KBIndex:
 
 
 class MultiLangKBIndex:
-    """Per-language BM25 indexes + an all-languages view (reference T4:
-    one ES index per language ``{lan}wiki_v1`` selected by query language,
-    wildcard ``*wiki_v1`` for code-mixed input — kb/build_kb.py:14,
-    kb/generate_data.py:21-24).
+    """Per-language BM25 indexes + an all-languages view, built lazily
+    (reference T4: one ES index per language ``{lan}wiki_v1`` selected by
+    query language, wildcard ``*wiki_v1`` for code-mixed input —
+    kb/build_kb.py:14, kb/generate_data.py:21-24).
 
     Hits name GLOBAL row indices into the full rows list, so callers'
     per-row caches (clean text, subtoken cost) stay unchanged; a language
@@ -214,13 +215,18 @@ class MultiLangKBIndex:
 
     def __init__(self, rows: list[dict]):
         self.rows = rows
-        self.all = KBIndex(rows)
         self.by_lang: dict[str, KBIndex] = {}
         groups: dict[str, list[int]] = {}
         for i, r in enumerate(rows):
             groups.setdefault(r.get("lang", "en"), []).append(i)
         for lang, idxs in groups.items():
             self.by_lang[lang] = KBIndex([rows[i] for i in idxs], idxs)
+
+    @functools.cached_property
+    def all(self) -> KBIndex:
+        """The all-languages view, built on the first query that needs
+        it: queries that name their language never do."""
+        return KBIndex(self.rows)
 
     def view(self, lang: str | None) -> KBIndex | None:
         """The index a query in ``lang`` searches: None or "all" is the

@@ -4,9 +4,11 @@ worker-state helpers; and the structural guards that keep every operator
 on these shared helpers."""
 
 import ast
+import gc
 import pathlib
 import re
 import uuid
+import weakref
 
 import numpy as np
 import pandas as pd
@@ -610,10 +612,22 @@ def test_one_worker_state_helper():
     assert not caches, caches
 
 
+class _State:
+    """Worker state that weakrefs can watch; ``cyclic`` gives it a
+    reference cycle, which only the cyclic collector frees."""
+
+    def __init__(self, cyclic=False):
+        self.me = self if cyclic else None
+
+
 def test_worker_state_slots():
     """The factory runs once per key; a new key replaces only its own
     slot's state; two slots stay independent; an unhashable key (an
-    in-process value) builds afresh and keeps nothing."""
+    in-process value) builds afresh and keeps nothing.  Kept state goes
+    to the collector's permanent generation, so a full collection does
+    not walk it, and replaced state does not stay frozen: it is freed at
+    once, or, if it holds a cycle, by a collection while the new state
+    builds."""
     from kb_ner_ray.stages.partitioning import worker_state
 
     built = []
@@ -636,6 +650,53 @@ def test_worker_state_slots():
     rows = [{"x": 1}]
     assert worker_state(a, (rows,), lambda: len(rows)) == 1
     assert list(a) == ["k2"]
+
+    slot = {}
+    frozen = gc.get_freeze_count()
+    st = worker_state(slot, "k1", _State)
+    assert gc.get_freeze_count() > frozen
+    assert id(st) not in {id(o) for o in gc.get_objects()}
+    old = weakref.ref(st)
+    del st
+    worker_state(slot, "k2", lambda: _State(cyclic=True))
+    assert old() is None
+    old = weakref.ref(slot["k2"])
+
+    def collected_then_built():
+        gc.collect()
+        return _State()
+
+    worker_state(slot, "k3", collected_then_built)
+    assert old() is None
+    assert list(slot) == ["k3"]
+
+
+_GC_POLICY = {"freeze", "unfreeze", "disable", "collect"}
+
+
+def test_gc_policy_in_one_place():
+    """In kb_ner_ray/, ``gc.freeze``, ``gc.unfreeze``, ``gc.disable`` and
+    ``gc.collect`` appear only inside ``partitioning.worker_state``: one
+    place decides what the cyclic collector walks."""
+    found = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if rel == "stages/partitioning.py":
+            allowed = {id(n) for top in tree.body
+                       if isinstance(top, ast.FunctionDef)
+                       and top.name == "worker_state"
+                       for n in ast.walk(top)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "gc" and any(
+                    a.name in _GC_POLICY for a in n.names):
+                found.append(f"{rel}:{n.lineno}")
+            elif (isinstance(n, ast.Attribute) and n.attr in _GC_POLICY
+                  and isinstance(n.value, ast.Name) and n.value.id == "gc"
+                  and id(n) not in allowed):
+                found.append(f"{rel}:{n.lineno}")
+    assert not found, found
 
 
 def test_resolve_reads_refs_and_passes_values():

@@ -100,6 +100,99 @@ def test_triples_conformance_ge_095(tiny_corpus, oracle_out, refs):
     assert sorted(got) == sorted(want)
 
 
+_SURFACES = ["Acme, Inc.", "acme inc", "ACME  Inc", "Bob", "bob!", "Zoë",
+             "  x  ", "", "New  York", "new york.", "中国"]
+
+
+def _random_raw_triples(rnd, n):
+    """``n`` raw-triple rows, NIL sides included, as a table of several
+    chunks (some empty)."""
+    def rows(m):
+        return pa.table({
+            "subj_surface": pa.array([rnd.choice(_SURFACES) for _ in range(m)],
+                                     pa.string()),
+            "subj_ent": pa.array([rnd.randint(-1, 4) for _ in range(m)],
+                                 pa.int64()),
+            "pred": pa.array(["p%d" % rnd.randint(0, 3) for _ in range(m)],
+                             pa.string()),
+            "obj_surface": pa.array([rnd.choice(_SURFACES) for _ in range(m)],
+                                    pa.string()),
+            "obj_ent": pa.array([rnd.randint(-1, 4) for _ in range(m)],
+                                pa.int64()),
+            "url": pa.array(["u%d" % rnd.randint(0, 5) for _ in range(m)],
+                            pa.string()),
+            "sent_id": pa.array([rnd.randint(0, 9) for _ in range(m)],
+                                pa.int32()),
+        })
+    cuts = sorted(rnd.randint(0, n) for _ in range(3))
+    return pa.concat_tables([rows(hi - lo) for lo, hi
+                             in zip([0] + cuts, cuts + [n])])
+
+
+def _reference_link_counts(batch):
+    """Per-row link counts: every linked side, surface normalized."""
+    from kb_ner_ray.functions.text import normalize_surface
+
+    counts = {}
+    for side in ("subj", "obj"):
+        for surf, ent in zip(batch[side + "_surface"].to_pylist(),
+                             batch[side + "_ent"].to_pylist()):
+            if ent >= 0:
+                key = (normalize_surface(surf), ent)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _reference_apply(batch, canon):
+    """Per-row canonical names of both sides."""
+    from kb_ner_ray.functions.text import normalize_surface
+
+    def name(surface):
+        norm = normalize_surface(surface)
+        return canon.get(norm, norm)
+
+    return pa.table({
+        "subj": pa.array([name(s) for s in batch["subj_surface"].to_pylist()],
+                         pa.string()),
+        "pred": batch["pred"],
+        "obj": pa.array([name(s) for s in batch["obj_surface"].to_pylist()],
+                        pa.string()),
+        "url": batch["url"],
+        "sent_id": batch["sent_id"],
+        "score": pa.array([1.0] * batch.num_rows, pa.float32()),
+    })
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canonicalize_equals_per_row_reference(seed):
+    """``partial_link_counts`` (grouped per distinct surface) and
+    ``apply_canonical`` (per dictionary entry) against per-row references:
+    NIL sides, surfaces that normalize to one key, chunked columns and an
+    empty batch."""
+    import random
+
+    from kb_ner_ray.stages.canonicalize import LINK_COUNTS_SCHEMA
+
+    rnd = random.Random(seed)
+    batch = _random_raw_triples(rnd, rnd.choice([0, 1, 40, 300]))
+    assert batch["subj_surface"].num_chunks == 4
+    part = partial_link_counts(batch)
+    assert part.schema == LINK_COUNTS_SCHEMA
+    got = {(s, e): c for s, e, c in zip(part["surface"].to_pylist(),
+                                        part["ent_id"].to_pylist(),
+                                        part["cnt"].to_pylist())}
+    assert len(got) == part.num_rows
+    assert got == _reference_link_counts(batch)
+    canon = {"acme inc": "Acme Incorporated", "bob": "Robert",
+             "new york": "New York City"}
+    assert apply_canonical(batch, canon_ref=canon).equals(
+        _reference_apply(batch, canon))
+    empty = batch.slice(0, 0)
+    assert partial_link_counts(empty).num_rows == 0
+    assert apply_canonical(empty, canon_ref=canon).equals(
+        _reference_apply(empty, canon))
+
+
 def test_worker_builds_kernel_state_once(tiny_corpus, refs, monkeypatch):
     """A worker serving kg_mentions batches, then kg_triples batches, then
     apply_canonical batches, then kg_triples batches again over the same
@@ -399,12 +492,26 @@ def _full_scan_spans(gaz, text, aug):
     return [s for s in gaz.mentions_via_codec(aug.split()) if s[1] <= n]
 
 
+def _oracle_aug(k, text, hits):
+    """The oracle's stitched ``aug_text`` of ``text`` and its hits."""
+    from kb_ner_ray.data.oracle import attach_contexts_cached
+
+    return attach_contexts_cached(
+        text, [(k.kb_clean[i], k.kb_cost[i]) for i, _s in hits])[0]
+
+
+def _kernel_spans(k, text, hits, backend="trie"):
+    """The kernel's hits path: the budget walk, then the tagged region."""
+    return k._spans(text, k._budget(text, hits), backend)[1]
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_trie_spans_equal_full_scan_on_corpus(seed):
-    """The trie branch of ``SentenceKernel._spans`` tags only the sentence
-    plus ``max_len - 1`` look-ahead tokens; on every corpus sentence its
-    spans equal the full augmented-sequence scan's."""
-    from kb_ner_ray.data.oracle import TOP_K
+    """The kernel's hits path tags only the sentence plus ``max_len - 1``
+    look-ahead tokens, built from the contexts' cached splits; on every
+    corpus sentence its spans equal the full scan of the oracle-stitched
+    augmented text, and its ``aug`` text is the oracle's."""
+    from kb_ner_ray.data.oracle import TOP_K, attach_contexts_cached
     from kb_ner_ray.stages.tagger import SentenceKernel
 
     corpus = generate_corpus(80, seed=seed)
@@ -414,12 +521,117 @@ def test_trie_spans_equal_full_scan_on_corpus(seed):
     n_spans = 0
     for row in corpus["sentences"].to_pylist():
         text = row["text"]
-        aug = k._attach(text, k.index.search(text, lang=row["lang"],
-                                             k=TOP_K))[0]
-        _tokens, spans = k._spans(text, aug, "trie")
+        hits = k.index.search(text, lang=row["lang"], k=TOP_K)
+        aug = _oracle_aug(k, text, hits)
+        spans = _kernel_spans(k, text, hits)
         assert spans == _full_scan_spans(k.gaz, text, aug), text
+        assert k._attach(text, hits) == attach_contexts_cached(
+            text, [(k.kb_clean[i], k.kb_cost[i]) for i, _s in hits])
         n_spans += len(spans)
     assert n_spans > 0
+
+
+def _planted_kernel(surfaces, contexts):
+    from kb_ner_ray.stages.tagger import SentenceKernel
+
+    kb = [{"kb_id": i, "ent_id": i, "title": "T", "sentence": c, "s_id": 0}
+          for i, c in enumerate(contexts)]
+    return SentenceKernel([{"surface": s, "label": "LOC", "ent_id": i}
+                           for i, s in enumerate(surfaces)], kb)
+
+
+@pytest.mark.parametrize("surfaces,contexts,text,want", [
+    # no contexts: the region is the sentence
+    (["Acme", "Acme Corp"], [], "We like Acme Corp", [(2, 4, "LOC", 1.0)]),
+    # the first context is shorter than max_len - 2 tokens, so the
+    # look-ahead runs into the second: the 5-token surface starting at the
+    # last sentence token wins over "Acme", then leaves the sentence region
+    (["Acme", "Acme <EOS> c1 c2 c3"], ["c1", "c2 c3 c4"], "We like Acme",
+     []),
+    # a context that cleans to "" adds no token
+    (["Acme", "Acme <EOS> c2"], ["\u200b", "c2 c3"], "We like Acme", []),
+    # an attached context puts "<EOS>" in, even one that adds no token
+    (["Acme", "Acme <EOS>"], ["\u200b"], "We like Acme", []),
+])
+def test_kernel_region_planted(surfaces, contexts, text, want):
+    """Planted regions: the kernel's spans on the hits path equal the full
+    scan of the oracle-stitched text, on the trie and viterbi backends."""
+    from kb_ner_ray.functions.spans import decode_bioes
+
+    k = _planted_kernel(surfaces, contexts)
+    hits = [(i, 1.0) for i in range(len(contexts))]
+    aug = _oracle_aug(k, text, hits)
+    assert len(k._budget(text, hits)) == len(contexts)
+    assert k.kb_clean.count("") == sum(not c.isprintable()
+                                       for c in contexts)
+    assert _kernel_spans(k, text, hits) == want
+    assert want == _full_scan_spans(k.gaz, text, aug)
+    viterbi = _kernel_spans(k, text, hits, "viterbi")
+    assert viterbi == [s for s in decode_bioes(*k._codec.decode_tags(
+        k.gaz.tag_tokens(aug.split()))) if s[1] <= len(text.split())]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_budget_walk_equals_oracle_attach(seed):
+    """The kernel's budget walk near the 510-subtoken budget: long
+    sentences and contexts in random rank orders and rank windows attach
+    what the oracle's ``attach_contexts_cached`` attaches."""
+    import random
+
+    from kb_ner_ray.data.oracle import attach_contexts_cached
+
+    rnd = random.Random(seed)
+    contexts = [" ".join(["w1"] * rnd.choice([rnd.randint(0, 8),
+                                              rnd.randint(0, 150)]))
+                for _ in range(30)]
+    k = _planted_kernel(["w1"], contexts)
+    for _ in range(300):
+        text = " ".join(["s"] * rnd.randint(1, 505))
+        hits = [(i, 1.0) for i in rnd.sample(range(30), rnd.randint(0, 10))]
+        window = rnd.choice([{}, {"min_rank": rnd.randint(0, 3)},
+                             {"max_rank": rnd.randint(0, 8)}])
+        want = attach_contexts_cached(
+            text, [(k.kb_clean[i], k.kb_cost[i]) for i, _s in hits],
+            **window)
+        assert k._attach(text, hits, **window) == want
+
+
+@pytest.mark.parametrize("long_part", ["sentence", "contexts"])
+def test_kernel_region_windowed_planted(monkeypatch, long_part):
+    """An augmented sequence over the 510-token window takes the windowed
+    branch with the full token list the stitched text splits into: a
+    600-token sentence, or (under a zero-cost subtoken backend) a short
+    sentence with 10 contexts of 60 tokens."""
+    from kb_ner_ray.functions import tokenizer
+    from kb_ner_ray.functions.spans import decode_bioes
+    from kb_ner_ray.functions.windows import WINDOW, tag_tokens_windowed
+    from kb_ner_ray.stages import tagger
+
+    words = ["w%d" % (i % 7) for i in range(600)]
+    surfaces = ["w1 w2", "w5", "Acme"]
+    if long_part == "sentence":
+        text, contexts = " ".join(words[:300] + ["Acme"] + words[300:]), []
+    else:
+        monkeypatch.setattr(tokenizer, "_counter", lambda _t: 0)
+        text = "We like Acme w1 w2"
+        contexts = [" ".join(words[60 * i:60 * i + 60]) for i in range(10)]
+    k = _planted_kernel(surfaces, contexts)
+    hits = [(i, 1.0) for i in range(len(contexts))]
+    aug = _oracle_aug(k, text, hits).split()
+    assert len(aug) > WINDOW
+    seen = []
+
+    def spy(tokens, tag_fn):
+        seen.append(list(tokens))
+        return tag_tokens_windowed(tokens, tag_fn)
+
+    monkeypatch.setattr(tagger, "tag_tokens_windowed", spy)
+    spans = _kernel_spans(k, text, hits)
+    assert seen == [aug]
+    n = len(text.split())
+    assert spans == [s for s in decode_bioes(tag_tokens_windowed(
+        aug, k.gaz.tag_tokens)) if s[1] <= n]
+    assert (2, 3, "LOC", 1.0) in spans or (300, 301, "LOC", 1.0) in spans
 
 
 @pytest.mark.parametrize("surfaces,text,aug,want", [
@@ -436,12 +648,9 @@ def test_trie_spans_equal_full_scan_on_corpus(seed):
      [(0, 1, "LOC", 1.0)]),
 ])
 def test_trie_spans_lookahead_planted(surfaces, text, aug, want):
-    from kb_ner_ray.stages.tagger import SentenceKernel
-
-    kb = [{"kb_id": 0, "ent_id": 0, "title": "T", "sentence": "x",
-           "s_id": 0}]
-    k = SentenceKernel([{"surface": s, "label": "LOC", "ent_id": i}
-                        for i, s in enumerate(surfaces)], kb)
+    """``aug``'s text after " <EOS> " is the one attached KB context."""
+    k = _planted_kernel(surfaces, [aug.split(" <EOS> ", 1)[1]])
     assert k.gaz.max_len == max(len(s.split()) for s in surfaces)
-    assert k._spans(text, aug, "trie")[1] == want
+    assert k._attach(text, [(0, 1.0)]) == (aug, 1)
+    assert _kernel_spans(k, text, [(0, 1.0)]) == want
     assert want == _full_scan_spans(k.gaz, text, aug)

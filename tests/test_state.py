@@ -190,6 +190,21 @@ def test_bm25_empty_kb():
     assert index.search_many([]) == []
 
 
+def test_all_view_is_built_on_first_use():
+    """Queries that name a language never build the all-languages index;
+    the first None/"all" query builds it once, with the hits an eagerly
+    built index over every row gives."""
+    rnd = random.Random(3)
+    rows = _random_kb(rnd, 25)
+    index = MultiLangKBIndex(rows)
+    queries = [(_random_query(rnd), None) for _ in range(20)]
+    assert index.view("en") is index.by_lang["en"]
+    index.search_many([(s, "en") for s, _l in queries])
+    assert "all" not in vars(index)
+    assert index.search_many(queries) == KBIndex(rows).search_many(queries)
+    assert index.view(None) is index.view("all") is vars(index)["all"]
+
+
 def test_gazetteer_longest_match():
     gaz = Gazetteer([
         {"surface": "Acme", "label": "CORP", "ent_id": 1},
