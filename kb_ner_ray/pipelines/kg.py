@@ -19,6 +19,13 @@ vocabulary-sized and finishes on the driver):
       -> apply_canonical                        one plain task per raw
                                                 block, map broadcast
 
+Scheduling: the page read is the root of the fused operator's plan, and
+``partitioning.run_at_width`` turns Ray Data's per-operator resource
+reservation off on its context (the scheduling rule stated in
+stages/partitioning.py).  With the reservation on, the operator's
+first-estimate output budget admitted one kernel task at a time; without
+it the operator runs a task per logical CPU.
+
 The KB/gazetteer are ``ray.put`` ONCE per corpus per driver session and
 resolved once per worker (broadcast join, never re-shipped per batch).
 ``raw_triples`` is the one sentences -> raw-triples stage: ``kg_triples``,
@@ -39,6 +46,7 @@ import ray
 from ..data.synth import corpus_dir, sf_dir_to_sf
 from ..stages.canonicalize import apply_canonical, compute_canonical_map
 from ..stages.extract import extract_pages
+from ..stages.partitioning import run_at_width
 from ..stages.sentences import explode_sentences
 from ..stages.tagger import kernel_rows, retrieve_tag_triples_shared
 
@@ -89,9 +97,9 @@ def sentences_dataset(pages):
     missing partitions)."""
     paths = pages + "/pages" if isinstance(pages, str) else list(pages)
     labels = pages if isinstance(pages, dict) else None
-    ds = ray.data.read_parquet(paths,
-                               columns=["url", "warc_ts", "html", "lang"],
-                               include_paths=labels is not None)
+    ds = run_at_width(ray.data.read_parquet(
+        paths, columns=["url", "warc_ts", "html", "lang"],
+        include_paths=labels is not None))
     if labels is not None:
         ds = ds.map_batches(_label_pages, fn_kwargs={"labels": labels},
                             batch_format="pyarrow")

@@ -21,7 +21,12 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..stages import partitioning
-from ..stages.partitioning import bucket_exchange, resolve, worker_state
+from ..stages.partitioning import (
+    bucket_exchange,
+    resolve,
+    run_at_width,
+    worker_state,
+)
 
 # ---------- helpers ----------------------------------------------------------
 
@@ -61,7 +66,9 @@ def _revenue_partial(code: np.ndarray, rev: np.ndarray,
 
 
 def _read(sf_dir: str, table: str, columns=None, **kw):
-    """read_parquet with an explicit metadata-free schema.
+    """read_parquet with an explicit metadata-free schema, run at the
+    width the cluster gives it (``partitioning.run_at_width``): this read
+    is the root of every registry query over the sf tables.
 
     Parquet written via pandas carries b'pandas' schema metadata; a
     pa.Schema with metadata is unhashable (``hash(schema)`` raises
@@ -76,7 +83,7 @@ def _read(sf_dir: str, table: str, columns=None, **kw):
         sch = _pq.read_schema(path)
         names = columns if columns is not None else sch.names
         kw["schema"] = pa.schema([sch.field(n) for n in names])
-    return rd.read_parquet(path, columns=columns, **kw)
+    return run_at_width(rd.read_parquet(path, columns=columns, **kw))
 
 
 def _tree_agg(ds, keys: list[str], partial_fn, final_spec: dict):

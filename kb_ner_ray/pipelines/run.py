@@ -50,6 +50,7 @@ from ..stages.canonicalize import (
     canonical_map,
     file_link_counts,
 )
+from ..stages.partitioning import run_at_width
 # unused here; perfbench/layers.py patch_driver reads and patches these
 # names (the pages are read through kg.sentences_dataset, the partitions
 # land through manifest.land_raw_partition)
@@ -150,8 +151,8 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
     parts = [os.path.join(raw_dir, f"part={p:04d}")
              for p in range(len(groups))]
     canon = canonical_map([read_link_counts(d) for d in parts], ent_title)
-    raw_ds = ray.data.read_parquet(sorted(
-        f for d in parts for f in glob.glob(os.path.join(d, "*.parquet"))))
+    raw_ds = run_at_width(ray.data.read_parquet(sorted(
+        f for d in parts for f in glob.glob(os.path.join(d, "*.parquet")))))
     final = raw_ds.map_batches(
         apply_canonical, fn_kwargs={"canon_ref": ray.put(canon)},
         batch_format="pyarrow")

@@ -63,6 +63,24 @@ Kept state is frozen out of the cyclic collector (``gc.freeze``), so a
 full collection does not walk an index, a trie or a memo that lives as
 long as its broadcast; ``worker_state`` is the one place that decides
 this.
+
+The scheduling rule, stated once: a Dataset the library builds runs at
+the width the cluster gives it.  Ray Data's per-operator resource
+reservation (``op_resource_reservation_enabled``) admits a task only if
+its operator's reserved share covers the task's estimated usage, and
+before any task has finished that estimate is a fixed first guess (two
+generator blocks of ``target_max_block_size``, 256 MiB) that exceeds the
+share of a small object store; a plan of one fused operator then runs
+one task at a time on a multi-CPU node.  ``run_at_width(ds)`` turns the
+reservation off on ``ds.context``, the Dataset's own context, which
+every Dataset derived from it shares; it is set on the root of a plan
+(a read), and the process-wide ``DataContext.get_current()`` is never
+touched, because a caller's own Datasets share that one.  Without the
+reservation Ray Data keeps CPU admission and the streaming-generator
+buffer, so the object store stays bounded (``tests/test_scheduling.py``
+runs the flagship under a store smaller than its raw triples).
+``run_at_width`` is the one place that sets a ``DataContext`` scheduling
+field.
 """
 
 from __future__ import annotations
@@ -107,6 +125,13 @@ def worker_state(slot: dict, key, factory):
     st = slot[key] = factory()
     gc.freeze()
     return st
+
+
+def run_at_width(ds):
+    """``ds``, with Ray Data's per-operator resource reservation off on
+    its own context (the scheduling rule in the module docstring)."""
+    ds.context.op_resource_reservation_enabled = False
+    return ds
 
 
 SALTS_MAX = 64

@@ -529,6 +529,73 @@ def test_one_fanout_rule():
     assert not in_workers, in_workers
 
 
+# ---- one scheduling rule, on the Dataset's own context ------------------
+
+# (module, field) pairs that may set a DataContext field, and where
+SCHEDULING_SET_OK = {
+    ("__main__.py", "enable_progress_bars"):
+        "the CLI's own session turns progress bars off; not scheduling",
+    ("stages/partitioning.py", "op_resource_reservation_enabled"):
+        "run_at_width, the scheduling rule's one setter",
+}
+
+
+def _context_fields() -> set:
+    import dataclasses
+
+    from ray.data import DataContext
+
+    return ({f.name for f in dataclasses.fields(DataContext)}
+            | {n for n, v in vars(DataContext).items()
+               if isinstance(v, property)})
+
+
+def _context_sets(tree: ast.Module, fields: set):
+    """(node, field, source) of every set of a DataContext field in
+    ``tree``: an assignment whose target's attribute chain names a
+    DataContext field, a Dataset's ``.context`` or ``get_current()``, or a
+    ``setattr`` of a field by name."""
+    def on_context(t):
+        return any((isinstance(sub, ast.Attribute)
+                    and (sub.attr in fields or sub.attr == "context"))
+                   or (isinstance(sub, ast.Call)
+                       and _func_name(sub) == "get_current")
+                   for sub in ast.walk(t))
+
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for t in (n.targets if isinstance(n, ast.Assign)
+                      else [n.target]):
+                if isinstance(t, ast.Attribute) and on_context(t):
+                    yield n, t.attr, ast.unparse(t)
+        elif (isinstance(n, ast.Call) and _func_name(n) == "setattr"
+              and len(n.args) >= 2 and isinstance(n.args[1], ast.Constant)
+              and n.args[1].value in fields):
+            yield n, n.args[1].value, ast.unparse(n)
+
+
+def test_one_scheduling_rule():
+    """Outside ``partitioning.run_at_width`` no module under kb_ner_ray/
+    sets a ``DataContext`` field, on a Dataset's ``.context`` or on
+    ``DataContext.get_current()``.  A second setter would fork the
+    scheduling rule, and one on the process-wide context would reach a
+    caller's own Datasets.  SCHEDULING_SET_OK lists the two allowed
+    sets."""
+    fields = _context_fields()
+    sets = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        tree = ast.parse(path.read_text())
+        in_fn = {id(n): top.name for top in tree.body
+                 if isinstance(top, ast.FunctionDef) for n in ast.walk(top)}
+        for n, field, text in _context_sets(tree, fields):
+            if (rel, field) not in SCHEDULING_SET_OK or (
+                    rel == "stages/partitioning.py"
+                    and in_fn.get(id(n)) != "run_at_width"):
+                sets.append(f"{rel}:{n.lineno} {text}")
+    assert not sets, sets
+
+
 # ---- one worker-state helper, no map_batches actor pools ----------------
 
 _SLOT_NAME = re.compile(r"_\w+_(STATE|CACHE)")

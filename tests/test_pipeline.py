@@ -431,6 +431,25 @@ def test_raw_triples_is_one_fused_operator(ray_session, labelled):
         "MapBatches(retrieve_tag_triples_shared)"]
 
 
+def test_split_read_is_two_operators(ray_session):
+    """Pins the plan the fused-operator test avoids: corpus_dir(0.001)
+    has 2 page files, fewer than twice the session's 4 CPUs, so Ray Data
+    splits each read block in 4, and a split read does not fuse into
+    the map.  Measured at 4 logical CPUs with the reservation off and on,
+    this plan runs 0.6-1.9 kernel tasks at a time on average either way,
+    so turning the reservation off does not give it its width back."""
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.kg import raw_triples, sentences_dataset
+
+    corpus = corpus_dir(0.001)
+    raw = raw_triples(sentences_dataset(corpus), corpus).materialize()
+    assert raw.count() > 0
+    assert _operators(raw) == [
+        "ReadParquet->SplitBlocks(4)",
+        "MapBatches(extract_pages)->MapBatches(explode_sentences)->"
+        "MapBatches(retrieve_tag_triples_shared)"]
+
+
 def _sha256_rows(ds) -> str:
     import hashlib
 
