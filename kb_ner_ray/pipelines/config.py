@@ -390,11 +390,15 @@ def _stage_doc_context(ds, ctx, doc_col: str = "url",
 
 
 def build_pipeline(cfg: PipelineConfig):
-    """Config -> lazy Dataset (caller consumes / writes)."""
+    """Config -> lazy Dataset (caller consumes / writes).  The input read
+    is the plan's root, run at the width the cluster gives it
+    (``partitioning.run_at_width``)."""
     import ray.data as rd
 
+    from ..stages.partitioning import run_at_width
+
     ctx = PipelineContext(corpus=cfg.corpus)
-    ds = rd.read_parquet(cfg.input_path)
+    ds = run_at_width(rd.read_parquet(cfg.input_path))
     for sc in cfg.stages:
         if sc.name not in STAGE_REGISTRY:
             raise KeyError(

@@ -14,6 +14,7 @@ from ray.data import DataContext
 from ray.data.context import DEFAULT_ENABLE_OP_RESOURCE_RESERVATION
 
 from kb_ner_ray.data.synth import corpus_dir
+from kb_ner_ray.pipelines.config import PipelineConfig, build_pipeline
 from kb_ner_ray.pipelines.kg import (
     kernel_dataset,
     kg_triples,
@@ -29,8 +30,8 @@ def _reserved(ds) -> bool:
 
 
 def test_run_at_width_is_per_dataset(ray_session, tmp_path, monkeypatch):
-    """The flagship's Datasets and the registry's table reads carry the
-    reservation off; the process-wide context, and a Dataset the caller
+    """The flagship's Datasets, the registry's table reads and the config
+    pipeline's input carry the reservation off; the process-wide context, and a Dataset the caller
     builds afterwards, keep theirs."""
     corpus = corpus_dir(0.001)
     before = DataContext.get_current().op_resource_reservation_enabled
@@ -42,6 +43,8 @@ def test_run_at_width_is_per_dataset(ray_session, tmp_path, monkeypatch):
     assert kg_triples(corpus).materialize().count() > 0
     pq.write_table(pa.table({"a": [1, 2]}), tmp_path / "t.parquet")
     assert not _reserved(_read(str(tmp_path), "t"))
+    assert not _reserved(build_pipeline(PipelineConfig(
+        input_path=str(tmp_path / "t.parquet"), stages=[])))
 
     # run_resumable writes twice: the raw job, then the final apply
     written = []
