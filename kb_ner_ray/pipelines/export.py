@@ -50,10 +50,10 @@ def export_training_shards(docs_ds, out_dir: str, *,
     in deterministic training order; returns {"computed": [...],
     "skipped": [...]} shard ids.
 
-    ``input_files``: the source files backing docs_ds (their names +
-    sizes fingerprint each shard for resume); defaults to a fingerprint
-    of the out_dir identity only — pass the real files for
-    content-bound resume."""
+    ``input_files``: the source files backing docs_ds (their names,
+    sizes and modification times fingerprint each shard for resume);
+    defaults to a fingerprint of the out_dir identity only — pass the
+    real files for content-bound resume."""
     fp_src = input_fingerprint(input_files) if input_files else "unbound"
 
     def fp(shard: int) -> str:

@@ -18,10 +18,10 @@ Three phases, shuffle-light by construction:
    global count is one more combine over those, with no raw-triple rescan.
 3. **Apply** (no shuffle): broadcast the surface->canonical dict
    (functions/canon.py kernel) via ``ray.put`` and map both triple sides,
-   one plain task per raw-triple block (``kg.canonical_triples``) or in
-   ``run_resumable``'s final read -> write job.  Each side is
-   dictionary-encoded, only its distinct surfaces are named, and the
-   names are taken back to the rows.
+   one plain task per raw-triple block (``kg.canonical_triples``) or per
+   raw-triple file (``run_resumable``, whose tasks write their result).
+   Each side is dictionary-encoded, only its distinct surfaces are named,
+   and the names are taken back to the rows.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def compute_canonical_map(raw_triples, ent_title: dict[int, str]) -> dict[str, s
         for i in range(n)]), ent_title)
 
 
+# the raw-triple columns apply_canonical reads
+APPLY_COLUMNS = ["subj_surface", "pred", "obj_surface", "url", "sent_id"]
 _CANON_STATE: dict = {}  # apply_canonical's slot: canon_ref -> dict
 
 

@@ -17,7 +17,8 @@ Resume = re-list input partitions, skip those whose manifest exists AND
 matches the input fingerprint (anti-join of manifests vs inputs). Writes are
 atomic: data + manifest land in a per-process ``part=NNNN.tmp.<pid>`` dir,
 then ``os.replace``.
-Fingerprints are content-derived (no wall clock) so reruns are
+Fingerprints are taken from the input files' names, sizes and modification
+times (never the clock at run time), so a rerun over unchanged inputs is
 deterministic.
 """
 
@@ -60,12 +61,14 @@ def _tmp_dir(final: str) -> str:
 
 
 def input_fingerprint(paths: list[str]) -> str:
-    """Content fingerprint of an input partition: file names + sizes (cheap,
-    deterministic; size change or rename invalidates the partition)."""
+    """Fingerprint of an input partition: file names, sizes and
+    modification times in ns (cheap, deterministic; a rename, or a rewrite
+    even at the same size, invalidates the partition)."""
     h = hashlib.blake2b(digest_size=16)
     for p in sorted(paths):
+        st = os.stat(p)
         h.update(p.encode())
-        h.update(str(os.path.getsize(p)).encode())
+        h.update(f"{st.st_size}:{st.st_mtime_ns}".encode())
     return h.hexdigest()
 
 

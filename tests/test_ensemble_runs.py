@@ -102,6 +102,7 @@ def test_fingerprint_covers_broadcast_sides(ray_session):
     before = checkpoint_fingerprint(corpus, ck)
     gaz = sorted(g.glob(os.path.join(corpus, "gazetteer", "*.parquet")))[0]
     payload = open(gaz, "rb").read()
+    st = os.stat(gaz)
     try:
         with open(gaz, "ab") as f:   # size change = content fingerprint
             f.write(b"x")
@@ -109,6 +110,8 @@ def test_fingerprint_covers_broadcast_sides(ray_session):
     finally:
         with open(gaz, "wb") as f:
             f.write(payload)
+        # the fingerprint reads the modification time too
+        os.utime(gaz, ns=(st.st_atime_ns, st.st_mtime_ns))
     assert checkpoint_fingerprint(corpus, ck) == before
 
 

@@ -41,6 +41,12 @@ def test_fingerprint_tracks_content(tmp_path):
     fp1 = input_fingerprint([str(p1)])
     p1.write_bytes(b"xxyy")
     assert input_fingerprint([str(p1)]) != fp1
+    # a rewrite at the same size, at another modification time
+    os.utime(p1, ns=(1_000_000_000, 1_000_000_000))
+    fp2 = input_fingerprint([str(p1)])
+    p1.write_bytes(b"zzww")
+    os.utime(p1, ns=(2_000_000_000, 2_000_000_000))
+    assert input_fingerprint([str(p1)]) != fp2
 
 
 def test_corrupt_manifest_is_not_done(tmp_path):
@@ -201,9 +207,10 @@ def _final_rows(out):
                   load_final_triples(out).select(_KEY).to_pylist())
 
 
-def _corpus_copy(tmp_path, n_files=2, empty=()):
+def _corpus_copy(tmp_path, n_files=2, empty=(), html=b""):
     """The sf0.001 corpus with its pages split over ``n_files`` files; the
-    pages of the files numbered in ``empty`` get empty ``html``."""
+    pages of the files numbered in ``empty`` get ``html`` (empty by
+    default) in place of theirs."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -220,7 +227,7 @@ def _corpus_copy(tmp_path, n_files=2, empty=()):
         t = pages.slice(i * step, step)
         if i in empty:
             t = t.set_column(t.schema.get_field_index("html"), "html",
-                             pa.array([b""] * t.num_rows, t["html"].type))
+                             pa.array([html] * t.num_rows, t["html"].type))
         pq.write_table(t, os.path.join(dst, "pages",
                                        f"part-{i:05d}.parquet"))
     return dst
@@ -297,7 +304,8 @@ def test_resumable_counts_conserve_and_match_raw_rescan(tmp_path):
 
 def test_resumable_run_is_one_heavy_job(tmp_path, monkeypatch):
     """Every missing partition comes out of ONE write_parquet into the raw
-    staging dir; a run with nothing missing submits none."""
+    staging dir, the run's only Ray Data job write; a run with nothing
+    missing submits none."""
     from ray.data import Dataset
 
     from kb_ner_ray.pipelines.run import run_resumable
@@ -316,12 +324,12 @@ def test_resumable_run_is_one_heavy_job(tmp_path, monkeypatch):
 
     r1 = run_resumable(corpus, out, n_partitions=8)
     assert r1["computed"] == list(range(8))
-    assert [p for p in writes if p.startswith(raw_dir)] == [
-        os.path.join(raw_dir, f"_staging.{os.getpid()}")]
+    assert writes == [os.path.join(raw_dir, f"_staging.{os.getpid()}")]
     writes.clear()
     r2 = run_resumable(corpus, out, n_partitions=8)
     assert r2["computed"] == [] and r2["skipped"] == list(range(8))
-    assert [p for p in writes if p.startswith(raw_dir)] == []
+    assert writes == []
+    assert r2["n_triples"] == r1["n_triples"] > 0
 
 
 def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
@@ -426,6 +434,25 @@ def test_resumable_run_lands_empty_partition(tmp_path):
     assert r3["computed"] == [1] and r3["skipped"] == [0]
     assert r3["n_triples"] == r1["n_triples"]
     _check_partitions(out, corpus)
+
+
+def test_resumable_run_of_corpus_without_triples(tmp_path):
+    """A corpus whose pages yield no triples: the run finishes with 0
+    triples, the final output reads as an empty typed table, and the
+    rerun skips every partition."""
+    from kb_ner_ray.data.schemas import TRIPLES
+    from kb_ner_ray.pipelines.run import load_final_triples, run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=4, empty=range(4),
+                          html=b"<p>nothing here at all.</p>")
+    out = str(tmp_path / "run")
+    r1 = run_resumable(corpus, out, n_partitions=4)
+    assert r1["computed"] == [0, 1, 2, 3] and r1["n_triples"] == 0
+    final = load_final_triples(out)
+    assert final.num_rows == 0 and final.schema == TRIPLES
+    r2 = run_resumable(corpus, out, n_partitions=4)
+    assert r2["computed"] == [] and r2["skipped"] == [0, 1, 2, 3]
+    assert r2["n_triples"] == 0
 
 
 def test_resumable_run_keeps_live_foreign_staging(tmp_path):

@@ -46,7 +46,8 @@ def test_run_at_width_is_per_dataset(ray_session, tmp_path, monkeypatch):
     assert not _reserved(build_pipeline(PipelineConfig(
         input_path=str(tmp_path / "t.parquet"), stages=[])))
 
-    # run_resumable writes twice: the raw job, then the final apply
+    # run_resumable's one Dataset write is the raw job's; its final
+    # triples are written by plain tasks
     written = []
     write = ray.data.Dataset.write_parquet
 
@@ -57,8 +58,7 @@ def test_run_at_width_is_per_dataset(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", recording_write)
     res = run_resumable(corpus, str(tmp_path / "run"), n_partitions=2)
     assert res["n_triples"] > 0
-    assert [name.split(".")[0] for name, _ in written] == [
-        "_staging", "triples"]
+    assert [name.split(".")[0] for name, _ in written] == ["_staging"]
     assert not any(reserved for _, reserved in written), written
 
     assert DataContext.get_current().op_resource_reservation_enabled == before
