@@ -31,20 +31,15 @@ _SPLIT_KEYWORD_RE = re.compile(r"[一-鿿]|[0-9]+|[a-zA-Z]+'*[a-z]*")
 
 
 def clean_space(text: str) -> str:
-    """Remove spaces after CJK chars (reference kb/generate_data.py:70-79)."""
+    """Remove spaces after CJK chars (reference kb/generate_data.py:70-79;
+    the reference's ``replace_ZH``, kb/context_process.py:24-33, is the
+    same algorithm, so this one function serves both)."""
     found = _CLEAN_SPACE_RE.findall(text)
     for frag in sorted(set(found), key=len, reverse=True):
         if frag == " ":
             continue
         text = text.replace(frag, frag.strip())
     return text
-
-
-def replace_zh(text: str) -> str:
-    """Reference kb/context_process.py:24-33 (replace_ZH) — byte-for-byte the
-    same algorithm as _clean_space (the two reference helpers are identical;
-    both remove the space that FOLLOWS a CJK char/punct)."""
-    return clean_space(text)
 
 
 def replace_zh_space(text: str) -> str:
@@ -87,29 +82,8 @@ def gen_chinese_search_query(sentences: list[list[str]]) -> list[str]:
     with no separator; any other adjacency gets a single space.  The
     reference's ``is_eng``/``add_flag`` locals are dead code (never read
     after assignment) and are not reproduced."""
-    out: list[str] = []
-    for sentence in sentences:
-        if not sentence:
-            out.append("")
-            continue
-        first = sentence[0].split()[0]
-        query = first
-        prev_zh = bool(re.findall(_ZH_CHAR, first))
-        for line in sentence[1:]:
-            word = line.split()[0]
-            is_zh = bool(re.findall(_ZH_CHAR, word))
-            if is_zh and prev_zh:
-                query += word
-            else:
-                query += " " + word
-            prev_zh = is_zh
-        out.append(query)
-    return out
-
-
-def printable_only(text: str) -> str:
-    """Keep printable chars only (reference kb/context_process.py:410)."""
-    return "".join(c for c in text if c.isprintable())
+    return [gen_sentence([line.split()[0] for line in sentence], "zh")
+            if sentence else "" for sentence in sentences]
 
 
 _NORM_WS_RE = re.compile(r"\s+")

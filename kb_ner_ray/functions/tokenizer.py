@@ -1,25 +1,21 @@
-"""Deterministic word tokenizer with char offsets + a BPE-ish subtoken counter.
+"""A BPE-ish subtoken counter and the token-budget batch packer.
 
 Fills two reference seats:
 
-* whitespace tokenization with recovered char offsets — reference
-  ``flair/datasets.py:933`` (``re.split("\\s+")``) + whitespace-offset
-  inference (``flair/data.py:647-678``);
 * the XLM-R subtoken counter used for the 510-subtoken context budget —
   reference ``kb/context_process.py:760-763`` loads
   ``AutoTokenizer('xlm-roberta-large')``; transformers is not available in
   this environment, so the engine pins a deterministic BPE-ish stand-in with
   the same *interface* and the same budget semantics (greedy additive count,
   SURVEY.md §7 hard part (b)).  A real deployment swaps ``subtoken_count``
-  for the HF tokenizer inside the same actor.
+  for the HF tokenizer inside the same actor;
+* the T5/O1 batch packer, ``pack_by_length``.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-
-_WORD_RE = re.compile(r"\S+")
 
 # Optional real-tokenizer backend (the T1 swap seam). None -> the
 # deterministic stand-in below.
@@ -53,16 +49,6 @@ def reset_subtoken_backend() -> None:
 # +1 per non-alphanumeric char (punctuation splits), CJK chars cost 1 each.
 _CJK_RE = re.compile(r"[一-鿿]")
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
-
-
-def tokenize_with_offsets(text: str) -> tuple[list[str], list[int], list[int]]:
-    """Whitespace tokens + char start/end offsets. Offsets index into ``text``."""
-    tokens, starts, ends = [], [], []
-    for m in _WORD_RE.finditer(text):
-        tokens.append(m.group(0))
-        starts.append(m.start())
-        ends.append(m.end())
-    return tokens, starts, ends
 
 
 def subtoken_count(text: str) -> int:

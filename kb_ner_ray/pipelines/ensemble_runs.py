@@ -35,8 +35,9 @@ import os
 import ray
 
 from ..stages.ensemble import variant_tag, vote_group_factory
-from ..state.manifest import input_fingerprint, partition_done, write_partition
-from .kg import load_corpus_refs, sentences_dataset
+from ..state.manifest import (input_fingerprint, landed_dirs, partition_done,
+                              write_partition)
+from .kg import load_corpus_refs, sentences_dataset, sides_fingerprint
 
 
 def checkpoint_fingerprint(corpus: str, checkpoint: dict) -> str:
@@ -44,14 +45,13 @@ def checkpoint_fingerprint(corpus: str, checkpoint: dict) -> str:
     identity): either side changing invalidates exactly that run.
 
     Predictions depend on pages AND the broadcast sides the tagger is
-    built from (kb/, gazetteer/ — load_corpus_refs), so all three table
-    directories enter the fingerprint; a gazetteer update must not be
-    served stale cached runs."""
-    files = sorted(f for sub in ("pages", "kb", "gazetteer")
-                   for f in glob.glob(os.path.join(corpus, sub,
-                                                   "*.parquet")))
+    built from (kb/, gazetteer/ — ``kg.sides_fingerprint``), so both
+    enter the fingerprint; a gazetteer update must not be served stale
+    cached runs."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(input_fingerprint(files).encode())
+    h.update(input_fingerprint(
+        glob.glob(os.path.join(corpus, "pages", "*.parquet"))).encode())
+    h.update(sides_fingerprint(corpus).encode())
     h.update(json.dumps(checkpoint, sort_keys=True).encode())
     return h.hexdigest()
 
@@ -96,12 +96,8 @@ def ensemble_from_runs(out_dir: str, n_models: int,
     part=NNNN.tmp with no manifest — never voted), and the run count
     must equal ``n_models``: a leftover run from a wider previous sweep
     would silently skew the vote threshold."""
-    import re
-
-    run_dirs = sorted(
-        d for d in (os.listdir(out_dir) if os.path.isdir(out_dir) else [])
-        if re.fullmatch(r"part=\d{4}", d)
-        and os.path.exists(os.path.join(out_dir, d, "_MANIFEST.json")))
+    run_dirs = [d for d in landed_dirs(out_dir)
+                if os.path.exists(os.path.join(d, "_MANIFEST.json"))]
     if not run_dirs:
         raise FileNotFoundError(f"no prediction runs under {out_dir}")
     if len(run_dirs) != n_models:
@@ -110,8 +106,7 @@ def ensemble_from_runs(out_dir: str, n_models: int,
             f"expects n_models={n_models}; remove stale runs from a "
             f"previous sweep (or pass the sweep's true n_models)")
     files = sorted(f for d in run_dirs
-                   for f in glob.glob(os.path.join(out_dir, d,
-                                                   "*.parquet")))
+                   for f in glob.glob(os.path.join(d, "*.parquet")))
     preds = ray.data.read_parquet(files)
     return preds.groupby("url").map_groups(
         vote_group_factory(n_models, threshold), batch_format="pandas")

@@ -36,32 +36,32 @@ import pyarrow as pa
 
 from ..state.manifest import (
     input_fingerprint,
+    landed_dirs,
     partition_done,
     write_partition,
 )
 
 
 def export_training_shards(docs_ds, out_dir: str, *,
+                           input_files: list[str],
                            n_shards: int = 8,
-                           id_col: str = "doc_id",
-                           input_files: list[str] | None = None,
-                           force: bool = False) -> dict:
+                           id_col: str = "doc_id") -> dict:
     """Write ``docs_ds`` as ``n_shards`` manifest-tracked parquet shards
     in deterministic training order; returns {"computed": [...],
     "skipped": [...]} shard ids.
 
-    ``input_files``: the source files backing docs_ds (their names,
-    sizes and modification times fingerprint each shard for resume);
-    defaults to a fingerprint of the out_dir identity only — pass the
-    real files for content-bound resume."""
-    fp_src = input_fingerprint(input_files) if input_files else "unbound"
+    ``input_files``: the source files backing docs_ds.  Their names,
+    sizes and modification times fingerprint each shard, so a shard
+    already in ``out_dir`` is skipped only when it was exported from the
+    same files."""
+    fp_src = input_fingerprint(input_files)
 
     def fp(shard: int) -> str:
         return f"{fp_src}:{shard}:{n_shards}"
 
     os.makedirs(out_dir, exist_ok=True)
     pending = [s for s in range(n_shards)
-               if force or not partition_done(out_dir, s, fp(s))]
+               if not partition_done(out_dir, s, fp(s))]
     skipped = [s for s in range(n_shards) if s not in set(pending)]
     if not pending:
         with open(os.path.join(out_dir, "_DONE"), "w") as f:
@@ -116,9 +116,7 @@ def read_training_order(out_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
 
     parts = []
-    for d in sorted(glob.glob(os.path.join(out_dir, "part=*"))):
-        if ".tmp" in d:
-            continue
+    for d in landed_dirs(out_dir):
         files = sorted(glob.glob(os.path.join(d, "*.parquet")))
         if not files:
             continue

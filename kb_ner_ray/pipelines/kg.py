@@ -26,8 +26,9 @@ stages/partitioning.py).  With the reservation on, the operator's
 first-estimate output budget admitted one kernel task at a time; without
 it the operator runs a task per logical CPU.
 
-The KB/gazetteer are ``ray.put`` ONCE per corpus per driver session and
-resolved once per worker (broadcast join, never re-shipped per batch).
+The KB/gazetteer are ``ray.put`` ONCE per version of their files per
+driver session and resolved once per worker (broadcast join, never
+re-shipped per batch).
 ``raw_triples`` is the one sentences -> raw-triples stage: ``kg_triples``,
 ``run_resumable`` (pipelines/run.py) and the config ``triples`` stage all
 build on it.  ``kernel_dataset`` runs the same kernel's other emitters for
@@ -36,6 +37,8 @@ the kg_contexts / kg_mentions inspection queries.
 
 from __future__ import annotations
 
+import glob
+import os
 from functools import partial
 
 import pyarrow as pa
@@ -49,30 +52,42 @@ from ..stages.extract import extract_pages
 from ..stages.partitioning import run_at_width
 from ..stages.sentences import explode_sentences
 from ..stages.tagger import kernel_rows, retrieve_tag_triples_shared
+from ..state.manifest import input_fingerprint
 
 
 def _read_table_dir(path: str):
-    import glob
-
     files = sorted(glob.glob(path + "/*.parquet"))
     return pa.concat_tables([pq.read_table(f) for f in files])
 
 
-_REFS_CACHE: dict = {}  # corpus path -> (kb_ref, gaz_ref, ent_title)
+def sides_fingerprint(corpus: str) -> str:
+    """Fingerprint of the corpus's broadcast sides, its kb/ and gazetteer/
+    files.  Every output built from a corpus depends on them as well as
+    on its pages: ``load_corpus_refs`` keys its refs on this, and the
+    resumable run and the checkpoint runs mix it into the fingerprints
+    of what they store."""
+    return input_fingerprint([f for sub in ("kb", "gazetteer")
+                              for f in glob.glob(os.path.join(
+                                  corpus, sub, "*.parquet"))])
+
+
+_REFS_CACHE: dict = {}  # sides_fingerprint -> (kb_ref, gaz_ref, ent_title)
 
 
 def load_corpus_refs(corpus: str):
     """Read the small (broadcast) sides and ray.put them ONCE per driver
-    session — repeated pipeline runs reuse the same ObjectRefs, so worker-
-    side caches keyed on the ref stay hot across runs."""
-    hit = _REFS_CACHE.get(corpus)
+    session and version of their files — repeated pipeline runs reuse the
+    same ObjectRefs, so worker-side caches keyed on the ref stay hot
+    across runs, and a rewritten kb/ or gazetteer/ file is read afresh."""
+    key = sides_fingerprint(corpus)
+    hit = _REFS_CACHE.get(key)
     if hit is not None:
         return hit
     kb_rows = _read_table_dir(corpus + "/kb").to_pylist()
     gaz_rows = _read_table_dir(corpus + "/gazetteer").to_pylist()
     ent_title = {r["ent_id"]: r["title"] for r in kb_rows}
     out = (ray.put(kb_rows), ray.put(gaz_rows), ent_title)
-    _REFS_CACHE[corpus] = out
+    _REFS_CACHE[key] = out
     return out
 
 

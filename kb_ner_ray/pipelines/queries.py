@@ -3476,7 +3476,8 @@ def q_corpus_export(sf_dir: str):
     out = (f"/tmp/kbner_export/{_os.path.basename(sf_dir.rstrip('/'))}"
            f"-{_os.getpid()}")
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    export_training_shards(ds, out, n_shards=8)
+    export_training_shards(ds, out, n_shards=8,
+                           input_files=[f"{sf_dir}/documents.parquet"])
     return read_training_order(out)
 
 
@@ -5327,9 +5328,9 @@ def queries_registry():
         # by pytest (test_plan_auto_selection_forced_bucketed).
         # Registering them pushed exact-oracled queries past the driver's
         # 50-entry checked window (round-2 verdict #1).  The MinHash join
-        # path and the block-split n-gram Jaccard have no query wrapper;
-        # test_ops pins them at the stage level (test_minhash_plans_agree,
-        # test_ngram_jaccard_salted_equals_plain).
+        # path has no query wrapper of its own (the input's size selects
+        # it); test_ops pins it at the stage level
+        # (test_minhash_plans_agree).
     }
 
 

@@ -5,7 +5,9 @@ Split of labour (see state/manifest.py):
 
 * the HEAVY, corpus-sized work (extract/explode/retrieve/tag/link) is
   checkpointed per input partition — a rerun anti-joins manifests vs input
-  fingerprints and recomputes only missing/stale partitions;
+  fingerprints (the partition's page files and the corpus's kb/ and
+  gazetteer/ files, ``kg.sides_fingerprint``) and recomputes only
+  missing/stale partitions;
 * the LIGHT, vocabulary-sized canonicalization + final write is recomputed
   every run (it depends on corpus-wide link counts): the canonical map is
   combined on the driver, and one plain Ray task per raw file of the
@@ -70,7 +72,8 @@ from ..state.manifest import (
     read_link_counts,
     write_partition_streamed,  # noqa: F401
 )
-from .kg import load_corpus_refs, raw_triples, sentences_dataset
+from .kg import (load_corpus_refs, raw_triples, sentences_dataset,
+                 sides_fingerprint)
 
 _count_links = ray.remote(file_link_counts)
 
@@ -136,8 +139,10 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
 
     computed, skipped, fps, labels = [], [], {}, {}
     groups = _partition_files(corpus, n_partitions)
+    # a partition's triples depend on its pages and on the broadcast sides
+    sides = sides_fingerprint(corpus)
     for part_id, files in enumerate(groups):
-        fp = input_fingerprint(files)
+        fp = f"{input_fingerprint(files)}:{sides}"
         if partition_done(raw_dir, part_id, fp) and os.path.exists(
                 os.path.join(raw_dir, f"part={part_id:04d}", LINK_COUNTS)):
             skipped.append(part_id)

@@ -58,10 +58,9 @@ _log = logging.getLogger(__name__)
 # silently DROPPED candidate pairs beyond the cap, and the
 # first-colliding-band emission made the loss global (a pair whose first
 # colliding band fell in a truncated bucket was skipped by every later
-# band).  The structural fix proven by ngram_jaccard_pairs(block_split=S)
-# — the triangle self-join decomposition — is now applied to every banded
-# plan: a bucket larger than ``max_group`` emits its MEMBER rows (kind=1)
-# instead of pairs; a second, overflow-only shuffle splits each hot bucket
+# band).  The structural fix is the triangle self-join decomposition,
+# applied to every banded plan: a bucket larger than ``max_group`` emits
+# its MEMBER rows (kind=1) instead of pairs; a second, overflow-only shuffle splits each hot bucket
 # into S*(S+1)/2 sub-groups (S = ceil(1.25 * size/max_group); parts come
 # from a hash of doc_id, so a part's size is EXPECTED ~size/S — the 25%
 # fan-out headroom keeps skewed parts near max_group, but the per-reducer
@@ -217,8 +216,8 @@ def banded_pairs_overflow(rows_ds, *, key_col: str, payload_cols: list[str],
         S = df["ovf_s"].to_numpy(np.int64)
         ids = df["doc_id"].to_numpy(np.int64)
         n_out = int(S.sum())
-        # deterministic triangle part per doc (same multiplicative hash
-        # as _jaccard_salted_rows, stable across processes)
+        # deterministic triangle part per doc (a multiplicative hash,
+        # stable across processes)
         p = (((ids * 2654435761) % (1 << 32)) % np.maximum(S, 1)
              ).astype(np.int64)
         rep = np.repeat(np.arange(len(df)), S)
@@ -767,10 +766,11 @@ def simhash_near_dups(docs_ds, max_dist: int = 3):
 # ---- blocked character-set Jaccard (exact-oracle flavour) -------------------
 
 
-def charset_jaccard(a: str, b: str) -> float:
-    """Character-set Jaccard — pinned to DuckDB's ``jaccard()`` semantics
-    (set-of-chars, so an exact SQL oracle can verify the distributed run)."""
-    sa, sb = set(a), set(b)
+def charset_jaccard(sa: set, sb: set) -> float:
+    """Jaccard of two strings' character sets ``set(a)``, ``set(b)`` —
+    pinned to DuckDB's ``jaccard()`` semantics (set-of-chars, so an exact
+    SQL oracle can verify the distributed run).  Callers pass the sets,
+    built once per string, not once per pair."""
     denom = len(sa | sb)
     return len(sa & sb) / denom if denom else 1.0
 
@@ -789,8 +789,7 @@ def _jaccard_pairs_in_block(group: pd.DataFrame,
     a, b, j = [], [], []
     for i in range(len(ids)):
         for k in range(i + 1, len(ids)):
-            denom = len(sets[i] | sets[k])
-            jac = len(sets[i] & sets[k]) / denom if denom else 1.0
+            jac = charset_jaccard(sets[i], sets[k])
             if jac >= threshold:
                 a.append(ids[i])
                 b.append(ids[k])
@@ -798,97 +797,11 @@ def _jaccard_pairs_in_block(group: pd.DataFrame,
     return pd.DataFrame({"doc_a": a, "doc_b": b, "jaccard": j})
 
 
-def _jaccard_salted_rows(batch: pa.Table, S: int) -> pa.Table:
-    """Explode each doc into its 2D-decomposition groups: part p =
-    hash(doc_id) % S; the doc joins every group (n_tokens, i, j), i<=j,
-    with p in {i, j} (S groups per doc).  Pair (p, q) meets EXACTLY once —
-    in group (min(p,q), max(p,q)) — so results are identical to the
-    unsalted plan (the classic triangle self-join decomposition)."""
-    n_tok = [len(t.split()) for t in batch.column("text").to_pylist()]
-    doc_ids = batch.column("doc_id").to_pylist()
-    texts = batch.column("text").to_pylist()
-    keys, gis, gjs, parts, ids, txts = [], [], [], [], [], []
-    for doc_id, nt, text in zip(doc_ids, n_tok, texts):
-        p = (doc_id * 2654435761) % (1 << 32) % S
-        for i in range(S):
-            for j in range(i, S):
-                if p != i and p != j:
-                    continue
-                keys.append(nt * S * S + i * S + j)
-                gis.append(i)
-                gjs.append(j)
-                parts.append(p)
-                ids.append(doc_id)
-                txts.append(text)
-    return pa.table({
-        "block_key": pa.array(keys, pa.int64()),
-        "gi": pa.array(gis, pa.int32()),
-        "gj": pa.array(gjs, pa.int32()),
-        "part": pa.array(parts, pa.int32()),
-        "doc_id": pa.array(ids, pa.int64()),
-        "text": pa.array(txts, pa.string()),
-    })
-
-
-def _jaccard_pairs_in_salted_block(group: pd.DataFrame,
-                                   threshold: float) -> pd.DataFrame:
-    if not len(group):
-        return pd.DataFrame({"doc_a": [], "doc_b": [], "jaccard": []})
-    gi = int(group["gi"].iloc[0])
-    gj = int(group["gj"].iloc[0])
-    g = group.drop_duplicates("doc_id").sort_values("doc_id")
-    a, b, j = [], [], []
-
-    def emit(x_ids, x_sets, y_ids, y_sets, cross: bool):
-        for i in range(len(x_ids)):
-            rng = range(len(y_ids)) if cross else range(i + 1, len(y_ids))
-            for k in rng:
-                denom = len(x_sets[i] | y_sets[k])
-                jac = len(x_sets[i] & y_sets[k]) / denom if denom else 1.0
-                if jac >= threshold:
-                    lo, hi = sorted((int(x_ids[i]), int(y_ids[k])))
-                    a.append(lo)
-                    b.append(hi)
-                    j.append(jac)
-
-    if gi == gj:
-        sub = g[g["part"] == gi]
-        ids = sub["doc_id"].to_numpy()
-        sets = [set(t) for t in sub["text"]]
-        emit(ids, sets, ids, sets, cross=False)
-    else:
-        left = g[g["part"] == gi]
-        right = g[g["part"] == gj]
-        emit(left["doc_id"].to_numpy(), [set(t) for t in left["text"]],
-             right["doc_id"].to_numpy(), [set(t) for t in right["text"]],
-             cross=True)
-    return pd.DataFrame({"doc_a": np.array(a, dtype=np.int64),
-                         "doc_b": np.array(b, dtype=np.int64),
-                         "jaccard": np.array(j, dtype=np.float64)})
-
-
-def ngram_jaccard_pairs(docs_ds, threshold: float = 0.75,
-                        block_split: int = 1):
+def ngram_jaccard_pairs(docs_ds, threshold: float = 0.75):
     """Blocked pairwise Jaccard: candidate pairs share an exact token count
     (length blocking — standard dedup blocking); ONE shuffle on the
-    fixed-width block key, pairwise verify inside each block.
-
-    ``block_split=S > 1`` engages the giant-block guard: each length block
-    is 2D-decomposed into S*(S+1)/2 sub-groups (docs replicated S ways,
-    pairs covered exactly once), so the per-group quadratic is bounded by
-    (block/S)^2 and one skewed length stops serializing into a single
-    reducer.  Identical output to the unsalted plan — both share the exact
-    SQL oracle."""
-    if block_split > 1:
-        return (
-            docs_ds.map_batches(_jaccard_salted_rows,
-                                fn_kwargs={"S": block_split},
-                                batch_format="pyarrow")
-            .groupby("block_key")
-            .map_groups(
-                lambda g: _jaccard_pairs_in_salted_block(g, threshold),
-                batch_format="pandas")
-        )
+    fixed-width block key, pairwise verify inside each block (exact SQL
+    oracle)."""
     return (
         docs_ds.map_batches(_token_count_block, batch_format="pyarrow")
         .groupby("n_tokens")

@@ -164,8 +164,7 @@ def _build_bloom(keys_ds, col: str, n_bits: int):
 
 
 def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
-              anti: bool = False, bloom_prefilter: bool = False,
-              bloom_bits: int = 1 << 20):
+              anti: bool = False):
     """Bucketed SEMI (or ANTI) join: keep left rows whose key does (not)
     appear on the right.  Right side is projected to its key column, both
     sides co-partitioned on ``hash(key) % default_buckets()``, per-bucket
@@ -173,26 +172,6 @@ def semi_join(left_ds, right_ds, on: str, right_on: str | None = None,
     key-set semi joins (key sets stop being broadcastable when the right
     side is a fact table)."""
     right_on = right_on or on
-    if bloom_prefilter:
-        # Bloom has no false NEGATIVES, so dropping definitely-absent left
-        # rows before the shuffle preserves semi-join exactness (false
-        # positives fall through to the exact in-bucket isin).  An ANTI
-        # join cannot use it: a false positive would wrongly DROP a row.
-        if anti:
-            raise ValueError("bloom_prefilter is unsound for anti joins")
-        import ray
-
-        from .partitioning import broadcast_bloom
-
-        bloom = _build_bloom(right_ds.select_columns([right_on]),
-                             right_on, bloom_bits)
-        bref = ray.put(bloom.bits)
-
-        def prefilter(t: pa.Table) -> pa.Table:
-            bf = broadcast_bloom(bref, bloom_bits)
-            return t.filter(pa.array(bf.contains_many(t[on])))
-
-        left_ds = left_ds.map_batches(prefilter, batch_format="pyarrow")
 
     def filter_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

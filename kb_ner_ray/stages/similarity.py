@@ -5,12 +5,13 @@
   (``ray.put`` once), emitting per-batch partial top-k; a vocabulary-sized
   groupby merges partials into the global top-k. The classic
   distributed-top-k shape: no stage ever holds more than (batch x k).
-* ``ivf_knn`` — the scale path: a deterministic coarse quantizer (first
-  ``n_centroids`` vectors) assigns every vector to a centroid bucket;
+* ``ivf_knn`` — the scale path: a deterministic coarse quantizer
+  (``train_ivf_centroids``) assigns every vector to a centroid bucket;
   queries probe the ``nprobe`` nearest buckets only.  Recall vs brute force
   is asserted in tests.
-* ``near_dup_pairs`` — embedding-cosine near-duplicate detection via the
-  same bucketing.
+* ``near_dup_pairs_lsh`` / ``cosine_pairs_blocked`` — embedding-cosine
+  near-duplicate pairs: hyperplane-sign banding (high thresholds), or the
+  exhaustive triangle-blocked plan (any threshold).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 # the state one consumer builds from its broadcast ref.
 _TOPK_STATE: dict = {}
 _IVF_STATE: dict = {}
-_NEAR_DUP_STATE: dict = {}
 _SEEDS_STATE: dict = {}
 _CENTROIDS_STATE: dict = {}
 _PLANES_STATE: dict = {}
@@ -105,15 +105,6 @@ def load_queries(parquet_path: str, n_queries: int = 5):
 
 
 # ---- IVF (coarse-quantized) variant ----------------------------------------
-
-
-def ivf_centroids(parquet_path: str, n_centroids: int = 16) -> np.ndarray:
-    """Deterministic 'training': the first n vectors are the centroids."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(parquet_path, columns=["vec_id", "embedding"])
-    df = t.to_pandas().sort_values("vec_id").head(n_centroids)
-    return _normalize(np.array(df["embedding"].tolist(), dtype=np.float64))
 
 
 IVF_TRAIN_ITERS = 5
@@ -200,45 +191,6 @@ def ivf_knn(emb_ds, queries, centroids, k: int = 5, nprobe: int = 4):
                                     "nprobe": nprobe},
         batch_format="pyarrow")
     return _driver_final_topk(partial.to_pandas(), k)
-
-
-# ---- embedding-cosine near-dup ---------------------------------------------
-
-
-def _near_dup_batch(batch: pa.Table, all_ref=None,
-                    threshold: float = 0.95) -> pa.Table:
-    def build():
-        vids, mat = resolve(all_ref)
-        return np.asarray(vids, dtype=np.int64), _normalize(mat)
-
-    all_vids, all_mat = worker_state(_NEAR_DUP_STATE, all_ref, build)
-    vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
-    m = _normalize(_matrix(batch.column("embedding")))
-    sims = m @ all_mat.T
-    a_out, b_out, s_out = [], [], []
-    for i, a in enumerate(vids):
-        hits = np.where(sims[i] >= threshold)[0]
-        for j in hits:
-            b = all_vids[j]
-            if a < b:  # each unordered pair once
-                a_out.append(a)
-                b_out.append(b)
-                s_out.append(sims[i][j])
-    return pa.table({"vec_a": pa.array(a_out, pa.int64()),
-                     "vec_b": pa.array(b_out, pa.int64()),
-                     "sim": pa.array(s_out, pa.float64())})
-
-
-def near_dup_pairs(emb_ds, all_embeddings_ref, threshold: float = 0.95):
-    """Pairs (a < b) with cosine >= threshold via the BROADCAST full
-    matrix — O(N) memory per worker and O(N^2) compute; kept only as the
-    exactness baseline for tests.  The production path is
-    ``near_dup_pairs_lsh`` (hyperplane-sign bucketing, one shuffle, no
-    broadcast)."""
-    return emb_ds.map_batches(
-        _near_dup_batch,
-        fn_kwargs={"all_ref": all_embeddings_ref, "threshold": threshold},
-        batch_format="pyarrow")
 
 
 # ---- hyperplane-LSH near-dup (the scale path) -------------------------------
@@ -387,9 +339,10 @@ def _tri_cell_tables(S: int):
 
 def _cosine_tri_rows(batch: pa.Table, S: int) -> pa.Table:
     """Explode each vector into its triangle-decomposition groups (same
-    scheme as dedup._jaccard_salted_rows): part p = hash(vec_id) % S; the
-    vector joins every cell (i, j), i<=j, with p in {i, j} — S rows per
-    vector, each unordered pair of vectors meets in EXACTLY one cell.
+    scheme as the hot-bucket split of dedup.banded_pairs_overflow): part
+    p = hash(vec_id) % S; the vector joins every cell (i, j), i<=j, with
+    p in {i, j} — S rows per vector, each unordered pair of vectors meets
+    in EXACTLY one cell.
     Fully vectorized (round-5): np.repeat + per-part cell-table lookup."""
     vids = np.array(batch.column("vec_id").to_pylist(), dtype=np.int64)
     m = _normalize(_matrix(batch.column("embedding")))

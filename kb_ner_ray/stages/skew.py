@@ -47,17 +47,3 @@ def salted_grouped_sum(ds, key: str, value: str):
 
     return bucket_exchange(ds, [key], unsalt, prep=partial, combine=merge)
 
-
-def hot_key_fractions(ds, key: str, top: int = 5) -> pd.DataFrame:
-    """Diagnostic: per-batch key counts -> driver combine -> top-N key
-    share of total (used to decide broadcast vs salted strategies)."""
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({key: t[key]}).group_by(key).aggregate(
-            [([key, "count"][0], "count")])
-
-    pdf = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    agg = pdf.groupby(key, as_index=False)[f"{key}_count"].sum()
-    total = agg[f"{key}_count"].sum()
-    agg = agg.nlargest(top, f"{key}_count").reset_index(drop=True)
-    agg["fraction"] = agg[f"{key}_count"] / total
-    return agg.rename(columns={f"{key}_count": "n_rows"})

@@ -179,12 +179,3 @@ def read_link_counts(part_dir: str) -> pa.Table:
     """A landed raw-triples partition's combined link counts."""
     return feather.read_table(os.path.join(part_dir, LINK_COUNTS))
 
-
-def read_manifests(out_dir: str) -> list[dict]:
-    out = []
-    for d in landed_dirs(out_dir):
-        mpath = os.path.join(d, "_MANIFEST.json")
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                out.append(json.load(f))
-    return out

@@ -1,6 +1,8 @@
 """Training-corpus shard export (pipelines/export.py): deterministic
 order parity, manifest-tracked resume, fingerprint invalidation."""
 
+import os
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
@@ -19,9 +21,11 @@ def test_export_matches_deterministic_shuffle(ray_session, tmp_path):
     from kb_ner_ray.stages.partitioning import deterministic_shuffle
 
     docs = _docs()
+    f = str(tmp_path / "docs.parquet")
+    pq.write_table(docs, f)
     ds = ray.data.from_arrow(docs).repartition(3)
     out = str(tmp_path / "shards")
-    r = export_training_shards(ds, out, n_shards=4)
+    r = export_training_shards(ds, out, n_shards=4, input_files=[f])
     assert r["computed"] == [0, 1, 2, 3] and not r["skipped"]
     back = read_training_order(out).to_pandas()
     idx = (deterministic_shuffle(ray.data.from_arrow(docs), n_shards=4)
@@ -33,7 +37,7 @@ def test_export_matches_deterministic_shuffle(ray_session, tmp_path):
 
 def test_export_resume_and_invalidation(ray_session, tmp_path):
     from kb_ner_ray.pipelines.export import export_training_shards
-    from kb_ner_ray.state.manifest import read_manifests
+    from kb_ner_ray.state.manifest import landed_dirs
 
     d = tmp_path / "src"
     d.mkdir()
@@ -51,4 +55,28 @@ def test_export_resume_and_invalidation(ray_session, tmp_path):
     ds2 = ray.data.read_parquet(f)
     r3 = export_training_shards(ds2, out, n_shards=3, input_files=[f])
     assert len(r3["computed"]) == 3 and not r3["skipped"]
-    assert len(read_manifests(out)) == 3
+    assert [os.path.exists(os.path.join(d, "_MANIFEST.json"))
+            for d in landed_dirs(out)] == [True] * 3
+
+
+def test_corpus_export_binds_shards_to_its_documents(ray_session, tmp_path):
+    """``q_corpus_export`` names its out_dir after the sf dir's basename:
+    an export of another sf dir of the same name lands in the same
+    out_dir and must recompute every shard from its own documents, not
+    serve the first export's."""
+    import shutil
+
+    from kb_ner_ray.pipelines.queries import q_corpus_export
+
+    name = tmp_path.name
+    dirs = {n: tmp_path / str(n) / name for n in (60, 30)}
+    for n, d in dirs.items():
+        d.mkdir(parents=True)
+        pq.write_table(_docs(n), str(d / "documents.parquet"))
+    try:
+        for n, d in dirs.items():
+            got = q_corpus_export(str(d))
+            assert sorted(got["doc_id"].to_pylist()) == list(range(n))
+    finally:
+        shutil.rmtree(f"/tmp/kbner_export/{name}-{os.getpid()}",
+                      ignore_errors=True)

@@ -23,11 +23,7 @@ from kb_ner_ray.stages.multimodal import (
     image_features,
     make_fake_images,
 )
-from kb_ner_ray.stages.similarity import (
-    ivf_knn,
-    knn_bruteforce,
-    near_dup_pairs,
-)
+from kb_ner_ray.stages.similarity import ivf_knn, knn_bruteforce
 from kb_ner_ray.stages.textstats import detect_lang, fingerprint
 
 
@@ -134,6 +130,18 @@ def _emb_ds(mat):
     }))
 
 
+def _cosine_pairs(mat, threshold):
+    """Brute-force baseline: every pair (a < b) of ``_emb_ds(mat)``'s
+    float32 vectors with cosine >= threshold."""
+    import pandas as pd
+
+    m = mat.astype(np.float32).astype(np.float64)
+    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    sims = m @ m.T
+    a, b = np.nonzero(np.triu(sims >= threshold, k=1))
+    return pd.DataFrame({"vec_a": a, "vec_b": b, "sim": sims[a, b]})
+
+
 def test_knn_bruteforce_matches_numpy_oracle():
     rng = np.random.RandomState(3)
     mat = rng.randn(50, 16)
@@ -164,15 +172,16 @@ def test_ivf_recall_vs_bruteforce():
 
 
 def test_near_dup_pairs_symmetric_once():
+    from kb_ner_ray.stages.similarity import cosine_pairs_blocked
+
     mat = np.array([[1.0, 0.0], [1.0, 0.01], [0.0, 1.0]])
-    ref = ray.put(([0, 1, 2], mat))
-    df = near_dup_pairs(_emb_ds(mat), ref, threshold=0.99).to_pandas()
-    assert set(map(tuple, df[["vec_a", "vec_b"]].itertuples(index=False))) == {(0, 1)}
+    df = cosine_pairs_blocked(_emb_ds(mat), threshold=0.99).to_pandas()
+    assert list(map(tuple, df[["vec_a", "vec_b"]].itertuples(index=False))) == [(0, 1)]
 
 
 def test_near_dup_lsh_matches_broadcast():
     """The one-shuffle hyperplane-LSH plan finds exactly the pairs the
-    exact broadcast baseline finds (planted near-dups + random noise)."""
+    brute-force baseline finds (planted near-dups + random noise)."""
     from kb_ner_ray.stages.similarity import near_dup_pairs_lsh
 
     rng = np.random.RandomState(5)
@@ -180,9 +189,7 @@ def test_near_dup_lsh_matches_broadcast():
     # plant near-dups: rows 40..49 are tiny perturbations of rows 0..9
     dups = base[:10] + 0.01 * rng.randn(10, 64)
     mat = np.vstack([base, dups])
-    ref = ray.put((list(range(len(mat))), mat))
-    want = (near_dup_pairs(_emb_ds(mat), ref, threshold=0.95).to_pandas()
-            .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
+    want = _cosine_pairs(mat, 0.95)
     got = (near_dup_pairs_lsh(_emb_ds(mat), threshold=0.95).to_pandas()
            .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
     assert len(want) >= 10
@@ -297,11 +304,7 @@ def test_trained_ivf_beats_firstn_centroids(tmp_path, ray_session):
     stand-in on clustered data (and is deterministic)."""
     import pyarrow.parquet as pq
 
-    from kb_ner_ray.stages.similarity import (
-        ivf_centroids,
-        ivf_knn,
-        train_ivf_centroids,
-    )
+    from kb_ner_ray.stages.similarity import ivf_knn, train_ivf_centroids
 
     rng = np.random.RandomState(11)
     centers = rng.randn(8, 16) * 4
@@ -317,7 +320,7 @@ def test_trained_ivf_beats_firstn_centroids(tmp_path, ray_session):
     queries = (qids, mat32[qids])
     trained = train_ivf_centroids(path, n_centroids=8)
     assert np.allclose(trained, train_ivf_centroids(path, n_centroids=8))
-    firstn = ivf_centroids(path, n_centroids=8)
+    firstn = mat32[:8] / np.linalg.norm(mat32[:8], axis=1, keepdims=True)
     bf = knn_bruteforce(_emb_ds(mat32), queries, k=5)
 
     def recall(cents):
@@ -332,26 +335,6 @@ def test_trained_ivf_beats_firstn_centroids(tmp_path, ray_session):
     r_trained, r_firstn = recall(trained), recall(firstn)
     assert r_trained >= r_firstn
     assert r_trained >= 0.9
-
-
-def test_ngram_jaccard_salted_equals_plain(ray_session):
-    """The 2D giant-block decomposition covers every pair exactly once:
-    identical output to the unsalted plan for several split factors."""
-    import pandas as pd
-
-    from kb_ner_ray.stages.dedup import ngram_jaccard_pairs
-
-    texts = (["abcdefgh"] * 6 + ["abcdefgx"] * 3 + ["zzzzyyyy"] * 4
-             + ["completely different charset!"] * 2)
-    ds = _docs_ds(texts)
-    want = (ngram_jaccard_pairs(ds, threshold=0.6).to_pandas()
-            .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
-    assert len(want) > 0
-    for s in (2, 3, 5):
-        got = (ngram_jaccard_pairs(ds, threshold=0.6, block_split=s)
-               .to_pandas().sort_values(["doc_a", "doc_b"])
-               .reset_index(drop=True))
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_repeated_ngrams_finds_planted_passage(ray_session):
@@ -557,7 +540,7 @@ def test_lsh_embed_overflow_no_pair_loss(ray_session, fanout, caplog):
 
 
 def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session, fanout):
-    """The triangle-blocked exact plan == the broadcast baseline at a LOW
+    """The triangle-blocked exact plan == the brute-force baseline at a LOW
     threshold (0.45) where LSH banding loses ~2-4% of pairs — this plan
     is what sits behind the exact SQL oracle."""
     import pandas as pd
@@ -566,9 +549,7 @@ def test_cosine_pairs_blocked_matches_broadcast_exactly(ray_session, fanout):
 
     rng = np.random.RandomState(11)
     mat = rng.randn(80, 32)
-    ref = ray.put((list(range(len(mat))), mat))
-    want = (near_dup_pairs(_emb_ds(mat), ref, threshold=0.45).to_pandas()
-            .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
+    want = _cosine_pairs(mat, 0.45)
     for buckets in (2, 12):  # triangle_split() S = 2, 5
         with fanout(buckets=buckets) as served:
             got = (cosine_pairs_blocked(_emb_ds(mat), threshold=0.45)

@@ -453,13 +453,6 @@ def test_one_broadcast_rule():
 
 _FANOUT_KNOBS = ("n_buckets", "n_salts", "row_cap", "max_group")
 
-# defaulted fan-out parameters that are not a per-operator fork of the rule
-FANOUT_KNOB_OK = {
-    ("stages/streaming.py", "dedup_stream", "n_buckets"):
-        "the number of seen-set bucket actors of the ingest-time dedup, "
-        "not a shuffle fan-out: each actor holds 1/n of the index",
-}
-
 # what a worker must not call: the rule's readers and the cluster query
 _FANOUT_READS = {"default_buckets", "default_salts", "triangle_split",
                  "group_row_cap", "overflow_rows", "cluster_resources"}
@@ -489,7 +482,7 @@ def test_one_fanout_rule():
     ``group_row_cap``/``overflow_rows``) on the driver.  Outside
     partitioning.py: no function has a defaulted ``n_buckets``,
     ``n_salts``, ``row_cap`` or ``max_group`` parameter (a per-operator
-    option forks the rule; FANOUT_KNOB_OK lists the one exception), and
+    option forks the rule), and
     no module-level function that ``map_batches``/``map_groups`` runs
     reaches, through the package's module-level functions, a call to the
     rule or to ``ray.cluster_resources`` (a worker would ask the cluster
@@ -506,8 +499,7 @@ def test_one_fanout_rule():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 knobs += [f"{rel}:{fn.lineno} {fn.name}({arg.arg})"
                           for arg in _defaulted_args(fn)
-                          if arg.arg in _FANOUT_KNOBS
-                          and (rel, fn.name, arg.arg) not in FANOUT_KNOB_OK]
+                          if arg.arg in _FANOUT_KNOBS]
         for fn in tree.body:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 calls.setdefault(fn.name, set()).update(
@@ -596,16 +588,17 @@ def test_one_scheduling_rule():
     assert not sets, sets
 
 
-# ---- one worker-state helper, no map_batches actor pools ----------------
+# ---- one worker-state helper, no actors ---------------------------------
 
 _SLOT_NAME = re.compile(r"_\w+_(STATE|CACHE)")
 
 # module-level ``_*_STATE``/``_*_CACHE`` dicts that are not worker_state slots
 STATE_DICT_OK = {
     ("pipelines/kg.py", "_REFS_CACHE"):
-        "the driver-side ray.put memo: one set of broadcast refs per corpus "
-        "path, so repeated runs reuse the refs (and every worker state "
-        "keyed by them); no worker reads it",
+        "the driver-side ray.put memo: one set of broadcast refs per "
+        "version of a corpus's kb/ and gazetteer/ files, so repeated runs "
+        "reuse the refs (and every worker state keyed by them); no worker "
+        "reads it",
 }
 
 
@@ -638,9 +631,10 @@ def test_one_worker_state_helper():
     (an actor pool; stateful stages are plain tasks that keep their state
     through ``partitioning.worker_state``); and no module-level
     ``_*_STATE``/``_*_CACHE`` dict used other than as worker_state's slot
-    argument in a module-level function.  The bucket actors of stages/streaming.py are ``.remote()``
-    actors, not map_batches pools, and are not covered here."""
-    resolves, pools, caches = [], [], []
+    argument in a module-level function; and no Ray actor class (a class
+    under a ``ray.remote`` decorator or passed to ``ray.remote(...)``):
+    the package keeps no state in actors."""
+    resolves, pools, caches, actors = [], [], [], []
     for path in sorted(PKG.rglob("*.py")):
         rel = path.relative_to(PKG).as_posix()
         if rel == "stages/partitioning.py":
@@ -653,6 +647,16 @@ def test_one_worker_state_helper():
                            else [top.target])
                  if isinstance(t, ast.Name) and _SLOT_NAME.fullmatch(t.id)
                  and (rel, t.id) not in STATE_DICT_OK}
+        classes = {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)}
+        actors += [f"{rel}:{n.lineno} {n.name}" for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)
+                   and any(_is_remote(d) for d in n.decorator_list)]
+        actors += [f"{rel}:{n.lineno} {n.args[0].id}"
+                   for n in ast.walk(tree)
+                   if isinstance(n, ast.Call) and _is_remote(n.func)
+                   and n.args and isinstance(n.args[0], ast.Name)
+                   and n.args[0].id in classes]
         as_slot, nested = set(), _nested_nodes(tree)
         for n in ast.walk(tree):
             if not isinstance(n, ast.Call):
@@ -677,6 +681,14 @@ def test_one_worker_state_helper():
     assert not resolves, resolves
     assert not pools, pools
     assert not caches, caches
+    assert not actors, actors
+
+
+def _is_remote(node) -> bool:
+    """``remote`` / ``ray.remote``, bare or called with options."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None)) == "remote"
 
 
 class _State:
@@ -764,6 +776,81 @@ def test_gc_policy_in_one_place():
                   and id(n) not in allowed):
                 found.append(f"{rel}:{n.lineno}")
     assert not found, found
+
+
+# ---- nothing in the package that only tests reach -----------------------
+
+# public module-level names of kb_ner_ray/ that no code outside tests/
+# names, and why each stays
+SEAMS = {
+    "set_subtoken_backend": "model seam: the T1 tokenizer swap",
+    "reset_subtoken_backend": "model seam: undoes set_subtoken_backend",
+    "set_splitter_backend": "model seam: the M2 sentence-splitter swap",
+    "reset_splitter_backend": "model seam: undoes set_splitter_backend",
+    "clean_space": "M4, the only implementation (also the reference's "
+                   "replace_ZH)",
+    "replace_zh_space": "M5, the only implementation",
+    "split_keyword": "M6 (of M4-M6), the only implementation",
+    "gen_chinese_search_query": "M8, the only implementation",
+    "bioes_to_bio": "M13 BIOES->BIO converter, the only implementation",
+    "label2mention": "M14, the only implementation",
+    "remap_to_four_class": "M20, the only implementation",
+    "pack_by_length": "T5/O1 batch packer, the only implementation",
+    "viterbi_decode_masked": "T3 remove_x (S-X masking) decode, the only "
+                             "implementation",
+    "score_edit_pairs": "T7 reference edit-distance scorer, the only "
+                        "implementation",
+    "dedup_contexts": "A6, the only implementation",
+    "augment_conll_file": "E2 product: the one call that turns a CoNLL "
+                          "file into an augmented CoNLL file",
+    "span_prf": "A2: the reference span P/R/F1 that tests compare "
+                "span_prf_distributed against",
+    "spans_to_bioes": "A2: the reference encoder that tests compare the "
+                      "span codec against",
+    "detect_lang": "the scalar language-ID reference that tests compare "
+                   "doc_langid against",
+}
+
+ROOT = PKG.parent
+_NAMED_IN = [*PKG.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+             *(ROOT / "tools").rglob("*.py"), ROOT / "bench.py",
+             ROOT / "__ray_entry__.py"]
+
+
+def test_no_test_only_code():
+    """Every public module-level function or class defined under
+    kb_ner_ray/ is named by code outside tests/ (kb_ner_ray/, perfbench/,
+    tools/, bench.py, __ray_entry__.py; a test_*.py file there does not
+    count, nor prose, nor the definition's own body), or sits in SEAMS
+    with its reason.  A second implementation that only tests run is not
+    kept."""
+    defs, used = [], set()
+    for path in _NAMED_IN:
+        if path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text())
+        tops = [t for t in tree.body
+                if isinstance(t, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))]
+        own = {id(n) for t in tops for n in ast.walk(t)
+               if getattr(n, "id", getattr(n, "attr", None)) == t.name}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and id(n) not in own:
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute) and id(n) not in own:
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name.rsplit(".", 1)[-1])
+        if PKG in path.parents:
+            rel = path.relative_to(PKG).as_posix()
+            defs += [(rel, t.lineno, t.name) for t in tops
+                     if not t.name.startswith("_")]
+    unused = [f"{rel}:{line} {name}" for rel, line, name in defs
+              if name not in used and name not in SEAMS]
+    assert not unused, unused
+    stale = sorted((set(SEAMS) - {name for _, _, name in defs})
+                   | (set(SEAMS) & used))
+    assert not stale, stale
 
 
 def test_resolve_reads_refs_and_passes_values():

@@ -9,10 +9,19 @@ import pytest
 
 from kb_ner_ray.state.manifest import (
     input_fingerprint,
+    landed_dirs,
     partition_done,
-    read_manifests,
     write_partition,
 )
+
+
+def _manifests(out):
+    """The manifests of the published partitions of ``out``."""
+    ms = []
+    for d in landed_dirs(out):
+        with open(os.path.join(d, "_MANIFEST.json")) as f:
+            ms.append(json.load(f))
+    return ms
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -22,7 +31,7 @@ def test_manifest_roundtrip(tmp_path):
     assert partition_done(out, 0, "fp0")
     assert not partition_done(out, 0, "fp-changed")
     assert not partition_done(out, 1, "fp0")
-    ms = read_manifests(out)
+    ms = _manifests(out)
     assert len(ms) == 1 and ms[0]["n_rows"] == 3
     assert ms[0]["counters"] == {"rows_in": 3, "n_rows": 3}
 
@@ -32,7 +41,7 @@ def test_manifest_atomic_overwrite(tmp_path):
     write_partition(out, 0, pa.table({"a": [1]}), "fp0")
     write_partition(out, 0, pa.table({"a": [1, 2]}), "fp1")
     assert partition_done(out, 0, "fp1") and not partition_done(out, 0, "fp0")
-    assert read_manifests(out)[0]["n_rows"] == 2
+    assert _manifests(out)[0]["n_rows"] == 2
 
 
 def test_fingerprint_tracks_content(tmp_path):
@@ -499,3 +508,46 @@ def test_resumable_run_ignores_partitions_beyond_split(tmp_path):
     assert os.path.isdir(os.path.join(out, "raw", "part=0003"))
     assert _final_rows(out) == want
     assert r2["n_triples"] == len(want)
+
+
+def _halve_gazetteer(corpus):
+    """Rewrite the corpus's gazetteer file in place with its first half."""
+    import pyarrow.parquet as pq
+
+    f = os.path.join(corpus, "gazetteer", "part-00000.parquet")
+    t = pq.read_table(f)
+    pq.write_table(t.slice(0, t.num_rows // 2), f)
+    return t.num_rows // 2
+
+
+def test_corpus_refs_follow_rewritten_gazetteer(tmp_path):
+    """A gazetteer file rewritten in place is broadcast afresh: the same
+    driver ships the new rows, not the refs of the first load."""
+    import ray
+
+    from kb_ner_ray.pipelines.kg import load_corpus_refs
+
+    corpus = _corpus_copy(tmp_path)
+    first = load_corpus_refs(corpus)
+    assert load_corpus_refs(corpus) is first
+    n = _halve_gazetteer(corpus)
+    assert len(ray.get(load_corpus_refs(corpus)[1])) == n
+
+
+def test_resumable_rerun_after_gazetteer_rewrite(tmp_path):
+    """Every partition's triples depend on the gazetteer: after it is
+    rewritten, a rerun recomputes every partition and returns the triples
+    of a fresh run."""
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=4)
+    out = str(tmp_path / "run")
+    run_resumable(corpus, out, n_partitions=4)
+    _halve_gazetteer(corpus)
+    r = run_resumable(corpus, out, n_partitions=4)
+    assert r["computed"] == [0, 1, 2, 3] and r["skipped"] == []
+    fresh = str(tmp_path / "fresh")
+    assert r["n_triples"] == run_resumable(corpus, fresh,
+                                           n_partitions=4)["n_triples"]
+    assert _final_rows(out) == _final_rows(fresh)
+    _check_partitions(out, corpus)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kb_ner_ray.functions.canon import build_canonical_map
-from kb_ner_ray.functions.tokenizer import subtoken_count, tokenize_with_offsets
+from kb_ner_ray.functions.tokenizer import subtoken_count
 from kb_ner_ray.state import bm25
 from kb_ner_ray.state.bm25 import KBIndex, MultiLangKBIndex, analyze
 from kb_ner_ray.state.gazetteer import Gazetteer
@@ -254,12 +254,6 @@ def test_canonical_map_majority_and_alias_union():
     # no chaining through the minority link: Acme Labs stays itself
     assert m["acme labs"] == "Acme Labs"
     assert m["farid okafor"] == m["f okafor"] == "Farid Okafor"
-
-
-def test_tokenize_with_offsets():
-    toks, starts, ends = tokenize_with_offsets("  ab  cd ")
-    assert toks == ["ab", "cd"]
-    assert starts == [2, 6] and ends == [4, 8]
 
 
 def test_subtoken_count_properties():

@@ -5,8 +5,6 @@ from kb_ner_ray.functions.text import (
     extract_text,
     gen_sentence,
     normalize_surface,
-    printable_only,
-    replace_zh,
     replace_zh_space,
     split_keyword,
     split_sentences,
@@ -23,9 +21,9 @@ def test_clean_space_removes_space_after_cjk():
 
 
 def test_replace_zh():
-    # identical semantics to clean_space (see reference context_process.py:24-33):
+    # the reference's replace_ZH (context_process.py:24-33) is clean_space:
     # single pass — spaces AFTER CJK go; the space before 测 (after latin) stays
-    assert replace_zh("中 文 abc 测 试") == "中文abc 测试"
+    assert clean_space("中 文 abc 测 试") == "中文abc 测试"
 
 
 def test_replace_zh_space_digits():
@@ -42,7 +40,11 @@ def test_gen_sentence_zh_glues_cjk_runs():
 
 
 def test_printable_only():
-    assert printable_only("a‎b﻿c") == "abc"
+    # the M10 printable filter (reference context_process.py:410)
+    from kb_ner_ray.data.oracle import clean_context
+
+    assert clean_context("a‎b﻿c") == "abc"
+    assert clean_context("abc") == "abc"
 
 
 def test_normalize_surface():
