@@ -28,7 +28,7 @@ rank's range, emitted from the same map_batches), so tertile cutoffs
 cost the same scans as one median.
 
 Values must be integers (the engine's float policy quantizes score-like
-floats to int64 basis points anyway — see queries.py module docstring).
+floats to int64 basis points anyway — see the pipelines.queries docstring).
 """
 
 from __future__ import annotations

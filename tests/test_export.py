@@ -66,7 +66,7 @@ def test_corpus_export_binds_shards_to_its_documents(ray_session, tmp_path):
     serve the first export's."""
     import shutil
 
-    from kb_ner_ray.pipelines.queries import q_corpus_export
+    from kb_ner_ray.pipelines.queries.documents import q_corpus_export
 
     name = tmp_path.name
     dirs = {n: tmp_path / str(n) / name for n in (60, 30)}

@@ -428,127 +428,42 @@ def test_bloom_filter_laws():
     assert s.contains_many(np.array(["x", "y"], dtype=object)).all()
 
 
-def test_registry_window_carries_full_signal():
-    """The correctness driver checks only the FIRST 50 registry entries
-    (round-2 verdict: the flagship chain sat past the window and was
-    silently skipped).  Pin the invariants: the flagship kg_* chain +
-    multimodal trio sit inside the window, and every distinct oracle SQL
-    is exercised by at least one in-window query (out-of-window oracled
-    entries must be plan-parity duplicates sharing an in-window SQL)."""
-    from kb_ner_ray.pipelines.queries import oracle_registry, queries_registry
+# the flagship chain and the queries chosen for the driver's window
+FLAGSHIP = {"kg_triples", "kg_mentions", "kg_mentions_viterbi",
+            "kg_mentions_iter2", "kg_ensemble", "kg_extract_docs",
+            "kg_sentences", "kg_contexts", "corpus_prep", "doc_splits"}
+WINDOW = FLAGSHIP | {
+    "kg_augment_conll", "token_postings", "corpus_lang_stats",
+    "doc_line_dedup", "doc_pii_redact", "semdedup", "dsir_weights",
+    "events_funnel", "snapshot_delta", "dup_graph_triangles",
+    "quality_classifier", "doc_keywords", "doc_passage_dedup",
+    "kg_entity_pagerank", "corpus_shuffle", "doc_pmi",
+    "doc_contamination_frac", "events_winsorized_stats", "corpus_export",
+    "source_reputation_filter", "pricing_correlation",
+    "temperature_sample", "doc_token_entropy", "bm25_search",
+    "pack_sequences", "pricing_cube", "doc_bigram_ppl",
+    "ngram_jaccard_components", "events_burst_dedup",
+    "embed_near_dup_lsh", "ivf_knn", "approx_distinct_users",
+    "heavy_hitters_events", "approx_quantiles_value", "doc_langid",
+    "doc_repeated_ngrams", "kg_contexts_entity", "kg_contexts_reranked",
+    "kg_distant_supervision", "kg_ensemble_multirun"}
 
-    names = list(queries_registry())
-    window = set(names[:50])
-    # round 3: the multimodal trio and kg_span_metric sit past the window
-    # (rows-only; stub/pytest-pinned) so every slot inside it carries an
-    # exact-oracled query or a flagship kg_* stage
-    flagship = {"kg_triples", "kg_mentions", "kg_mentions_viterbi",
-                "kg_mentions_iter2", "kg_ensemble", "kg_extract_docs",
-                "kg_sentences", "kg_contexts", "corpus_prep", "doc_splits"}
-    assert flagship <= window, flagship - window
-    oracles = oracle_registry()
-    # Oracled queries sit inside the checked window, except the explicit
-    # ROTATION list (round-3 verdict #5): the window's 50 slots are
-    # saturated, so each round swaps a few repeatedly-driver-green exact
-    # entries out for queries that haven't earned a driver row yet.
-    # Rotated-out entries are still oracle-verified by every
-    # tools/check_queries.py run (just not in that round's driver record).
-    rotated_out = {"top_orders", "customer_rollup", "part_filter_topk",
-                   "doc_token_explode", "distinct_users",
-                   "nation_acctbal_minmax", "nation_top3_names",
-                   "props_json", "union_sample",
-                   "customers_no_urgent_orders",
-                   "orders_events_range_join", "events_lead_lag",
-                   "events_running_value", "nation_median_acctbal",
-                   "events_rolling_count", "orders_lineitem_join",
-                   "events_hourly", "ngram_jaccard",
-                   # round-5 rotation: all driver-green exact in r04 and
-                   # engine-untouched this round
-                   "events_hopping", "doc_unigram_ppl",
-                   "doc_quality_buckets_by_lang",
-                   "activity_reconcile_outer", "events_value_percentiles",
-                   "customer_activity_left", "events_pivot",
-                   "pricing_rollup", "doc_quality_buckets",
-                   "stratified_rebalance", "embed_outliers",
-                   # displaced by the round-5-new doc_line_dedup (exact)
-                   "events_sessionize",
-                   # displaced by the round-5-new corpus_shuffle (exact)
-                   "events_asof_orders",
-                   # displaced by the round-5-new temperature_sample
-                   "customers_with_orders",
-                   # displaced by the round-5-new pack_sequences (exact)
-                   "order_priority_exists",
-                   # displaced by the round-5-new pricing_cube (exact)
-                   "corpus_stats",
-                   # displaced by round-5-new doc_contamination_frac
-                   "doc_fingerprints",
-                   # displaced by the round-5-new corpus_export (exact)
-                   "doc_word_repetition",
-                   # displaced by round-5-new events_winsorized_stats
-                   "doc_quality",
-                   # displaced by round-5-new doc_token_entropy
-                   "events_topn_per_type",
-                   # displaced by round-5-new source_reputation_filter
-                   "knn_bruteforce",
-                   # displaced by round-5-new pricing_correlation
-                   "embed_near_dup",
-                   # second round-5 rotation: displaced by the seven NEW
-                   # exact second-batch ops (multi-round driver-green,
-                   # engines untouched this round)
-                   "pricing_summary", "revenue_by_nation",
-                   "doc_token_stats", "dedup_exact", "doc_gopher_rules",
-                   "near_dup_keep", "doc_decontaminate",
-                   # displaced by the round-5-new events_burst_dedup
-                   "source_stats_salted",
-                   # late round-5 exact op: the window is saturated with
-                   # this round's first-time rows, so it starts past the
-                   # window (oracle-verified by every check_queries run)
-                   "range_search",
-                   # round-5 fourth batch: NEW exacts registered past the
-                   # saturated window (first driver rows deferred to a
-                   # future rotation; verified by every check_queries run
-                   # AND the randomized differential gate over planted
-                   # random tables)
-                   "events_transitions", "events_retention",
-                   "events_decay_score", "events_user_mode",
-                   "dup_graph_degrees", "events_session_stats",
-                   "events_attribution", "events_anomaly_p99",
-                   "dup_graph_cluster_sizes", "doc_source_overlap",
-                   "doc_length_hist", "doc_top_bigrams",
-                   "local_supplier_revenue", "events_hourly_uniques"}
-    outside = [n for i, n in enumerate(names)
-               if i >= 50 and n in oracles and n not in rotated_out]
-    assert not outside, outside
-    # round-5 rotation targets (never driver-verified before this round)
-    # actually sit INSIDE the window, as do the queries whose engines
-    # changed in round 5 (salted reducers / PMI pass-B / bigram join plan)
-    rotated_in = {"embed_near_dup_lsh", "ivf_knn", "approx_distinct_users",
-                  "heavy_hitters_events", "approx_quantiles_value",
-                  "doc_langid", "doc_repeated_ngrams", "kg_contexts_entity",
-                  "kg_contexts_reranked", "kg_distant_supervision",
-                  "kg_ensemble_multirun"}
-    assert rotated_in <= window, rotated_in - window
-    engine_changed_r5 = {"token_postings", "corpus_lang_stats",
-                         "doc_keywords", "doc_pmi", "doc_bigram_ppl",
-                         "doc_line_dedup",  # round-5-NEW exact queries
-                         "corpus_shuffle", "temperature_sample",
-                         "pack_sequences", "pricing_cube",
-                         "doc_contamination_frac", "corpus_export",
-                         "events_winsorized_stats", "doc_token_entropy",
-                         "source_reputation_filter",
-                         "pricing_correlation"}
-    assert engine_changed_r5 <= window, engine_changed_r5 - window
-    # round-5 second batch: all seven NEW exact operators earn their
-    # first driver rows this round
-    new_batch2 = {"doc_pii_redact", "semdedup", "dsir_weights",
-                  "events_funnel", "snapshot_delta",
-                  "dup_graph_triangles", "quality_classifier",
-                  "events_burst_dedup"}
-    assert new_batch2 <= window, new_batch2 - window
-    in_window_sql = {sql for n, sql in oracles.items() if n in window}
-    for n, sql in oracles.items():
-        assert n in rotated_out or sql in in_window_sql, \
-            f"oracle for {n!r} never checked"
+
+def test_registry_window_carries_full_signal():
+    """The correctness driver checks only the FIRST 50 registry rows, so
+    the flagship kg_* chain and the window's chosen queries sit there.
+    The rows are a tuple, so a repeated name would silently shadow its
+    twin in the derived dicts: no name appears twice."""
+    from kb_ner_ray.pipelines.queries import (ROWS, oracle_registry,
+                                              queries_registry)
+
+    names = [name for name, _fn, _sql in ROWS]
+    assert len(names) == len(set(names)), sorted(
+        n for n in set(names) if names.count(n) > 1)
+    assert len(queries_registry()) == 123
+    assert len(oracle_registry()) == 92
+    assert FLAGSHIP <= set(names[:50]), FLAGSHIP - set(names[:50])
+    assert set(names[:50]) == WINDOW, set(names[:50]) ^ WINDOW
 
 
 def test_unigram_ppl_join_plan_matches_broadcast(ray_session,
@@ -626,7 +541,7 @@ def test_banding_candidate_stats_planted(ray_session):
 def test_stratified_rebalance_balances_langs(ray_session):
     """Skewed langs are downsampled toward the rarest lang's volume with
     a deterministic keep rule (identical output across runs)."""
-    from kb_ner_ray.pipelines.queries import q_stratified_rebalance
+    from kb_ner_ray.pipelines.queries.documents import q_stratified_rebalance
 
     out = q_stratified_rebalance("/root/testdata/sf0.01").to_pandas()
     again = q_stratified_rebalance("/root/testdata/sf0.01").to_pandas()
@@ -787,7 +702,7 @@ def test_temperature_sample_flattens_mix(ray_session):
     kept counts ordered like the input counts but with ratios pulled
     toward 1 (kept_max/kept_min << n_max/n_min), and a rerun is
     identical (deterministic value-hash rule)."""
-    from kb_ner_ray.pipelines.queries import q_temperature_sample
+    from kb_ner_ray.pipelines.queries.documents import q_temperature_sample
 
     a = q_temperature_sample("/root/testdata/sf0.01").to_pandas()
     b = q_temperature_sample("/root/testdata/sf0.01").to_pandas()
@@ -1020,14 +935,14 @@ def test_dsir_weights_orders_target_like_docs(ray_session):
             > out.loc[[2, 3], "dsir_bp"].max())
 
 
-def test_events_funnel_ordering_semantics(ray_session):
+def test_events_funnel_ordering_semantics(ray_session, tmp_path):
     """Funnel: a click BEFORE the first view does not convert; equal
     timestamps do (>= gate); durations sum as integer microseconds."""
     import datetime as dt
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_funnel
+    from kb_ner_ray.pipelines.queries.events import q_events_funnel
 
     t0 = dt.datetime(2026, 1, 1)
     rows = [
@@ -1043,9 +958,7 @@ def test_events_funnel_ordering_semantics(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "event_type", "ts"])
     df["ts"] = pd.to_datetime(df["ts"])
-    import tempfile
-
-    sf = tempfile.mkdtemp(prefix="funnel_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_funnel(sf).set_index("stage")
     assert out.loc[1, "n_users"] == 3
@@ -1167,7 +1080,8 @@ def test_source_reputation_filter_gate_raises(ray_session, tmp_path,
     broadcasting (the filter has no distributed keep pass)."""
     import pyarrow.parquet as pq
 
-    from kb_ner_ray.pipelines.queries import q_source_reputation_filter
+    from kb_ner_ray.pipelines.queries.documents import (
+        q_source_reputation_filter)
 
     pq.write_table(pa.table({
         "doc_id": pa.array([0, 1], pa.int64()),
@@ -1179,15 +1093,14 @@ def test_source_reputation_filter_gate_raises(ray_session, tmp_path,
         q_source_reputation_filter(str(tmp_path))
 
 
-def test_events_burst_dedup_semantics(ray_session):
+def test_events_burst_dedup_semantics(ray_session, tmp_path):
     """Burst dedup: a same-key retry inside the gap drops, the next fire
     past the gap keeps, different keys never interact."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_burst_dedup
+    from kb_ner_ray.pipelines.queries.events import q_events_burst_dedup
 
     t0 = dt.datetime(2026, 1, 1)
     rows = [
@@ -1200,22 +1113,21 @@ def test_events_burst_dedup_semantics(ray_session):
     df = pd.DataFrame(rows, columns=["event_id", "user_id",
                                      "event_type", "ts"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="burst_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_burst_dedup(sf).to_pandas()
     assert sorted(out["event_id"]) == [1, 3, 4, 5]
 
 
-def test_events_transitions_semantics(ray_session):
+def test_events_transitions_semantics(ray_session, tmp_path):
     """Transition matrix: pairs are consecutive WITHIN a user's
     time-ordered stream only; prob_bp rows per from_type sum to ~1e4;
     equal-ts order falls back to event_id (the oracle's ORDER BY)."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_transitions
+    from kb_ner_ray.pipelines.queries.events import q_events_transitions
 
     t0 = dt.datetime(2026, 1, 1)
     rows = [
@@ -1234,7 +1146,7 @@ def test_events_transitions_semantics(ray_session):
     df = pd.DataFrame(rows, columns=["event_id", "user_id",
                                      "event_type", "ts"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="trans_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_transitions(sf).set_index(["from_type", "to_type"])
     assert out.loc[("view", "click"), "n_pairs"] == 1
@@ -1247,15 +1159,14 @@ def test_events_transitions_semantics(ray_session):
     assert ((sums - 10_000).abs() <= 1).all()
 
 
-def test_events_retention_semantics(ray_session):
+def test_events_retention_semantics(ray_session, tmp_path):
     """Retention: cohort = first active day; same-day repeats collapse;
     every cohort has an offset-0 row counting its full size."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_retention
+    from kb_ner_ray.pipelines.queries.events import q_events_retention
 
     d0 = dt.datetime(2026, 1, 1, 9, 30)
     day = dt.timedelta(days=1)
@@ -1267,7 +1178,7 @@ def test_events_retention_semantics(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "ts"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="ret_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_retention(sf).to_pandas()
     out["cohort_day"] = pd.to_datetime(out["cohort_day"])
@@ -1281,16 +1192,15 @@ def test_events_retention_semantics(ray_session):
     assert int(out["n_users"].sum()) == 5  # distinct (user, day) pairs
 
 
-def test_events_decay_score_semantics(ray_session):
+def test_events_decay_score_semantics(ray_session, tmp_path):
     """Decay score: an event exactly one half-life before t_max carries
     half the weight of one at t_max; per-user sums are independent."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import (DECAY_HALF_LIFE_US,
-                                              q_events_decay_score)
+    from kb_ner_ray.pipelines.queries.events import (DECAY_HALF_LIFE_US,
+                                                     q_events_decay_score)
 
     tmax = dt.datetime(2026, 6, 1)
     half = dt.timedelta(microseconds=DECAY_HALF_LIFE_US)
@@ -1302,7 +1212,7 @@ def test_events_decay_score_semantics(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "ts", "value"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="decay_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_decay_score(sf).to_pandas().set_index("user_id")
     assert out.loc[1, "score_bp"] == 100_000
@@ -1311,20 +1221,19 @@ def test_events_decay_score_semantics(ray_session):
     assert out.loc[4, "score_bp"] == 20_000
 
 
-def test_events_user_mode_tiebreak(ray_session):
+def test_events_user_mode_tiebreak(ray_session, tmp_path):
     """Mode: highest count wins; ties break on the LEXICALLY SMALLER
     type (the oracle's ORDER BY n DESC, event_type)."""
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_user_mode
+    from kb_ner_ray.pipelines.queries.events import q_events_user_mode
 
     rows = ([(1, "view")] * 3 + [(1, "click")] * 2
             + [(2, "view"), (2, "click")]          # tie -> 'click'
             + [(3, "purchase")])
     df = pd.DataFrame(rows, columns=["user_id", "event_type"])
-    sf = tempfile.mkdtemp(prefix="mode_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_user_mode(sf).to_pandas().set_index("user_id")
     assert out.loc[1, "mode_type"] == "view" and out.loc[1, "n_events"] == 3
@@ -1335,8 +1244,8 @@ def test_events_user_mode_tiebreak(ray_session):
 def test_dup_graph_degrees_handshake(ray_session):
     """Degree histogram obeys the handshake lemma against the pair list:
     sum(degree * n_nodes) == 2 * |pairs| on the same corpus."""
-    from kb_ner_ray.pipelines.queries import (q_dup_graph_degrees,
-                                              q_ngram_jaccard)
+    from kb_ner_ray.pipelines.queries.documents import (q_dup_graph_degrees,
+                                                        q_ngram_jaccard)
 
     sf = "/root/testdata/sf0.001"
     hist = q_dup_graph_degrees(sf)
@@ -1345,15 +1254,14 @@ def test_dup_graph_degrees_handshake(ray_session):
     assert (hist["degree"] > 0).all() and (hist["n_nodes"] > 0).all()
 
 
-def test_events_session_stats_semantics(ray_session):
+def test_events_session_stats_semantics(ray_session, tmp_path):
     """Session stats: 30-min gap splits sessions; dwell is the in-session
     span only; per-user rollup matches hand counts."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_session_stats
+    from kb_ner_ray.pipelines.queries.events import q_events_session_stats
 
     t0 = dt.datetime(2026, 1, 1)
     m = dt.timedelta(minutes=1)
@@ -1367,7 +1275,7 @@ def test_events_session_stats_semantics(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="sess_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = (q_events_session_stats(sf).to_pandas()
            .set_index("user_id"))
@@ -1379,16 +1287,15 @@ def test_events_session_stats_semantics(ray_session):
     assert out.loc[2, "sum_dwell_usecs"] == 30 * 60_000_000
 
 
-def test_events_attribution_last_touch(ray_session):
+def test_events_attribution_last_touch(ray_session, tmp_path):
     """Attribution: purchase credits the LAST non-purchase touch before
     it (same-user only); a leading purchase with no touch is dropped;
     purchases between touches don't break the chain."""
     import datetime as dt
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_attribution
+    from kb_ner_ray.pipelines.queries.events import q_events_attribution
 
     t0 = dt.datetime(2026, 1, 1)
     s = dt.timedelta(seconds=1)
@@ -1406,7 +1313,7 @@ def test_events_attribution_last_touch(ray_session):
     df = pd.DataFrame(rows, columns=["event_id", "user_id",
                                      "event_type", "ts", "value"])
     df["ts"] = pd.to_datetime(df["ts"])
-    sf = tempfile.mkdtemp(prefix="attr_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_attribution(sf).set_index("source_type")
     assert out.loc["click", "n_purchases"] == 2
@@ -1416,16 +1323,15 @@ def test_events_attribution_last_touch(ray_session):
     assert int(out["n_purchases"].sum()) == 3  # user 2's is dropped
 
 
-def test_events_anomaly_p99_threshold(ray_session):
+def test_events_anomaly_p99_threshold(ray_session, tmp_path):
     """Anomaly filter: only values STRICTLY above the type's exact p99
     survive, and the reported threshold is that p99."""
     import datetime as dt
-    import tempfile
 
     import numpy as np
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_events_anomaly_p99
+    from kb_ner_ray.pipelines.queries.events import q_events_anomaly_p99
 
     n = 200
     vals = np.arange(1, n + 1, dtype=np.float64)  # cents = 100..20000
@@ -1435,7 +1341,7 @@ def test_events_anomaly_p99_threshold(ray_session):
         "event_type": ["click"] * n,
         "value": vals,
     })
-    sf = tempfile.mkdtemp(prefix="anom_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
     out = q_events_anomaly_p99(sf).to_pandas()
     # p99 rank = ceil(200 * .99) = 198 -> threshold 19800 cents;
@@ -1447,8 +1353,8 @@ def test_events_anomaly_p99_threshold(ray_session):
 def test_dup_graph_cluster_sizes_consistency(ray_session):
     """Cluster-size histogram re-aggregates the components output:
     sum(size * n_components) == |component rows| on the same corpus."""
-    from kb_ner_ray.pipelines.queries import (q_dup_graph_cluster_sizes,
-                                              q_ngram_jaccard_components)
+    from kb_ner_ray.pipelines.queries.documents import (
+        q_dup_graph_cluster_sizes, q_ngram_jaccard_components)
 
     sf = "/root/testdata/sf0.001"
     hist = q_dup_graph_cluster_sizes(sf)
@@ -1457,15 +1363,14 @@ def test_dup_graph_cluster_sizes_consistency(ray_session):
     assert (hist["size"] >= 2).all()  # singletons never enter the graph
 
 
-def test_doc_source_overlap_planted(ray_session):
+def test_doc_source_overlap_planted(ray_session, tmp_path):
     """Cross-source dup matrix: planted duplicate groups produce exact
     n*m cross counts and n*(n-1)/2 within counts; unique docs never
     pair."""
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_doc_source_overlap
+    from kb_ner_ray.pipelines.queries.documents import q_doc_source_overlap
 
     rows = [
         # "alpha" appears 2x in s0 and 1x in s1:
@@ -1478,7 +1383,7 @@ def test_doc_source_overlap_planted(ray_session):
         (5, "gamma solo", "s1"),
     ]
     df = pd.DataFrame(rows, columns=["doc_id", "text", "source"])
-    sf = tempfile.mkdtemp(prefix="overlap_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/documents.parquet", index=False)
     out = (q_doc_source_overlap(sf)
            .set_index(["source_a", "source_b"])["n_pairs"])
@@ -1487,15 +1392,14 @@ def test_doc_source_overlap_planted(ray_session):
     assert len(out) == 2
 
 
-def test_doc_length_hist_bins(ray_session):
+def test_doc_length_hist_bins(ray_session, tmp_path):
     """Length histogram: bin = n_tokens // 32; empty text counts one
     token (the regexp_split oracle contract)."""
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import (LENGTH_HIST_WIDTH,
-                                              q_doc_length_hist)
+    from kb_ner_ray.pipelines.queries.documents import (LENGTH_HIST_WIDTH,
+                                                        q_doc_length_hist)
 
     rows = [
         (0, " ".join(["w"] * 5), "en"),     # bin 0
@@ -1505,7 +1409,7 @@ def test_doc_length_hist_bins(ray_session):
         (4, " ".join(["w"] * 64), "de"),    # bin 2
     ]
     df = pd.DataFrame(rows, columns=["doc_id", "text", "lang"])
-    sf = tempfile.mkdtemp(prefix="lenhist_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/documents.parquet", index=False)
     assert LENGTH_HIST_WIDTH == 32
     out = (q_doc_length_hist(sf).to_pandas()
@@ -1514,14 +1418,13 @@ def test_doc_length_hist_bins(ray_session):
     assert out[("de", 0)] == 1 and out[("de", 2)] == 1
 
 
-def test_doc_top_bigrams_ordering(ray_session):
+def test_doc_top_bigrams_ordering(ray_session, tmp_path):
     """Collocations: counts are corpus-global, rank order is
     (count desc, a asc, b asc), cross-document token pairs never form."""
-    import tempfile
 
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import q_doc_top_bigrams
+    from kb_ner_ray.pipelines.queries.documents import q_doc_top_bigrams
 
     rows = [
         (0, "x y x y x y"),      # (x,y)*3 (y,x)*2
@@ -1531,7 +1434,7 @@ def test_doc_top_bigrams_ordering(ray_session):
         (5, ""),                 # empty: no pair
     ]
     df = pd.DataFrame(rows, columns=["doc_id", "text"])
-    sf = tempfile.mkdtemp(prefix="bigrams_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/documents.parquet", index=False)
     out = q_doc_top_bigrams(sf)
     assert list(out.loc[0, ["a", "b", "n_occurrences", "rnk"]]) == [
@@ -1542,20 +1445,19 @@ def test_doc_top_bigrams_ordering(ray_session):
     assert len(out) == 3
 
 
-def test_event_user_ops_under_planted_skew(ray_session):
+def test_event_user_ops_under_planted_skew(ray_session, tmp_path):
     """A HOT user holding 60% of all events (the coarse user-hash bucket
     plan co-locates each user) must not change correctness: transitions,
     session stats, and mode all match a single-process pandas
     recomputation on the same skewed stream."""
-    import tempfile
 
     import numpy as np
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import (SESSION_GAP_MIN,
-                                              q_events_session_stats,
-                                              q_events_transitions,
-                                              q_events_user_mode)
+    from kb_ner_ray.pipelines.queries.events import (SESSION_GAP_MIN,
+                                                     q_events_session_stats,
+                                                     q_events_transitions,
+                                                     q_events_user_mode)
 
     rng = np.random.default_rng(7)
     n = 2_000
@@ -1570,7 +1472,7 @@ def test_event_user_ops_under_planted_skew(ray_session):
         "ts": ts,
         "event_type": rng.choice(["view", "click", "purchase"], size=n),
     })
-    sf = tempfile.mkdtemp(prefix="skew_")
+    sf = str(tmp_path)
     df.to_parquet(f"{sf}/events.parquet", index=False)
 
     # --- single-process references -------------------------------------
@@ -1607,7 +1509,7 @@ def test_local_supplier_revenue_plan_parity(ray_session):
     plan's rows (the above-limit path must not change semantics)."""
     import pandas as pd
 
-    from kb_ner_ray.pipelines.queries import (
+    from kb_ner_ray.pipelines.queries.tpch import (
         q_local_supplier_revenue, q_local_supplier_revenue_bucketed)
 
     sf = "/root/testdata/sf0.001"

@@ -44,7 +44,7 @@ def _read_both(served):
 
 
 def test_token_postings_salted_hot_token(ray_session, hot_sf_dir, fanout):
-    from kb_ner_ray.pipelines.queries import q_token_postings
+    from kb_ner_ray.pipelines.queries.documents import q_token_postings
 
     with fanout(row_cap=CAP, salts=8) as served:
         out = (q_token_postings(hot_sf_dir)
@@ -67,7 +67,7 @@ def test_token_postings_salted_hot_token(ray_session, hot_sf_dir, fanout):
 
 def test_corpus_lang_stats_salted_hot_token(ray_session, hot_sf_dir,
                                             fanout):
-    from kb_ner_ray.pipelines.queries import q_corpus_lang_stats
+    from kb_ner_ray.pipelines.queries.documents import q_corpus_lang_stats
 
     with fanout(row_cap=CAP, salts=8) as served:
         out = (q_corpus_lang_stats(hot_sf_dir)

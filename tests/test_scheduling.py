@@ -21,7 +21,7 @@ from kb_ner_ray.pipelines.kg import (
     raw_triples,
     sentences_dataset,
 )
-from kb_ner_ray.pipelines.queries import _read
+from kb_ner_ray.pipelines.queries._common import _read
 from kb_ner_ray.pipelines.run import run_resumable
 
 

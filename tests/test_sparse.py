@@ -146,7 +146,7 @@ def test_embed_outliers_zero_norm_matches_oracle(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from kb_ner_ray.pipelines.queries import SQL_EMBED_OUTLIERS
+    from kb_ner_ray.pipelines.queries.embeddings import SQL_EMBED_OUTLIERS
     from kb_ner_ray.stages.similarity import embed_outliers
 
     # label 0: one zero vector among normal ones; label 1: vectors that
