@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.text import normalize_surface
+from ..state.manifest import scratch, swap_in
 
 SCHEMA_VERSION = 7  # bump to invalidate /tmp caches
 
@@ -459,8 +460,7 @@ def corpus_dir(sf: float, seed: int = 42, root: str = "/tmp/kbner_synth") -> str
     if os.path.exists(done):
         return d
     tables = generate_corpus(n_pages, seed=seed)
-    tmp = d + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
+    tmp = scratch(root)
     for name, table in tables.items():
         tdir = os.path.join(tmp, name)
         os.makedirs(tdir, exist_ok=True)
@@ -476,13 +476,9 @@ def corpus_dir(sf: float, seed: int = 42, root: str = "/tmp/kbner_synth") -> str
             pq.write_table(table.slice(fi, step),
                            os.path.join(tdir, f"part-{fi // step:05d}.parquet"),
                            row_group_size=64)
-    import shutil
-
-    if os.path.exists(d):
-        shutil.rmtree(d)
-    os.replace(tmp, d)
-    with open(done, "w") as f:
+    with open(os.path.join(tmp, "_DONE"), "w") as f:
         f.write("ok")
+    swap_in(tmp, d)
     return d
 
 

@@ -13,7 +13,7 @@ genuinely distinct checkpoints, where each model is its own deployment:
   factory; the sandbox stand-in is the pinned gazetteer
   ``VariantTagger``);
 * each run's predictions land STREAMED in a resumable partitioned sink
-  (``out_dir/part=<m>/`` + lineage manifest, state/manifest.py) — a
+  (one partition dir per run + lineage manifest, state/manifest.py) — a
   crashed 14-model sweep recomputes only missing/stale runs, keyed on
   (corpus fingerprint, checkpoint identity);
 * the vote reads ALL runs back as one Dataset of fixed-width span rows
@@ -92,12 +92,11 @@ def ensemble_from_runs(out_dir: str, n_models: int,
     label, model_id, n_tokens) and applies the same vote kernel as the
     fused path, so both paths are interchangeable downstream.
 
-    Only MANIFESTED run directories are read (a crashed write leaves a
-    part=NNNN.tmp with no manifest — never voted), and the run count
-    must equal ``n_models``: a leftover run from a wider previous sweep
-    would silently skew the vote threshold."""
-    run_dirs = [d for d in landed_dirs(out_dir)
-                if os.path.exists(os.path.join(d, "_MANIFEST.json"))]
+    Only published run directories are read (a crashed write leaves a
+    scratch dir, never voted), and the run count must equal
+    ``n_models``: a leftover run from a wider previous sweep would
+    silently skew the vote threshold."""
+    run_dirs = landed_dirs(out_dir)
     if not run_dirs:
         raise FileNotFoundError(f"no prediction runs under {out_dir}")
     if len(run_dirs) != n_models:

@@ -3,18 +3,14 @@ as resumable, manifest-tracked parquet shards — the step that turns the
 round-5 index ops (partitioning.deterministic_shuffle order,
 packing.pack_training_sequences layout) into bytes a trainer reads.
 
-Layout (the repo's standard resumable sink, state/manifest.py):
-
-    out_dir/
-      part=0000/data.parquet + _MANIFEST.json   <- shard 0, rows sorted
-      part=0001/...                                by the md5 training
-      ...                                          order (order_key)
-      _DONE
+Layout: the repo's standard resumable sink (state/manifest.py), one
+partition per shard, its rows sorted by the md5 training order
+(order_key), plus an ``_DONE`` file written once every shard landed.
 
 100-TB shape: ONE bucketed shuffle routes each doc (text travels once)
 to its md5-derived shard, and each shard REDUCER writes its own
-partition atomically where it already holds the rows
-(state/manifest.write_partition — no per-shard Dataset job, no
+partition where it already holds the rows (state/manifest.write_partition:
+scratch dir, then one rename — no per-shard Dataset job, no
 driver concat; an earlier revision launched one sequential filter+sort
 job per shard, which is n_shards full passes).  Docs of already-done
 shards are dropped at the hash pass, so a resume moves only the

@@ -205,15 +205,24 @@ def q_ngram_jaccard(sf_dir: str):
     return df[["doc_a", "doc_b", "jac_bp"]].astype(np.int64)
 
 
-SQL_NGRAM_JACCARD = f"""
-WITH d AS (
+# the near-dup pairs (a < b) of the charset-Jaccard graph, blocked on
+# equal token counts, with their similarity in basis points: the CTEs
+# every near-dup oracle starts from
+_SQL_JACCARD_PAIRS = f"""
+d AS (
   SELECT doc_id, text,
          len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-  FROM documents)
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-       CAST(FLOOR(jaccard(a.text, b.text) * 10000 + 0.5) AS BIGINT) AS jac_bp
-FROM d a JOIN d b ON a.n_tokens = b.n_tokens AND a.doc_id < b.doc_id
-WHERE jaccard(a.text, b.text) >= {JACCARD_THRESHOLD}
+  FROM documents),
+pairs AS (
+  SELECT a.doc_id AS a, b.doc_id AS b,
+         CAST(FLOOR(jaccard(a.text, b.text) * 10000 + 0.5) AS BIGINT)
+           AS jac_bp
+  FROM d a JOIN d b ON a.n_tokens = b.n_tokens AND a.doc_id < b.doc_id
+  WHERE jaccard(a.text, b.text) >= {JACCARD_THRESHOLD})"""
+
+SQL_NGRAM_JACCARD = f"""
+WITH {_SQL_JACCARD_PAIRS}
+SELECT a AS doc_a, b AS doc_b, jac_bp FROM pairs
 """
 
 
@@ -253,34 +262,27 @@ def q_near_dup_keep(sf_dir: str):
             .sort_values("doc_id").reset_index(drop=True))
 
 
-_SQL_JACCARD_EDGES = f"""
-  WITH d AS (
-    SELECT doc_id, text,
-           len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-    FROM documents),
-  p AS (
-    SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-    FROM d a JOIN d b ON a.n_tokens = b.n_tokens AND a.doc_id < b.doc_id
-    WHERE jaccard(a.text, b.text) >= {JACCARD_THRESHOLD}),
-  edges AS (
-    SELECT doc_a AS a, doc_b AS b FROM p
-    UNION SELECT doc_b, doc_a FROM p),
-  reach(node, r) AS (
-    SELECT a, a FROM edges
-    UNION
-    SELECT reach.node, e.b FROM reach JOIN edges e ON reach.r = e.a),
-  comp AS (
-    SELECT node, CAST(min(r) AS BIGINT) AS component
-    FROM reach GROUP BY node)
-"""
+# the pairs' graph and its connected components, ``comp`` (node, min-id
+# component); follows ``WITH RECURSIVE``
+_SQL_JACCARD_EDGES = f"""{_SQL_JACCARD_PAIRS},
+edges AS (
+  SELECT a, b FROM pairs
+  UNION SELECT b, a FROM pairs),
+reach(node, r) AS (
+  SELECT a, a FROM edges
+  UNION
+  SELECT reach.node, e.b FROM reach JOIN edges e ON reach.r = e.a),
+comp AS (
+  SELECT node, CAST(min(r) AS BIGINT) AS component
+  FROM reach GROUP BY node)"""
 
 SQL_NGRAM_COMPONENTS = f"""
-WITH RECURSIVE {_SQL_JACCARD_EDGES.strip().removeprefix("WITH ")}
+WITH RECURSIVE {_SQL_JACCARD_EDGES}
 SELECT CAST(node AS BIGINT) AS node, component FROM comp
 """
 
 SQL_NEAR_DUP_KEEP = f"""
-WITH RECURSIVE {_SQL_JACCARD_EDGES.strip().removeprefix("WITH ")}
+WITH RECURSIVE {_SQL_JACCARD_EDGES}
 SELECT CAST(doc_id AS BIGINT) AS doc_id FROM documents
 WHERE doc_id NOT IN (SELECT node FROM comp WHERE node <> component)
 """
@@ -313,10 +315,7 @@ def q_corpus_prep(sf_dir: str):
         q = quality_batch(t)  # (doc_id, quality)
         q_bp = _cents(q["quality"], 10000)  # _cents np.asarray's the column
         t = t.filter(pa.array(q_bp >= QUALITY_MIN_BP, pa.bool_()))
-        mod = [int(d) % 10 for d in t["doc_id"].to_pylist()]
-        split = ["train" if x < 8 else ("dev" if x == 8 else "test")
-                 for x in mod]
-        return pa.table({"split": pa.array(split, pa.string())}).group_by(
+        return pa.table({"split": _split_of(t["doc_id"])}).group_by(
             "split").aggregate([("split", "count")])
 
     pdf = (ds.map_batches(_keep_keys, batch_format="pyarrow",
@@ -369,10 +368,7 @@ def q_doc_splits(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id"])
 
     def assign(t: pa.Table) -> pa.Table:
-        mod = [int(d) % 10 for d in t["doc_id"].to_pylist()]
-        split = ["train" if x < 8 else ("dev" if x == 8 else "test")
-                 for x in mod]
-        return t.append_column("split", pa.array(split, pa.string()))
+        return t.append_column("split", _split_of(t["doc_id"]))
 
     return ds.map_batches(assign, batch_format="pyarrow")
 
@@ -1239,6 +1235,20 @@ WHERE rank <= {BM25_TOPK}
 """
 
 
+def _split_mod(doc_id):
+    """``doc_id % 10``, the key of the deterministic 80/10/10 split:
+    0-7 train, 8 dev, 9 test."""
+    return pc.cast(pc.subtract(doc_id, pc.multiply(pc.divide(doc_id, 10),
+                                                   10)), pa.int64())
+
+
+def _split_of(doc_id):
+    """Each doc's split name, "train", "dev" or "test" (``_split_mod``)."""
+    m = _split_mod(doc_id)
+    return pc.if_else(pc.less(m, 8), "train",
+                      pc.if_else(pc.equal(m, 8), "dev", "test"))
+
+
 def _train_bench(sf_dir: str):
     """The decontamination queries' split on ``doc_id % 10``: the TRAIN
     docs (0-7) and the stand-in benchmark, the TEST docs (9)."""
@@ -1246,12 +1256,8 @@ def _train_bench(sf_dir: str):
 
     def split_filter(lo: int, hi: int):
         def fn(t: pa.Table) -> pa.Table:
-            m = pc.cast(
-                pc.subtract(t["doc_id"],
-                            pc.multiply(pc.divide(t["doc_id"], 10), 10)),
-                pa.int64())
-            keep = pc.and_(pc.greater_equal(m, lo), pc.less(m, hi))
-            return t.filter(keep)
+            m = _split_mod(t["doc_id"])
+            return t.filter(pc.and_(pc.greater_equal(m, lo), pc.less(m, hi)))
         return fn
 
     return (docs.map_batches(split_filter(0, 8), batch_format="pyarrow"),
@@ -1590,14 +1596,7 @@ def q_dup_graph_triangles(sf_dir: str):
 
 
 SQL_DUP_GRAPH_TRIANGLES = f"""
-WITH d AS (
-  SELECT doc_id, text,
-         len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-  FROM documents),
-pairs AS (
-  SELECT a.doc_id AS a, b.doc_id AS b
-  FROM d a JOIN d b ON a.n_tokens = b.n_tokens AND a.doc_id < b.doc_id
-  WHERE jaccard(a.text, b.text) >= {JACCARD_THRESHOLD}),
+WITH {_SQL_JACCARD_PAIRS},
 tri AS (
   SELECT p1.a, p1.b, p2.b AS c
   FROM pairs p1
@@ -1760,14 +1759,7 @@ def q_dup_graph_degrees(sf_dir: str):
 
 
 SQL_DUP_GRAPH_DEGREES = f"""
-WITH d AS (
-  SELECT doc_id, text,
-         len(regexp_split_to_array(trim(text), '\\s+')) AS n_tokens
-  FROM documents),
-pairs AS (
-  SELECT a.doc_id AS a, b.doc_id AS b
-  FROM d a JOIN d b ON a.n_tokens = b.n_tokens AND a.doc_id < b.doc_id
-  WHERE jaccard(a.text, b.text) >= {JACCARD_THRESHOLD}),
+WITH {_SQL_JACCARD_PAIRS},
 deg AS (
   SELECT n, count(*) AS degree FROM (
     SELECT a AS n FROM pairs UNION ALL SELECT b FROM pairs)
@@ -1814,13 +1806,11 @@ def q_dup_graph_cluster_sizes(sf_dir: str):
             .astype(np.int64))
 
 
-SQL_DUP_GRAPH_CLUSTER_SIZES = (
-    "WITH RECURSIVE "
-    + _SQL_JACCARD_EDGES.strip().removeprefix("WITH ")
-    + """,
+SQL_DUP_GRAPH_CLUSTER_SIZES = f"""
+WITH RECURSIVE {_SQL_JACCARD_EDGES},
 sz AS (SELECT component, count(*) AS size FROM comp GROUP BY component)
 SELECT size, count(*) AS n_components FROM sz GROUP BY size
-""")
+"""
 
 
 def q_doc_source_overlap(sf_dir: str):

@@ -678,14 +678,19 @@ def q_events_value_percentiles(sf_dir: str):
                                   "p99": np.int64})
 
 
-SQL_EVENTS_VALUE_PERCENTILES = """
-WITH v AS (SELECT event_type,
-                  CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
-           FROM events),
+# each event's value in cents (``v``) and its rank within its event_type
+# (``r``: rn of n), the CTEs the order-statistic oracles start from
+_SQL_TYPE_RANKS = """
+v AS (SELECT event_id, event_type,
+             CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
+      FROM events),
 r AS (SELECT event_type, c,
              row_number() OVER (PARTITION BY event_type ORDER BY c) AS rn,
              count(*) OVER (PARTITION BY event_type) AS n
-      FROM v)
+      FROM v)"""
+
+SQL_EVENTS_VALUE_PERCENTILES = f"""
+WITH {_SQL_TYPE_RANKS}
 SELECT event_type,
        max(CASE WHEN rn = GREATEST(1, CAST(ceil(n * 0.50) AS BIGINT))
            THEN c END) AS p50,
@@ -733,14 +738,8 @@ def q_events_winsorized_stats(sf_dir: str):
                      "n_clipped": np.int64}))
 
 
-SQL_EVENTS_WINSORIZED = """
-WITH v AS (SELECT event_type,
-                  CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
-           FROM events),
-r AS (SELECT event_type, c,
-             row_number() OVER (PARTITION BY event_type ORDER BY c) AS rn,
-             count(*) OVER (PARTITION BY event_type) AS n
-      FROM v),
+SQL_EVENTS_WINSORIZED = f"""
+WITH {_SQL_TYPE_RANKS},
 cut AS (SELECT event_type,
                max(CASE WHEN rn = GREATEST(1, CAST(ceil(n * 0.05)
                    AS BIGINT)) THEN c END) AS lo,
@@ -1289,14 +1288,8 @@ def q_events_anomaly_p99(sf_dir: str):
     return cds.map_batches(flag, batch_format="pyarrow")
 
 
-SQL_EVENTS_ANOMALY_P99 = """
-WITH v AS (SELECT event_id, event_type,
-                  CAST(floor(value * 100 + 0.5) AS BIGINT) AS c
-           FROM events),
-r AS (SELECT event_type, c,
-             row_number() OVER (PARTITION BY event_type ORDER BY c) AS rn,
-             count(*) OVER (PARTITION BY event_type) AS n
-      FROM v),
+SQL_EVENTS_ANOMALY_P99 = f"""
+WITH {_SQL_TYPE_RANKS},
 t AS (SELECT event_type,
              max(CASE WHEN rn = GREATEST(1, CAST(ceil(n * 0.99) AS BIGINT))
                  THEN c END) AS p99

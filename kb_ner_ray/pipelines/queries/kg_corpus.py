@@ -120,6 +120,7 @@ def q_kg_augment_conll(sf_dir: str):
 
     from ...pipelines.augment import augment_conll_dataset
     from ...pipelines.kg import sentences_dataset
+    from ...state.manifest import publish_file, scratch
 
     corpus = _corpus(sf_dir)
     in_path = os.path.join(corpus, "conll_in.txt")
@@ -133,10 +134,10 @@ def q_kg_augment_conll(sf_dir: str):
             for w in row["text"].split():
                 lines.append(f"{w} O")
             lines.append("")
-        tmp = in_path + ".tmp"
+        tmp = os.path.join(scratch(corpus), "conll_in.txt")
         with open(tmp, "w", encoding="utf-8") as f:
             f.write("\n".join(lines))
-        os.replace(tmp, in_path)
+        publish_file(tmp, in_path)
     ds = augment_conll_dataset(in_path, corpus,
                                column_format={0: "text", 1: "ner"})
 
@@ -170,6 +171,7 @@ def q_kg_span_metric(sf_dir: str):
     from ...data.oracle import run_oracle
     from ...pipelines.kg import _read_table_dir
     from ...stages.metrics import span_prf_distributed
+    from ...state.manifest import publish_file, scratch
 
     corpus = _corpus(sf_dir)
     cache = os.path.join(corpus, "oracle_mentions.parquet")
@@ -180,8 +182,10 @@ def q_kg_span_metric(sf_dir: str):
         kb = _read_table_dir(corpus + "/kb")
         gaz = _read_table_dir(corpus + "/gazetteer")
         gold_t = run_oracle(pages, kb, gaz)["mentions"]
-        pq.write_table(gold_t, cache + ".tmp")
-        os.replace(cache + ".tmp", cache)  # oracle is deterministic per corpus
+        # the oracle is deterministic per corpus
+        tmp = os.path.join(scratch(corpus), "oracle_mentions.parquet")
+        pq.write_table(gold_t, tmp)
+        publish_file(tmp, cache)
         gold = gold_t.to_pylist()
     df = span_prf_distributed(q_kg_mentions(sf_dir), gold)
     df = df.sort_values("label").reset_index(drop=True)

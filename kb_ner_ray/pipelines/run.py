@@ -18,25 +18,27 @@ One Ray Data job computes every missing partition: the pages of all of
 them are read once, each row labelled with its partition in a ``part``
 column that extract, explode and the kernel pass through, and the raw
 triples are written once, hive-partitioned by ``part``, into this process's
-staging dir ``raw/_staging.<pid>``, which the raw-triples glob does not
-match.  One Ray task per partition counts its staged files' links.  Then
-each partition lands on its own: its staged files move into a tmp dir, its
-counters and link counts are written beside them, then its manifest, then
-one rename publishes it.
+scratch dir under ``raw/`` (``manifest.scratch``).  One Ray task per
+partition counts its files' links.  Then ``manifest.publish`` lands each
+partition dir the write left there as it is: its link counts and manifest
+are written into it, and one rename publishes it.  The final triples land
+the same way: one plain Ray task per raw file writes into a scratch dir
+under ``out_dir``, which ``manifest.swap_in`` renames into ``triples/``.
 
 Crash trade-off: a crash during the job recomputes, on the next run, every
-partition that job had not landed yet (not only the one being written);
-partitions landed by earlier runs are still skipped.
+partition that job had not published yet (not only the one being written);
+partitions published by earlier runs are still skipped.  The dead run's
+scratch dir is removed by the next run on the same host that needs one.
 
 Each partition manifest records its row count and two counters recovered
-from the written files, ``n_raw_triples`` and ``n_linked_sides``.  The
+from the written files, ``n_rows`` and ``n_linked_sides``.  The
 partition's combined link counts (``manifest.LINK_COUNTS``) sum to
 ``n_linked_sides``; the canonical map is one combine of those tables, so
 no run rescans the raw triples to build it.  A partition landed without
 that file (an older layout) is recomputed.  The canonical map and the final
-output read only the partitions of the current split: a ``part=NNNN`` dir
-left by an earlier run with more partitions duplicates pages the current
-ones cover, and is ignored.
+output read only the partitions of the current split: a partition dir left
+by an earlier run with more partitions duplicates pages the current ones
+cover, and is ignored.
 """
 
 from __future__ import annotations
@@ -59,17 +61,22 @@ from ..stages.canonicalize import (
 )
 # unused here; perfbench/layers.py patch_driver reads and patches these
 # names (the pages are read through kg.sentences_dataset, the partitions
-# land through manifest.land_raw_partition)
+# land through manifest.publish)
 from ..stages.canonicalize import compute_canonical_map  # noqa: F401
 from ..stages.extract import extract_pages  # noqa: F401
 from ..stages.sentences import explode_sentences  # noqa: F401
 from ..stages.tagger import RetrieveTagTriples  # noqa: F401
 from ..state.manifest import (
     LINK_COUNTS,
+    current,
     input_fingerprint,
-    land_raw_partition,
+    label,
+    part_dir,
     partition_done,
+    publish,
     read_link_counts,
+    scratch,
+    swap_in,
     write_partition_streamed,  # noqa: F401
 )
 from .kg import (load_corpus_refs, raw_triples, sentences_dataset,
@@ -97,111 +104,63 @@ def _partition_files(corpus: str, n_partitions: int) -> list[list[str]]:
     return groups
 
 
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        pass
-    return True
-
-
-def _staging_dir(raw_dir: str) -> str:
-    """This process's staging dir, emptied; staging dirs of processes that
-    are gone (crashed runs) are dropped.  Per process, like
-    ``manifest._tmp_dir``: a concurrent run over the same out_dir never
-    deletes this run's staged files, so a partition with no staged dir is
-    one the job wrote no rows for."""
-    for d in glob.glob(os.path.join(raw_dir, "_staging.*")):
-        pid = d.rsplit(".", 1)[1]
-        if pid.isdigit() and not _alive(int(pid)):
-            shutil.rmtree(d, ignore_errors=True)
-    mine = os.path.join(raw_dir, f"_staging.{os.getpid()}")
-    shutil.rmtree(mine, ignore_errors=True)
-    return mine
-
-
-def _move_files(files: list[str]):
-    """A ``write(tmp)`` for the landing: move the staged files of one
-    partition (none when it produced no triples) into its tmp dir."""
-    def write(tmp: str) -> None:
-        for f in files:
-            os.replace(f, os.path.join(tmp, os.path.basename(f)))
-    return write
-
-
 def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
     """Returns {'computed': [...], 'skipped': [...], 'n_triples': int}."""
     _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
     raw_dir = os.path.join(out_dir, "raw")
-    os.makedirs(raw_dir, exist_ok=True)
 
     computed, skipped, fps, labels = [], [], {}, {}
     groups = _partition_files(corpus, n_partitions)
+    parts = [part_dir(raw_dir, p) for p in range(len(groups))]
     # a partition's triples depend on its pages and on the broadcast sides
     sides = sides_fingerprint(corpus)
     for part_id, files in enumerate(groups):
         fp = f"{input_fingerprint(files)}:{sides}"
         if partition_done(raw_dir, part_id, fp) and os.path.exists(
-                os.path.join(raw_dir, f"part={part_id:04d}", LINK_COUNTS)):
+                os.path.join(parts[part_id], LINK_COUNTS)):
             skipped.append(part_id)
             continue
         computed.append(part_id)
         fps[part_id] = fp
-        labels.update((f, f"{part_id:04d}") for f in files)
+        labels.update((f, label(part_id)) for f in files)
 
     if computed:
-        # one job for every missing partition
-        staging = _staging_dir(raw_dir)
+        # one job for every missing partition; a partition it wrote no
+        # rows for has no dir in the scratch dir, and publish makes one
+        stage = scratch(raw_dir)
         raw_triples(sentences_dataset(labels), corpus).write_parquet(
-            staging, partition_cols=["part"])
-        staged = {p: sorted(glob.glob(os.path.join(
-            staging, f"part={p:04d}", "*.parquet"))) for p in computed}
-        counts = {p: _count_links.remote(staged[p]) for p in computed}
+            stage, partition_cols=["part"])
+        staged = {p: part_dir(stage, p) for p in computed}
+        counts = {p: _count_links.remote(sorted(glob.glob(
+            os.path.join(staged[p], "*.parquet")))) for p in computed}
         for part_id in computed:
-            land_raw_partition(raw_dir, part_id, fps[part_id],
-                               _move_files(staged[part_id]),
-                               ray.get(counts[part_id]))
-        # a job that wrote no rows at all leaves no staging dir behind
-        shutil.rmtree(staging, ignore_errors=True)
+            publish(raw_dir, part_id, staged[part_id], fps[part_id],
+                    link_counts=ray.get(counts[part_id]))
+        shutil.rmtree(stage)
 
     # global canonicalization: one combine of the partitions' link counts
-    parts = [os.path.join(raw_dir, f"part={p:04d}")
-             for p in range(len(groups))]
     canon = canonical_map([read_link_counts(d) for d in parts], ent_title)
-    # final write: build fresh (a rerun must not append to last run's
-    # files), move the previous output aside, swap the new one in, then
-    # drop the old one.  A crash at any point leaves one complete output:
-    # triples/, or triples.old/ between the two renames
-    final_dir = os.path.join(out_dir, "triples")
-    tmp_dir, old_dir = final_dir + ".tmp", final_dir + ".old"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    os.makedirs(tmp_dir, exist_ok=True)
-    # one plain task per raw file.  ``apply_canonical`` is looked up per
-    # call and shipped to the tasks, so a wrapped apply (the traced
-    # benchmark's) is the one they run
+    # final write: built fresh in a scratch dir (a rerun must not append to
+    # last run's files), then swapped in for the previous output.  One
+    # plain task per raw file.  ``apply_canonical`` is looked up per call
+    # and shipped to the tasks, so a wrapped apply (the traced benchmark's)
+    # is the one they run
+    stage = scratch(out_dir)
     apply = partial(apply_canonical, canon_ref=ray.put(canon))
     raw_files = sorted(f for d in parts
                        for f in glob.glob(os.path.join(d, "*.parquet")))
     n = sum(ray.get([
         _write_final.remote(apply, f, os.path.join(
-            tmp_dir, f"part-{i:05d}.parquet"))
+            stage, f"part-{i:05d}.parquet"))
         for i, f in enumerate(raw_files)]))
-    if os.path.isdir(final_dir):
-        shutil.rmtree(old_dir, ignore_errors=True)
-        os.rename(final_dir, old_dir)
-    os.replace(tmp_dir, final_dir)
-    shutil.rmtree(old_dir, ignore_errors=True)
+    swap_in(stage, os.path.join(out_dir, "triples"))
     return {"computed": computed, "skipped": skipped, "n_triples": n}
 
 
 def load_final_triples(out_dir: str) -> pa.Table:
-    """The last complete final output: triples/, or triples.old/ when a
-    run crashed between moving it aside and swapping the new one in."""
-    final_dir = os.path.join(out_dir, "triples")
-    if not os.path.isdir(final_dir):
-        final_dir += ".old"
+    """The last complete final output (``manifest.current``): a crash
+    at any point of a run leaves one."""
+    final_dir = current(os.path.join(out_dir, "triples"))
     files = sorted(glob.glob(os.path.join(final_dir, "*.parquet")))
     if not files:  # a corpus that yields no triples
         return TRIPLES.empty_table()

@@ -5,18 +5,30 @@ checkpoints virtue, SURVEY.md §4 checkpoint row).
 Layout:
 
     out_dir/
-      part=<NNNN>/data.parquet        one directory per input partition
+      part=<NNNN>/*.parquet           one directory per input partition
       part=<NNNN>/_MANIFEST.json      {partition, input_fingerprint,
                                        n_rows, counters, schema_version}
       part=<NNNN>/_LINK_COUNTS.arrow  raw-triples partitions only: the
                                        partition's (surface, ent_id, cnt)
                                        link counts, combined
-      _DONE                           written when every partition landed
+      _scratch.<host>.<pid>/          a process's working dir
+
+This module is the only one that knows these names.  Every output lands
+in two steps:
+
+* ``scratch(parent)``: this process's working dir under ``parent``,
+  created empty.  First it removes the scratch dirs that dead processes of
+  this host left there; another host's are never touched, since a pid says
+  nothing about another node's processes on shared storage.
+* ``publish``: the manifest (and a raw partition's link counts) is written
+  into a finished dir, and one rename (``swap_in``) makes it
+  ``part=NNNN``.  ``swap_in`` moves an existing output aside to
+  ``<name>.old`` first and drops it after, so a crash at any point leaves
+  one complete output, which ``current`` finds.
 
 Resume = re-list input partitions, skip those whose manifest exists AND
-matches the input fingerprint (anti-join of manifests vs inputs). Writes are
-atomic: data + manifest land in a per-process ``part=NNNN.tmp.<pid>`` dir,
-then ``os.replace``.
+matches the input fingerprint (anti-join of manifests vs inputs).  A
+crashed write leaves only a scratch dir, which no reader lists.
 Fingerprints are taken from the input files' names, sizes and modification
 times (never the clock at run time), so a rerun over unchanged inputs is
 deterministic.
@@ -24,9 +36,13 @@ deterministic.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
+import re
+import shutil
+import socket
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -34,30 +50,76 @@ import pyarrow.feather as feather
 import pyarrow.parquet as pq
 
 SCHEMA_VERSION = 1
+MANIFEST = "_MANIFEST.json"
 # a raw-triples partition's combined (surface, ent_id, cnt) link counts, an
-# Arrow file: the raw-triples glob ``part=*/*.parquet`` does not match it
+# Arrow file: the raw-triples glob ``*.parquet`` does not match it
 LINK_COUNTS = "_LINK_COUNTS.arrow"
+_SCRATCH = "_scratch"
 
 
-def _tmp_dir(final: str) -> str:
-    """Per-process-unique tmp dir for an atomic partition write, plus
-    best-effort cleanup of STALE tmp dirs from crashed runs.
+def label(part_id: int) -> str:
+    """Partition ``part_id``'s label.  A Dataset whose rows carry it in a
+    ``part`` column, written with ``partition_cols=["part"]``, leaves each
+    partition's files in ``part_dir(<write dir>, part_id)``."""
+    return f"{part_id:04d}"
 
-    The suffix makes two concurrent invocations over the same out_dir
-    (e.g. bench.py and tools/check_queries.py both materializing
-    kg_ensemble_multirun under /tmp) write disjoint tmp dirs instead of
-    racing a shared ``part=NNNN.tmp`` through rmtree + os.replace
-    (ADVICE r4).  A LIVE concurrent writer's tmp dir is never removed:
-    only dirs from this same pid (a retry) are cleaned eagerly; foreign
-    ``final + ".tmp.<other-pid>"`` dirs are left for their owner (or the
-    next _DONE-less resume sweep) to handle."""
-    import shutil
 
-    mine = f"{final}.tmp.{os.getpid()}"
+def part_dir(parent: str, part_id: int) -> str:
+    return os.path.join(parent, f"part={label(part_id)}")
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return True
+
+
+def scratch(parent: str) -> str:
+    """This process's scratch dir under ``parent``, created empty, after
+    the scratch dirs of this host's dead processes are removed.  A live
+    process's dir is never touched, so concurrent runs over one ``parent``
+    write disjoint dirs.  One landing at a time uses it."""
+    host = socket.gethostname()
+    os.makedirs(parent, exist_ok=True)
+    for name in os.listdir(parent):
+        kind, _, owner = name.partition(".")
+        owner_host, _, pid = owner.rpartition(".")
+        if (kind == _SCRATCH and owner_host == host and pid.isdigit()
+                and not _alive(int(pid))):
+            shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
+    mine = os.path.join(parent, f"{_SCRATCH}.{host}.{os.getpid()}")
     shutil.rmtree(mine, ignore_errors=True)
-    # legacy fixed-name dir from older layouts: nothing owns it, drop it
-    shutil.rmtree(final + ".tmp", ignore_errors=True)
+    os.makedirs(mine)
     return mine
+
+
+def swap_in(src: str, final: str) -> None:
+    """Rename the finished dir ``src`` to ``final``.  An existing ``final``
+    moves aside to ``final.old`` first and is dropped after the rename, so
+    a crash at any point leaves ``final`` or ``final.old`` complete."""
+    old = final + ".old"
+    if os.path.isdir(final):
+        shutil.rmtree(old, ignore_errors=True)
+        os.rename(final, old)
+    os.replace(src, final)
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def current(final: str) -> str:
+    """The last complete output ``swap_in`` placed at ``final``: ``final``,
+    or ``final.old`` when a run crashed between its two renames."""
+    return final if os.path.isdir(final) else final + ".old"
+
+
+def publish_file(src: str, path: str) -> None:
+    """Move the finished file ``src`` of a scratch dir to ``path`` (one
+    rename) and drop the scratch dir."""
+    os.replace(src, path)
+    shutil.rmtree(os.path.dirname(src), ignore_errors=True)
 
 
 def input_fingerprint(paths: list[str]) -> str:
@@ -73,7 +135,7 @@ def input_fingerprint(paths: list[str]) -> str:
 
 
 def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
-    mpath = os.path.join(out_dir, f"part={part_id:04d}", "_MANIFEST.json")
+    mpath = os.path.join(part_dir(out_dir, part_id), MANIFEST)
     if not os.path.exists(mpath):
         return False
     try:
@@ -85,23 +147,24 @@ def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
             and m.get("schema_version") == SCHEMA_VERSION)
 
 
-def _land(out_dir: str, part_id: int, fingerprint: str, write,
-          counters_of) -> dict:
-    """Atomic partition write: ``write(tmp)`` lands the data files in a
-    per-process tmp dir, ``counters_of(tmp, files, n_rows)`` derives the
-    counters from what was written (n_rows from the parquet footers), then
-    the manifest lands beside them and one ``os.replace`` publishes the
-    partition.  Returns the counters."""
-    import glob as _glob
-    import shutil
-
-    final = os.path.join(out_dir, f"part={part_id:04d}")
-    tmp = _tmp_dir(final)
-    os.makedirs(tmp, exist_ok=True)
-    write(tmp)
-    files = sorted(_glob.glob(os.path.join(tmp, "*.parquet")))
-    n_rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    counters = counters_of(tmp, files, n_rows)
+def publish(out_dir: str, part_id: int, src: str, fingerprint: str,
+            counters: dict | None = None,
+            link_counts: pa.Table | None = None) -> dict:
+    """Land the finished dir ``src`` (its Parquet files as they are; a
+    missing ``src`` is a partition with no rows) as partition ``part_id``
+    of ``out_dir``.  The counters get ``n_rows`` from the Parquet footers
+    and, given a raw partition's ``link_counts``, ``n_linked_sides``, their
+    sum; the counts are written beside the data as ``LINK_COUNTS``.  The
+    manifest lands last, then ``swap_in`` publishes the dir.  Returns the
+    counters."""
+    os.makedirs(src, exist_ok=True)
+    n_rows = sum(pq.ParquetFile(f).metadata.num_rows
+                 for f in glob.glob(os.path.join(src, "*.parquet")))
+    counters = dict(counters or {}, n_rows=n_rows)
+    if link_counts is not None:
+        feather.write_feather(link_counts, os.path.join(src, LINK_COUNTS))
+        counters["n_linked_sides"] = int(
+            pc.sum(link_counts["cnt"]).as_py() or 0)
     manifest = {
         "partition": part_id,
         "input_fingerprint": fingerprint,
@@ -109,73 +172,54 @@ def _land(out_dir: str, part_id: int, fingerprint: str, write,
         "counters": counters,
         "schema_version": SCHEMA_VERSION,
     }
-    with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
+    with open(os.path.join(src, MANIFEST), "w") as f:
         json.dump(manifest, f, sort_keys=True)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
+    swap_in(src, part_dir(out_dir, part_id))
     return counters
 
 
 def write_partition(out_dir: str, part_id: int, data, fingerprint: str,
                     counters: dict | None = None) -> dict:
-    """Generic atomic partition write of a Dataset or an Arrow table.
+    """Partition write of a Dataset or an Arrow table.
 
-    A Dataset streams its blocks into the tmp dir (``write_parquet``),
+    A Dataset streams its blocks into the scratch dir (``write_parquet``),
     never through the driver.  A table is written where it is held: a
     reducer that materializes its partition anyway (e.g. a shard group
     inside ``groupby().map_groups``) writes its own rows, with no Dataset
     job per partition."""
+    tmp = scratch(out_dir)
     if isinstance(data, pa.Table):
-        def write(tmp):
-            pq.write_table(data, os.path.join(tmp, "data.parquet"))
+        pq.write_table(data, os.path.join(tmp, "data.parquet"))
     else:
-        write = data.write_parquet
-    return _land(out_dir, part_id, fingerprint, write,
-                 lambda _tmp, _files, n: dict(counters or {}, n_rows=n))
-
-
-def land_raw_partition(out_dir: str, part_id: int, fingerprint: str,
-                       write, counts: pa.Table | None = None) -> dict:
-    """Atomic write of a raw-triples partition: ``write(tmp)`` places its
-    Parquet files, its combined link ``counts`` are written beside them as
-    ``LINK_COUNTS``, and the manifest records ``n_raw_triples`` and
-    ``n_linked_sides`` (the counts' sum).  ``run_resumable`` passes counts
-    computed in a Ray task from the staged files; without them they are
-    computed here from the written files.  Returns the counters."""
-    from ..stages.canonicalize import file_link_counts
-
-    def counters_of(tmp, files, n_rows):
-        lc = file_link_counts(files) if counts is None else counts
-        feather.write_feather(lc, os.path.join(tmp, LINK_COUNTS))
-        return {"n_raw_triples": n_rows,
-                "n_linked_sides": int(pc.sum(lc["cnt"]).as_py() or 0)}
-
-    return _land(out_dir, part_id, fingerprint, write, counters_of)
+        data.write_parquet(tmp)
+    return publish(out_dir, part_id, tmp, fingerprint, counters)
 
 
 def write_partition_streamed(out_dir: str, part_id: int, ds,
                              fingerprint: str) -> dict:
-    """Atomic STREAMING write of one raw-triples partition Dataset:
-    ``ds.write_parquet`` lands its blocks directly in the tmp dir (no
-    driver-side concat — the round-1 verdict flagged pulling a partition's
-    output through the driver).  Returns the counters."""
-    return land_raw_partition(out_dir, part_id, fingerprint,
-                              ds.write_parquet)
+    """STREAMING write of one raw-triples partition Dataset:
+    ``ds.write_parquet`` lands its blocks directly in the scratch dir (no
+    driver-side concat), and its link counts are computed from the written
+    files.  Returns the counters."""
+    from ..stages.canonicalize import file_link_counts
+
+    tmp = scratch(out_dir)
+    ds.write_parquet(tmp)
+    files = sorted(glob.glob(os.path.join(tmp, "*.parquet")))
+    return publish(out_dir, part_id, tmp, fingerprint,
+                   link_counts=file_link_counts(files))
 
 
 def landed_dirs(out_dir: str) -> list[str]:
-    """The published partition directories, in partition order.  A
-    ``.tmp`` dir is not one: a crash between the manifest write and the
-    os.replace leaves a fully-written tmp dir whose data sits at the wrong
-    path, and resume must redo it."""
+    """The published partition directories, in partition order; each holds
+    its manifest.  A scratch dir, or a partition moved aside by a crashed
+    ``swap_in``, is not one."""
     if not os.path.isdir(out_dir):
         return []
     return [os.path.join(out_dir, d) for d in sorted(os.listdir(out_dir))
-            if d.startswith("part=") and ".tmp" not in d]
+            if re.fullmatch(r"part=\d+", d)]
 
 
-def read_link_counts(part_dir: str) -> pa.Table:
+def read_link_counts(landed: str) -> pa.Table:
     """A landed raw-triples partition's combined link counts."""
-    return feather.read_table(os.path.join(part_dir, LINK_COUNTS))
-
+    return feather.read_table(os.path.join(landed, LINK_COUNTS))

@@ -67,22 +67,23 @@ def test_ensemble_from_runs_missing_dir_raises(ray_session, tmp_path):
 
 
 def test_ensemble_from_runs_guards(ray_session, tmp_path):
-    """Stale runs from a wider sweep and crashed .tmp dirs must not leak
-    into the vote: run-count mismatch raises; unmanifested dirs are
-    ignored."""
+    """Stale runs from a wider sweep and crashed writes must not leak
+    into the vote: run-count mismatch raises; an unpublished scratch dir
+    is ignored."""
     import pytest
+
+    from kb_ner_ray.state.manifest import scratch
 
     corpus = corpus_dir(SF)
     out = str(tmp_path / "runs")
     ckpts = [{"model_id": m, "n_models": 3} for m in range(3)]
     run_checkpoint_predictions(corpus, ckpts, out)
 
-    # a crashed write leaves part=0003.tmp with data but no manifest:
+    # a crashed write leaves its data in a scratch dir, never renamed:
     # ignored, the 3-run vote still works
     import shutil
 
-    shutil.copytree(f"{out}/part=0000", f"{out}/part=0003.tmp")
-    (tmp_path / "runs" / "part=0003.tmp" / "_MANIFEST.json").unlink()
+    shutil.copytree(f"{out}/part=0000", scratch(out), dirs_exist_ok=True)
     assert ensemble_from_runs(out, n_models=3).count() > 0
 
     # a leftover manifested run from a previous 4-model sweep: raises

@@ -1,8 +1,10 @@
 """Resumable checkpoint/manifest semantics (north rule: resume exactly,
 per-partition lineage + counters)."""
 
+import ast
 import json
 import os
+import pathlib
 
 import pyarrow as pa
 import pytest
@@ -11,8 +13,11 @@ from kb_ner_ray.state.manifest import (
     input_fingerprint,
     landed_dirs,
     partition_done,
+    scratch,
     write_partition,
 )
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _manifests(out):
@@ -99,40 +104,136 @@ def test_resumable_run_skips_done_partitions(tmp_path):
     assert got == want
 
 
+def _dead_scratch(parent, host=None):
+    """The scratch dir a process that is gone made under ``parent``: a
+    subprocess makes it (named for ``host`` when given) and exits."""
+    import subprocess
+    import sys
+
+    script = ("import socket, sys\n"
+              + (f"socket.gethostname = lambda: {host!r}\n" if host else "")
+              + "from kb_ner_ray.state.manifest import scratch\n"
+              "print(scratch(sys.argv[1]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, parent],
+                          cwd=_ROOT, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip()
+
+
 def test_resumable_run_recovers_from_crashed_write(tmp_path):
-    """A run killed mid-partition-write leaves a part=NNNN.tmp dir and no
-    manifest; the next run must recompute that partition cleanly and the
-    stale tmp must not leak into the final output."""
-    import glob
+    """A run killed between partition 1's manifest write and its rename
+    leaves partition 1 in its scratch dir, manifest and all, and no
+    published dir; the next run must recompute that partition, remove the
+    dead process's scratch dir, and keep its files out of the final
+    output.  A scratch dir named for another host is never removed: its
+    pid says nothing about that host's processes."""
+    import shutil
 
     from kb_ner_ray.data.synth import corpus_dir
     from kb_ner_ray.pipelines.run import load_final_triples, run_resumable
 
     corpus = corpus_dir(0.001)
     out = str(tmp_path / "run")
+    raw_dir = os.path.join(out, "raw")
     r1 = run_resumable(corpus, out, n_partitions=2)
     full = load_final_triples(out)
 
-    # simulate a crash: destroy partition 1's landed dir, leave a torn tmp
-    import shutil
-
-    part_dir = os.path.join(out, "raw", "part=0001")
-    tmp_dir = part_dir + ".tmp"
-    shutil.rmtree(part_dir)
-    os.makedirs(tmp_dir, exist_ok=True)
-    with open(os.path.join(tmp_dir, "garbage.parquet"), "w") as f:
-        f.write("not parquet")
+    # simulate the crash: partition 1's finished dir back in a dead
+    # process's scratch dir, with a stray file beside its data
+    dead = _dead_scratch(raw_dir)
+    foreign = _dead_scratch(raw_dir, host="another-node")
+    for d in (dead, foreign):
+        shutil.copytree(os.path.join(raw_dir, "part=0001"),
+                        os.path.join(d, "part=0001"))
+        with open(os.path.join(d, "part=0001", "garbage.parquet"),
+                  "w") as f:
+            f.write("not parquet")
+    shutil.rmtree(os.path.join(raw_dir, "part=0001"))
+    assert os.path.exists(os.path.join(dead, "part=0001", "_MANIFEST.json"))
 
     r2 = run_resumable(corpus, out, n_partitions=2)
-    assert 1 in r2["computed"] and 0 in r2["skipped"]
+    assert r2["computed"] == [1] and r2["skipped"] == [0]
     assert r2["n_triples"] == r1["n_triples"]
-    # torn tmp replaced, no stray garbage in the raw glob
-    assert not glob.glob(os.path.join(out, "raw", "part=*.tmp", "*"))
+    assert not os.path.exists(dead)
+    assert os.path.exists(os.path.join(foreign, "part=0001",
+                                       "garbage.parquet"))
     again = load_final_triples(out)
     key = ["subj", "pred", "obj", "url", "sent_id"]
     want = sorted(tuple(r.values()) for r in full.select(key).to_pylist())
     got = sorted(tuple(r.values()) for r in again.select(key).to_pylist())
     assert got == want
+
+
+# the driver dies between partition 1's manifest write and its rename;
+# a marker file arms the crash, and the crashing process removes it
+_KILLED_RUN = """
+import json, os, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from kb_ner_ray.data.synth import corpus_dir
+from kb_ner_ray.pipelines.run import run_resumable
+
+out, marker = sys.argv[1], sys.argv[2]
+rename = os.replace
+
+
+def replace(src, dst):
+    if os.path.exists(marker) and os.path.basename(dst) == "part=0001":
+        assert os.path.exists(os.path.join(src, "_MANIFEST.json"))
+        os.remove(marker)
+        os._exit(17)
+    return rename(src, dst)
+
+
+os.replace = replace
+print(json.dumps(run_resumable(corpus_dir(0.001), out, n_partitions=2)))
+ray.shutdown()
+"""
+
+
+def test_resumable_run_resumes_after_driver_killed_before_rename(tmp_path):
+    """A real fault: the driver process exits between partition 1's
+    manifest write and its rename.  A fresh process reruns: it computes
+    only partition 1, removes the dead process's scratch dir, and writes
+    the final triples of an uninterrupted run."""
+    import glob
+    import hashlib
+    import subprocess
+    import sys
+
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    clean = str(tmp_path / "clean")
+    run_resumable(corpus_dir(0.001), clean, n_partitions=2)
+    out, marker = str(tmp_path / "run"), str(tmp_path / "crash-armed")
+    raw_dir = os.path.join(out, "raw")
+    open(marker, "w").close()
+
+    killed = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_RUN, out, marker], cwd=_ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _stdout, stderr = killed.communicate(timeout=300)
+    assert killed.returncode == 17, stderr[-2000:]
+    assert not os.path.exists(marker)
+    assert landed_dirs(raw_dir) == [os.path.join(raw_dir, "part=0000")]
+    left = f"*.{killed.pid}"
+    assert glob.glob(os.path.join(raw_dir, left, "**", "_MANIFEST.json"),
+                     recursive=True)
+
+    rerun = subprocess.run(
+        [sys.executable, "-c", _KILLED_RUN, out, marker], cwd=_ROOT,
+        capture_output=True, text=True, timeout=300)
+    assert rerun.returncode == 0, rerun.stderr[-2000:]
+    r = json.loads(rerun.stdout.strip().splitlines()[-1])
+    assert r["computed"] == [1] and r["skipped"] == [0]
+    assert not glob.glob(os.path.join(raw_dir, left))
+
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    assert digest(_final_rows(out)) == digest(_final_rows(clean))
 
 
 def test_resumable_run_survives_crashed_final_swap(tmp_path, monkeypatch):
@@ -193,8 +294,7 @@ r2 = run_resumable(corpus, {out!r})
 print(json.dumps({{"n_kg": n_kg, "r1": r1, "r2": r2}}))
 ray.shutdown()
 """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=_ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -333,7 +433,7 @@ def test_resumable_run_is_one_heavy_job(tmp_path, monkeypatch):
 
     r1 = run_resumable(corpus, out, n_partitions=8)
     assert r1["computed"] == list(range(8))
-    assert writes == [os.path.join(raw_dir, f"_staging.{os.getpid()}")]
+    assert writes == [scratch(raw_dir)]
     writes.clear()
     r2 = run_resumable(corpus, out, n_partitions=8)
     assert r2["computed"] == [] and r2["skipped"] == list(range(8))
@@ -357,7 +457,7 @@ def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
 
     out = str(tmp_path / "run")
     raw_dir = os.path.join(out, "raw")
-    real, landed, staged = run.land_raw_partition, [], []
+    real, landed, staged = run.publish, [], []
 
     def raw_glob_is_published():
         for f in glob.glob(os.path.join(raw_dir, "part=*", "*.parquet")):
@@ -365,19 +465,20 @@ def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
             assert os.path.basename(d) in {f"part={p:04d}" for p in landed}
             assert os.path.exists(os.path.join(d, "_MANIFEST.json"))
 
-    def landing(out_dir, part_id, fingerprint, write, counts):
+    def landing(out_dir, part_id, src, fingerprint, link_counts):
         raw_glob_is_published()
-        staged.extend(glob.glob(os.path.join(raw_dir, "_staging.*", "*",
+        staged.extend(glob.glob(os.path.join(raw_dir, "_scratch.*", "*",
                                              "*.parquet")))
         if landed:
             raise RuntimeError("injected crash mid-landing")
-        counters = real(out_dir, part_id, fingerprint, write, counts)
+        counters = real(out_dir, part_id, src, fingerprint,
+                        link_counts=link_counts)
         landed.append(part_id)
         raw_glob_is_published()
         return counters
 
     with monkeypatch.context() as m:
-        m.setattr(run, "land_raw_partition", landing)
+        m.setattr(run, "publish", landing)
         with pytest.raises(RuntimeError, match="injected crash"):
             run.run_resumable(corpus, out, n_partitions=2)
     assert landed == [0] and staged
@@ -386,7 +487,7 @@ def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
     r = run.run_resumable(corpus, out, n_partitions=2)
     assert r["computed"] == [1] and r["skipped"] == [0]
     assert _final_rows(out) == want
-    assert not glob.glob(os.path.join(raw_dir, "_staging*"))
+    assert not glob.glob(os.path.join(raw_dir, "_scratch*"))
 
 
 def test_resumable_run_recomputes_partition_without_link_counts(tmp_path):
@@ -464,22 +565,18 @@ def test_resumable_run_of_corpus_without_triples(tmp_path):
     assert r2["n_triples"] == 0
 
 
-def test_resumable_run_keeps_live_foreign_staging(tmp_path):
-    """A run deletes only its own staging dir and those of processes that
-    are gone: a concurrent run's staged files survive."""
-    import subprocess
-    import sys
-
+def test_resumable_run_keeps_live_foreign_scratch(tmp_path, monkeypatch):
+    """A run deletes only its own scratch dir and those of processes that
+    are gone: a concurrent run's files survive."""
     from kb_ner_ray.pipelines.run import run_resumable
 
     corpus = _corpus_copy(tmp_path, n_files=2)
     out = str(tmp_path / "run")
     raw_dir = os.path.join(out, "raw")
-    dead = subprocess.run(
-        [sys.executable, "-c", "import os; print(os.getpid())"],
-        capture_output=True, text=True).stdout.strip()
-    live = os.path.join(raw_dir, f"_staging.{os.getppid()}", "part=0000")
-    gone = os.path.join(raw_dir, f"_staging.{dead}", "part=0000")
+    with monkeypatch.context() as m:  # a live process's: our parent's
+        m.setattr(os, "getpid", os.getppid)
+        live = os.path.join(scratch(raw_dir), "part=0000")
+    gone = os.path.join(_dead_scratch(raw_dir), "part=0000")
     for d in (live, gone):
         os.makedirs(d)
         with open(os.path.join(d, "x.parquet"), "w") as f:
@@ -551,3 +648,44 @@ def test_resumable_rerun_after_gazetteer_rewrite(tmp_path):
                                            n_partitions=4)["n_triples"]
     assert _final_rows(out) == _final_rows(fresh)
     _check_partitions(out, corpus)
+
+
+# ---- one module knows the on-disk layout --------------------------------
+
+PKG = pathlib.Path(_ROOT) / "kb_ner_ray"
+# the names of the resumable layout: partition dirs, manifests and the
+# working dirs of a landing
+LAYOUT_NAMES = ("part=", "_MANIFEST.json", ".tmp", "_staging")
+
+
+def _docstring_nodes(tree: ast.Module) -> set:
+    docs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                          ast.AsyncFunctionDef)) and n.body:
+            first = n.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)):
+                docs.add(id(first.value))
+    return docs
+
+
+def test_one_layout_module():
+    """Outside ``state/manifest.py`` no module under kb_ner_ray/ spells a
+    layout name in code (docstrings may describe the layout).  A second
+    module that knows the layout would fork the landing protocol: each
+    output lands through ``manifest.scratch`` and ``manifest.publish``
+    (or ``swap_in``)."""
+    spelled = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == "state/manifest.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docs = _docstring_nodes(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and id(n) not in docs):
+                spelled += [f"{rel}:{n.lineno} {name}"
+                            for name in LAYOUT_NAMES if name in n.value]
+    assert not spelled, spelled

@@ -58,7 +58,7 @@ def test_run_at_width_is_per_dataset(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", recording_write)
     res = run_resumable(corpus, str(tmp_path / "run"), n_partitions=2)
     assert res["n_triples"] > 0
-    assert [name.split(".")[0] for name, _ in written] == ["_staging"]
+    assert [name.split(".")[0] for name, _ in written] == ["_scratch"]
     assert not any(reserved for _, reserved in written), written
 
     assert DataContext.get_current().op_resource_reservation_enabled == before
