@@ -70,8 +70,8 @@ def attach_contexts_cached(sentence: str,
     """Greedy budgeted context stitch (kb/context_process.py:401-479) over
     PRE-CLEANED contexts with precomputed subtoken costs — the KB side is
     fixed per worker, so ``clean_context``/``subtoken_count`` are hoisted to
-    ``retriever.KBState`` (hits_pre = [(clean_ctx, cost), ...] in rank
-    order).
+    the kernel's state build (``tagger.SentenceKernel``; hits_pre =
+    [(clean_ctx, cost), ...] in rank order).
 
     ``min_rank``/``max_rank`` slice the rank-ordered hit list BEFORE the
     budget walk (reference ``context = context[min_rank:max_rank]``,

@@ -19,8 +19,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..sources.conll import read_conll_dataset, write_conll
-from ..stages.tagger import kernel_rows
-from .kg import load_corpus_refs
+from .kg import _kernel_map
 
 
 def augment_conll_dataset(paths, corpus: str,
@@ -33,7 +32,6 @@ def augment_conll_dataset(paths, corpus: str,
     line format: sentence + <EOS> + context tokens labeled B-X) and
     ``n_contexts``.
     """
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
     ds = read_conll_dataset(paths, column_format)
 
     def join_text(t: pa.Table) -> pa.Table:
@@ -46,11 +44,8 @@ def augment_conll_dataset(paths, corpus: str,
                 "lang", pa.array([lang] * t.num_rows, pa.string()))
         return out
 
-    augmented = (ds.map_batches(join_text, batch_format="pyarrow")
-                 .map_batches(kernel_rows,
-                              fn_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref,
-                                         "mode": "aug"},
-                              batch_format="pyarrow", batch_size=512))
+    augmented = _kernel_map(ds.map_batches(join_text, batch_format="pyarrow"),
+                            corpus, mode="aug")
 
     def render(t: pa.Table) -> pa.Table:
         toks_col = t.column("__text_list").to_pylist()

@@ -109,49 +109,43 @@ def _stage_filter_length(ds, ctx, max_tokens: int = 510, train: bool = True,
                             mode=mode)
 
 
-def _kernel_stage(ds, ctx, batch_size: int, mode: str, **kw):
-    from ..stages.tagger import kernel_rows
-
-    kb_ref, gaz_ref, _ = ctx.refs()
-    return ds.map_batches(kernel_rows,
-                          fn_kwargs={"gaz_ref": gaz_ref, "kb_ref": kb_ref,
-                                     "mode": mode, **kw},
-                          batch_format="pyarrow", batch_size=batch_size)
-
-
 @register("retrieve_attach")
-def _stage_retrieve_attach(ds, ctx, batch_size: int = 512,
-                           min_rank: int = 0, max_rank: int | None = None):
-    return _kernel_stage(ds, ctx, batch_size, "aug", min_rank=min_rank,
-                         max_rank=max_rank)
+def _stage_retrieve_attach(ds, ctx, min_rank: int = 0,
+                           max_rank: int | None = None):
+    from .kg import _kernel_map
+
+    ctx.refs()  # fails early without `corpus:`
+    return _kernel_map(ds, ctx.corpus, mode="aug", min_rank=min_rank,
+                       max_rank=max_rank)
 
 
 @register("mentions")
-def _stage_mentions(ds, ctx, batch_size: int = 512, backend: str = "trie"):
+def _stage_mentions(ds, ctx, backend: str = "trie"):
     """Fused retrieve+tag+link mentions; ``backend``: trie | viterbi |
     iter2 (entity-boosted second retrieval pass)."""
+    from .kg import _kernel_map
+
     if backend not in ("trie", "viterbi", "iter2"):
         raise KeyError(f"unknown mentions backend {backend!r}")
-    return _kernel_stage(ds, ctx, batch_size, "mentions", backend=backend)
+    ctx.refs()
+    return _kernel_map(ds, ctx.corpus, mode="mentions", backend=backend)
 
 
 @register("rerank_contexts")
-def _stage_rerank_contexts(ds, ctx, batch_size: int = 512, k: int = 10,
-                           fetch_k: int = 30):
-    from ..stages.reranker import rerank_contexts
+def _stage_rerank_contexts(ds, ctx, k: int = 10, fetch_k: int = 30):
+    """Retrieve-then-rerank contexts: the kernel's ``reranked`` emitter."""
+    from .kg import _kernel_map
 
-    kb_ref, _gaz_ref, _ = ctx.refs()
-    return ds.map_batches(rerank_contexts,
-                          fn_kwargs={"kb_ref": kb_ref, "k": k,
-                                     "fetch_k": fetch_k},
-                          batch_format="pyarrow", batch_size=batch_size)
+    ctx.refs()
+    return _kernel_map(ds, ctx.corpus, mode="reranked", k=k,
+                       fetch_k=fetch_k)
 
 
 @register("triples")
 def _stage_triples(ds, ctx):
     from .kg import raw_triples
 
-    ctx.refs()  # fails early without `corpus:`
+    ctx.refs()
     return raw_triples(ds, ctx.corpus)
 
 

@@ -31,8 +31,10 @@ driver session and resolved once per worker (broadcast join, never
 re-shipped per batch).
 ``raw_triples`` is the one sentences -> raw-triples stage: ``kg_triples``,
 ``run_resumable`` (pipelines/run.py) and the config ``triples`` stage all
-build on it.  ``kernel_dataset`` runs the same kernel's other emitters for
-the kg_contexts / kg_mentions inspection queries.
+build on it.  ``_kernel_map`` is the one map of a Dataset through the
+kernel: the triples, the config kernel stages, the CoNLL augment and,
+through ``kernel_dataset``, the kg_contexts / kg_mentions /
+kg_contexts_reranked / kg_distant_supervision queries all go through it.
 """
 
 from __future__ import annotations
@@ -124,7 +126,9 @@ def sentences_dataset(pages):
     )
 
 
-def _kernel_map(sents, corpus: str, fn, **kw):
+def _kernel_map(sents, corpus: str, fn=kernel_rows, **kw):
+    """``sents`` through ``fn``, the worker's kernel for ``corpus``'s
+    broadcast sides (``kw``: the emitter's mode and its kwargs)."""
     # no batch_size: a minimum bundle size would keep Ray Data from fusing
     # the read into this operator, so each read block is one kernel call
     kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
@@ -142,9 +146,8 @@ def raw_triples(sents, corpus: str):
 
 def kernel_dataset(corpus: str, mode: str, **kw):
     """The corpus sentences through one emitter of the same kernel
-    (contexts | entity_contexts | mentions; see stages/tagger.py)."""
-    return _kernel_map(sentences_dataset(corpus), corpus, kernel_rows,
-                       mode=mode, **kw)
+    (see ``SCHEMAS`` in stages/tagger.py)."""
+    return _kernel_map(sentences_dataset(corpus), corpus, mode=mode, **kw)
 
 
 @ray.remote
@@ -175,6 +178,6 @@ def kg_triples(corpus: str):
         raw_triples(sentences_dataset(corpus), corpus), ent_title)
 
 
-def kg_triples_for_sf_dir(sf_dir: str, **kw):
+def kg_triples_for_sf_dir(sf_dir: str):
     """Driver-facing wrapper: map an sf dir to the cached synthetic corpus."""
-    return kg_triples(corpus_dir(sf_dir_to_sf(sf_dir)), **kw)
+    return kg_triples(corpus_dir(sf_dir_to_sf(sf_dir)))

@@ -85,18 +85,13 @@ def q_kg_mentions_viterbi(sf_dir: str):
 
 
 def q_kg_contexts_reranked(sf_dir: str):
-    """Retrieve-then-rerank contexts (stages/reranker.py): BM25 fetch_k=30
-    candidates rescored by the deterministic BERTScore stand-in (greedy
-    token F1), top-10 re-ranked.  The scorer seam takes a cross-encoder in
-    a GPU deployment."""
-    from ...pipelines.kg import load_corpus_refs, sentences_dataset
-    from ...stages.reranker import rerank_contexts
+    """Retrieve-then-rerank contexts (the kernel's ``reranked`` emitter):
+    BM25 fetch_k=30 candidates rescored by the deterministic BERTScore
+    stand-in (greedy token F1, stages/reranker.py), top-10 re-ranked.  The
+    emitter's ``scorer`` seam takes a cross-encoder in a GPU deployment."""
+    from ...pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, _gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus).map_batches(
-        rerank_contexts, fn_kwargs={"kb_ref": kb_ref},
-        batch_format="pyarrow", batch_size=512)
+    return kernel_dataset(_corpus(sf_dir), "reranked")
 
 
 def q_kg_mentions_iter2(sf_dir: str):
@@ -285,13 +280,8 @@ def q_kg_ensemble_multirun(sf_dir: str):
 
 
 def q_kg_distant_supervision(sf_dir: str):
-    """M18 seat: project detected surfaces onto retrieved KB contexts."""
-    from ...pipelines.kg import load_corpus_refs, sentences_dataset
-    from ...stages.distant import distant_supervision
+    """M18 seat: project detected surfaces onto retrieved KB contexts (the
+    kernel's ``distant`` emitter)."""
+    from ...pipelines.kg import kernel_dataset
 
-    corpus = _corpus(sf_dir)
-    kb_ref, gaz_ref, _ = load_corpus_refs(corpus)
-    return sentences_dataset(corpus).map_batches(
-        distant_supervision,
-        fn_kwargs={"kb_ref": kb_ref, "gaz_ref": gaz_ref},
-        batch_format="pyarrow", batch_size=256)
+    return kernel_dataset(_corpus(sf_dir), "distant")

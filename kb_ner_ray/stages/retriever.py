@@ -1,35 +1,13 @@
-"""The broadcast KB side of retrieval, and retrieval-result dedup.
+"""Retrieval-result dedup (reference A6).
 
-Fills the reference seats T4 (ES retriever, kb/generate_data.py:33-68) and
-J2 (query->KB top-k broadcast-small-side join) together with
-stages/tagger.py, whose per-worker kernel does the retrieval and the
-budgeted context attach (M12/J1, kb/context_process.py:213-502).
-
-Design: the KB is the SMALL side — it is ``ray.put`` once on the driver and
-every worker builds its in-process BM25 index from that broadcast (no
-shuffle join; SURVEY.md §2.4).
+Retrieval itself (the seats T4 and J2: BM25 top-k against the broadcast
+KB, kb/generate_data.py:33-68) runs in the per-worker kernel of
+stages/tagger.py.  The KB is the SMALL side: it is ``ray.put`` once on the
+driver and every worker builds its in-process BM25 index from that
+broadcast (no shuffle join; SURVEY.md §2.4).
 """
 
 from __future__ import annotations
-
-from ..data.oracle import clean_context
-from ..functions.tokenizer import subtoken_count
-from ..state.bm25 import MultiLangKBIndex
-from .partitioning import resolve
-
-
-class KBState:
-    """The per-worker state built from the broadcast KB: its rows, the
-    BM25 index and the cleaned, costed context of every KB sentence."""
-
-    def __init__(self, kb_ref):
-        kb_rows = resolve(kb_ref)
-        self.kb_rows = kb_rows
-        self.index = MultiLangKBIndex(kb_rows)  # per-language + all view
-        # KB side is fixed for the state's lifetime: hoist the printable
-        # filter + subtoken costs out of the per-sentence attach loop
-        self.kb_clean = [clean_context(r["sentence"]) for r in kb_rows]
-        self.kb_cost = [subtoken_count(c) for c in self.kb_clean]
 
 
 def dedup_contexts(contexts_ds, min_results: int = 6):

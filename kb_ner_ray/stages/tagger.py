@@ -8,15 +8,23 @@ kb/context_process.py:213-502), T2+T3 (the fused embedder+CRF tagger,
 flair/models/sequence_tagger_model.py — here the deterministic gazetteer
 stand-in behind the same interface, SURVEY.md §7 step 5), M15/M16 (span
 decode via the pinned codec), J5 (map-side lookup against a broadcast entity
-dict) and the triple-emit seat (S11).
+dict), the triple-emit seat (S11), context reranking (T7,
+tools/bert_scoring.py) and distant supervision (M18,
+kb/context_process.py:578-657).
 
-All state (BM25 index, gazetteer trie, candidate map, KB definition tokens,
-each KB context's cleaned text, subtoken cost and token split) is built
-once per worker process from the ``ray.put`` broadcasts and reached
-through ``worker_state``; the stages run as plain tasks, so parallelism
-follows the cluster with no actor-pool spin-up.  Web corpora are heavily
+The kernel is the only per-worker state on the KB side: the BM25 index,
+gazetteer trie, candidate map, KB definition tokens and each KB context's
+cleaned text, subtoken cost and token split are built once per worker
+process from the ``ray.put`` broadcasts and reached through
+``worker_state``; the stages run as plain tasks, so parallelism follows
+the cluster with no actor-pool spin-up.  Web corpora are heavily
 sentence-duplicated, and every output row set is a pure function of
-(text, lang, mode), so one memo per worker serves repeats.
+(text, lang, mode, kwargs), so one memo per worker serves repeats.
+
+THE CROSS-ENCODER SEAM is the ``scorer`` kwarg of the ``reranked``
+emitter, ``scorer(query, [candidates]) -> [scores]``
+(stages/reranker.py): a GPU deployment passes its cross-encoder's batched
+forward there; the dataflow and the output schema stay the same.
 
 The attach is one budget walk (``_budget``) that names the KB rows it
 attaches.  Only the ``aug`` emitter stitches them into ``aug_text``; the
@@ -37,6 +45,7 @@ import pyarrow as pa
 from ..data.oracle import (
     CONTEXT_BUDGET,
     TOP_K,
+    clean_context,
     entity_merged_hits,
     link_mention,
 )
@@ -44,10 +53,10 @@ from ..functions.spans import decode_bioes
 from ..functions.tokenizer import subtoken_count
 from ..functions.viterbi import viterbi_decode
 from ..functions.windows import WINDOW, tag_tokens_windowed
-from ..state.bm25 import analyze
+from ..state.bm25 import MultiLangKBIndex, analyze
 from ..state.gazetteer import Gazetteer
 from .partitioning import resolve, worker_state
-from .retriever import KBState
+from .reranker import token_f1_pairs
 
 _URL, _SID = ("url", pa.string()), ("sent_id", pa.int32())
 
@@ -66,6 +75,17 @@ SCHEMAS = {
     "entity_contexts": [_URL, _SID, ("entity", pa.string()),
                         ("rank", pa.int32()), ("kb_id", pa.int64()),
                         ("score", pa.float32())],
+    # retrieve-then-rerank (T7): fetch_k BM25 candidates rescored by the
+    # pair scorer, the top k by (rerank score desc, BM25 rank asc)
+    "reranked": [_URL, _SID, ("rank", pa.int32()), ("kb_id", pa.int64()),
+                 ("bm25_score", pa.float32()),
+                 ("rerank_score", pa.float32()),
+                 ("kb_sentence", pa.string()), ("kb_title", pa.string())],
+    # weak labels (M18): each exact token span of a detected surface in
+    # the sentence's retrieved KB sentences
+    "distant": [_URL, _SID, ("kb_id", pa.int64()), ("surface", pa.string()),
+                ("label", pa.string()), ("ctx_start", pa.int32()),
+                ("ctx_end", pa.int32())],
     "aug": [("aug_text", pa.string()), ("n_contexts", pa.int32())],
     "mentions": [_URL, _SID, ("start_tok", pa.int32()),
                  ("end_tok", pa.int32()), ("surface", pa.string()),
@@ -126,7 +146,7 @@ class ViterbiCodec:
         return self.decode(self.emissions(tag_seq))
 
 
-class SentenceKernel(KBState):
+class SentenceKernel:
     """Per-worker state and the one per-sentence pass of the flagship."""
 
     # Distinct (sentence, mode) results kept per worker.  GRAFT_MEMO_CAP
@@ -138,7 +158,12 @@ class SentenceKernel(KBState):
     MEMO_CAP = 400_000
 
     def __init__(self, gaz_ref, kb_ref):
-        super().__init__(kb_ref)
+        self.kb_rows = resolve(kb_ref)
+        self.index = MultiLangKBIndex(self.kb_rows)  # per-language + all
+        # the KB side is fixed for the kernel's lifetime: each context's
+        # printable text, subtoken cost and split leave the per-sentence loop
+        self.kb_clean = [clean_context(r["sentence"]) for r in self.kb_rows]
+        self.kb_cost = [subtoken_count(c) for c in self.kb_clean]
         cap = os.environ.get("GRAFT_MEMO_CAP")
         if cap:
             self.MEMO_CAP = int(cap)
@@ -274,7 +299,7 @@ class SentenceKernel(KBState):
             out.append((rank, r["kb_id"], score, r["sentence"], r["title"]))
         return out
 
-    def _mention_hits(self, queries: list) -> dict:
+    def _entity_contexts_hits(self, queries: list) -> dict:
         """(text, lang) -> [(entity, hits)], one title-boosted query per
         mention the gazetteer detects in the sentence; every mention of
         every query goes to ONE ``search_many`` call."""
@@ -294,6 +319,64 @@ class SentenceKernel(KBState):
         return [(ent, rank, self.kb_rows[i]["kb_id"], score)
                 for ent, found in hits
                 for rank, (i, score) in enumerate(found)]
+
+    def _reranked_hits(self, queries: list, fetch_k: int = 30,
+                       **_kw) -> dict:
+        """(text, lang) -> the sentence's top ``fetch_k`` candidates."""
+        return dict(zip(queries, self.index.search_many(queries,
+                                                        k=fetch_k)))
+
+    def _reranked(self, text: str, lang: str | None, hits: list,
+                  k: int = TOP_K, fetch_k: int | None = None,
+                  scorer=token_f1_pairs) -> list:
+        """The candidates (``_reranked_hits`` fetched ``fetch_k``) rescored
+        by ``scorer`` against their cleaned KB text, the top ``k`` by
+        (score desc, BM25 rank asc) with new ranks."""
+        if not hits:
+            return []
+        scores = scorer(text, [self.kb_clean[i] for i, _s in hits])
+        order = np.lexsort((np.arange(len(hits)), -np.asarray(scores)))
+        out = []
+        for rank, oi in enumerate(order[:k]):
+            i, bm25 = hits[oi]
+            r = self.kb_rows[i]
+            out.append((rank, r["kb_id"], bm25, scores[oi], r["sentence"],
+                        r["title"]))
+        return out
+
+    def _distant_hits(self, queries: list) -> dict:
+        """(text, lang) -> (surfaces, hits) of each sentence the gazetteer
+        tags: its detected (surface tokens, label) pairs and its top-k in
+        the all-languages view, all in ONE ``search_many`` call.  An
+        untagged sentence has none."""
+        tagged = {}
+        for text, lang in queries:
+            tokens = text.split()
+            spans = self.gaz.mentions_via_codec(tokens)
+            if spans:
+                tagged[text, lang] = [(tuple(tokens[s:e]), label)
+                                      for s, e, label, _sc in spans]
+        found = self.index.search_many([(text, None) for text, _l in tagged],
+                                       k=TOP_K)
+        return {q: (surfs, h) for (q, surfs), h in zip(tagged.items(), found)}
+
+    def _distant(self, text: str, lang: str | None, hits) -> list:
+        """Every exact token span of each surface in each retrieved KB
+        sentence (the reference's exhaustive span-index match,
+        kb/context_process.py:594-649)."""
+        if hits is None:
+            return []
+        surfaces, found = hits
+        out = []
+        for i, _score in found:
+            ctx = self.kb_rows[i]["sentence"].split()
+            kb_id = self.kb_rows[i]["kb_id"]
+            for surf, label in surfaces:
+                n = len(surf)
+                out.extend((kb_id, " ".join(surf), label, start, start + n)
+                           for start in range(len(ctx) - n + 1)
+                           if tuple(ctx[start:start + n]) == surf)
+        return out
 
     def _aug(self, text: str, lang: str | None, hits: list,
              min_rank: int = 0, max_rank: int | None = None) -> list:
@@ -330,9 +413,10 @@ class SentenceKernel(KBState):
         times order-dependent.  Rows are served in batch order: a row is a
         hit when its key is in the memo or an earlier row of the batch
         put it there, and a miss otherwise.  The misses' distinct
-        sentences (for ``entity_contexts``, their detected mentions) are
-        retrieved with one ``search_many`` call (the reference's
-        ``_msearch``), then each miss runs its steps once."""
+        sentences are retrieved with one ``search_many`` call (the
+        reference's ``_msearch``): their top-k in their language, or what
+        the mode's ``_<mode>_hits`` method fetches.  Then each miss runs
+        its steps once."""
         fields = SCHEMAS[mode]
         compute = getattr(self, "_sentence_triples" if mode == "triples"
                           else "_" + mode)
@@ -359,11 +443,9 @@ class SentenceKernel(KBState):
                     waiting[key] = []
                     room -= 1
         queries = list(dict.fromkeys(key[:2] for _i, key in misses))
-        if mode == "entity_contexts":  # its queries are per mention
-            hits = self._mention_hits(queries)
-        else:
-            hits = dict(zip(queries, self.index.search_many(queries,
-                                                            k=TOP_K)))
+        retrieve = getattr(self, f"_{mode}_hits", None)
+        hits = (retrieve(queries, **kw) if retrieve else
+                dict(zip(queries, self.index.search_many(queries, k=TOP_K))))
         for i, key in misses:
             res = results[i] = compute(key[0], key[1], hits.get(key[:2]),
                                        **kw)

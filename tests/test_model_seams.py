@@ -185,13 +185,13 @@ def test_masked_logits_match_reference_remove_x_shape():
 
 
 def test_cross_encoder_scorer_seam_accepts_custom_callable():
-    """The reranker's cross-encoder seam (stages/reranker.py __init__,
-    ``scorer(query, [cands]) -> [scores]``) must accept an injected
-    batched scorer the way a GPU deployment plugs in a cross-encoder
-    forward, and rank strictly by its scores."""
+    """The reranker's cross-encoder seam (the ``scorer`` kwarg of the
+    kernel's ``reranked`` emitter, ``scorer(query, [cands]) -> [scores]``)
+    must accept an injected batched scorer the way a GPU deployment plugs
+    in a cross-encoder forward, and rank strictly by its scores."""
     import pyarrow as pa
 
-    from kb_ner_ray.stages.reranker import RerankedRetriever
+    from kb_ner_ray.stages.tagger import SentenceKernel
 
     kb = [
         {"kb_id": 1, "sentence": "alpha beta", "title": "t1", "lang": "en"},
@@ -199,17 +199,19 @@ def test_cross_encoder_scorer_seam_accepts_custom_callable():
          "title": "t2", "lang": "en"},
         {"kb_id": 3, "sentence": "alpha", "title": "t3", "lang": "en"},
     ]
+    for r in kb:  # the kernel's link state reads each entity's s_id 0 row
+        r.update(ent_id=r["kb_id"], s_id=0)
     calls = []
 
     def scorer(query: str, cands: list[str]) -> list[float]:
         calls.append((query, list(cands)))
         return [float(len(c)) for c in cands]  # longest candidate wins
 
-    rr = RerankedRetriever(kb, k=3, fetch_k=3, scorer=scorer)
-    out = rr(pa.table({"url": pa.array(["u"], pa.string()),
-                       "sent_id": pa.array([0], pa.int32()),
-                       "text": pa.array(["alpha beta gamma"], pa.string()),
-                       })).to_pylist()
+    out = SentenceKernel([], kb).emit(
+        pa.table({"url": pa.array(["u"], pa.string()),
+                  "sent_id": pa.array([0], pa.int32()),
+                  "text": pa.array(["alpha beta gamma"], pa.string())}),
+        "reranked", k=3, fetch_k=3, scorer=scorer).to_pylist()
     assert calls and calls[0][0] == "alpha beta gamma"
     assert out[0]["rank"] == 0 and out[0]["kb_id"] == 2  # longest sentence
     scores = [r["rerank_score"] for r in sorted(out, key=lambda r: r["rank"])]
@@ -239,12 +241,13 @@ def test_cross_encoder_scorer_golden_scores():
     real-env run records tests/golden/xlmr_bertscore_scores.json; later
     runs assert 1e-3 closeness, so a silent model/normalization change
     fails loudly instead of silently reordering contexts.  The scored
-    ranking must also drive RerankedRetriever through the scorer seam."""
+    ranking must also drive the kernel's ``reranked`` emitter through the
+    scorer seam."""
     import pyarrow as pa
     import torch
     from transformers import AutoModel, AutoTokenizer
 
-    from kb_ner_ray.stages.reranker import RerankedRetriever
+    from kb_ner_ray.stages.tagger import SentenceKernel
 
     tok = AutoTokenizer.from_pretrained("xlm-roberta-base")
     model = AutoModel.from_pretrained("xlm-roberta-base")
@@ -283,12 +286,13 @@ def test_cross_encoder_scorer_golden_scores():
 
     # the real scorer must drive the actor's ranking end-to-end
     q0, cands0 = SCORER_PROBES[0]
-    kb = [{"kb_id": i + 1, "sentence": c, "title": f"t{i}", "lang": "en"}
-          for i, c in enumerate(cands0)]
-    rr = RerankedRetriever(kb, k=3, fetch_k=3, scorer=bertscore_f1)
-    out = rr(pa.table({"url": pa.array(["u"], pa.string()),
-                       "sent_id": pa.array([0], pa.int32()),
-                       "text": pa.array([q0], pa.string())})).to_pylist()
+    kb = [{"kb_id": i + 1, "ent_id": i + 1, "s_id": 0, "sentence": c,
+           "title": f"t{i}", "lang": "en"} for i, c in enumerate(cands0)]
+    out = SentenceKernel([], kb).emit(
+        pa.table({"url": pa.array(["u"], pa.string()),
+                  "sent_id": pa.array([0], pa.int32()),
+                  "text": pa.array([q0], pa.string())}),
+        "reranked", k=3, fetch_k=3, scorer=bertscore_f1).to_pylist()
     got = [r["rerank_score"] for r in sorted(out, key=lambda r: r["rank"])]
     assert got == sorted(got, reverse=True)
 

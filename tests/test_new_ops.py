@@ -7,7 +7,7 @@ import pytest
 import ray
 
 from kb_ner_ray.stages.dedup import charset_jaccard, ngram_jaccard_pairs
-from kb_ner_ray.stages.distant import distant_supervision
+from kb_ner_ray.stages.tagger import kernel_rows
 
 
 def test_charset_jaccard_matches_duckdb():
@@ -48,7 +48,7 @@ def test_distant_supervision_projects_surfaces(tiny_corpus):
         "sent_id": pa.array([0], pa.int32()),
         "text": [kb[0]["sentence"]],  # KB sentence retrieves itself
     })
-    out = distant_supervision(batch, kb_ref=kb, gaz_ref=gaz)
+    out = kernel_rows(batch, kb_ref=kb, gaz_ref=gaz, mode="distant")
     assert out.num_rows > 0
     kb_by_id = {r["kb_id"]: r for r in kb}
     for row in out.to_pylist():

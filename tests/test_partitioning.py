@@ -588,6 +588,58 @@ def test_one_scheduling_rule():
     assert not sets, sets
 
 
+# ---- one kernel on the KB side -------------------------------------------
+
+# (module, class or None for module level) allowed to construct a BM25 index
+INDEX_BUILD_OK = {
+    ("stages/tagger.py", "SentenceKernel"):
+        "the one per-worker KB-side state",
+    ("data/oracle.py", None):
+        "the single-process reference the kernel is checked against",
+    ("state/bm25.py", "MultiLangKBIndex"):
+        "the index's own module: one KBIndex per language and the "
+        "all-languages view",
+}
+
+
+def test_one_kb_side_kernel():
+    """Only ``pipelines/kg.py`` (its ``_kernel_map``) passes a function of
+    ``stages/tagger.py`` to ``map_batches``, and only ``SentenceKernel``
+    and ``data/oracle.py`` construct a ``MultiLangKBIndex``/``KBIndex``
+    (INDEX_BUILD_OK).  A second map through the kernel would fork its
+    batching, and a second index builder a second per-worker copy of the
+    KB."""
+    tagger_defs = {n.name for n in ast.parse(
+        (PKG / "stages/tagger.py").read_text()).body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    maps, builds = [], []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        tree = ast.parse(path.read_text())
+        from_tagger = {a.asname or a.name for n in ast.walk(tree)
+                       if isinstance(n, ast.ImportFrom)
+                       and (n.module or "").split(".")[-1] == "tagger"
+                       for a in n.names}
+        owner = {id(n): top.name for top in tree.body
+                 if isinstance(top, ast.ClassDef) for n in ast.walk(top)}
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            name = _func_name(n)
+            fn = (n.args[:1] or [k.value for k in n.keywords
+                                 if k.arg == "fn"] or [None])[0]
+            if name == "map_batches" and rel != "pipelines/kg.py" and (
+                    (isinstance(fn, ast.Name) and fn.id in from_tagger)
+                    or (isinstance(fn, ast.Attribute)
+                        and fn.attr in tagger_defs)):
+                maps.append(f"{rel}:{n.lineno} {ast.unparse(fn)}")
+            if (name in ("MultiLangKBIndex", "KBIndex")
+                    and (rel, owner.get(id(n))) not in INDEX_BUILD_OK):
+                builds.append(f"{rel}:{n.lineno} {name}")
+    assert not maps, maps
+    assert not builds, builds
+
+
 # ---- one worker-state helper, no actors ---------------------------------
 
 _SLOT_NAME = re.compile(r"_\w+_(STATE|CACHE)")

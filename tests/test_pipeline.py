@@ -232,6 +232,32 @@ def test_worker_builds_kernel_state_once(tiny_corpus, refs, monkeypatch):
     assert len(kernel._memo) == 2 * distinct
 
 
+def test_kb_side_modes_share_one_kernel(tiny_corpus, refs, monkeypatch):
+    """Reranked contexts, distant-supervision labels and triples over the
+    same refs on one worker: one kernel is built and kept, and every
+    retrieval of all three modes searches its one BM25 index."""
+    from kb_ner_ray.stages import tagger
+    from kb_ner_ray.state.bm25 import MultiLangKBIndex
+
+    searched = []
+    search_many = MultiLangKBIndex.search_many
+
+    def recording(self, queries, *args, **kwargs):
+        searched.append((mode, id(self)))
+        return search_many(self, queries, *args, **kwargs)
+
+    monkeypatch.setattr(MultiLangKBIndex, "search_many", recording)
+    monkeypatch.setattr(tagger, "_TASK_STATE", {})
+    kw = {"kb_ref": refs["kb_ref"], "gaz_ref": refs["gaz_ref"]}
+    sents = explode_sentences(extract_pages(tiny_corpus["pages"]))
+    for mode in ("reranked", "distant", "triples"):
+        assert kernel_rows(sents, mode=mode, **kw).num_rows > 0
+    (kernel,) = tagger._TASK_STATE.values()
+    assert list(tagger._TASK_STATE) == [(refs["kb_ref"], refs["gaz_ref"])]
+    assert {m for m, _i in searched} == {"reranked", "distant", "triples"}
+    assert {i for _m, i in searched} == {id(kernel.index)}
+
+
 def test_oracle_vs_generator_gold_ge_095(tiny_corpus, oracle_out):
     want = _rows(tiny_corpus["triples"], KEY_COLS)
     got = _rows(oracle_out["triples"], KEY_COLS)
@@ -333,13 +359,7 @@ def test_edit_distance_and_score_edit():
 
 
 def test_reranked_retriever_orders_by_scorer(tiny_corpus, refs, ray_session):
-    from kb_ner_ray.stages.reranker import rerank_contexts
-
-    out = (_sentences_ds(tiny_corpus)
-           .map_batches(rerank_contexts,
-                        fn_kwargs={"kb_ref": refs["kb_ref"]},
-                        batch_format="pyarrow")
-           .to_pandas())
+    out = _kernel_ds(tiny_corpus, refs, "reranked").to_pandas()
     assert len(out) > 0
     assert set(out.columns) == {"url", "sent_id", "rank", "kb_id",
                                 "bm25_score", "rerank_score",
