@@ -6,8 +6,9 @@ north rule's deployment shape)::
     ray job submit --working-dir . -- \\
         python -m kb_ner_ray --config pipeline.yaml
 
-On a cluster, ``ray.init()`` (no address) inside the job attaches to the
-running cluster; here it starts local mode.  A killed job resumes from
+Inside a running cluster (``ray job submit`` sets ``RAY_ADDRESS``),
+``ray.init()`` with no address joins it; elsewhere it starts a local
+instance with ``--num-cpus`` CPUs.  A killed job resumes from
 the per-partition checkpoint manifests when the config sets
 ``resumable: true`` (pipelines/run.py).
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -27,13 +29,17 @@ import warnings
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="kb_ner_ray")
     p.add_argument("--config", required=True, help="pipeline YAML")
-    p.add_argument("--num-cpus", type=int, default=None)
+    p.add_argument("--num-cpus", type=int, default=None,
+                   help="CPUs of a locally started instance (ignored when "
+                        "RAY_ADDRESS names a cluster to join)")
     args = p.parse_args(argv)
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=args.num_cpus,
+        # Ray takes no CPU count when it joins an existing cluster
+        joining = bool(os.environ.get("RAY_ADDRESS"))
+        ray.init(num_cpus=None if joining else args.num_cpus,
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 

@@ -1350,17 +1350,20 @@ def q_corpus_export(sf_dir: str):
     routes docs to md5-derived shards, writes manifest-tracked parquet
     partitions in deterministic training order, reads the result back.
     The round-trip content is exactly oracle-expressible (documents +
-    the md5 order key)."""
+    the md5 order key).  The export dir is named for the documents file's
+    fingerprint, so every run over the same file resumes from, and
+    serves, one export of it."""
     import os as _os
 
     from ...pipelines.export import (export_training_shards,
                                     read_training_order)
+    from ...state.manifest import input_fingerprint
 
+    docs = f"{sf_dir}/documents.parquet"
     out = (f"/tmp/kbner_export/{_os.path.basename(sf_dir.rstrip('/'))}"
-           f"-{_os.getpid()}")
+           f"-{input_fingerprint([docs])}")
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    export_training_shards(ds, out, n_shards=8,
-                           input_files=[f"{sf_dir}/documents.parquet"])
+    export_training_shards(ds, out, n_shards=8, input_files=[docs])
     return read_training_order(out)
 
 

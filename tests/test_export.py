@@ -60,10 +60,10 @@ def test_export_resume_and_invalidation(ray_session, tmp_path):
 
 
 def test_corpus_export_binds_shards_to_its_documents(ray_session, tmp_path):
-    """``q_corpus_export`` names its out_dir after the sf dir's basename:
-    an export of another sf dir of the same name lands in the same
-    out_dir and must recompute every shard from its own documents, not
-    serve the first export's."""
+    """``q_corpus_export`` names its out_dir after the sf dir's basename
+    and its documents' fingerprint: an export of another sf dir of the
+    same name exports its own documents, not the first export's."""
+    import glob
     import shutil
 
     from kb_ner_ray.pipelines.queries.documents import q_corpus_export
@@ -78,5 +78,40 @@ def test_corpus_export_binds_shards_to_its_documents(ray_session, tmp_path):
             got = q_corpus_export(str(d))
             assert sorted(got["doc_id"].to_pylist()) == list(range(n))
     finally:
-        shutil.rmtree(f"/tmp/kbner_export/{name}-{os.getpid()}",
-                      ignore_errors=True)
+        for out in glob.glob(f"/tmp/kbner_export/{name}-*"):
+            shutil.rmtree(out)
+
+
+def test_corpus_export_resumes_its_own_export(ray_session, tmp_path,
+                                              monkeypatch):
+    """A second ``q_corpus_export`` of the same documents resumes the
+    first one's export: it computes no shard, and one export dir holds
+    both."""
+    import glob
+    import shutil
+
+    from kb_ner_ray.pipelines import export
+    from kb_ner_ray.pipelines.queries.documents import q_corpus_export
+
+    runs = []
+    exported = export.export_training_shards
+
+    def recording(*args, **kwargs):
+        runs.append(exported(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(export, "export_training_shards", recording)
+    sf = tmp_path / tmp_path.name
+    sf.mkdir()
+    pq.write_table(_docs(40), str(sf / "documents.parquet"))
+    pattern = f"/tmp/kbner_export/{sf.name}-*"
+    before = set(glob.glob(pattern))
+    try:
+        got = [sorted(q_corpus_export(str(sf))["doc_id"].to_pylist())
+               for _ in range(2)]
+        assert got == [list(range(40))] * 2
+        assert runs[0]["computed"] and runs[1]["computed"] == []
+        assert len(set(glob.glob(pattern)) - before) == 1
+    finally:
+        for out in set(glob.glob(pattern)) - before:
+            shutil.rmtree(out)

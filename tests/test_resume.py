@@ -5,7 +5,9 @@ import ast
 import json
 import os
 import pathlib
+import time
 
+import psutil
 import pyarrow as pa
 import pytest
 
@@ -196,7 +198,11 @@ def test_resumable_run_resumes_after_driver_killed_before_rename(tmp_path):
     """A real fault: the driver process exits between partition 1's
     manifest write and its rename.  A fresh process reruns: it computes
     only partition 1, removes the dead process's scratch dir, and writes
-    the final triples of an uninterrupted run."""
+    the final triples of an uninterrupted run.
+
+    The killed driver's Ray agents outlive it, orphaned in their own
+    process group: every process of its Ray instance is recorded while it
+    runs and stopped once it has died, and none may stay alive."""
     import glob
     import hashlib
     import subprocess
@@ -211,11 +217,15 @@ def test_resumable_run_resumes_after_driver_killed_before_rename(tmp_path):
     raw_dir = os.path.join(out, "raw")
     open(marker, "w").close()
 
-    killed = subprocess.Popen(
-        [sys.executable, "-c", _KILLED_RUN, out, marker], cwd=_ROOT,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    _stdout, stderr = killed.communicate(timeout=300)
-    assert killed.returncode == 17, stderr[-2000:]
+    log = tmp_path / "killed.log"
+    with open(log, "w") as f:
+        killed = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_RUN, out, marker], cwd=_ROOT,
+            stdout=subprocess.DEVNULL, stderr=f)
+    instance = _descendants_until_exit(killed, timeout=300)
+    left = _stop(instance)
+    assert killed.returncode == 17, log.read_text()[-2000:]
+    assert instance and not left, left
     assert not os.path.exists(marker)
     assert landed_dirs(raw_dir) == [os.path.join(raw_dir, "part=0000")]
     left = f"*.{killed.pid}"
@@ -234,6 +244,43 @@ def test_resumable_run_resumes_after_driver_killed_before_rename(tmp_path):
         return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     assert digest(_final_rows(out)) == digest(_final_rows(clean))
+
+
+def _descendants_until_exit(proc, timeout: float) -> set:
+    """Every process descended from the running ``proc``, polled until it
+    exits (killed at ``timeout``)."""
+    seen = set()
+    deadline = time.monotonic() + timeout
+    while proc.poll() is None:
+        if time.monotonic() > deadline:
+            proc.kill()
+        try:
+            seen.update(psutil.Process(proc.pid).children(recursive=True))
+        except psutil.NoSuchProcess:
+            pass
+        time.sleep(0.05)
+    return seen
+
+
+def _stop(procs: set) -> list:
+    """Terminate, then kill, each of ``procs``; the ones still alive."""
+    def alive(p):
+        try:
+            return p.is_running() and p.status() != psutil.STATUS_ZOMBIE
+        except psutil.NoSuchProcess:
+            return False
+
+    for signal in ("terminate", "kill"):
+        for p in procs:
+            if alive(p):
+                try:
+                    getattr(p, signal)()
+                except psutil.NoSuchProcess:
+                    pass
+        deadline = time.monotonic() + 10
+        while any(map(alive, procs)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+    return [p for p in procs if alive(p)]
 
 
 def test_resumable_run_survives_crashed_final_swap(tmp_path, monkeypatch):
