@@ -8,11 +8,16 @@ Split of labour (see state/manifest.py):
   fingerprints (the partition's page files and the corpus's kb/ and
   gazetteer/ files, ``kg.sides_fingerprint``) and recomputes only
   missing/stale partitions;
-* the LIGHT, vocabulary-sized canonicalization + final write is recomputed
-  every run (it depends on corpus-wide link counts): the canonical map is
-  combined on the driver, and one plain Ray task per raw file of the
-  current split applies it and writes that file's final triples, so a
-  rerun that computes nothing runs no Ray Data job.
+* the final triples (canonicalization + final write) are checkpointed as
+  one output: they depend on corpus-wide link counts, so on every
+  partition.  ``triples/`` has its own manifest, keyed on the digest of
+  the current split's partition fingerprints (``manifest.digest``).  A
+  rerun whose key matches it, with every final file present, returns its
+  row count and does nothing more: no canonical map, no broadcast, no
+  task, no scratch dir.  Otherwise the vocabulary-sized canonical map is
+  combined on the driver, and the corpus-sized rewrite runs: one plain
+  Ray task per raw file of the current split applies the map and writes
+  that file's final triples, so even a rebuild runs no Ray Data job.
 
 One Ray Data job computes every missing partition: the pages of all of
 them are read once, each row labelled with its partition in a ``part``
@@ -21,14 +26,21 @@ triples are written once, hive-partitioned by ``part``, into this process's
 scratch dir under ``raw/`` (``manifest.scratch``).  One Ray task per
 partition counts its files' links.  Then ``manifest.publish`` lands each
 partition dir the write left there as it is: its link counts and manifest
-are written into it, and one rename publishes it.  The final triples land
-the same way: one plain Ray task per raw file writes into a scratch dir
-under ``out_dir``, which ``manifest.swap_in`` renames into ``triples/``.
+(with its lineage: its page files and the sides fingerprint) are written
+into it, and one rename publishes it.  A rebuild of the final triples
+lands the same way: the tasks write into a scratch dir under ``out_dir``,
+and ``manifest.publish_output`` writes its manifest there and renames it
+into ``triples/``, so the manifest lands with the files it names.  The
+KB refs are loaded (``kg.load_corpus_refs``) only by the raw job and the
+rebuild, so a rerun with nothing to do reads no kb/ or gazetteer/ file.
 
 Crash trade-off: a crash during the job recomputes, on the next run, every
 partition that job had not published yet (not only the one being written);
-partitions published by earlier runs are still skipped.  The dead run's
-scratch dir is removed by the next run on the same host that needs one.
+partitions published by earlier runs are still skipped.  A crash during
+the final write leaves the previous ``triples/`` (or ``triples.old``, a
+crash inside the swap), which ``load_final_triples`` reads; the next run
+finds no matching ``triples/`` and rebuilds it.  The dead run's scratch
+dir is removed by the next run on the same host that needs one.
 
 Each partition manifest records its row count and two counters recovered
 from the written files, ``n_rows`` and ``n_linked_sides``.  The
@@ -38,7 +50,8 @@ no run rescans the raw triples to build it.  A partition landed without
 that file (an older layout) is recomputed.  The canonical map and the final
 output read only the partitions of the current split: a partition dir left
 by an earlier run with more partitions duplicates pages the current ones
-cover, and is ignored.
+cover, and is ignored.  A ``triples/`` without a manifest (an older
+layout) is rebuilt.
 """
 
 from __future__ import annotations
@@ -69,14 +82,17 @@ from ..stages.tagger import RetrieveTagTriples  # noqa: F401
 from ..state.manifest import (
     LINK_COUNTS,
     current,
+    digest,
     input_fingerprint,
     label,
+    lineage_of,
+    output_done,
     part_dir,
     partition_done,
     publish,
+    publish_output,
     read_link_counts,
     scratch,
-    swap_in,
     write_partition_streamed,  # noqa: F401
 )
 from .kg import (load_corpus_refs, raw_triples, sentences_dataset,
@@ -106,22 +122,21 @@ def _partition_files(corpus: str, n_partitions: int) -> list[list[str]]:
 
 def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
     """Returns {'computed': [...], 'skipped': [...], 'n_triples': int}."""
-    _kb_ref, _gaz_ref, ent_title = load_corpus_refs(corpus)
     raw_dir = os.path.join(out_dir, "raw")
+    final_dir = os.path.join(out_dir, "triples")
 
-    computed, skipped, fps, labels = [], [], {}, {}
+    computed, skipped, fps, labels = [], [], [], {}
     groups = _partition_files(corpus, n_partitions)
     parts = [part_dir(raw_dir, p) for p in range(len(groups))]
     # a partition's triples depend on its pages and on the broadcast sides
     sides = sides_fingerprint(corpus)
     for part_id, files in enumerate(groups):
-        fp = f"{input_fingerprint(files)}:{sides}"
-        if partition_done(raw_dir, part_id, fp) and os.path.exists(
+        fps.append(f"{input_fingerprint(files)}:{sides}")
+        if partition_done(raw_dir, part_id, fps[part_id]) and os.path.exists(
                 os.path.join(parts[part_id], LINK_COUNTS)):
             skipped.append(part_id)
             continue
         computed.append(part_id)
-        fps[part_id] = fp
         labels.update((f, label(part_id)) for f in files)
 
     if computed:
@@ -135,16 +150,28 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
             os.path.join(staged[p], "*.parquet")))) for p in computed}
         for part_id in computed:
             publish(raw_dir, part_id, staged[part_id], fps[part_id],
-                    link_counts=ray.get(counts[part_id]))
+                    link_counts=ray.get(counts[part_id]),
+                    lineage=lineage_of(groups[part_id], sides))
         shutil.rmtree(stage)
 
+    # the final triples depend on nothing but the partitions' inputs: a
+    # final output built from these inputs is kept as it is.  A partition
+    # recomputed above (its manifest or link counts were lost, its inputs
+    # were not) gave the same triples, since the kernel is deterministic
+    key = digest(fps)
+    done = output_done(final_dir, key)
+    if done is not None:
+        return {"computed": computed, "skipped": skipped,
+                "n_triples": done["n_rows"]}
+
     # global canonicalization: one combine of the partitions' link counts
+    ent_title = load_corpus_refs(corpus)[2]
     canon = canonical_map([read_link_counts(d) for d in parts], ent_title)
     # final write: built fresh in a scratch dir (a rerun must not append to
-    # last run's files), then swapped in for the previous output.  One
-    # plain task per raw file.  ``apply_canonical`` is looked up per call
-    # and shipped to the tasks, so a wrapped apply (the traced benchmark's)
-    # is the one they run
+    # last run's files), then swapped in for the previous output with its
+    # manifest.  One plain task per raw file.  ``apply_canonical`` is
+    # looked up per call and shipped to the tasks, so a wrapped apply (the
+    # traced benchmark's) is the one they run
     stage = scratch(out_dir)
     apply = partial(apply_canonical, canon_ref=ray.put(canon))
     raw_files = sorted(f for d in parts
@@ -153,14 +180,17 @@ def run_resumable(corpus: str, out_dir: str, n_partitions: int = 8) -> dict:
         _write_final.remote(apply, f, os.path.join(
             stage, f"part-{i:05d}.parquet"))
         for i, f in enumerate(raw_files)]))
-    swap_in(stage, os.path.join(out_dir, "triples"))
+    publish_output(stage, final_dir, key, n)
     return {"computed": computed, "skipped": skipped, "n_triples": n}
 
 
 def load_final_triples(out_dir: str) -> pa.Table:
     """The last complete final output (``manifest.current``): a crash
-    at any point of a run leaves one."""
+    at any point of a run leaves one.  Raises ``FileNotFoundError`` when
+    ``out_dir`` holds none, since no run over it finished."""
     final_dir = current(os.path.join(out_dir, "triples"))
+    if not os.path.isdir(final_dir):
+        raise FileNotFoundError(f"no final triples under {out_dir}")
     files = sorted(glob.glob(os.path.join(final_dir, "*.parquet")))
     if not files:  # a corpus that yields no triples
         return TRIPLES.empty_table()

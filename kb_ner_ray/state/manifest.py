@@ -7,11 +7,24 @@ Layout:
     out_dir/
       part=<NNNN>/*.parquet           one directory per input partition
       part=<NNNN>/_MANIFEST.json      {partition, input_fingerprint,
-                                       n_rows, counters, schema_version}
+                                       n_rows, counters, lineage,
+                                       schema_version}
       part=<NNNN>/_LINK_COUNTS.arrow  raw-triples partitions only: the
                                        partition's (surface, ent_id, cnt)
                                        link counts, combined
       _scratch.<host>.<pid>/          a process's working dir
+
+    triples/                          an output built from every partition
+                                       (``run_resumable``'s, beside raw/)
+      *.parquet
+      _MANIFEST.json                  {input_fingerprint, n_rows, files,
+                                       schema_version}
+
+A partition's ``lineage`` names what it was computed from: ``inputs``, its
+files (``path``, ``size``, ``mtime_ns``), and ``sides``, the fingerprint
+of the broadcast sides it was computed against.  An output's
+``input_fingerprint`` is ``digest`` of its partitions' fingerprints, and
+``files`` the names of its data files.
 
 This module is the only one that knows these names.  Every output lands
 in two steps:
@@ -22,13 +35,16 @@ in two steps:
   nothing about another node's processes on shared storage.
 * ``publish``: the manifest (and a raw partition's link counts) is written
   into a finished dir, and one rename (``swap_in``) makes it
-  ``part=NNNN``.  ``swap_in`` moves an existing output aside to
+  ``part=NNNN``.  ``publish_output`` lands an output built from every
+  partition the same way.  ``swap_in`` moves an existing output aside to
   ``<name>.old`` first and drops it after, so a crash at any point leaves
   one complete output, which ``current`` finds.
 
 Resume = re-list input partitions, skip those whose manifest exists AND
-matches the input fingerprint (anti-join of manifests vs inputs).  A
-crashed write leaves only a scratch dir, which no reader lists.
+matches the input fingerprint (anti-join of manifests vs inputs); an
+output whose manifest matches the digest of them all (``output_done``)
+is not rebuilt.  A crashed write leaves only a scratch dir, which no
+reader lists.
 Fingerprints are taken from the input files' names, sizes and modification
 times (never the clock at run time), so a rerun over unchanged inputs is
 deterministic.
@@ -134,29 +150,87 @@ def input_fingerprint(paths: list[str]) -> str:
     return h.hexdigest()
 
 
-def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
-    mpath = os.path.join(part_dir(out_dir, part_id), MANIFEST)
-    if not os.path.exists(mpath):
-        return False
+def lineage_of(paths: list[str], sides: str) -> dict:
+    """What a partition is computed from: its input files, each with the
+    size and modification time its fingerprint took, and ``sides``, the
+    fingerprint of the broadcast sides."""
+    inputs = []
+    for p in paths:
+        st = os.stat(p)
+        inputs.append({"path": p, "size": st.st_size,
+                       "mtime_ns": st.st_mtime_ns})
+    return {"inputs": inputs, "sides": sides}
+
+
+def digest(fingerprints: list[str]) -> str:
+    """The fingerprint of an output built from partitions with these
+    fingerprints, in partition order, under this ``SCHEMA_VERSION``."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(f"{SCHEMA_VERSION}".encode())
+    for fp in fingerprints:
+        h.update(f"\n{fp}".encode())
+    return h.hexdigest()
+
+
+def _manifest(d: str, fingerprint: str) -> dict | None:
+    """The manifest of the dir ``d`` when it was written for
+    ``fingerprint`` under this ``SCHEMA_VERSION``; None when it is
+    missing, unreadable or stale."""
     try:
-        with open(mpath) as f:
+        with open(os.path.join(d, MANIFEST)) as f:
             m = json.load(f)
     except (OSError, json.JSONDecodeError):
-        return False
-    return (m.get("input_fingerprint") == fingerprint
-            and m.get("schema_version") == SCHEMA_VERSION)
+        return None
+    if (m.get("input_fingerprint") == fingerprint
+            and m.get("schema_version") == SCHEMA_VERSION):
+        return m
+    return None
+
+
+def _write_manifest(d: str, **fields) -> None:
+    with open(os.path.join(d, MANIFEST), "w") as f:
+        json.dump(dict(fields, schema_version=SCHEMA_VERSION), f,
+                  sort_keys=True)
+
+
+def partition_done(out_dir: str, part_id: int, fingerprint: str) -> bool:
+    return _manifest(part_dir(out_dir, part_id), fingerprint) is not None
+
+
+def output_done(final: str, fingerprint: str) -> dict | None:
+    """The manifest of the output ``publish_output`` placed at ``final``
+    (never ``final.old``), when it was built for ``fingerprint`` and
+    every file it names exists; else None."""
+    m = _manifest(final, fingerprint)
+    files = m and m.get("files")
+    if files is None or not all(os.path.exists(os.path.join(final, f))
+                                for f in files):
+        return None
+    return m
+
+
+def publish_output(src: str, final: str, fingerprint: str,
+                   n_rows: int) -> None:
+    """Land the finished dir ``src`` as the output ``final``: its manifest
+    (``fingerprint``, ``n_rows`` and the names of its Parquet files) is
+    written into it, then ``swap_in`` renames it, manifest and all."""
+    files = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
+    _write_manifest(src, input_fingerprint=fingerprint, n_rows=n_rows,
+                    files=files)
+    swap_in(src, final)
 
 
 def publish(out_dir: str, part_id: int, src: str, fingerprint: str,
             counters: dict | None = None,
-            link_counts: pa.Table | None = None) -> dict:
+            link_counts: pa.Table | None = None,
+            lineage: dict | None = None) -> dict:
     """Land the finished dir ``src`` (its Parquet files as they are; a
     missing ``src`` is a partition with no rows) as partition ``part_id``
     of ``out_dir``.  The counters get ``n_rows`` from the Parquet footers
     and, given a raw partition's ``link_counts``, ``n_linked_sides``, their
     sum; the counts are written beside the data as ``LINK_COUNTS``.  The
-    manifest lands last, then ``swap_in`` publishes the dir.  Returns the
-    counters."""
+    manifest, with the partition's ``lineage`` when given, lands last, then
+    ``swap_in`` publishes the dir.  Returns the counters."""
     os.makedirs(src, exist_ok=True)
     n_rows = sum(pq.ParquetFile(f).metadata.num_rows
                  for f in glob.glob(os.path.join(src, "*.parquet")))
@@ -165,15 +239,8 @@ def publish(out_dir: str, part_id: int, src: str, fingerprint: str,
         feather.write_feather(link_counts, os.path.join(src, LINK_COUNTS))
         counters["n_linked_sides"] = int(
             pc.sum(link_counts["cnt"]).as_py() or 0)
-    manifest = {
-        "partition": part_id,
-        "input_fingerprint": fingerprint,
-        "n_rows": n_rows,
-        "counters": counters,
-        "schema_version": SCHEMA_VERSION,
-    }
-    with open(os.path.join(src, MANIFEST), "w") as f:
-        json.dump(manifest, f, sort_keys=True)
+    _write_manifest(src, partition=part_id, input_fingerprint=fingerprint,
+                    n_rows=n_rows, counters=counters, lineage=lineage)
     swap_in(src, part_dir(out_dir, part_id))
     return counters
 

@@ -41,3 +41,20 @@ def test_headline_fits_the_output_tail():
         assert head[k] == rec[k]
     assert head["record"] == "bench_record.json"
     assert "queries" not in head and "band_stats" not in head
+
+
+def test_perfbench_hooks_bind_to_the_program():
+    """The traced benchmark (``perfbench/layers.py``) binds names of the
+    program when imported and patches them in ``patch_driver``: renaming
+    or deleting one fails here, not in a traced benchmark run."""
+    from perfbench import layers
+
+    from kb_ner_ray.pipelines import run
+    from kb_ner_ray.state import manifest
+
+    restore = layers.patch_driver()
+    try:
+        assert run.partition_done is layers.partition_done
+    finally:
+        restore()
+    assert run.partition_done is manifest.partition_done

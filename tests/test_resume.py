@@ -2,6 +2,7 @@
 per-partition lineage + counters)."""
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -296,7 +297,10 @@ def test_resumable_run_survives_crashed_final_swap(tmp_path, monkeypatch):
     want = sorted(tuple(r.values())
                   for r in load_final_triples(out).select(key).to_pylist())
 
-    # every partition is skipped on the rerun, so only the swap calls it
+    # an output written before triples/ had a manifest: the rerun rebuilds
+    # it, and every partition is skipped, so only the swap calls replace
+    os.remove(os.path.join(out, "triples", "_MANIFEST.json"))
+
     def crash(src, dst):
         raise OSError("injected crash in the final swap")
 
@@ -512,14 +516,13 @@ def test_resumable_run_recovers_from_crash_mid_landing(tmp_path,
             assert os.path.basename(d) in {f"part={p:04d}" for p in landed}
             assert os.path.exists(os.path.join(d, "_MANIFEST.json"))
 
-    def landing(out_dir, part_id, src, fingerprint, link_counts):
+    def landing(out_dir, part_id, src, fingerprint, **kwargs):
         raw_glob_is_published()
         staged.extend(glob.glob(os.path.join(raw_dir, "_scratch.*", "*",
                                              "*.parquet")))
         if landed:
             raise RuntimeError("injected crash mid-landing")
-        counters = real(out_dir, part_id, src, fingerprint,
-                        link_counts=link_counts)
+        counters = real(out_dir, part_id, src, fingerprint, **kwargs)
         landed.append(part_id)
         raw_glob_is_published()
         return counters
@@ -695,6 +698,239 @@ def test_resumable_rerun_after_gazetteer_rewrite(tmp_path):
                                            n_partitions=4)["n_triples"]
     assert _final_rows(out) == _final_rows(fresh)
     _check_partitions(out, corpus)
+
+
+# ---- the final triples keep their own manifest ---------------------------
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_resumable_noop_rerun_does_no_work(tmp_path, monkeypatch):
+    """A rerun over unchanged inputs finds triples/ built from them and
+    returns its row count: it runs no job, counts no links, loads and
+    broadcasts no KB side, makes no scratch dir, writes no final file and
+    leaves triples/ as it is."""
+    import types
+
+    import ray
+    from ray.data import Dataset
+
+    from kb_ner_ray.pipelines import kg, run
+
+    corpus = _corpus_copy(tmp_path, n_files=4)
+    out = str(tmp_path / "run")
+    r1 = run.run_resumable(corpus, out, n_partitions=4)
+    assert r1["computed"] == [0, 1, 2, 3] and r1["n_triples"] > 0
+    before = os.stat(os.path.join(out, "triples"))
+
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"a no-op rerun called {name}")
+        return call
+
+    monkeypatch.setattr(Dataset, "write_parquet", forbidden("write_parquet"))
+    for name in ("_count_links", "_write_final"):  # remote functions
+        monkeypatch.setattr(run, name,
+                            types.SimpleNamespace(remote=forbidden(name)))
+    for name in ("canonical_map", "scratch"):
+        monkeypatch.setattr(run, name, forbidden(name))
+    monkeypatch.setattr(ray, "put", forbidden("ray.put"))
+    monkeypatch.setattr(kg, "_REFS_CACHE", {})  # a fresh driver's
+
+    r2 = run.run_resumable(corpus, out, n_partitions=4)
+    assert calls == [] and kg._REFS_CACHE == {}
+    assert r2 == {"computed": [], "skipped": [0, 1, 2, 3],
+                  "n_triples": r1["n_triples"]}
+    after = os.stat(os.path.join(out, "triples"))
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+
+
+def _make_stale(case, corpus, out):
+    """Make ``out``'s final triples stale, or lose them, as ``case``
+    names; returns the partition count of the rerun."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    final = os.path.join(out, "triples")
+    if case == "page file rewritten":
+        f = os.path.join(corpus, "pages", "part-00001.parquet")
+        t = pq.read_table(f)
+        pq.write_table(t.slice(0, t.num_rows // 2), f)
+    elif case == "gazetteer rewritten":
+        _halve_gazetteer(corpus)
+    elif case == "other n_partitions":
+        return 2
+    elif case == "no manifest":  # written before triples/ had one
+        os.remove(os.path.join(final, "_MANIFEST.json"))
+    elif case == "final file deleted":
+        os.remove(sorted(glob.glob(os.path.join(final, "*.parquet")))[0])
+    elif case == "only triples.old":  # a crash inside the final swap
+        os.rename(final, final + ".old")
+    return 4
+
+
+@pytest.mark.parametrize("case", [
+    "page file rewritten", "gazetteer rewritten", "other n_partitions",
+    "no manifest", "final file deleted", "only triples.old"])
+def test_resumable_rerun_rebuilds_stale_final_triples(tmp_path, monkeypatch,
+                                                      case):
+    """A triples/ that does not match the current inputs, or is gone, is
+    rebuilt once, with the rows of a fresh run, and swapped in: no
+    triples.old is left.  The rerun after that keeps it."""
+    from kb_ner_ray.pipelines import run
+
+    corpus = _corpus_copy(tmp_path, n_files=4)
+    out, fresh = str(tmp_path / "run"), str(tmp_path / "fresh")
+    run.run_resumable(corpus, out, n_partitions=4)
+    n = _make_stale(case, corpus, out)
+    want = run.run_resumable(corpus, fresh, n_partitions=n)["n_triples"]
+
+    builds, real = [], run.canonical_map
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(run, "canonical_map", counting)
+    assert run.run_resumable(corpus, out, n_partitions=n)["n_triples"] == want
+    assert len(builds) == 1
+    assert _digest(_final_rows(out)) == _digest(_final_rows(fresh))
+    assert os.path.isdir(os.path.join(out, "triples"))
+    assert not os.path.exists(os.path.join(out, "triples.old"))
+    assert run.run_resumable(corpus, out, n_partitions=n)["n_triples"] == want
+    assert len(builds) == 1
+
+
+def test_partition_manifest_records_its_lineage(tmp_path):
+    """A raw partition's manifest names exactly its page files, with the
+    size and modification time it was computed from, and the fingerprint
+    of the broadcast sides."""
+    import glob
+
+    from kb_ner_ray.pipelines.kg import sides_fingerprint
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    corpus = _corpus_copy(tmp_path, n_files=5)
+    out = str(tmp_path / "run")
+    n = 2
+    run_resumable(corpus, out, n_partitions=n)
+    files = sorted(glob.glob(os.path.join(corpus, "pages", "*.parquet")))
+    with open(os.path.join(out, "raw", "part=0001", "_MANIFEST.json")) as f:
+        lineage = json.load(f)["lineage"]
+    assert [i["path"] for i in lineage["inputs"]] == files[1::n]
+    for i in lineage["inputs"]:
+        st = os.stat(i["path"])
+        assert (i["size"], i["mtime_ns"]) == (st.st_size, st.st_mtime_ns)
+    assert lineage["sides"] == sides_fingerprint(corpus)
+
+
+def test_load_final_triples_needs_a_finished_run(tmp_path):
+    """No final output is an error, not an empty table: an empty table
+    means a finished run over a corpus with no triples."""
+    from kb_ner_ray.data.schemas import TRIPLES
+    from kb_ner_ray.pipelines.run import load_final_triples
+    from kb_ner_ray.state.manifest import publish_output
+
+    out = str(tmp_path / "run")
+    with pytest.raises(FileNotFoundError):
+        load_final_triples(out)
+    os.makedirs(os.path.join(out, "raw"))  # died before its final write
+    with pytest.raises(FileNotFoundError):
+        load_final_triples(out)
+    publish_output(scratch(out), os.path.join(out, "triples"), "fp", 0)
+    final = load_final_triples(out)
+    assert final.num_rows == 0 and final.schema == TRIPLES
+
+
+# a Ray worker dies the first time it gets a batch of partition 1's rows:
+# the wrapped kernel creates the marker file and exits, so the retried
+# task (or a rerun) runs the kernel
+_WORKER_KILLED_RUN = """
+import json, os, sys
+import pyarrow.compute as pc
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from kb_ner_ray.data.synth import corpus_dir
+from kb_ner_ray.pipelines import kg
+from kb_ner_ray.pipelines.run import run_resumable
+
+out, marker = sys.argv[1], sys.argv[2]
+kernel = kg.retrieve_tag_triples_shared
+
+
+def dies_once(batch, **kwargs):
+    if pc.any(pc.equal(batch["part"], "0001")).as_py():
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return kernel(batch, **kwargs)
+
+
+kg.retrieve_tag_triples_shared = dies_once
+runs = []
+try:
+    runs.append(run_resumable(corpus_dir(0.001), out, n_partitions=2))
+except Exception as e:  # Ray's retry did not land partition 1
+    runs.append(repr(e)[-300:])
+    runs.append(run_resumable(corpus_dir(0.001), out, n_partitions=2))
+runs.append(run_resumable(corpus_dir(0.001), out, n_partitions=2))
+print(json.dumps(runs))
+ray.shutdown()
+"""
+
+
+def test_resumable_run_lands_partition_of_killed_worker(tmp_path):
+    """A real fault in a worker: the process running partition 1's kernel
+    exits.  Whether Ray's retry lands the partition or a rerun does, each
+    partition lands once, with an uninterrupted run's row count, the
+    final triples are an uninterrupted run's, the next rerun skips every
+    partition, and no process of the run's Ray instance outlives it."""
+    import glob
+    import subprocess
+    import sys
+
+    from kb_ner_ray.data.synth import corpus_dir
+    from kb_ner_ray.pipelines.run import run_resumable
+
+    clean = str(tmp_path / "clean")
+    run_resumable(corpus_dir(0.001), clean, n_partitions=2)
+    out, marker = str(tmp_path / "run"), str(tmp_path / "killed-once")
+
+    log = tmp_path / "run.log"
+    with open(log, "w") as err, open(tmp_path / "run.out", "w") as f:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER_KILLED_RUN, out, marker],
+            cwd=_ROOT, stdout=f, stderr=err)
+    instance = _descendants_until_exit(proc, timeout=300)
+    left = _stop(instance)
+    assert proc.returncode == 0, log.read_text()[-2000:]
+    assert instance and not left, left
+    assert os.path.exists(marker)  # the worker did die
+
+    runs = json.loads((tmp_path / "run.out").read_text().splitlines()[-1])
+    landed, rerun = runs[-2:]
+    assert landed["computed"] == [0, 1] and landed["skipped"] == []
+    assert rerun["computed"] == [] and rerun["skipped"] == [0, 1]
+    raw, clean_raw = os.path.join(out, "raw"), os.path.join(clean, "raw")
+    assert [os.path.basename(d) for d in landed_dirs(raw)] == [
+        "part=0000", "part=0001"]
+    for want, d in zip(_manifests(clean_raw), landed_dirs(raw)):
+        assert len(glob.glob(os.path.join(d, "**", "_MANIFEST.json"),
+                             recursive=True)) == 1
+        with open(os.path.join(d, "_MANIFEST.json")) as f:
+            assert json.load(f)["n_rows"] == want["n_rows"]
+    assert _digest(_final_rows(out)) == _digest(_final_rows(clean))
 
 
 # ---- one module knows the on-disk layout --------------------------------
